@@ -10,21 +10,16 @@ NonGenericParameter.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 
 from .cyclotomic import Raw, get_field, root_of_unity
 from .errors import NonGenericParameter
 from .reports import IdentityReport, compare_series
-from .series import Monomial, QSeries, computed_to, eta_J
+from .series import Monomial, QSeries, _lcm, computed_to, eta_J
 from .theta import binom2, is_theta_zero_pattern, theta_j
 
 F = Fraction
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
 
 
 def _field_for(*monomials: Monomial):

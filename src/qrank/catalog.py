@@ -71,11 +71,6 @@ class CatalogEntry:
     puiseux_den: int = 1      # exponent denominator (1: integral exponents)
 
 
-def _ratio(z1, z2, base, order):
-    return computed_to(
-        lambda o: theta_j(z1, base, o) * theta_j(z2, base, o).invert(), order)
-
-
 def _scaled_eta(spec: dict[int, int], s: int, order) -> QSeries:
     return eta_quotient({m * s: e for m, e in spec.items()}, order)
 
@@ -388,8 +383,8 @@ def _cube_root_entries() -> list[CatalogEntry]:
 
     def cubic_base_rhs(w, s, o):
         def build(t):
-            bracket = _ratio(Q(2 * s), -Q(s), 9 * s, t)
-            tail = _ratio(Q(8 * s), -Q(4 * s), 9 * s, t)
+            bracket = named._theta_ratio(Q(2 * s), -Q(s), 9 * s, t)
+            tail = named._theta_ratio(Q(8 * s), -Q(4 * s), 9 * s, t)
             wc = w.coeff()
             return _scaled_eta({9: 1}, s, t) * (bracket - tail.shift(Q(s)).scale(wc * wc))
         return computed_to(build, o)
@@ -406,8 +401,8 @@ def _cube_root_entries() -> list[CatalogEntry]:
 
     def sextic_base_rhs(w, s, o):
         def build(t):
-            bracket = _ratio(Q(10 * s), -Q(5 * s), 18 * s, t)
-            tail = _ratio(Q(14 * s), -Q(7 * s), 18 * s, t)
+            bracket = named._theta_ratio(Q(10 * s), -Q(5 * s), 18 * s, t)
+            tail = named._theta_ratio(Q(14 * s), -Q(7 * s), 18 * s, t)
             return _scaled_eta({18: 1}, s, t) * (bracket + tail.shift(Q(s)).scale(w.coeff()))
         return computed_to(build, o)
 

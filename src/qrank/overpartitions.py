@@ -1,9 +1,12 @@
 """Overpartition combinatorics and rank deviations.
 
 Ground truth comes from three independent routes that the test suite plays
-against each other: direct enumeration (d = 1, 2), coefficient extraction
-from the rank generating function at roots of unity (any d), and the
-Appell-Lerch formulas for deviation pairs and single deviations.
+against each other: direct enumeration (d = 1, 2), rank tables read off the
+double-divisor form of the rank generating function expanded as an integer
+series in z and q (any d), and the Appell-Lerch formulas for deviation pairs
+and single deviations.  The catalog entries `rank-series-two-forms` and
+`rank-enumeration-d1/d2` tie the double-divisor form to the single-sum form
+and the single-sum form to enumeration.
 """
 
 from __future__ import annotations
@@ -110,7 +113,7 @@ def enumeration_rank_counts(d: int, max_n: int) -> dict[tuple[int, int], int]:
 
 
 # ---------------------------------------------------------------------------
-# rank tables via exact root-of-unity extraction
+# rank tables from the double-divisor form over the integers
 # ---------------------------------------------------------------------------
 
 
@@ -151,6 +154,10 @@ _TABLE_CACHE: dict[int, RankTables] = {}
 
 
 def rank_tables(d: int, max_n: int) -> RankTables:
+    if d < 1:
+        raise ValueError("d must be a positive integer")
+    if max_n < 0:
+        raise ValueError("max_n must be nonnegative")
     cached = _TABLE_CACHE.get(d)
     if cached is not None and cached.max_n >= max_n:
         return cached
@@ -160,59 +167,44 @@ def rank_tables(d: int, max_n: int) -> RankTables:
 
 
 def _build_rank_tables(d: int, max_n: int) -> RankTables:
-    """Invert the generating function at the K-th roots of unity, K odd and
-    larger than twice the largest statistic.
+    """Expand the double-divisor form of O_d(z;q) over the integers:
 
-    The inverse Fourier sums run in the group ring Z[x]/(x^K - 1): a
-    multiplication by zeta_K^{-mj} is a cyclic shift there, and a final
-    reduction mod Phi_K certifies the sum is the rational K * N_d(m, n).
+        (J_2/J_1^2) (1 + 2 sum_{j>=1} (-1)^j q^{j^2+dj} (2 - z - 1/z)
+                                        sum_{a,b>=0} z^{a-b} q^{dj(a+b)}).
+
+    The bracket is an integer array indexed by (q-exponent, z-exponent); its
+    product with the overpartition counts gives N_d(m, n) directly.  No
+    Appell-Lerch series enters.  The catalog entries `rank-series-two-forms`
+    and `rank-enumeration-d1/d2` tie this form to the single-sum form and to
+    enumeration.
     """
-    K = 2 * max_n + 3
-    order = F(max_n + 1)
-    field = get_field(K)
-    phi = field.phi
-    # evaluations at zeta_K^j; j = 0 is the plain overpartition count
-    per_j: list[tuple[int, list[list[int]]]] = []
-    for j in range(K):
-        if j == 0:
-            series = p_bar_series(order)
-        else:
-            series = o_d_direct(d, Monomial.zeta(j, K), order)
-        dens = []
-        vecs = []
-        for n in range(max_n + 1):
-            raw = series.coeff(n).embed(K).raw
-            dens.append(raw[0])
-            vecs.append(list(raw[1]))
-        den = 1
-        for x in dens:
-            den = den * x // math.gcd(den, x)
-        scaled = [[v * (den // dens[n]) for v in vecs[n]] for n in range(max_n + 1)]
-        per_j.append((den, scaled))
+    # bracket[n][max_n + m] is the coefficient of z^m q^n
+    bracket = [[0] * (2 * max_n + 1) for _ in range(max_n + 1)]
+    bracket[0][max_n] = 1
+    j = 1
+    while j * j + d * j <= max_n:
+        coeff = 2 if j % 2 == 0 else -2  # 2 (-1)^j
+        n = j * j + d * j
+        s = 0  # s = a + b, so a - b runs over -s, -s+2, ..., s
+        while n <= max_n:
+            row = bracket[n]
+            for k in range(max_n - s, max_n + s + 1, 2):
+                row[k] += 2 * coeff
+                row[k - 1] -= coeff
+                row[k + 1] -= coeff
+            n += d * j
+            s += 1
+        j += 1
+    p_bar_n = p_bar_series(max_n + 1)
+    p_bar_coeffs = [int(p_bar_n.coeff(k).as_fraction()) for k in range(max_n + 1)]
     counts: dict[tuple[int, int], int] = {}
     for n in range(max_n + 1):
-        den_n = 1
-        for den, _ in per_j:
-            den_n = den_n * den // math.gcd(den_n, den)
-        rows = [[v * (den_n // per_j[j][0]) for v in per_j[j][1][n]] for j in range(K)]
         for m in range(-n, n + 1):
-            acc = [0] * K
-            for j in range(K):
-                shift = (-m * j) % K
-                row = rows[j]
-                for i in range(phi):
-                    v = row[i]
-                    if v:
-                        acc[(i + shift) % K] += v
-            red = field.reduce_vec(acc)
-            if any(red[1:]):
-                raise ArithmeticError("extraction did not yield a rational count")
-            value = F(red[0], K * den_n)
-            if value.denominator != 1 or value < 0:
-                raise ArithmeticError("count N_%d(%d,%d) = %s is not a "
-                                      "nonnegative integer" % (d, m, n, value))
+            value = sum(p_bar_coeffs[k] * bracket[n - k][max_n + m] for k in range(n + 1))
+            if value < 0:
+                raise ArithmeticError("count N_%d(%d,%d) = %d is negative" % (d, m, n, value))
             if value:
-                counts[m, n] = int(value)
+                counts[m, n] = value
     return RankTables(d, max_n, counts)
 
 

@@ -182,6 +182,11 @@ def test_cli_tables(capsys, tmp_path):
     assert "1,0,1,2" in text
 
 
+def test_cli_tables_rejects_bad_d(capsys):
+    assert main(["tables", "--d", "0", "--maxN", "5"]) != 0
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cli_list(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from qrank.appell import o_d_direct
+from qrank.cyclotomic import root_of_unity
 from qrank.errors import UnsupportedCase
 from qrank.overpartitions import (
     Overpartition,
@@ -67,6 +69,23 @@ def test_tables_match_enumeration(d):
     for n in range(11):
         for m in range(-n, n + 1):
             assert t.count(m, n) == e.get((m, n), 0), (d, m, n)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("L", [5, 7])
+def test_tables_match_single_sum_form(d, L):
+    # the tables come from the double-divisor form; o_d_direct is the single sum
+    t = rank_tables(d, 20)
+    series = o_d_direct(d, Monomial.zeta(1, L), 21)
+    for n in range(21):
+        value = sum(t.count(m, n) * root_of_unity(m, L) for m in range(-n, n + 1))
+        assert series.coeff(n) == value, (d, L, n)
+
+
+@pytest.mark.parametrize("d, max_n", [(0, 5), (-2, 3), (1, -1)])
+def test_tables_reject_bad_arguments(d, max_n):
+    with pytest.raises(ValueError):
+        rank_tables(d, max_n)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
