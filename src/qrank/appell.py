@@ -6,6 +6,12 @@ q), which makes each divisor 1/(1 - u) decidable: expand geometrically for
 positive exponent, flip u -> 1/u for negative exponent, and use the constant
 1/(1 - c) when the exponent vanishes; c = 1 there is a pole and raises
 NonGenericParameter.
+
+The two-sided sums, m(x,q,z) and the Lerch sums behind O_d(z;q), run through
+`qrank.theta.bilateral`.  The lowest exponent a term reaches, a quadratic in
+the summation index plus max(0, -exp(u)) from the flip of 1/(1 - u), is
+convex, and the walk stops where it has passed its minimum at or above the
+order.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from .cyclotomic import Raw, get_field, root_of_unity
 from .errors import NonGenericParameter
 from .reports import IdentityReport, compare_series
 from .series import Monomial, QSeries, _lcm, computed_to, eta_J
-from .theta import binom2, is_theta_zero_pattern, theta_j
+from .theta import bilateral, binom2, is_theta_zero_pattern, theta_j
 
 F = Fraction
 
@@ -86,38 +92,27 @@ def _appell_m_once(x: Monomial, p: Fraction, z: Monomial, order: Fraction) -> QS
     if p <= 0:
         raise ValueError("base exponent must be positive")
     # genericity: neither z nor xz may be an integral power of the base
-    if z.coeff_is_one and (z.q_exp / p).denominator == 1:
+    if is_theta_zero_pattern(z, p):
         raise NonGenericParameter("z = %s is an integral power of the base" % z)
     xz = x * z
-    if xz.coeff_is_one and ((x.q_exp + z.q_exp) / p).denominator == 1:
+    if is_theta_zero_pattern(xz, p):
         raise NonGenericParameter("xz = %s is an integral power of the base" % xz)
     field = _field_for(x, z)
     acc: dict[Fraction, Raw] = {}
     e_z = z.q_exp
 
-    def term_min(r: int) -> Fraction:
-        u = Monomial.q(p * (r - 1)) * xz
-        return p * binom2(r) + r * e_z + _geom_min_exp(u)
+    def mono_exp(r: int) -> Fraction:
+        return p * binom2(r) + r * e_z
 
-    def add(r: int) -> None:
-        mono_exp = p * F(binom2(r)) + r * e_z
+    def lowest(r: int) -> Fraction:
+        return mono_exp(r) + _geom_min_exp(Monomial.q(p * (r - 1)) * xz)
+
+    for r, _ in bilateral(lowest, order):
         coeff = field.zeta_pow(z.zeta_num * r * (field.L // z.zeta_den))
         if r % 2:
             coeff = field.neg(coeff)
-        u = Monomial.q(p * (r - 1)) * xz
-        _accumulate_geometric(acc, field, coeff, mono_exp, u, order)
-
-    vertex = int((abs(e_z) + abs(x.q_exp) + 3 * p) / p) + 3
-    r = 0
-    while r <= vertex or term_min(r) < order:
-        add(r)
-        r += 1
-    add(r)  # one-term safety margin
-    r = -1
-    while r >= -vertex or term_min(r) < order:
-        add(r)
-        r -= 1
-    add(r)
+        _accumulate_geometric(acc, field, coeff, mono_exp(r),
+                              Monomial.q(p * (r - 1)) * xz, order)
     series = QSeries.from_terms(acc, field, order)
     jz = theta_j(z, p, order)
     return series * jz.invert()
@@ -233,6 +228,24 @@ def _lam_once(d: int, z: Monomial, z0: Monomial, zp: Monomial,
 # ---------------------------------------------------------------------------
 
 
+def _lerch_sum(k: int, x: Monomial, order: Fraction) -> QSeries:
+    """sum_n (-1)^n q^{n^2+kn} / (1 - x q^{kn}) below `order`, for k >= 1.
+
+    Callers rule out the poles x q^{kn} = 1 first, each with its own message.
+    """
+    field = _field_for(x)
+    acc: dict[Fraction, Raw] = {}
+
+    def lowest(n: int) -> Fraction:
+        return F(n * n + k * n) + _geom_min_exp(x * Monomial.q(k * n))
+
+    for n, _ in bilateral(lowest, order):
+        coeff = field.one if n % 2 == 0 else field.neg(field.one)
+        _accumulate_geometric(acc, field, coeff, F(n * n + k * n),
+                              x * Monomial.q(k * n), order)
+    return QSeries.from_terms(acc, field, order)
+
+
 def o_d_direct(d: int, z: Monomial, order) -> QSeries:
     """O_d(z;q) from its single-sum form:
     (1-z)/(1+z) * (1 + 2z/j(q;q^2) * sum_n (-1)^n q^{n^2+dn} / (1 - z q^{dn})).
@@ -251,30 +264,7 @@ def _o_d_direct_once(d: int, z: Monomial, order: Fraction) -> QSeries:
         raise NonGenericParameter("z = %s hits a divisor pole" % z)
     if z == Monomial.minus_one():
         raise NonGenericParameter("z = -1 is a pole of the (1+z) prefactor")
-    field = _field_for(z)
-    acc: dict[Fraction, Raw] = {}
-    e_z = z.q_exp
-
-    def term_min(n: int) -> Fraction:
-        return F(n * n + d * n) + _geom_min_exp(z * Monomial.q(d * n))
-
-    def add(n: int) -> None:
-        coeff = field.one if n % 2 == 0 else field.neg(field.one)
-        _accumulate_geometric(acc, field, coeff, F(n * n + d * n),
-                              z * Monomial.q(d * n), order)
-
-    vertex = int(abs(e_z)) + 2 * d + 3
-    n = 0
-    while n <= vertex or term_min(n) < order:
-        add(n)
-        n += 1
-    add(n)
-    n = -1
-    while n >= -vertex or term_min(n) < order:
-        add(n)
-        n -= 1
-    add(n)
-    s = QSeries.from_terms(acc, field, order)
+    s = _lerch_sum(d, z, order)
     core = 1 + (s * theta_j(Monomial.q(1), 2, order).invert()).shift(z).scale(2)
     one_minus = QSeries.one() - QSeries.from_monomial(z)
     one_plus = QSeries.one() + QSeries.from_monomial(z)
@@ -350,20 +340,23 @@ def _s_bar_d_once(d: int, z: Monomial, z0: Monomial, zp: Monomial,
                   order: Fraction) -> QSeries:
     if d < 1:
         raise ValueError("d must be a positive integer")
-    one_minus = QSeries.one() - QSeries.from_monomial(z)
+    return s_bar_bracket(d, z, z0, zp, order) * (QSeries.one() - QSeries.from_monomial(z))
+
+
+def s_bar_bracket(d: int, z: Monomial, z0: Monomial, zp: Monomial, order) -> QSeries:
+    """S_d(z;q) / (1-z): the Appell-Lerch bracket of the folded rank series,
+    valid below `order`."""
     if d % 2:
         m_term = appell_m(z ** (-2) * Monomial.q(d * d), 2 * d * d, zp, order)
-        lam_term = lam(d, z, z0, zp, order)
-        bracket = 1 - m_term.scale(2) + lam_term.scale(2)
-    else:
-        h = d // 2
-        x_m = Monomial.zeta(h + 1, 2) * z * Monomial.q(F(d * d, 4))
-        m_term = appell_m(x_m, F(d * d, 2), zp, order)
-        psi_term = psi(0, h, z.pow_frac(2, d) * Monomial.q(1 - d),
-                       Monomial.q(1), zp, 2, order + F(d * d, 4))
-        tail_mono = Monomial.zeta(h, 2, -F(d * d, 4)) * z
-        bracket = -1 + m_term.scale(2) + psi_term.shift(tail_mono).scale(2)
-    return bracket * one_minus
+        return 1 - m_term.scale(2) + lam(d, z, z0, zp, order).scale(2)
+    h = d // 2
+    x_m = Monomial.zeta(h + 1, 2) * z * Monomial.q(F(d * d, 4))
+    m_term = appell_m(x_m, F(d * d, 2), zp, order)
+    # Psi at order + d^2/4, so the q^{-d^2/4} shift leaves it valid below order
+    psi_term = psi(0, h, z.pow_frac(2, d) * Monomial.q(1 - d),
+                   Monomial.q(1), zp, 2, order + F(d * d, 4))
+    tail_mono = Monomial.zeta(h, 2, -F(d * d, 4)) * z
+    return -1 + m_term.scale(2) + psi_term.shift(tail_mono).scale(2)
 
 
 # ---------------------------------------------------------------------------
@@ -380,30 +373,7 @@ def lerch_fold_lhs(x: Monomial, order) -> QSeries:
 def _lerch_fold_lhs_once(x: Monomial, order: Fraction) -> QSeries:
     if x.coeff_is_one and x.q_exp.denominator == 1:
         raise NonGenericParameter("divisor 1 - x q^n vanishes at n = %d" % (-x.q_exp))
-    field = _field_for(x)
-    acc: dict[Fraction, Raw] = {}
-
-    def term_min(n: int) -> Fraction:
-        return F(n * n + n) + _geom_min_exp(x * Monomial.q(n))
-
-    def add(n: int) -> None:
-        coeff = field.one if n % 2 == 0 else field.neg(field.one)
-        _accumulate_geometric(acc, field, coeff, F(n * n + n),
-                              x * Monomial.q(n), order)
-
-    vertex = int(abs(x.q_exp)) + 5
-    n = 0
-    while n <= vertex or term_min(n) < order:
-        add(n)
-        n += 1
-    add(n)
-    n = -1
-    while n >= -vertex or term_min(n) < order:
-        add(n)
-        n -= 1
-    add(n)
-    s = QSeries.from_terms(acc, field, order)
-    return s * theta_j(Monomial.q(1), 2, order).invert()
+    return _lerch_sum(1, x, order) * theta_j(Monomial.q(1), 2, order).invert()
 
 
 def htom_check(x: Monomial, order) -> IdentityReport:

@@ -41,7 +41,7 @@ from .overpartitions import (
 )
 from .reports import NON_GENERIC, PASS, IdentityReport, compare_series
 from .series import Monomial, QSeries, computed_to, eta_J, eta_quotient
-from .theta import theta_j, theta_shift_check, theta_triple_product
+from .theta import binom2, theta_j, theta_shift_check, theta_triple_product
 
 F = Fraction
 Z = Monomial.zeta
@@ -67,8 +67,6 @@ class CatalogEntry:
     description: str
     default_order: Fraction
     instances: list[Instance]
-    root_order: int = 1       # cyclotomic order the instantiations require
-    puiseux_den: int = 1      # exponent denominator (1: integral exponents)
 
 
 def _scaled_eta(spec: dict[int, int], s: int, order) -> QSeries:
@@ -87,8 +85,7 @@ def _appell_entries() -> list[CatalogEntry]:
         "m(q, q^2, -1) equals the constant 1/2",
         F(30),
         [Instance({}, lambda o: appell_m(Q(1), 2, MINUS, o),
-                  lambda o: QSeries.scalar(F(1, 2)))],
-        root_order=2))
+                  lambda o: QSeries.scalar(F(1, 2)))]))
 
     samples = [(Z(1, 5), 1, Z(1, 7)), (Z(1, 5, 1), 1, Z(3, 7)), (Z(2, 7, 2), 2, Z(1, 5, 1))]
     entries.append(CatalogEntry(
@@ -100,8 +97,7 @@ def _appell_entries() -> list[CatalogEntry]:
                   lambda o, x=x, p=p, z=z: computed_to(
                       lambda t: appell_m(x.inverse(), p, z.inverse(), t)
                       .shift(x.inverse()), o))
-         for x, p, z in samples],
-        root_order=35))
+         for x, p, z in samples]))
 
     entries.append(CatalogEntry(
         "appell-increment",
@@ -112,8 +108,7 @@ def _appell_entries() -> list[CatalogEntry]:
                   lambda o, x=x, p=p, z=z: computed_to(
                       lambda t: QSeries.from_monomial(x.inverse())
                       - appell_m(x * Q(p), p, z, t).shift(x.inverse()), o))
-         for x, p, z in samples],
-        root_order=35))
+         for x, p, z in samples]))
 
     switch = [(Z(1, 5, 1), Z(1, 7), Z(1, 2), 2), (Z(1, 5), Z(2, 7), Z(3, 7), 1),
               (Z(1, 3, 1), Z(1, 5), Z(1, 7, 1), 2)]
@@ -125,10 +120,7 @@ def _appell_entries() -> list[CatalogEntry]:
                   lambda o, x=x, z1=z1, z0=z0, p=p: delta(x, z1, z0, p, o),
                   lambda o, x=x, z1=z1, z0=z0, p=p:
                   appell_m(x, p, z1, o) - appell_m(x, p, z0, o))
-         for x, z1, z0, p in switch],
-        root_order=210))
-
-    from .theta import binom2
+         for x, z1, z0, p in switch]))
 
     def avg_lhs(n, k, x, z, o):
         total = QSeries.zero(o)
@@ -154,8 +146,7 @@ def _appell_entries() -> list[CatalogEntry]:
             [Instance({"x": x, "z": z, "zp": zp, "k": k},
                       lambda o, n=n, k=k, x=x, z=z: avg_lhs(n, k, x, z, o),
                       lambda o, n=n, k=k, x=x, z=z, zp=zp: avg_rhs(n, k, x, z, zp, o))
-             for x, z, zp in avg_samples for k in range(n)],
-            root_order=3 * 5 * 7 * 11 * 2))
+             for x, z, zp in avg_samples for k in range(n)]))
 
     entries.append(CatalogEntry(
         "lerch-fold",
@@ -166,8 +157,7 @@ def _appell_entries() -> list[CatalogEntry]:
                   lambda o, x=x: computed_to(
                       lambda t: appell_m(x ** (-2) * Q(1), 2, x, t)
                       .shift(-x.inverse()), o))
-         for x in (Z(1, 5), Z(1, 7, 1), Z(3, 11, 2))],
-        root_order=2 * 5 * 7 * 11))
+         for x in (Z(1, 5), Z(1, 7, 1), Z(3, 11, 2))]))
     return entries
 
 
@@ -181,8 +171,7 @@ def _theta_entries() -> list[CatalogEntry]:
         [Instance({"z": z, "base": p},
                   lambda o, z=z, p=p: theta_j(z, p, o),
                   lambda o, z=z, p=p: theta_triple_product(z, p, o))
-         for z, p in tp],
-        root_order=210))
+         for z, p in tp]))
 
     shift = [(Z(1, 5, 1), 2, 1), (Z(1, 7), 0, 1), (Z(3, 7, 2), -2, 2), (Q(1), 1, 1)]
     entries.append(CatalogEntry(
@@ -192,8 +181,7 @@ def _theta_entries() -> list[CatalogEntry]:
         F(30),
         [Instance({"x": x, "n": n, "base": p},
                   check=lambda o, x=x, n=n, p=p: theta_shift_check(x, n, p, o))
-         for x, n, p in shift],
-        root_order=70))
+         for x, n, p in shift]))
 
     entries.append(CatalogEntry(
         "theta-vanishing",
@@ -221,8 +209,7 @@ def _theta_entries() -> list[CatalogEntry]:
         [Instance({"form": desc},
                   lambda o, z=z, p=p: theta_j(z, p, o),
                   lambda o, spec=spec, c=c: eta_quotient(spec, o).scale(c))
-         for z, p, spec, c, desc in closed],
-        root_order=2))
+         for z, p, spec, c, desc in closed]))
 
     xs = (Z(1, 5), Z(1, 7, 1), Z(2, 11, 2))
     entries.append(CatalogEntry(
@@ -237,8 +224,7 @@ def _theta_entries() -> list[CatalogEntry]:
                       lambda t: (eta_quotient({2: 2, 1: -1}, t)
                                  * theta_j(x.inverse(), 1, t))
                       .shift(x ** 2 * Q(-1)), o))
-         for x in xs],
-        root_order=5 * 7 * 11))
+         for x in xs]))
 
     entries.append(CatalogEntry(
         "theta-inverse-ratio",
@@ -252,16 +238,12 @@ def _theta_entries() -> list[CatalogEntry]:
                       lambda t: -(theta_j(-x.inverse(), 1, t)
                                   * (theta_j(-(x ** -2) * Q(1), 2, t)
                                      * theta_j(x.inverse(), 1, t)).invert()), o))
-         for x in xs],
-        root_order=2 * 5 * 7 * 11))
-
-    def binom2_frac(n):
-        return F(n * (n - 1), 2)
+         for x in xs]))
 
     def power_split_rhs(z, n, o):
         total = QSeries.zero(o)
         for k in range(n):
-            arg = Z(n + 1, 2) * Q(binom2_frac(n) + n * k) * z ** n
+            arg = Z(n + 1, 2) * Q(binom2(n) + n * k) * z ** n
             piece = computed_to(
                 lambda t, arg=arg, k=k: theta_j(arg, n * n, t)
                 .shift(Z(k, 2, F(k * (k - 1), 2)) * z ** k), o)
@@ -276,8 +258,7 @@ def _theta_entries() -> list[CatalogEntry]:
             [Instance({"z": z, "n": n},
                       lambda o, z=z: theta_j(z, 1, o),
                       lambda o, z=z, n=n: power_split_rhs(z, n, o))
-             for z in xs],
-            root_order=2 * 5 * 7 * 11))
+             for z in xs]))
 
     entries.append(CatalogEntry(
         "theta-cubic-pair",
@@ -290,8 +271,7 @@ def _theta_entries() -> list[CatalogEntry]:
                   lambda o, x=x: computed_to(
                       lambda t: eta_J(1, t) * theta_j(x ** 2, 1, t)
                       * theta_j(x, 1, t).invert(), o))
-         for x in (Z(1, 5), Z(2, 7, 1), Z(3, 7))],
-        root_order=5 * 7))
+         for x in (Z(1, 5), Z(2, 7, 1), Z(3, 7))]))
 
     pairs = [(Z(1, 5), Z(1, 7)), (Z(1, 7, 1), Z(1, 5)), (Z(2, 11), Z(3, 11, 1))]
     entries.append(CatalogEntry(
@@ -304,8 +284,7 @@ def _theta_entries() -> list[CatalogEntry]:
                       lambda t: theta_j(-(x * y), 2, t) * theta_j(-(y / x) * Q(1), 2, t)
                       - (theta_j(-(x * y) * Q(1), 2, t)
                          * theta_j(-(y / x), 2, t)).shift(x), o))
-         for x, y in pairs],
-        root_order=2 * 5 * 7 * 11))
+         for x, y in pairs]))
 
     entries.append(CatalogEntry(
         "theta-ratio-difference",
@@ -319,8 +298,7 @@ def _theta_entries() -> list[CatalogEntry]:
                       lambda t: (theta_j(y / x, 2, t) * theta_j(x * y * Q(1), 2, t)
                                  * (theta_j(-x, 1, t) * theta_j(-y, 1, t)).invert())
                       .shift(x).scale(2), o))
-         for x, y in pairs],
-        root_order=2 * 5 * 7 * 11))
+         for x, y in pairs]))
 
     def mult_shift_rhs(x, z, n, o):
         def build(t):
@@ -344,8 +322,7 @@ def _theta_entries() -> list[CatalogEntry]:
                       lambda o, x=x, z=z: computed_to(
                           lambda t: theta_j(z * x, 1, t) * theta_j(x, 1, t).invert(), o),
                       lambda o, x=x, z=z, n=n: mult_shift_rhs(x, z, n, o))
-             for x, z in [(Z(1, 5), Z(1, 7)), (Z(1, 7, 1), Z(2, 5)), (Z(2, 11), Z(1, 5, 1))]],
-            root_order=5 * 7 * 11))
+             for x, z in [(Z(1, 5), Z(1, 7)), (Z(1, 7, 1), Z(2, 5)), (Z(2, 11), Z(1, 5, 1))]]))
     return entries
 
 
@@ -359,8 +336,7 @@ def _cube_root_entries() -> list[CatalogEntry]:
         [Instance({"w": w, "scale": s},
                   lambda o, w=w, s=s: theta_j(w, s, o),
                   lambda o, w=w, s=s: _scaled_eta({3: 1}, s, o).scale(1 - w.coeff()))
-         for w in ws for s in (1, 2)],
-        root_order=3))
+         for w in ws for s in (1, 2)]))
     entries.append(CatalogEntry(
         "theta-negative-cube-root",
         "j(-w;q) = (1+w) J_1^2 J_6/(J_2 J_3)",
@@ -369,8 +345,7 @@ def _cube_root_entries() -> list[CatalogEntry]:
                   lambda o, w=w, s=s: theta_j(-w, s, o),
                   lambda o, w=w, s=s: _scaled_eta({1: 2, 6: 1, 2: -1, 3: -1}, s, o)
                   .scale(1 + w.coeff()))
-         for w in ws for s in (1, 2)],
-        root_order=6))
+         for w in ws for s in (1, 2)]))
     entries.append(CatalogEntry(
         "theta-cube-root-even-base",
         "j(-wq;q^2) = J_1 J_4 J_6^2/(J_2 J_3 J_12)",
@@ -378,8 +353,7 @@ def _cube_root_entries() -> list[CatalogEntry]:
         [Instance({"w": w, "scale": s},
                   lambda o, w=w, s=s: theta_j(-w * Q(s), 2 * s, o),
                   lambda o, s=s: _scaled_eta({1: 1, 4: 1, 6: 2, 2: -1, 3: -1, 12: -1}, s, o))
-         for w in ws for s in (1, 2)],
-        root_order=6))
+         for w in ws for s in (1, 2)]))
 
     def cubic_base_rhs(w, s, o):
         def build(t):
@@ -396,8 +370,7 @@ def _cube_root_entries() -> list[CatalogEntry]:
         [Instance({"w": w, "scale": s},
                   lambda o, w=w, s=s: theta_j(-w * Q(s), 3 * s, o),
                   lambda o, w=w, s=s: cubic_base_rhs(w, s, o))
-         for w in ws for s in (1, 2)],
-        root_order=6))
+         for w in ws for s in (1, 2)]))
 
     def sextic_base_rhs(w, s, o):
         def build(t):
@@ -413,8 +386,7 @@ def _cube_root_entries() -> list[CatalogEntry]:
         [Instance({"w": w, "scale": s},
                   lambda o, w=w, s=s: theta_j(-w * Q(s), 6 * s, o),
                   lambda o, w=w, s=s: sextic_base_rhs(w, s, o))
-         for w in ws for s in (1, 2)],
-        root_order=6))
+         for w in ws for s in (1, 2)]))
 
     w = Z(1, 3)
     entries.append(CatalogEntry(
@@ -428,8 +400,7 @@ def _cube_root_entries() -> list[CatalogEntry]:
                   lambda o, x=x: computed_to(
                       lambda t: eta_quotient({1: 3, 3: -1}, t)
                       * theta_j(x ** 3, 3, t), o))
-         for x in (Z(1, 5), Z(1, 7, 1), Z(2, 11, 2))],
-        root_order=3 * 5 * 7 * 11))
+         for x in (Z(1, 5), Z(1, 7, 1), Z(2, 11, 2))]))
     return entries
 
 
@@ -449,8 +420,7 @@ def _root_sum_entries() -> list[CatalogEntry]:
         [Instance({"n": n, "s": s},
                   lambda o, n=n, s=s: lhs(n, s, o),
                   lambda o, n=n, s=s: QSeries.scalar(n if s % n == 0 else 0))
-         for n, s in cases],
-        root_order=9 * 5 * 7)]
+         for n, s in cases])]
 
 
 def _rank_series_entries() -> list[CatalogEntry]:
@@ -462,8 +432,7 @@ def _rank_series_entries() -> list[CatalogEntry]:
         [Instance({"d": d, "z": z},
                   lambda o, d=d, z=z: o_d_direct(d, z, o),
                   lambda o, d=d, z=z: o_d_original(d, z, o))
-         for d in (1, 2) for z in (Z(1, 5), Z(2, 7))],
-        root_order=35))
+         for d in (1, 2) for z in (Z(1, 5), Z(2, 7))]))
 
     def enum_series(d, z, o):
         counts = enumeration_rank_counts(d, int(o) - 1)
@@ -482,8 +451,7 @@ def _rank_series_entries() -> list[CatalogEntry]:
             [Instance({"d": d, "z": z},
                       lambda o, d=d, z=z: enum_series(d, z, o),
                       lambda o, d=d, z=z: o_d_direct(d, z, o))
-             for z in (Z(1, 5), Z(1, 7))],
-            root_order=35))
+             for z in (Z(1, 5), Z(1, 7))]))
 
     fold_cases = []
     for d in (1, 2, 3, 4):
@@ -501,8 +469,7 @@ def _rank_series_entries() -> list[CatalogEntry]:
                       lambda t: (QSeries.one() + QSeries.from_monomial(z))
                       * o_d_direct(d, z, t), o),
                   lambda o, d=d, z=z, z0=z0, zp=zp: s_bar_d(d, z, z0, zp, o))
-         for d, z, z0, zp in fold_cases],
-        root_order=4 * 3 * 5 * 7 * 11 * 13))
+         for d, z, z0, zp in fold_cases]))
 
     def residue_avg_lhs(d, a, M, o):
         total = QSeries.zero(o)
@@ -519,8 +486,7 @@ def _rank_series_entries() -> list[CatalogEntry]:
         [Instance({"d": d, "a": a, "M": M},
                   lambda o, d=d, a=a, M=M: residue_avg_lhs(d, a, M, o),
                   lambda o, d=d, a=a, M=M: pair_by_definition(d, a, M, o))
-         for d, a, M in ((1, 2, 3), (2, 1, 3), (1, 1, 5))],
-        root_order=15))
+         for d, a, M in ((1, 2, 3), (2, 1, 3), (1, 1, 5))]))
     return entries
 
 
@@ -545,8 +511,7 @@ def _deviation_entries() -> list[CatalogEntry]:
             [Instance({"d": d, "a": a, "M": M},
                       lambda o, d=d, a=a, M=M: pair_by_definition(d, a, M, o),
                       lambda o, d=d, a=a, M=M: deviation_pair_by_formula(d, a, M, o))
-             for d, a, M in tuples],
-            root_order=2 * 3 * 4 * 5 * 7 * 11 * 13))
+             for d, a, M in tuples]))
 
     singles_odd = [(d, M, a) for d, M in ((1, 3), (2, 3), (3, 3)) for a in range(M)]
     entries.append(CatalogEntry(
@@ -557,8 +522,7 @@ def _deviation_entries() -> list[CatalogEntry]:
         [Instance({"d": d, "a": a, "M": M},
                   lambda o, d=d, a=a, M=M: deviation_by_definition(d, a, M, o),
                   lambda o, d=d, a=a, M=M: single_deviation(d, a, M, o))
-         for d, M, a in singles_odd],
-        root_order=2 * 3 * 7 * 9 * 11))
+         for d, M, a in singles_odd]))
 
     singles_even = [(d, M, a) for d, M in ((1, 2), (2, 2)) for a in range(M)]
     entries.append(CatalogEntry(
@@ -569,8 +533,7 @@ def _deviation_entries() -> list[CatalogEntry]:
         [Instance({"d": d, "a": a, "M": M},
                   lambda o, d=d, a=a, M=M: deviation_by_definition(d, a, M, o),
                   lambda o, d=d, a=a, M=M: single_deviation(d, a, M, o))
-         for d, M, a in singles_even],
-        root_order=2 * 7))
+         for d, M, a in singles_even]))
 
     def residue_sum(d, M, o):
         total = QSeries.zero(o)
@@ -604,8 +567,7 @@ def _deviation_entries() -> list[CatalogEntry]:
         [Instance({"d": d, "a": a, "M": M},
                   lambda o, d=d, a=a, M=M: deviation_by_definition(d, a, M, o),
                   lambda o, d=d, a=a, M=M: deviation_by_root_average(d, a, M, o))
-         for d, a, M in ((1, 1, 2), (2, 1, 3), (1, 2, 4), (3, 0, 2))],
-        root_order=12))
+         for d, a, M in ((1, 1, 2), (2, 1, 3), (1, 2, 4), (3, 0, 2))]))
     return entries
 
 
@@ -638,28 +600,24 @@ def _decomposition_entries() -> list[CatalogEntry]:
                   lambda o: computed_to(
                       lambda t: named.b_block(0, t)
                       + named.b_block(1, t).shift(Q(1))
-                      + named.b_block(2, t).shift(Q(2)), o))],
-        root_order=3))
+                      + named.b_block(2, t).shift(Q(2)), o))]))
     entries.append(CatalogEntry(
         "theta-ratio-sum",
         "the two cube-root theta ratios at q^15 and q^21 collapse to a single "
         "eta quotient",
         F(60),
-        [Instance({}, named.ratio_sum_lhs, named.ratio_sum_rhs)],
-        root_order=3))
+        [Instance({}, named.ratio_sum_lhs, named.ratio_sum_rhs)]))
     entries.append(CatalogEntry(
         "theta-bracket-reduction",
         "the bracketed ratio sum with its theta multiplier reduces to "
         "3 q^3 J_2 J_6^3 J_9 J_108/(J_3 J_4^2 J_18 J_36)",
         F(60),
-        [Instance({}, named.bracket_reduction_lhs, named.bracket_reduction_rhs)],
-        root_order=3))
+        [Instance({}, named.bracket_reduction_lhs, named.bracket_reduction_rhs)]))
     entries.append(CatalogEntry(
         "psi-difference-closed-form",
         "4 Psi_2^3 - 2 Psi_1^3 at (q^9,-1,-1;q^18) equals its closed theta form",
         F(60),
-        [Instance({}, named.psi_difference_lhs, named.psi_difference_rhs)],
-        root_order=2))
+        [Instance({}, named.psi_difference_lhs, named.psi_difference_rhs)]))
     entries.append(CatalogEntry(
         "psi-vanishing",
         "Psi_0^3(q^9,-1,-1;q^18) vanishes",
@@ -668,8 +626,7 @@ def _decomposition_entries() -> list[CatalogEntry]:
                   lambda o: psi(0, 3, Q(9), MINUS, MINUS, 18, o),
                   lambda o: QSeries.zero(o),
                   note="zero to truncation order; expansion cannot prove "
-                       "identical vanishing")],
-        root_order=2))
+                       "identical vanishing")]))
     return entries
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .appell import appell_m, lam, o_d_at_minus_one, o_d_direct, psi
+from .appell import appell_m, lam, o_d_at_minus_one, o_d_direct, psi, s_bar_bracket
 from .cyclotomic import get_field, root_of_unity
 from .errors import NonGenericParameter, UnsupportedCase
 from .series import Monomial, QSeries, computed_to, eta_quotient
@@ -404,20 +404,6 @@ def deviation_pair_by_formula(d: int, a: int, M: int, order,
 # ---------------------------------------------------------------------------
 
 
-def _s_bar_bracket(d: int, z: Monomial, z0: Monomial, zp: Monomial, order) -> QSeries:
-    """S_d(z;q) / (1-z): the Appell-Lerch bracket of the folded rank series."""
-    if d % 2:
-        m_term = appell_m(z ** (-2) * Monomial.q(d * d), 2 * d * d, zp, order)
-        return 1 - m_term.scale(2) + lam(d, z, z0, zp, order).scale(2)
-    h = d // 2
-    x_m = Monomial.zeta(h + 1, 2) * z * Monomial.q(F(d * d, 4))
-    m_term = appell_m(x_m, F(d * d, 2), zp, order)
-    psi_term = computed_to(
-        lambda o: psi(0, h, z.pow_frac(2, d) * Monomial.q(1 - d), Monomial.q(1),
-                      zp, 2, o).shift(Monomial.zeta(h, 2, -F(d * d, 4)) * z), order)
-    return -1 + m_term.scale(2) + psi_term.scale(2)
-
-
 def single_deviation(d: int, a: int, M: int, order,
                      zp: Monomial | None = None,
                      z0: Monomial | None = None) -> QSeries:
@@ -449,6 +435,6 @@ def single_deviation(d: int, a: int, M: int, order,
     for k in range(1, M // 2):
         zk = root_of_unity(k, M)
         weight = (1 - zk) / (1 + zk) * (root_of_unity(-k * a, M) + root_of_unity(k * a, M))
-        bracket = _s_bar_bracket(d, Monomial.zeta(k, M), z0, zp, order)
+        bracket = s_bar_bracket(d, Monomial.zeta(k, M), z0, zp, order)
         total = total + bracket.scale(weight).scale(F(1, M))
     return total.truncate(order)

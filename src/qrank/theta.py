@@ -2,10 +2,14 @@
 
 j(z;q) = (z;q)_oo (q/z;q)_oo (q;q)_oo = sum_{n in Z} (-1)^n q^C(n,2) z^n.
 
-The bilateral sum is the production route: the quadratic exponent growth
-gives a provable truncation radius for any monomial z, including ones with
-negative or fractional q-exponent.  The triple product is kept as an
-independent oracle for tests and for the catalog's two-route entry.
+The bilateral sum is the production route.  It and the other two-sided
+sums of the package (m(x,q,z) in `qrank.appell`, the Lerch sums behind
+O_d(z;q)) go through the one routine `bilateral`, which stops each direction
+by a convexity rule: once the convex lowest exponent of a term has passed its
+minimum and reached the order, no later term can fall below it.  That holds
+for any monomial z, including ones with negative or fractional q-exponent.
+The triple product is kept as an independent oracle for tests and for the
+catalog's two-route entry.
 """
 
 from __future__ import annotations
@@ -35,6 +39,32 @@ def binom2(n: int) -> int:
     return n * (n - 1) // 2
 
 
+def bilateral(lowest, order):
+    """Yield (n, lowest(n)) for every integer n with lowest(n) < order.
+
+    `lowest(n)` is the smallest q-exponent term n contributes, and it must be
+    convex in n: its differences lowest(n+1) - lowest(n) never decrease.
+    The walk goes up from 0 and down from -1.  A direction stops at the first
+    n with lowest(n) >= order and lowest(n +- 1) >= lowest(n): the step
+    there is non-negative, so by convexity every later step is too, and no
+    further term reaches below `order`.  Every caller's lowest exponent is a
+    quadratic with positive leading coefficient, plus max(0, linear) where a
+    divisor 1/(1 - u) may flip: p C(n,2) + n e for j(z;q^p),
+    p C(r,2) + r e_z + max(0, -exp(u_r)) for m(x,q^p,z), and
+    n^2 + kn + max(0, -(e_x + kn)) for the Lerch sums.  These are convex and
+    unbounded, so both walks end.
+    """
+    for n, step in ((0, 1), (-1, -1)):
+        low = lowest(n)
+        while True:
+            nxt = lowest(n + step)
+            if low < order:
+                yield n, low
+            elif nxt >= low:
+                break
+            n, low = n + step, nxt
+
+
 @lru_cache(maxsize=None)
 def theta_j(z: Monomial, base, order) -> QSeries:
     """j(z; q^p) truncated below `order`, from the bilateral theta sum."""
@@ -44,32 +74,14 @@ def theta_j(z: Monomial, base, order) -> QSeries:
     field = get_field(z.zeta_den)
     terms: dict[Fraction, tuple] = {}
 
-    def add_term(n: int) -> Fraction:
-        exp = p * Fraction(binom2(n)) + n * e
-        if exp < order:
-            coeff = field.zeta_pow(z.zeta_num * n * (field.L // z.zeta_den))
-            if n % 2:
-                coeff = field.neg(coeff)
-            if exp in terms:
-                terms[exp] = field.add(terms[exp], coeff)
-            else:
-                terms[exp] = coeff
-        return exp
-
-    # upward: f(n+1) - f(n) = p*n + e, increasing once n > -e/p
-    n = 0
-    while True:
-        exp = add_term(n)
-        if exp >= order and n >= -e / p + 1:
-            break
-        n += 1
-    # downward: f(n-1) - f(n) = -p*(n-1) - e, increasing once n < 1 - e/p
-    n = -1
-    while True:
-        exp = add_term(n)
-        if exp >= order and n <= 1 - e / p - 1:
-            break
-        n -= 1
+    for n, exp in bilateral(lambda n: p * binom2(n) + n * e, order):
+        coeff = field.zeta_pow(z.zeta_num * n * (field.L // z.zeta_den))
+        if n % 2:
+            coeff = field.neg(coeff)
+        if exp in terms:
+            terms[exp] = field.add(terms[exp], coeff)
+        else:
+            terms[exp] = coeff
     return QSeries.from_terms(terms, field, order)
 
 

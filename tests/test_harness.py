@@ -26,8 +26,6 @@ def test_catalog_entries_well_formed():
         assert entry.instances, entry.id
         assert entry.description
         assert entry.default_order > 0
-        assert entry.root_order >= 1
-        assert entry.puiseux_den >= 1
 
 
 def test_verify_produces_reports():

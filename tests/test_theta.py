@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 from qrank.cyclotomic import root_of_unity
 from qrank.series import Monomial, eta_quotient
 from qrank.theta import (
+    bilateral,
     is_theta_zero_pattern,
     theta_j,
     theta_j2,
@@ -92,3 +94,21 @@ def test_theta_negative_exponent_argument():
     direct = theta_j(x, 1, 15)
     assert direct.valuation is not None and direct.valuation < 0
     assert theta_shift_check(x, 3, 1, 15).passed
+
+
+def test_bilateral_visits_exactly():
+    # convex lowest(n) = (a n^2 + b n + c)/2 + max(0, l n + m): the walk must
+    # yield each n with lowest(n) < order once, and nothing else
+    rng = random.Random(20141)
+    for _ in range(400):
+        a, b, c = rng.randint(1, 6), rng.randint(-60, 60), rng.randint(-80, 80)
+        l, m = rng.randint(-12, 12), rng.randint(-40, 40)
+        order = F(rng.randint(-60, 120), rng.randint(1, 3))
+
+        def lowest(n, a=a, b=b, c=c, l=l, m=m):
+            return F(a * n * n + b * n + c, 2) + max(0, l * n + m)
+
+        pairs = list(bilateral(lowest, order))
+        expected = [n for n in range(-400, 401) if lowest(n) < order]
+        assert sorted(n for n, _ in pairs) == expected, (a, b, c, l, m, order)
+        assert all(low == lowest(n) for n, low in pairs)
