@@ -22,7 +22,7 @@ from functools import lru_cache
 from .cyclotomic import Raw, get_field, root_of_unity
 from .errors import NonGenericParameter
 from .reports import IdentityReport, compare_series
-from .series import Monomial, QSeries, _lcm, computed_to, eta_J
+from .series import Monomial, QSeries, _lcm, computed_to, eta_J, eta_quotient
 from .theta import bilateral, binom2, is_theta_zero_pattern, theta_j
 
 F = Fraction
@@ -312,8 +312,6 @@ def _o_d_original_once(d: int, z: Monomial, order: Fraction) -> QSeries:
             term = term.scale(2) * poly
         total = total + term
         n += 1
-    from .series import eta_quotient
-
     return total * eta_quotient({2: 1, 1: -2}, order)
 
 

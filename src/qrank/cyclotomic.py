@@ -7,11 +7,16 @@ integer tuple of length phi(L) and ``den`` is a positive integer with
 form, so two elements are equal iff their pairs are equal.  Keeping a single
 denominator per element (instead of one Fraction per coordinate) keeps the
 series convolution loops on plain machine/big integers.
+
+Everything stays on integers: an inverse is the product of the other Galois
+conjugates divided by the norm, and large convolutions pack signed
+coefficients into one big integer, each slot offset by half its width.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 
@@ -89,55 +94,24 @@ def cyclo_polynomial(L: int) -> tuple[int, ...]:
 _KRONECKER_CUTOFF = 1600  # nnz(a) * nnz(b) above which packing wins
 
 
-def _windowed_sums(v: list[int], other_len: int) -> list[int]:
-    # w[k] = sum of v[j] over the j that pair with some index of the other
-    # factor in a convolution, i.e. max(0, k-other_len+1) <= j <= min(k, len(v)-1)
-    n = len(v)
-    prefix = [0] * (n + 1)
-    for i, x in enumerate(v):
-        prefix[i + 1] = prefix[i] + x
-    out = []
-    for k in range(n + other_len - 1):
-        lo = max(0, k - other_len + 1)
-        hi = min(k, n - 1)
-        out.append(prefix[hi + 1] - prefix[lo])
-    return out
+def _kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    # one big multiply does the whole convolution: every output coefficient
+    # lies in [-bound, bound], and each slot holds its value plus half the
+    # slot width, so signed values pack and unpack as unsigned bytes
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    width = bound.bit_length() // 8 + 1
+    half = 1 << (8 * width - 1)
+    bias = half.to_bytes(width, "little")
 
+    def pack(v: Sequence[int]) -> int:
+        packed = b"".join((x + half).to_bytes(width, "little") for x in v)
+        return int.from_bytes(packed, "little") - int.from_bytes(bias * len(v), "little")
 
-def _kronecker_nonneg(a: list[int], b: list[int], bound: int) -> list[int]:
-    # pack nonnegative vectors into big integers; one big multiply does the
-    # whole convolution as long as every output coefficient stays < 2**bits
-    bits = max(bound.bit_length() + 1, 8)
-    width = (bits + 7) // 8
-    xa = int.from_bytes(b"".join(v.to_bytes(width, "little") for v in a), "little")
-    xb = int.from_bytes(b"".join(v.to_bytes(width, "little") for v in b), "little")
-    prod = xa * xb
     out_len = len(a) + len(b) - 1
-    raw = prod.to_bytes(out_len * width + width, "little")
+    prod = pack(a) * pack(b) + int.from_bytes(bias * out_len, "little")
+    raw = prod.to_bytes(out_len * width, "little")
     return [
-        int.from_bytes(raw[k * width:(k + 1) * width], "little")
-        for k in range(out_len)
-    ]
-
-
-def _kronecker_convolve(a: list[int], b: list[int]) -> list[int]:
-    min_a, min_b = min(a), min(b)
-    a0 = [x - min_a for x in a]
-    b0 = [x - min_b for x in b]
-    max_a0 = max(a0)
-    max_b0 = max(b0)
-    n = min(len(a), len(b))
-    out_len = len(a) + len(b) - 1
-    if max_a0 and max_b0:
-        bound = max_a0 * max_b0 * n
-        conv0 = _kronecker_nonneg(a0, b0, bound)
-    else:
-        conv0 = [0] * out_len
-    wa = _windowed_sums(a0, len(b))
-    wb = _windowed_sums(b0, len(a))
-    counts = [min(k, len(a) - 1, len(b) - 1, out_len - 1 - k) + 1 for k in range(out_len)]
-    return [
-        conv0[k] + min_a * wb[k] + min_b * wa[k] + min_a * min_b * counts[k]
+        int.from_bytes(raw[k * width:(k + 1) * width], "little") - half
         for k in range(out_len)
     ]
 
@@ -152,10 +126,7 @@ def convolve_int(a: list[int] | tuple[int, ...], b: list[int] | tuple[int, ...])
         a, b, na, nb = b, a, nb, na
     lo = na[0] + nb[0]
     if len(na) * len(nb) >= _KRONECKER_CUTOFF:
-        wa = list(a[na[0]:na[-1] + 1])
-        wb = list(b[nb[0]:nb[-1] + 1])
-        conv = _kronecker_convolve(wa, wb)
-        return [0] * lo + conv
+        return [0] * lo + _kronecker(a[na[0]:na[-1] + 1], b[nb[0]:nb[-1] + 1])
     out = [0] * (na[-1] + nb[-1] + 1)
     for i in na:
         ai = a[i]
@@ -302,55 +273,29 @@ class CyclotomicField:
         den, vec = a
         return self.normalize(den * fr.denominator, [v * fr.numerator for v in vec])
 
+    def reindex(self, vec: Sequence[int], k: int) -> list[int]:
+        """sum_i vec[i] zeta_L^(i k), reduced mod Phi_L.
+
+        For k coprime to L this is the Galois conjugate sigma_k; for
+        k = L / L' it embeds an element of Q(zeta_L') into Q(zeta_L).
+        """
+        out = [0] * self.L
+        for i, c in enumerate(vec):
+            if c:
+                out[i * k % self.L] += c
+        return self.reduce_vec(out)
+
     def inv(self, a: Raw) -> Raw:
-        """Inverse via the extended Euclidean algorithm in Q[x] mod Phi_L."""
+        """Inverse by the norm: 1/a = prod_{sigma != 1} sigma(a) / N(a)."""
         if self.is_zero(a):
             raise InverseOfZero("cannot invert zero")
         den, vec = a
-        r0 = [Fraction(c) for c in self.modulus]
-        r1 = [Fraction(v, 1) for v in vec]
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        s0 = [Fraction(0)]
-        s1 = [Fraction(1)]
-        while True:
-            deg1 = len(r1) - 1
-            if deg1 == 0:
-                break
-            # r0 = q r1 + r, then rotate
-            q = [Fraction(0)] * (len(r0) - len(r1) + 1)
-            r = list(r0)
-            for k in range(len(q) - 1, -1, -1):
-                c = r[k + deg1] / r1[-1]
-                q[k] = c
-                if c:
-                    for i, bc in enumerate(r1):
-                        r[k + i] -= c * bc
-            while len(r) > 1 and r[-1] == 0:
-                r.pop()
-            # s_new = s0 - q s1
-            qs = [Fraction(0)] * (len(q) + len(s1) - 1)
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        qs[i + j] += qi * sj
-            s_new = [Fraction(0)] * max(len(s0), len(qs))
-            for i, c in enumerate(s0):
-                s_new[i] += c
-            for i, c in enumerate(qs):
-                s_new[i] -= c
-            r0, r1 = r1, r
-            s0, s1 = s1, s_new
-        c = r1[0]
-        inv_coeffs = [s / c for s in s1]
-        # clear fractions, fold in the element's denominator
-        common = 1
-        for fr in inv_coeffs:
-            common = common * fr.denominator // math.gcd(common, fr.denominator)
-        vec_out = [0] * self.phi
-        for i, fr in enumerate(inv_coeffs):
-            vec_out[i] = int(fr * common) * den
-        return self.normalize(common, self.reduce_vec(vec_out))
+        rest = self.one
+        for k in range(2, self.L):
+            if math.gcd(k, self.L) == 1:
+                rest = self.mul(rest, (1, tuple(self.reindex(vec, k))))
+        norm = self.mul((1, vec), rest)[1][0]
+        return self.normalize(norm, [c * den for c in rest[1]])
 
     def embed_from(self, src: "CyclotomicField", a: Raw) -> Raw:
         """Image of an element of Q(zeta_src) under zeta_src -> zeta_L^(L/src)."""
@@ -358,20 +303,7 @@ class CyclotomicField:
             return a
         if self.L % src.L != 0:
             raise ValueError("no embedding: %d does not divide %d" % (src.L, self.L))
-        factor = self.L // src.L
-        den, vec = a
-        if src.L == 1 or not any(vec[1:]):
-            out = [0] * self.phi
-            out[0] = vec[0]
-            return (den, tuple(out))
-        acc = [0] * self.phi
-        for i, c in enumerate(vec):
-            if c:
-                _, zvec = self.zeta_pow(i * factor)
-                for k, zc in enumerate(zvec):
-                    if zc:
-                        acc[k] += c * zc
-        return self.normalize(den, acc) if den != 1 else (1, tuple(acc))
+        return (a[0], tuple(self.reindex(a[1], self.L // src.L)))
 
 
 @lru_cache(maxsize=None)

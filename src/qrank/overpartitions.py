@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .appell import appell_m, lam, o_d_at_minus_one, o_d_direct, psi, s_bar_bracket
 from .cyclotomic import get_field, root_of_unity
-from .errors import NonGenericParameter, UnsupportedCase
+from .errors import FractionalExponents, NonGenericParameter, UnsupportedCase
 from .series import Monomial, QSeries, computed_to, eta_quotient
 
 F = Fraction
@@ -355,6 +355,13 @@ def _pair_even_d(d, a, M, zp, zpp, z0, order) -> QSeries:
     return _chi(a == 1) + m1 + m2 + p1 - p2 + tail
 
 
+def _integral_order(order) -> F:
+    order = F(order)
+    if order.denominator != 1:
+        raise FractionalExponents("deviations need an integral order, got %s" % order)
+    return order
+
+
 def deviation_pair_by_formula(d: int, a: int, M: int, order,
                               zp: Monomial | None = None,
                               zpp: Monomial | None = None,
@@ -365,7 +372,7 @@ def deviation_pair_by_formula(d: int, a: int, M: int, order,
     reflection D_d(a, M) = D_d(M - a, M), which sends the pair at a to the
     pair at M - a + 1.
     """
-    order = F(order)
+    order = _integral_order(order)
     if M < 2 or d < 1:
         raise UnsupportedCase("need M >= 2 and d >= 1")
     if zp is None or zpp is None or z0 is None:
@@ -413,7 +420,7 @@ def single_deviation(d: int, a: int, M: int, order,
     root-of-unity average with O_d(-1;q) supplied by the symmetric
     double-divisor expansion (the single-sum form has a (1+z) pole there).
     """
-    order = F(order)
+    order = _integral_order(order)
     if zp is None or z0 is None:
         g1, _, g3 = default_generics(M, d)
         zp = zp or g1

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import Cyclotomic, CyclotomicField, Raw, get_field
+from .cyclotomic import Cyclotomic, CyclotomicField, Raw, get_field, root_of_unity
 from .errors import FractionalExponents, NonGenericParameter
 
 
@@ -112,8 +112,6 @@ class Monomial:
         return self.coeff_is_one and self.q_exp == 0
 
     def coeff(self) -> Cyclotomic:
-        from .cyclotomic import root_of_unity
-
         return root_of_unity(self.zeta_num, self.zeta_den)
 
     def coeff_raw(self, field: CyclotomicField) -> Raw:
@@ -171,6 +169,8 @@ class QSeries:
     @staticmethod
     def zero(order: Fraction | int | None = None, den: int = 1,
              L: int = 1) -> "QSeries":
+        if order is not None:
+            den = _lcm(den, Fraction(order).denominator)
         prec = None if order is None else _scale_exp(Fraction(order), den)
         return QSeries(get_field(L), den, 0, (), prec, _normalized=True)
 
@@ -181,10 +181,13 @@ class QSeries:
         else:
             field = get_field(1)
             raw = field.from_fraction(Fraction(value))
-        prec = None if order is None else _scale_exp(Fraction(order), 1)
+        den, prec = 1, None
+        if order is not None:
+            order = Fraction(order)
+            den, prec = order.denominator, order.numerator
         if field.is_zero(raw):
-            return QSeries(field, 1, 0, (), prec, _normalized=True)
-        return QSeries(field, 1, 0, (raw,), prec, _normalized=True)
+            return QSeries(field, den, 0, (), prec, _normalized=True)
+        return QSeries(field, den, 0, (raw,), prec, _normalized=True)
 
     @staticmethod
     def one(order: Fraction | int | None = None) -> "QSeries":
@@ -407,7 +410,9 @@ class QSeries:
         return out
 
     def truncate(self, order: Fraction | int) -> "QSeries":
-        return self.truncate_scaled(_scale_exp(Fraction(order), self.den))
+        order = Fraction(order)
+        s = self._with(self.field, _lcm(self.den, order.denominator))
+        return s.truncate_scaled(_scale_exp(order, s.den))
 
     def truncate_scaled(self, prec: int | None) -> "QSeries":
         prec = QSeries._min_prec(self.prec, prec)
@@ -429,7 +434,12 @@ class QSeries:
             raise NonGenericParameter("inverting a series that vanishes to its order")
         if self.prec is None and order is None:
             raise ValueError("inverting an exact series requires a target order")
-        target = None if order is None else _scale_exp(Fraction(order), self.den)
+        if order is not None:
+            order = Fraction(order)
+            den = _lcm(self.den, order.denominator)
+            if den != self.den:
+                return self._with(self.field, den).invert(order)
+        target = None if order is None else _scale_exp(order, self.den)
         # self = q^val * u with u a unit; 1/self known to prec - 2*val
         out_prec = self.prec - 2 * self.val if self.prec is not None else None
         out_prec = QSeries._min_prec(out_prec, target)

@@ -125,6 +125,16 @@ def test_o_d_direct_first_coefficients():
     assert s.coeff(1) == 2
 
 
+def test_o_d_direct_rational_order():
+    # a truncation order with a denominator the series does not have
+    half = o_d_direct(1, Z(1, 5), F(13, 2))
+    whole = o_d_direct(1, Z(1, 5), 7)
+    assert half.order == F(13, 2)
+    for k in range(13):
+        assert half.coeff(F(k, 2)) == whole.coeff(F(k, 2)), k
+    assert half.agrees_with(whole, F(13, 2))
+
+
 def test_o_d_direct_pole_cases():
     with pytest.raises(NonGenericParameter):
         o_d_direct(1, Monomial.one(), 10)

@@ -71,6 +71,24 @@ def test_inverse_examples():
         rat(0).inv()
 
 
+@pytest.mark.parametrize("L", [5, 12, 21, 35, 63])
+def test_inverse_matches_sympy(L):
+    # an oracle independent of the norm route: inversion mod Phi_L in Q[x]
+    x = sympy.Symbol("x")
+    rng = random.Random(4100 + L)
+    f = get_field(L)
+    vec = [rng.randint(-10**6, 10**6) for _ in range(f.phi)]
+    den = rng.randint(1, 10**3)
+    a = Cyclotomic(f, f.normalize(den, vec))
+    poly = sum(sympy.Rational(c, den) * x**i for i, c in enumerate(vec))
+    expected = sympy.Poly(sympy.invert(poly, sympy.cyclotomic_poly(L, x)), x)
+    coeffs = expected.all_coeffs()[::-1]
+    coeffs += [0] * (f.phi - len(coeffs))
+    got = a.inv()
+    out_den, out_vec = got.raw
+    assert [sympy.Rational(c, out_den) for c in out_vec] == coeffs
+
+
 def _random_element(rng, L, size=4):
     f = get_field(L)
     vec = [rng.randint(-size, size) for _ in range(f.phi)]
@@ -144,6 +162,7 @@ def test_convolve_degenerate_shapes():
         ([10**40, -10**39] * 30, [7, -11] * 40),    # huge entries
         ([0] * 40 + [1], [1] + [0] * 40),           # sparse ends
         ([2**200] * 45, [-(2**180)] * 45),          # giant magnitudes
+        ([-27] * 40, [27] * 40),                    # peak -29160 fills a 2-byte slot
     ]
     for a, b in cases:
         got = convolve_int(a, b)

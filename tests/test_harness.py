@@ -135,6 +135,13 @@ def test_cli_expand_od(capsys):
     assert "q^1: 2" in out
 
 
+def test_cli_expand_od_rational_order(capsys):
+    assert main(["expand", "--series", "Od", "--d", "1", "--z", "zeta5",
+                 "--order", "13/2"]) == 0
+    out = capsys.readouterr().out
+    assert "q^1: 2" in out and "q^6: " in out
+
+
 def test_cli_expand_json(capsys):
     assert main(["expand", "--series", "Od", "--d", "1", "--z", "zeta5",
                  "--order", "3", "--json"]) == 0
@@ -153,6 +160,12 @@ def test_cli_deviation_both(capsys):
                  "--order", "6", "--method", "both"]) == 0
     out = capsys.readouterr().out
     assert "agrees" in out
+
+
+def test_cli_deviation_rejects_rational_order(capsys):
+    assert main(["deviation", "--d", "1", "--a", "1", "--M", "3",
+                 "--order", "13/2", "--method", "formula"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_dissect(capsys):
