@@ -287,7 +287,15 @@ def _o_d_original_once(d: int, z: Monomial, order: Fraction) -> QSeries:
     if z.coeff_is_one and z.q_exp == 0:
         raise NonGenericParameter("z = 1 is excluded")
     field = _field_for(z)
-    zc = z.coeff_raw(field) if z.q_exp == 0 else None
+    # (1 - z)(1 - 1/z): one constant coefficient when z is a root of unity
+    if z.q_exp == 0:
+        zc = z.coeff_raw(field)
+        scalar = field.mul(field.sub(field.one, zc),
+                           field.sub(field.one, field.inv(zc)))
+        poly = QSeries(field, 1, 0, (scalar,), None, _normalized=True)
+    else:
+        poly = (QSeries.one() - QSeries.from_monomial(z)) * \
+            (QSeries.one() - QSeries.from_monomial(z.inverse()))
     total = QSeries.one(order)
     n = 1
     while F(n * n + d * n) < order:
@@ -301,16 +309,7 @@ def _o_d_original_once(d: int, z: Monomial, order: Fraction) -> QSeries:
                               z.inverse() * Monomial.q(d * n), order)
         term = QSeries.from_terms(acc_a, field, order) * \
             QSeries.from_terms(acc_b, field, order)
-        if zc is not None:
-            scalar = field.mul(field.sub(field.one, zc),
-                               field.sub(field.one, field.inv(zc)))
-            term = term.scale(2) * QSeries(field, 1, 0, (scalar,), None,
-                                           _normalized=True)
-        else:
-            poly = (QSeries.one() - QSeries.from_monomial(z)) * \
-                (QSeries.one() - QSeries.from_monomial(z.inverse()))
-            term = term.scale(2) * poly
-        total = total + term
+        total = total + term.scale(2) * poly
         n += 1
     return total * eta_quotient({2: 1, 1: -2}, order)
 

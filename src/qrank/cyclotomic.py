@@ -91,7 +91,7 @@ def cyclo_polynomial(L: int) -> tuple[int, ...]:
 # integer vector convolution, with a Kronecker-substitution fast path
 # ---------------------------------------------------------------------------
 
-_KRONECKER_CUTOFF = 1600  # nnz(a) * nnz(b) above which packing wins
+_KRONECKER_CUTOFF = 4800  # nnz(a) * nnz(b) above which packing wins
 
 
 def _kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -149,8 +149,9 @@ class CyclotomicField:
         self.L = L
         self.phi = totient(L)
         self.modulus = cyclo_polynomial(L)
-        # _red[k - phi] = x^k mod Phi_L as a sparse row [(index, coeff), ...]
-        self._red: list[list[tuple[int, int]]] = []
+        # _red[k - phi] = x^k mod Phi_L as a sparse row (indices, coefficients):
+        # two tuples per row, not one per term, keep the table to few objects
+        self._red: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         self.zero: Raw = (1, (0,) * self.phi)
         one = [0] * self.phi
         one[0] = 1
@@ -165,14 +166,15 @@ class CyclotomicField:
                 row = [-c for c in self.modulus[:phi]]
             else:
                 prev = [0] * phi
-                for i, c in self._red[-1]:
+                for i, c in zip(*self._red[-1]):
                     prev[i] = c
                 row = [0] + prev[:phi - 1]
                 top = prev[phi - 1]
                 if top:
                     for i, c in enumerate(self.modulus[:phi]):
                         row[i] -= top * c
-            self._red.append([(i, c) for i, c in enumerate(row) if c])
+            nz = [i for i, c in enumerate(row) if c]
+            self._red.append((tuple(nz), tuple(row[i] for i in nz)))
 
     def reduce_vec(self, vec: list[int]) -> list[int]:
         """Reduce a coefficient list of any length mod Phi_L, in place."""
@@ -182,7 +184,7 @@ class CyclotomicField:
             for k in range(len(vec) - 1, phi - 1, -1):
                 c = vec[k]
                 if c:
-                    for i, rc in self._red[k - phi]:
+                    for i, rc in zip(*self._red[k - phi]):
                         vec[i] += c * rc
             del vec[phi:]
         elif len(vec) < phi:
@@ -221,7 +223,7 @@ class CyclotomicField:
             return (1, tuple(vec))
         self._ensure_red(k)
         vec = [0] * self.phi
-        for i, c in self._red[k - self.phi]:
+        for i, c in zip(*self._red[k - self.phi]):
             vec[i] = c
         return (1, tuple(vec))
 

@@ -8,6 +8,13 @@ coefficient vector starting at ``val``, and a scaled truncation bound
 explicit data and propagates through arithmetic via the usual min rule, so an
 identity check can never claim agreement beyond what was actually computed.
 
+A product is one integer convolution: both factors are scaled to a common
+denominator and laid out flat, q-coefficient i at offset i (2 phi - 1), so
+it costs one ``convolve_int`` call and one reduction mod Phi_L per output
+coefficient.  Inverses use Newton iteration, g <- g + g (1 - u g), which
+doubles the number of correct terms per step and runs every product through
+the same packed path.
+
 A ``Monomial`` is a symbolic value zeta_N^k * q^e with rational e.  It is the
 only admissible shape for the z/x/z' parameters of the theta and Appell-Lerch
 constructors, and it supports exact fractional powers through the canonical
@@ -17,11 +24,13 @@ root branch (zeta_N^k)^(1/d) = zeta_{N d}^k.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import Cyclotomic, CyclotomicField, Raw, get_field, root_of_unity
+from .cyclotomic import (Cyclotomic, CyclotomicField, Raw, convolve_int, get_field,
+                         root_of_unity)
 from .errors import FractionalExponents, NonGenericParameter
 
 
@@ -360,20 +369,8 @@ class QSeries:
             out_len = min(out_len, prec - base)
         if out_len <= 0:
             return QSeries(field, a.den, 0, (), prec, _normalized=True)
-        vec: list[Raw] = [field.zero] * out_len
-        fmul = field.mul
-        fadd = field.add
-        fzero = field.is_zero
-        for i, ca in enumerate(a.coeffs):
-            if fzero(ca):
-                continue
-            jmax = min(len(b.coeffs), out_len - i)
-            for j in range(jmax):
-                cb = b.coeffs[j]
-                if not fzero(cb):
-                    k = i + j
-                    vec[k] = fadd(vec[k], fmul(ca, cb))
-        return QSeries(field, a.den, base, tuple(vec), prec)
+        return QSeries(field, a.den, base,
+                       tuple(_packed_product(field, a.coeffs, b.coeffs, out_len)), prec)
 
     __rmul__ = __mul__
 
@@ -449,25 +446,28 @@ class QSeries:
             return QSeries(self.field, self.den, 0, (), out_prec, _normalized=True)
         field = self.field
         u = self.coeffs
-        c0i = field.inv(u[0])
-        inv: list[Raw] = [c0i]
-        neg_c0i = field.neg(c0i)
-        for k in range(1, rel_len):
-            acc = field.zero
-            for i in range(1, min(k, len(u) - 1) + 1):
-                ui = u[i]
-                if not field.is_zero(ui):
-                    acc = field.add(acc, field.mul(ui, inv[k - i]))
-            inv.append(field.mul(neg_c0i, acc) if not field.is_zero(acc) else field.zero)
+        # Newton: if u g = 1 + O(q^m) then g + g (1 - u g) = 1/u + O(q^2m)
+        inv: list[Raw] = [field.inv(u[0])]
+        while len(inv) < rel_len:
+            m = len(inv)
+            n = min(2 * m, rel_len)
+            err = _packed_product(field, u, inv, n)[m:]
+            step = _packed_product(field, inv, err, n - m)
+            inv.extend(field.neg(c) for c in step)
         return QSeries(field, self.den, out_val, tuple(inv), out_prec)
 
     def __pow__(self, n: int) -> "QSeries":
         if n < 0:
             return self.invert() ** (-n)
-        out = QSeries.one()
-        for _ in range(n):
-            out = out * self
-        return out
+        out = None
+        base = self
+        while n:
+            if n & 1:
+                out = base if out is None else out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return QSeries.one() if out is None else out
 
     def __truediv__(self, other):
         if isinstance(other, QSeries):
@@ -639,6 +639,42 @@ def computed_to(builder, order, tries: int = 8) -> QSeries:
     raise RuntimeError("could not reach order %s after %d attempts" % (order, tries))
 
 
+def _packed_product(field: CyclotomicField, a: Sequence[Raw], b: Sequence[Raw],
+                    out_len: int) -> list[Raw]:
+    """The first out_len coefficients of the product of two coefficient
+    vectors, by one integer convolution.
+
+    Each factor is scaled to one common denominator and laid out flat with
+    stride 2 phi - 1, so q-index i and zeta-index j sit at i (2 phi - 1) + j
+    and the zeta-products of two q-terms never reach the next slot.
+    """
+    phi = field.phi
+    stride = 2 * phi - 1
+
+    def pack(coeffs: Sequence[Raw]) -> tuple[int, list[int]]:
+        den = 1
+        for d, _ in coeffs:
+            if d != 1:
+                den = _lcm(den, d)
+        flat = [0] * ((len(coeffs) - 1) * stride + phi)
+        for i, (d, vec) in enumerate(coeffs):
+            f = den // d
+            flat[i * stride:i * stride + phi] = vec if f == 1 else [v * f for v in vec]
+        return den, flat
+
+    da, fa = pack(a[:out_len])
+    db, fb = pack(b[:out_len])
+    conv = convolve_int(fa, fb)
+    del fa, fb  # release the packed inputs before unpacking the output
+    den = da * db
+    reduce_vec, normalize = field.reduce_vec, field.normalize
+    out: list[Raw] = []
+    for k in range(out_len):
+        vec = conv[k * stride:(k + 1) * stride]
+        out.append(normalize(den, reduce_vec(vec)) if any(vec) else field.zero)
+    return out
+
+
 def _scale_exp(e: Fraction, den: int) -> int:
     scaled = e * den
     if scaled.denominator != 1:
@@ -685,7 +721,7 @@ def eta_J(m, order) -> QSeries:
             if coeffs[i - step]:
                 coeffs[i] -= coeffs[i - step]
         k += 1
-    vec = tuple((1, (c,)) for c in coeffs)
+    vec = tuple((1, (c,)) if c else field.zero for c in coeffs)
     return QSeries(field, den, 0, vec, prec)
 
 
@@ -699,6 +735,5 @@ def eta_quotient(spec: dict[int, int], order) -> QSeries:
     for m, e in sorted(spec.items()):
         J = eta_J(Fraction(m), Fraction(order))
         factor = J if e > 0 else J.invert()
-        for _ in range(abs(e)):
-            out = out * factor
+        out = out * factor ** abs(e)
     return out

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from qrank import cyclotomic
 from qrank.cyclotomic import (
     Cyclotomic,
     convolve_int,
@@ -148,25 +149,38 @@ def test_convolve_matches_schoolbook():
         assert got == expected
 
 
-def test_convolve_degenerate_shapes():
-    def school(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return out
+def _school(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
-    cases = [
-        ([5] * 60, [5] * 60),                      # constant vectors
-        ([-3] * 50, list(range(-25, 25))),          # constant times ramp
-        ([10**40, -10**39] * 30, [7, -11] * 40),    # huge entries
-        ([0] * 40 + [1], [1] + [0] * 40),           # sparse ends
-        ([2**200] * 45, [-(2**180)] * 45),          # giant magnitudes
-        ([-27] * 40, [27] * 40),                    # peak -29160 fills a 2-byte slot
-    ]
-    for a, b in cases:
+
+DEGENERATE_CASES = [
+    ([5] * 60, [5] * 60),                      # constant vectors
+    ([-3] * 50, list(range(-25, 25))),          # constant times ramp
+    ([10**40, -10**39] * 30, [7, -11] * 40),    # huge entries
+    ([0] * 40 + [1], [1] + [0] * 40),           # sparse ends
+    ([2**200] * 45, [-(2**180)] * 45),          # giant magnitudes
+    ([-27] * 40, [27] * 40),                    # peak -29160 fills a 2-byte slot
+]
+
+
+def test_convolve_degenerate_shapes():
+    for a, b in DEGENERATE_CASES:
         got = convolve_int(a, b)
-        expected = school(a, b)
+        expected = _school(a, b)
+        got = got + [0] * (len(expected) - len(got))
+        assert got == expected
+
+
+def test_convolve_degenerate_shapes_kronecker(monkeypatch):
+    # below the cutoff these shapes take the schoolbook loop; force packing
+    monkeypatch.setattr(cyclotomic, "_KRONECKER_CUTOFF", 0)
+    for a, b in DEGENERATE_CASES + [([3], [-4]), ([0, 0, -1], [0, 2])]:
+        got = convolve_int(a, b)
+        expected = _school(a, b)
         got = got + [0] * (len(expected) - len(got))
         assert got == expected
 

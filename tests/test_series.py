@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from qrank.cyclotomic import get_field, root_of_unity
+from qrank.cyclotomic import Cyclotomic, get_field, root_of_unity
 from qrank.errors import FractionalExponents, NonGenericParameter
 from qrank.series import Monomial, QSeries, eta_J, eta_quotient
 
@@ -242,3 +243,132 @@ def test_json_serialization():
     assert doc["D"] == 1
     assert doc["order"] == "3"
     assert doc["terms"] == [[0, ["1", "1"]]]
+
+
+# -- packed product and Newton inversion against naive references ------------------
+
+
+def random_series(rng, L, den, val, length, prec_gap):
+    """Series over Q(zeta_L) with exponents (val + i) / den, dense random
+    coordinates, a random denominator per coefficient and about a quarter of
+    the coefficients after the first zero; prec_gap None makes it exact."""
+    field = get_field(L)
+    coeffs = []
+    for i in range(length):
+        if i and rng.random() < 0.25:
+            coeffs.append(field.zero)
+        else:
+            vec = [rng.randint(-9, 9) for _ in range(field.phi)]
+            vec[0] = vec[0] or 1
+            coeffs.append(field.normalize(rng.choice((1, 1, 2, 3, 10, 12)), vec))
+    prec = None if prec_gap is None else val + length + prec_gap
+    return QSeries(field, den, val, coeffs, prec)
+
+
+def naive_mul(a, b):
+    """Schoolbook product, one Cyclotomic multiply per pair of terms."""
+    L = math.lcm(a.field.L, b.field.L)
+    den = math.lcm(a.den, b.den)
+    bounds = []
+    for s, o in ((a, b), (b, a)):
+        if s.order is not None:
+            # unknown terms of s enter shifted by o's lowest exponent
+            v = o.valuation if o.coeffs else o.order
+            bounds.append(s.order + (v if v is not None else 0))
+    order = min(bounds, default=None)
+    acc = {}
+    for ea, ca in a.terms():
+        for eb, cb in b.terms():
+            e = ea + eb
+            if order is None or e < order:
+                acc[e] = acc.get(e, Cyclotomic.from_fraction(0, L)) + ca * cb
+    field = get_field(L)
+    prec = None if order is None else int(order * den)
+    if not acc:
+        return QSeries(field, den, 0, (), prec)
+    val = int(min(acc) * den)
+    vec = [field.zero] * (int(max(acc) * den) - val + 1)
+    for e, c in acc.items():
+        vec[int(e * den) - val] = c.embed(L).raw
+    return QSeries(field, den, val, vec, prec)
+
+
+@pytest.mark.parametrize("L", [1, 3, 5, 12, 21, 72])
+def test_packed_product_matches_naive(L):
+    rng = random.Random(L)
+    divisors = [d for d in range(1, L + 1) if L % d == 0]
+    # (length, prec_gap) shapes: dense, exact, one-term, zero-to-order
+    shapes = [(9, 2), (14, None), (1, 0), (1, None), (0, 3), (0, None), (6, 0)]
+    if L in (1, 72):
+        shapes.append((100 if L == 1 else 10, 1))  # past the Kronecker cutoff
+    for sa in shapes:
+        for sb in shapes:
+            a = random_series(rng, L, rng.choice((1, 2, 3)), rng.randint(-6, 4), *sa)
+            b = random_series(rng, rng.choice(divisors), rng.choice((1, 2)),
+                              rng.randint(-4, 6), *sb)
+            expect = naive_mul(a, b)
+            got = a * b
+            assert got == expect, (L, sa, sb)
+            assert got.to_json_dict() == expect.to_json_dict(), (L, sa, sb)
+            assert (b * a).to_json_dict() == expect.to_json_dict(), (L, sa, sb)
+
+
+def recurrence_invert(s, order=None):
+    """The O(n^2) coefficient recurrence for 1/s, over s's own denominator."""
+    field = s.field
+    target = None if order is None else int(F(order) * s.den)
+    out_prec = None if s.prec is None else s.prec - 2 * s.val
+    if target is not None:
+        out_prec = target if out_prec is None else min(out_prec, target)
+    u = s.coeffs
+    inv = [field.inv(u[0])]
+    neg_c0i = field.neg(inv[0])
+    for k in range(1, out_prec + s.val):
+        acc = field.zero
+        for i in range(1, min(k, len(u) - 1) + 1):
+            acc = field.add(acc, field.mul(u[i], inv[k - i]))
+        inv.append(field.mul(neg_c0i, acc))
+    return QSeries(field, s.den, -s.val, inv, out_prec)
+
+
+@pytest.mark.parametrize("rel_len", [1, 2, 3, 4, 5, 7, 8, 9, 16, 17])
+def test_newton_invert_matches_recurrence(rel_len):
+    rng = random.Random(100 + rel_len)
+    for L, den in ((1, 1), (5, 2), (12, 1), (21, 3)):
+        val = rng.randint(-3, 3)
+        # truncated: 1/s is known to rel_len terms past its valuation
+        s = random_series(rng, L, den, val, rel_len, 0)
+        got = s.invert()
+        assert len(got.coeffs) <= rel_len and got.prec - got.val == rel_len
+        assert got.to_json_dict() == recurrence_invert(s).to_json_dict(), (L, val)
+        # exact: the target order fixes the length
+        e = random_series(rng, L, den, abs(val), rng.randint(1, 6), None)
+        order = F(rel_len - e.val, den)
+        got = e.invert(order)
+        assert got.prec - got.val == rel_len
+        assert got.to_json_dict() == recurrence_invert(e, order).to_json_dict(), (L, val)
+        prod = e * got
+        assert prod.order >= order
+        assert prod.agrees_with(QSeries.one(), order)
+
+
+def test_newton_invert_vanishing_raises():
+    field = get_field(12)
+    with pytest.raises(NonGenericParameter):
+        QSeries(field, 2, 0, (), 7, _normalized=True).invert()
+    with pytest.raises(NonGenericParameter):
+        poly([0, 0, 0, 1], order=10).truncate(3).invert(10)
+
+
+def test_pow_by_squaring_matches_repeated_product():
+    rng = random.Random(3)
+    for L, den, val, gap in ((1, 1, 0, 0), (5, 2, -1, 3), (12, 1, 2, None), (3, 3, 0, 0)):
+        s = random_series(rng, L, den, val, 5, gap)
+        if gap is None:
+            s = s.truncate(F(val + 9, den))
+        repeated = QSeries.one()
+        for n in range(10):
+            assert (s ** n).to_json_dict() == repeated.to_json_dict(), (L, n)
+            repeated = repeated * s
+        inv = s.invert()
+        assert (s ** -3).to_json_dict() == (inv * inv * inv).to_json_dict(), L
