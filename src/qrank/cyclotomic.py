@@ -8,14 +8,22 @@ form, so two elements are equal iff their pairs are equal.  Keeping a single
 denominator per element (instead of one Fraction per coordinate) keeps the
 series convolution loops on plain machine/big integers.
 
-Everything stays on integers: an inverse is the product of the other Galois
-conjugates divided by the norm, and large convolutions pack signed
-coefficients into one big integer, each slot offset by half its width.
+Everything stays on integers.  An inverse is the product of the other Galois
+conjugates divided by the norm; the conjugates are multiplied level by level
+along a polycyclic sequence of (Z/L)^x (``unit_tower``), each orbit product
+by doubling, so an inverse in Q(zeta_385) costs about 15 field products
+instead of 239.  Large convolutions pack signed coefficients into one big
+integer (Kronecker substitution): slots are two's complement, sized by the
+l1 bound max|a| sum|b| and rounded up to 1, 2, 4 or 8 bytes, so ``array``
+packs and unpacks them in C, and XOR with the slots' top bits moves between
+two's complement and the value-plus-half form that carries cleanly.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
@@ -91,29 +99,54 @@ def cyclo_polynomial(L: int) -> tuple[int, ...]:
 # integer vector convolution, with a Kronecker-substitution fast path
 # ---------------------------------------------------------------------------
 
-_KRONECKER_CUTOFF = 4800  # nnz(a) * nnz(b) above which packing wins
+_KRONECKER_CUTOFF = 800  # nnz(a) * nnz(b) above which packing wins
+
+# array typecodes by item size; slots of these widths pack and unpack in C
+_ARRAY_CODES = {array(code).itemsize: code for code in "qihb"}
+
+
+def _slot_mask(width: int, n: int) -> int:
+    # the top bit of each of n slots of width bytes
+    return int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * n, "little")
+
+
+def _pack(v: Sequence[int], width: int) -> int:
+    # sum_i v[i] 2^(8 width i): the slots hold v[i] in two's complement, and
+    # flipping every top bit turns that into v[i] + half, so subtracting the
+    # mask leaves the signed sum
+    mask = _slot_mask(width, len(v))
+    code = _ARRAY_CODES.get(width)
+    if code is not None:
+        data = array(code, v)
+    else:
+        data = b"".join(x.to_bytes(width, sys.byteorder, signed=True) for x in v)
+    return (int.from_bytes(data, sys.byteorder) ^ mask) - mask
+
+
+def _unpack(x: int, n: int, width: int) -> list[int]:
+    # inverse of _pack for n slots whose values lie in [-half, half)
+    mask = _slot_mask(width, n)
+    data = ((x + mask) ^ mask).to_bytes(n * width, sys.byteorder)
+    code = _ARRAY_CODES.get(width)
+    if code is not None:
+        out = array(code)
+        out.frombytes(data)
+        return out.tolist()
+    return [int.from_bytes(data[k * width:(k + 1) * width], sys.byteorder, signed=True)
+            for k in range(n)]
 
 
 def _kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    # one big multiply does the whole convolution: every output coefficient
-    # lies in [-bound, bound], and each slot holds its value plus half the
-    # slot width, so signed values pack and unpack as unsigned bytes
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    # one big multiply does the whole convolution.  Every output coefficient
+    # lies in [-bound, bound], since |sum_i a_i b_(k-i)| <= max|a| sum|b|, and
+    # a slot of width bytes holds [-2^(8 width - 1), 2^(8 width - 1)).  Widths
+    # round up to an array item size.  With native byte order the slots of a
+    # big-endian machine come out reversed, which reverses both factors and
+    # the product alike.
+    bound = min(max(map(abs, a)) * sum(map(abs, b)), max(map(abs, b)) * sum(map(abs, a)))
     width = bound.bit_length() // 8 + 1
-    half = 1 << (8 * width - 1)
-    bias = half.to_bytes(width, "little")
-
-    def pack(v: Sequence[int]) -> int:
-        packed = b"".join((x + half).to_bytes(width, "little") for x in v)
-        return int.from_bytes(packed, "little") - int.from_bytes(bias * len(v), "little")
-
-    out_len = len(a) + len(b) - 1
-    prod = pack(a) * pack(b) + int.from_bytes(bias * out_len, "little")
-    raw = prod.to_bytes(out_len * width, "little")
-    return [
-        int.from_bytes(raw[k * width:(k + 1) * width], "little") - half
-        for k in range(out_len)
-    ]
+    width = min((w for w in _ARRAY_CODES if w >= width), default=width)
+    return _unpack(_pack(a, width) * _pack(b, width), len(a) + len(b) - 1, width)
 
 
 def convolve_int(a: list[int] | tuple[int, ...], b: list[int] | tuple[int, ...]) -> list[int]:
@@ -287,17 +320,38 @@ class CyclotomicField:
                 out[i * k % self.L] += c
         return self.reduce_vec(out)
 
+    def _conjugate(self, a: Raw, k: int) -> Raw:
+        """The Galois conjugate sigma_k(a), zeta_L -> zeta_L^k, k a unit mod L."""
+        return (a[0], tuple(self.reindex(a[1], k)))
+
     def inv(self, a: Raw) -> Raw:
-        """Inverse by the norm: 1/a = prod_{sigma != 1} sigma(a) / N(a)."""
+        """Inverse by the norm: 1/a = prod_{sigma != 1} sigma(a) / N(a).
+
+        The conjugates are multiplied level by level along ``unit_tower(L)``:
+        with ``part`` the product of sigma(a) over the subgroup generated so
+        far, the next level multiplies in sigma_g^e(part) for 0 < e < r.
+        """
         if self.is_zero(a):
             raise InverseOfZero("cannot invert zero")
         den, vec = a
-        rest = self.one
-        for k in range(2, self.L):
-            if math.gcd(k, self.L) == 1:
-                rest = self.mul(rest, (1, tuple(self.reindex(vec, k))))
-        norm = self.mul((1, vec), rest)[1][0]
-        return self.normalize(norm, [c * den for c in rest[1]])
+        part: Raw = (1, vec)  # becomes the norm at the top of the tower
+        rest = self.one  # part without the factor a
+        for g, r in unit_tower(self.L):
+            orbit = self._conjugate(self._orbit_product(part, g, r - 1), g)
+            rest = self.mul(rest, orbit)
+            part = self.mul(part, orbit)
+        return self.normalize(part[1][0], [c * den for c in rest[1]])
+
+    def _orbit_product(self, x: Raw, g: int, n: int) -> Raw:
+        """prod_{e < n} sigma_g^e(x), by doubling along the bits of n >= 1."""
+        out, m = x, 1
+        for bit in bin(n)[3:]:
+            out = self.mul(out, self._conjugate(out, pow(g, m, self.L)))
+            m *= 2
+            if bit == "1":
+                out = self.mul(x, self._conjugate(out, g))
+                m += 1
+        return out
 
     def embed_from(self, src: "CyclotomicField", a: Raw) -> Raw:
         """Image of an element of Q(zeta_src) under zeta_src -> zeta_L^(L/src)."""
@@ -306,6 +360,28 @@ class CyclotomicField:
         if self.L % src.L != 0:
             raise ValueError("no embedding: %d does not divide %d" % (src.L, self.L))
         return (a[0], tuple(self.reindex(a[1], self.L // src.L)))
+
+
+@lru_cache(maxsize=None)
+def unit_tower(L: int) -> tuple[tuple[int, int], ...]:
+    """A polycyclic sequence (g_i, r_i) of the unit group (Z/L)^x.
+
+    g_i is the least unit outside H_(i-1) = <g_1, ..., g_(i-1)> and r_i is
+    its order modulo H_(i-1), so every unit is prod g_i^(e_i) mod L with
+    0 <= e_i < r_i in exactly one way, and prod r_i = phi(L).
+    """
+    group = {1 % L}
+    tower = []
+    for g in range(2, L):
+        if g in group or math.gcd(g, L) != 1:
+            continue
+        r, power = 1, g
+        while power not in group:
+            power = power * g % L
+            r += 1
+        group = {h * pow(g, e, L) % L for h in group for e in range(r)}
+        tower.append((g, r))
+    return tuple(tower)
 
 
 @lru_cache(maxsize=None)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -176,7 +177,7 @@ def test_convolve_degenerate_shapes():
 
 
 def test_convolve_degenerate_shapes_kronecker(monkeypatch):
-    # below the cutoff these shapes take the schoolbook loop; force packing
+    # some of these shapes fall below the cutoff; force packing for all
     monkeypatch.setattr(cyclotomic, "_KRONECKER_CUTOFF", 0)
     for a, b in DEGENERATE_CASES + [([3], [-4]), ([0, 0, -1], [0, 2])]:
         got = convolve_int(a, b)
@@ -189,3 +190,66 @@ def test_str_formats():
     assert str(rat(Fraction(3, 2))) == "3/2"
     assert str(zeta(1, 5)) == "[0,1,0,0]@zeta5"
     assert str((1 - zeta(1, 3)).inv()) == "[2/3,1/3]@zeta3"
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 9, 20])
+def test_kronecker_every_slot_width(monkeypatch, width):
+    # b is chosen so that the l1 bound 6b of the first three pairs needs
+    # exactly `width` bytes and is reached with both signs; widths 1-8 round
+    # up to an array item size, 9 and 20 take the per-element path
+    monkeypatch.setattr(cyclotomic, "_KRONECKER_CUTOFF", 0)
+    b = ((1 << (8 * width - 1)) - 1) // 6
+    assert (6 * b).bit_length() // 8 + 1 == width
+    rng = random.Random(width)
+    cases = [
+        ([3, 3, 3], [b, b]),
+        ([-3, -3, -3], [b, b]),
+        ([3, -3, 3], [b, -b]),
+        ([3] + [rng.randint(-3, 3) for _ in range(6)],
+         [b // 5, -(b // 5)] + [rng.randint(-(b // 5), b // 5) for _ in range(3)]),
+    ]
+    seen = set()
+    for x, y in cases:
+        expected = _school(x, y)
+        seen.update(expected)
+        for got in (convolve_int(x, y), convolve_int(y, x)):
+            assert got + [0] * (len(expected) - len(got)) == expected
+    assert {6 * b, -6 * b} <= seen
+
+
+def _norm_route_inv(f, a):
+    # the inverse as it was before the tower: every conjugate, one by one
+    den, vec = a
+    rest = f.one
+    for k in range(2, f.L):
+        if math.gcd(k, f.L) == 1:
+            rest = f.mul(rest, (1, tuple(f.reindex(vec, k))))
+    norm = f.mul((1, vec), rest)[1][0]
+    return f.normalize(norm, [c * den for c in rest[1]])
+
+
+@pytest.mark.parametrize("L, trials", [(1, 12), (2, 12), (3, 12), (8, 12), (12, 12),
+                                       (35, 12), (105, 12), (110, 12), (154, 12), (385, 1)])
+def test_tower_inverse_matches_norm_route(L, trials):
+    rng = random.Random(8800 + L)
+    f = get_field(L)
+    for trial in range(trials):
+        size = [1, 5, 10**6][trial % 3]
+        vec = [rng.randint(-size, size) for _ in range(f.phi)]
+        if trial % 4 == 3:
+            vec = [v if rng.random() < 0.2 else 0 for v in vec]
+        if not any(vec):
+            continue
+        a = f.normalize(rng.choice([1, 2, 3, 7]), vec)
+        assert f.inv(a) == _norm_route_inv(f, a)
+
+
+def test_unit_tower_generates_units():
+    assert cyclotomic.unit_tower(385) == ((2, 60), (3, 2), (13, 2))
+    for L in range(1, 401):
+        tower = cyclotomic.unit_tower(L)
+        assert math.prod(r for _, r in tower) == totient(L)
+        units = {1 % L}
+        for g, r in tower:
+            units = {u * pow(g, e, L) % L for u in units for e in range(r)}
+        assert units == {k % L for k in range(1, L + 1) if math.gcd(k, L) == 1}
