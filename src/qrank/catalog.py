@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import fnmatch
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -29,7 +30,7 @@ from .appell import (
     psi,
     s_bar_d,
 )
-from .cyclotomic import Cyclotomic, root_of_unity
+from .cyclotomic import Cyclotomic, get_field, root_of_unity
 from .errors import NonGenericParameter, UnknownName
 from .overpartitions import (
     deviation_by_definition,
@@ -435,11 +436,17 @@ def _rank_series_entries() -> list[CatalogEntry]:
          for d in (1, 2) for z in (Z(1, 5), Z(2, 7))]))
 
     def enum_series(d, z, o):
+        # sum of N(m, n) z^m q^n for a root of unity z: the counts of each n
+        # go into one vector over the powers of zeta_L, reduced mod Phi_L once
         counts = enumeration_rank_counts(d, int(o) - 1)
-        total = QSeries.zero(o)
-        for (m, n), c in sorted(counts.items()):
-            total = total + QSeries.from_monomial(z ** m * Q(n), o).scale(c)
-        return total
+        L = math.lcm(*{(z ** m).zeta_den for m, _ in counts})
+        field = get_field(L)
+        vecs: dict[int, list[int]] = {}
+        for (m, n), c in counts.items():
+            vec = vecs.setdefault(n, [0] * L)
+            vec[z.zeta_num * m * L // z.zeta_den % L] += c
+        terms = {F(n): (1, tuple(field.reduce_vec(vec))) for n, vec in vecs.items()}
+        return QSeries.from_terms(terms, field, o)
 
     for d in (1, 2):
         stat = "rank" if d == 1 else "M2-rank"

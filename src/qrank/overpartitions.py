@@ -7,6 +7,12 @@ series in z and q (any d), and the Appell-Lerch formulas for deviation pairs
 and single deviations.  The catalog entries `rank-series-two-forms` and
 `rank-enumeration-d1/d2` tie the double-divisor form to the single-sum form
 and the single-sum form to enumeration.
+
+Enumeration walks the plain partitions of n and counts the overlinings of
+each in closed form (see `enumeration_rank_counts`), so it never builds the
+overpartitions themselves.  `Overpartition` with `rank()` and `m2_rank()`,
+fed by `enumerate_overpartitions`, is the object route the tests hold those
+counts to.
 """
 
 from __future__ import annotations
@@ -101,14 +107,43 @@ def p_bar(n: int) -> int:
 
 
 def enumeration_rank_counts(d: int, max_n: int) -> dict[tuple[int, int], int]:
-    """Counts of overpartitions of n by rank (d=1) or M2-rank (d=2)."""
+    """Counts of overpartitions of n by rank (d=1) or M2-rank (d=2).
+
+    Walks the plain partitions of n <= max_n and counts the 2^k overlinings
+    of each (k distinct values) in closed form.  Overlining never moves the
+    rank, so a partition adds 2^k at largest - #parts.  For a set S of
+    overlined values the M2-rank is
+
+        ceil(l/2) - #parts + #odd parts - [l odd] - |S & odd values other than l|
+
+    with l the largest part, so S lowers it by j in 2^(#even values)
+    (2 if l is odd else 1) C(#odd values other than l, j) ways.  The test
+    suite checks this against `enumerate_overpartitions` with `rank()` and
+    `m2_rank()`.
+    """
     if d not in (1, 2):
         raise ValueError("enumeration covers the rank (d=1) and M2-rank (d=2)")
     counts: dict[tuple[int, int], int] = {}
-    for n in range(max_n + 1):
-        for p in enumerate_overpartitions(n):
-            m = p.rank() if d == 1 else p.m2_rank()
-            counts[m, n] = counts.get((m, n), 0) + 1
+    if max_n >= 0:
+        counts[0, 0] = 1
+    for n in range(1, max_n + 1):
+        for plain in _partitions(n, n):
+            largest = plain[0]
+            values = set(plain)
+            if d == 1:
+                key = (largest - len(plain), n)
+                counts[key] = counts.get(key, 0) + (1 << len(values))
+                continue
+            odd_parts = sum(v & 1 for v in plain)
+            odd_values = sum(v & 1 for v in values)
+            free = len(values) - odd_values  # even values overline freely
+            if largest & 1:
+                odd_values -= 1
+                free += 1  # as does an odd largest part
+            base = -(-largest // 2) - len(plain) + odd_parts - (largest & 1)
+            for j in range(odd_values + 1):
+                key = (base - j, n)
+                counts[key] = counts.get(key, 0) + (math.comb(odd_values, j) << free)
     return counts
 
 
@@ -416,9 +451,11 @@ def single_deviation(d: int, a: int, M: int, order,
                      z0: Monomial | None = None) -> QSeries:
     """One deviation D_d(a, M) from the formula route.
 
-    Odd M: telescoping combination of deviation pairs.  Even M: the explicit
-    root-of-unity average with O_d(-1;q) supplied by the symmetric
-    double-divisor expansion (the single-sum form has a (1+z) pole there).
+    Odd M: telescoping combination of deviation pairs, each at z' and z0
+    (z'' takes its default).  Even M: the explicit root-of-unity average
+    with O_d(-1;q) supplied by the symmetric double-divisor expansion (the
+    single-sum form has a (1+z) pole there).  M = 2 has no inner sum and
+    reads neither z' nor z0.
     """
     order = _integral_order(order)
     if zp is None or z0 is None:
@@ -434,9 +471,11 @@ def single_deviation(d: int, a: int, M: int, order,
         total = QSeries.zero(order)
         lead = (M + 1) // 2 - n
         for i in range(n + 1):
-            total = total + deviation_pair_by_formula(d, lead + 2 * i, M, order)
+            total = total + deviation_pair_by_formula(d, lead + 2 * i, M, order,
+                                                      zp=zp, z0=z0)
         for i in range(n):
-            total = total - deviation_pair_by_formula(d, lead + 2 * i + 1, M, order)
+            total = total - deviation_pair_by_formula(d, lead + 2 * i + 1, M, order,
+                                                      zp=zp, z0=z0)
         return total.scale(F(1, 2))
     total = o_d_at_minus_one(d, order).scale(F(1 if a % 2 == 0 else -1, M))
     for k in range(1, M // 2):

@@ -44,6 +44,18 @@ def test_enumeration_no_duplicates():
                     seen.add(v)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_enumeration_rank_counts_match_objects(d):
+    # the closed-form overlining counts against rank() / m2_rank() of every
+    # overpartition object
+    expected = {}
+    for n in range(21):
+        for p in enumerate_overpartitions(n):
+            key = (p.rank() if d == 1 else p.m2_rank(), n)
+            expected[key] = expected.get(key, 0) + 1
+    assert enumeration_rank_counts(d, 20) == expected
+
+
 def test_rank_values():
     assert Overpartition(((3, False), (1, False))).rank() == 1
     assert Overpartition(((1, True), (1, False), (1, False), (1, False))).rank() == -3
