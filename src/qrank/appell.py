@@ -22,8 +22,10 @@ from functools import lru_cache
 from .cyclotomic import Raw, get_field, root_of_unity
 from .errors import NonGenericParameter
 from .reports import IdentityReport, compare_series
-from .series import Monomial, QSeries, _lcm, computed_to, eta_J, eta_quotient
-from .theta import bilateral, binom2, is_theta_zero_pattern, theta_j
+from .series import (Monomial, QSeries, _lcm, computed_to, eta_J, eta_quotient,
+                     shift_loss, shifted)
+from .theta import (bilateral, binom2, is_theta_zero_pattern, product_loss, theta_j,
+                    theta_valuation)
 
 F = Fraction
 
@@ -161,7 +163,6 @@ def _psi_once(k: int, n: int, x: Monomial, z: Monomial, zp: Monomial,
         raise ValueError("n must be a positive integer")
     pn2 = p * n * n
     pref_mono = -(x ** k) * z ** (k + 1)
-    inner = order + max(F(0), -pref_mono.q_exp)
     if is_theta_zero_pattern(z, p):
         raise NonGenericParameter("j(%s; q^%s) vanishes" % (z, p))
     if is_theta_zero_pattern(zp, pn2):
@@ -171,23 +172,52 @@ def _psi_once(k: int, n: int, x: Monomial, z: Monomial, zp: Monomial,
     c_arg = -(Monomial.q(p * (binom2(n) - n * k)) * minus_x ** n * zp)
     if is_theta_zero_pattern(c_arg, pn2):
         raise NonGenericParameter("constant theta divisor vanishes")
-    j_c = theta_j(c_arg, pn2, inner)
     xz_n = (x * z) ** n
-    total = QSeries.zero(inner)
+    terms = []
     for t in range(n):
         a_arg = -(Monomial.q(p * (binom2(n + 1) + n * k + n * t)) * minus_z ** n / zp)
         b_arg = Monomial.q(p * n * t) * xz_n * zp
         d_arg = Monomial.q(p * n * t) * xz_n
         if is_theta_zero_pattern(d_arg, pn2):
             raise NonGenericParameter("theta divisor j(%s; q^%s) vanishes" % (d_arg, pn2))
+        t_mono = Monomial.q(p * (binom2(t + 1) + k * t)) * minus_z ** t
+        terms.append((a_arg, b_arg, d_arg, t_mono))
+    inner = order + _psi_loss(terms, c_arg, z, zp, p, pn2, pref_mono)
+    j_c = theta_j(c_arg, pn2, inner)
+    total = QSeries.zero(inner)
+    for a_arg, b_arg, d_arg, t_mono in terms:
         num = theta_j(a_arg, pn2, inner) * theta_j(b_arg, pn2, inner)
         den = j_c * theta_j(d_arg, pn2, inner)
-        t_mono = Monomial.q(p * (binom2(t + 1) + k * t)) * minus_z ** t
         total = total + (num * den.invert()).shift(t_mono)
     pref = eta_J(pn2, inner) ** 3
     pref = pref * theta_j(z, p, inner).invert()
     pref = pref * theta_j(zp, pn2, inner).invert()
     return (total * pref).shift(pref_mono)
+
+
+def _psi_loss(terms, c_arg: Monomial, z: Monomial, zp: Monomial, p: Fraction,
+              pn2: Fraction, pref_mono: Monomial) -> Fraction:
+    """How much further than its target `_psi_once` expands its theta blocks.
+
+    Each t-term j(a) j(b) / (j(c) j(d)) q^tau loses its `product_loss`, and
+    the t-sum starts from zero(inner), so the sum is known below
+    inner - sum_loss and its valuation is at least `low` (cancellation only
+    raises it).  Its product with J^3 q^pref / (j(z) j(z')) keeps the least
+    relative precision of the sum and of those three factors.
+    """
+    vc = theta_valuation(c_arg, pn2)
+    sum_loss, vals = F(0), []
+    for a_arg, b_arg, d_arg, t_mono in terms:
+        factors = ((theta_valuation(a_arg, pn2), 1), (theta_valuation(b_arg, pn2), 1),
+                   (vc, -1), (theta_valuation(d_arg, pn2), -1))
+        sum_loss = max(sum_loss, product_loss(factors, t_mono))
+        vals.append(sum(e * v for v, e in factors) + t_mono.q_exp)
+    low = min(vals)
+    vz, vzp = theta_valuation(z, p), theta_valuation(zp, pn2)
+    # the result has valuation low - vz - vzp + exp(pref) and is known below
+    # inner + reach
+    reach = low - vz - vzp + pref_mono.q_exp + min(-sum_loss - low, -max(F(0), vz, vzp))
+    return max(F(0), -reach)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +241,7 @@ def _lam_once(d: int, z: Monomial, z0: Monomial, zp: Monomial,
         raise ValueError("Lambda is defined for odd d >= 1")
     w = z.root(d)
     pref = Monomial.zeta((d + 1) // 2, 2, -F((d - 1) ** 2, 4)) * w ** (d - 1)
-    inner = order + max(F(0), -pref.q_exp)
+    inner = order + shift_loss(pref)
     x_head = w ** (-2) * Monomial.q(d)
     total = psi((d - 1) // 2, d, x_head, z0, zp, 2, inner)
     half = F(d - 1, 2)
@@ -349,10 +379,9 @@ def s_bar_bracket(d: int, z: Monomial, z0: Monomial, zp: Monomial, order) -> QSe
     h = d // 2
     x_m = Monomial.zeta(h + 1, 2) * z * Monomial.q(F(d * d, 4))
     m_term = appell_m(x_m, F(d * d, 2), zp, order)
-    # Psi at order + d^2/4, so the q^{-d^2/4} shift leaves it valid below order
-    psi_term = psi(0, h, z.pow_frac(2, d) * Monomial.q(1 - d),
-                   Monomial.q(1), zp, 2, order + F(d * d, 4))
     tail_mono = Monomial.zeta(h, 2, -F(d * d, 4)) * z
+    psi_term = psi(0, h, z.pow_frac(2, d) * Monomial.q(1 - d),
+                   Monomial.q(1), zp, 2, order + shift_loss(tail_mono))
     return -1 + m_term.scale(2) + psi_term.shift(tail_mono).scale(2)
 
 
@@ -377,7 +406,5 @@ def htom_check(x: Monomial, order) -> IdentityReport:
     """Check the fold: lhs above equals -x^{-1} m(x^{-2} q, q^2, x)."""
     order = F(order)
     lhs = lerch_fold_lhs(x, order)
-    rhs = computed_to(
-        lambda o: appell_m(x ** (-2) * Monomial.q(1), 2, x, o).shift(-x.inverse()),
-        order)
+    rhs = shifted(lambda o: appell_m(x ** (-2) * Monomial.q(1), 2, x, o), -x.inverse(), order)
     return compare_series("lerch-fold", lhs, rhs, order, {"x": x})

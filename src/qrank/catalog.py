@@ -15,7 +15,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -41,8 +40,8 @@ from .overpartitions import (
     single_deviation,
 )
 from .reports import NON_GENERIC, PASS, IdentityReport, compare_series
-from .series import Monomial, QSeries, computed_to, eta_J, eta_quotient
-from .theta import binom2, theta_j, theta_shift_check, theta_triple_product
+from .series import Monomial, QSeries, computed_to, eta_J, eta_quotient, shifted
+from .theta import binom2, theta_j, theta_product, theta_shift_check, theta_triple_product
 
 F = Fraction
 Z = Monomial.zeta
@@ -95,9 +94,8 @@ def _appell_entries() -> list[CatalogEntry]:
         F(30),
         [Instance({"x": x, "base": p, "z": z},
                   lambda o, x=x, p=p, z=z: appell_m(x, p, z, o),
-                  lambda o, x=x, p=p, z=z: computed_to(
-                      lambda t: appell_m(x.inverse(), p, z.inverse(), t)
-                      .shift(x.inverse()), o))
+                  lambda o, x=x, p=p, z=z: shifted(
+                      lambda t: appell_m(x.inverse(), p, z.inverse(), t), x.inverse(), o))
          for x, p, z in samples]))
 
     entries.append(CatalogEntry(
@@ -106,9 +104,8 @@ def _appell_entries() -> list[CatalogEntry]:
         F(30),
         [Instance({"x": x, "base": p, "z": z},
                   lambda o, x=x, p=p, z=z: appell_m(x, p, z, o),
-                  lambda o, x=x, p=p, z=z: computed_to(
-                      lambda t: QSeries.from_monomial(x.inverse())
-                      - appell_m(x * Q(p), p, z, t).shift(x.inverse()), o))
+                  lambda o, x=x, p=p, z=z: QSeries.from_monomial(x.inverse())
+                  - shifted(lambda t: appell_m(x * Q(p), p, z, t), x.inverse(), o))
          for x, p, z in samples]))
 
     switch = [(Z(1, 5, 1), Z(1, 7), Z(1, 2), 2), (Z(1, 5), Z(2, 7), Z(3, 7), 1),
@@ -132,8 +129,7 @@ def _appell_entries() -> list[CatalogEntry]:
     def avg_rhs(n, k, x, z, zp, o):
         head = Q(F(-binom2(k + 1))) * (-x) ** k
         inner = -(Q(binom2(n) - n * k) * (-x) ** n)
-        out = computed_to(
-            lambda t: appell_m(inner, n * n, zp, t).shift(head).scale(n), o)
+        out = shifted(lambda t: appell_m(inner, n * n, zp, t), head, o).scale(n)
         return out + psi(k, n, x, z, zp, 1, o).scale(n)
 
     avg_samples = [(Z(1, 5, 1), Z(1, 7), Z(2, 7)), (Z(2, 7, 1), Z(1, 5), Z(2, 5)),
@@ -155,9 +151,8 @@ def _appell_entries() -> list[CatalogEntry]:
         F(30),
         [Instance({"x": x},
                   lambda o, x=x: lerch_fold_lhs(x, o),
-                  lambda o, x=x: computed_to(
-                      lambda t: appell_m(x ** (-2) * Q(1), 2, x, t)
-                      .shift(-x.inverse()), o))
+                  lambda o, x=x: shifted(
+                      lambda t: appell_m(x ** (-2) * Q(1), 2, x, t), -x.inverse(), o))
          for x in (Z(1, 5), Z(1, 7, 1), Z(3, 11, 2))]))
     return entries
 
@@ -218,13 +213,10 @@ def _theta_entries() -> list[CatalogEntry]:
         "j(x/q;q^2) j(q^2/x;q^2) = x^2 q^{-1} j(1/x;q) J_2^2/J_1",
         F(30),
         [Instance({"x": x},
-                  lambda o, x=x: computed_to(
-                      lambda t: theta_j(x * Q(-1), 2, t)
-                      * theta_j(x.inverse() * Q(2), 2, t), o),
-                  lambda o, x=x: computed_to(
-                      lambda t: (eta_quotient({2: 2, 1: -1}, t)
-                                 * theta_j(x.inverse(), 1, t))
-                      .shift(x ** 2 * Q(-1)), o))
+                  lambda o, x=x: theta_product(
+                      ((x * Q(-1), 2, 1), (x.inverse() * Q(2), 2, 1)), o),
+                  lambda o, x=x: theta_product(
+                      ((x.inverse(), 1, 1),), o, eta={2: 2, 1: -1}, shift=x ** 2 * Q(-1)))
          for x in xs]))
 
     entries.append(CatalogEntry(
@@ -269,9 +261,7 @@ def _theta_entries() -> list[CatalogEntry]:
                   lambda o, x=x: computed_to(
                       lambda t: theta_j(Q(1) * x ** 3, 3, t)
                       + theta_j(Q(2) * x ** 3, 3, t).shift(x), o),
-                  lambda o, x=x: computed_to(
-                      lambda t: eta_J(1, t) * theta_j(x ** 2, 1, t)
-                      * theta_j(x, 1, t).invert(), o))
+                  lambda o, x=x: theta_product(((x ** 2, 1, 1), (x, 1, -1)), o, eta={1: 1}))
          for x in (Z(1, 5), Z(2, 7, 1), Z(3, 7))]))
 
     pairs = [(Z(1, 5), Z(1, 7)), (Z(1, 7, 1), Z(1, 5)), (Z(2, 11), Z(3, 11, 1))]
@@ -395,12 +385,9 @@ def _cube_root_entries() -> list[CatalogEntry]:
         "j(x;q) j(xw;q) j(xw^2;q) = (J_1^3/J_3) j(x^3;q^3)",
         F(30),
         [Instance({"x": x},
-                  lambda o, x=x: computed_to(
-                      lambda t: theta_j(x, 1, t) * theta_j(x * w, 1, t)
-                      * theta_j(x * w * w, 1, t), o),
-                  lambda o, x=x: computed_to(
-                      lambda t: eta_quotient({1: 3, 3: -1}, t)
-                      * theta_j(x ** 3, 3, t), o))
+                  lambda o, x=x: theta_product(
+                      ((x, 1, 1), (x * w, 1, 1), (x * w * w, 1, 1)), o),
+                  lambda o, x=x: theta_product(((x ** 3, 3, 1),), o, eta={1: 3, 3: -1}))
          for x in (Z(1, 5), Z(1, 7, 1), Z(2, 11, 2))]))
     return entries
 
@@ -752,12 +739,17 @@ def run_suite(pattern: str = "*", order=None, jobs: int = 1,
               json_path: Optional[str] = None,
               csv_path: Optional[str] = None) -> SuiteResult:
     """Run all catalog entries whose id matches the glob pattern."""
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1, got %d" % jobs)
     order = _suite_order(order)
     ids = sorted(eid for eid in CATALOG if fnmatch.fnmatch(eid, pattern))
     if not ids:
         raise UnknownName("no catalog entry matches %r" % pattern)
     tasks = [(eid, None if order is None else str(order)) for eid in ids]
     if jobs > 1:
+        # imported here: a serial run need not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_run_entry_task, tasks))
     else:

@@ -14,8 +14,8 @@ from functools import lru_cache
 from .appell import appell_m, psi
 from .cyclotomic import root_of_unity
 from .errors import UnknownName
-from .series import Monomial, QSeries, computed_to, eta_J, eta_quotient
-from .theta import theta_j
+from .series import Monomial, QSeries, computed_to, eta_J, eta_quotient, shift_loss, shifted
+from .theta import theta_j, theta_product
 
 F = Fraction
 Z = Monomial.zeta
@@ -24,8 +24,7 @@ Q = Monomial.q
 
 def _theta_ratio(z1: Monomial, z2: Monomial, base, order) -> QSeries:
     """j(z1;q^p) / j(z2;q^p)."""
-    return computed_to(
-        lambda o: theta_j(z1, base, o) * theta_j(z2, base, o).invert(), order)
+    return theta_product(((z1, base, 1), (z2, base, -1)), order)
 
 
 # -- three-dissection blocks -------------------------------------------------
@@ -189,8 +188,8 @@ def psi_difference_rhs(order) -> QSeries:
         quo = eta_quotient({18: 1, 27: 1, 108: 1, 162: 5,
                             36: -2, 54: -1, 81: -1, 324: -3}, o)
         bracket = _theta_ratio(Q(27), -Q(27), 162, o) + _theta_ratio(Q(81), -Q(81), 162, o)
-        return (quo * bracket).shift(Q(-9)).scale(F(-3, 2))
-    return computed_to(build, order)
+        return quo * bracket
+    return shifted(build, Q(-9), order).scale(F(-3, 2))
 
 
 def ratio_sum_lhs(order) -> QSeries:
@@ -262,12 +261,11 @@ def b_block(n_class: int, order) -> QSeries:
     series in q^3.  Class 0 carries the Appell-Lerch head and the
     Psi-difference theta term."""
     if n_class in (1, 2):
-        return computed_to(
-            lambda o: _B_part(n_class, o).shift(Q(-n_class)), order)
+        return shifted(lambda o: _B_part(n_class, o), Q(-n_class), order)
 
     def build(o):
         minus = Monomial.minus_one()
-        head = appell_m(Q(-27), 162, minus, o).shift(Q(-36)).scale(6)
+        head = appell_m(Q(-27), 162, minus, o + shift_loss(Q(-36))).shift(Q(-36)).scale(6)
         return head + psi_difference_rhs(o) + _B_part(0, o)
     return computed_to(build, order)
 

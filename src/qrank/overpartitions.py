@@ -25,7 +25,7 @@ from functools import lru_cache
 from .appell import appell_m, lam, o_d_at_minus_one, o_d_direct, psi, s_bar_bracket
 from .cyclotomic import get_field, root_of_unity
 from .errors import FractionalExponents, NonGenericParameter, UnsupportedCase
-from .series import Monomial, QSeries, computed_to, eta_quotient
+from .series import Monomial, QSeries, eta_quotient, shifted
 
 F = Fraction
 
@@ -251,6 +251,8 @@ def _build_rank_tables(d: int, max_n: int) -> RankTables:
 def deviation_by_definition(d: int, a: int, M: int, order) -> QSeries:
     """Sum over n of (N_d(a, M, n) - p(n)/M) q^n with exact rational
     coefficients, straight from the rank tables."""
+    if M < 1:
+        raise ValueError("the modulus M must be positive, got %d" % M)
     order = F(order)
     max_n = math.ceil(order) - 1
     tables = rank_tables(d, max_n)
@@ -312,17 +314,20 @@ def _lambda_sum(d: int, a: int, M: int, z0: Monomial, order) -> QSeries:
     return total.scale(F(2, M))
 
 
+def _shifted_m(x: Monomial, base, zp: Monomial, mono: Monomial, order) -> QSeries:
+    """2 mono m(x, q^base, z'), valid below order."""
+    return shifted(lambda o: appell_m(x, base, zp, o), mono, order).scale(2)
+
+
 def _pair_even_even(d, a, M, zp, zpp, z0, order) -> QSeries:
     # d odd, a and M even.  The m and Psi pieces are the direct output of the
     # root-averaging identity at n = M/2, k = a/2 - 1, x = q^{-d^2}, base q^{2d^2}.
     dd = d * d
     head = Monomial.zeta(a // 2, 2, -F(dd * a * a, 4))
     x_m = Monomial.zeta(M // 2 + 1, 2, dd * (F(M * M, 4) - F(a * M, 2)))
-    m_term = computed_to(
-        lambda o: appell_m(x_m, F(dd * M * M, 2), zp, o).shift(head).scale(2), order)
-    psi_term = computed_to(
-        lambda o: psi(a // 2 - 1, M // 2, Monomial.q(-dd), Monomial.minus_one(),
-                      zp, 2 * dd, o).shift(Monomial.q(-dd)).scale(2), order)
+    m_term = _shifted_m(x_m, F(dd * M * M, 2), zp, head, order)
+    psi_term = shifted(lambda o: psi(a // 2 - 1, M // 2, Monomial.q(-dd), Monomial.minus_one(),
+                                     zp, 2 * dd, o), Monomial.q(-dd), order).scale(2)
     return _chi(a == M) + m_term - psi_term + _lambda_sum(d, a, M, z0, order)
 
 
@@ -332,12 +337,10 @@ def _pair_even_odd(d, a, M, zp, zpp, z0, order) -> QSeries:
     k1 = (2 * M - a) // 2
     k2 = (M + 1 - a) // 2
     base = 2 * dd * M * M
-    m1 = computed_to(
-        lambda o: appell_m(Monomial.q(dd * M * (a - M)), base, zp, o)
-        .shift(Monomial.zeta(a // 2, 2, -dd * k1 * k1)).scale(2), order)
-    m2 = computed_to(
-        lambda o: appell_m(Monomial.q(dd * M * (a - 1)), base, zpp, o)
-        .shift(Monomial.zeta(k2, 2, -dd * k2 * k2)).scale(2), order)
+    m1 = _shifted_m(Monomial.q(dd * M * (a - M)), base, zp,
+                    Monomial.zeta(a // 2, 2, -dd * k1 * k1), order)
+    m2 = _shifted_m(Monomial.q(dd * M * (a - 1)), base, zpp,
+                    Monomial.zeta(k2, 2, -dd * k2 * k2), order)
     p1 = psi(k1, M, Monomial.q(dd), Monomial.minus_one(), zp, 2 * dd, order).scale(2)
     p2 = psi(k2, M, Monomial.q(dd), Monomial.minus_one(), zpp, 2 * dd, order).scale(2)
     return m1 + m2 - p1 + p2 + _lambda_sum(d, a, M, z0, order)
@@ -349,12 +352,10 @@ def _pair_odd_odd(d, a, M, zp, zpp, z0, order) -> QSeries:
     k1 = (M - a) // 2
     k2 = (2 * M + 1 - a) // 2
     base = 2 * dd * M * M
-    m1 = computed_to(
-        lambda o: appell_m(Monomial.q(dd * M * a), base, zp, o)
-        .shift(Monomial.zeta(k1 + 1, 2, -dd * k1 * k1)).scale(2), order)
-    m2 = computed_to(
-        lambda o: appell_m(Monomial.q(dd * M * (a - M - 1)), base, zpp, o)
-        .shift(Monomial.zeta((a + 1) // 2, 2, -dd * k2 * k2)).scale(2), order)
+    m1 = _shifted_m(Monomial.q(dd * M * a), base, zp,
+                    Monomial.zeta(k1 + 1, 2, -dd * k1 * k1), order)
+    m2 = _shifted_m(Monomial.q(dd * M * (a - M - 1)), base, zpp,
+                    Monomial.zeta((a + 1) // 2, 2, -dd * k2 * k2), order)
     p1 = psi(k1, M, Monomial.q(dd), Monomial.minus_one(), zp, 2 * dd, order).scale(2)
     p2 = psi(k2, M, Monomial.q(dd), Monomial.minus_one(), zpp, 2 * dd, order).scale(2)
     return _chi(a == M) + m1 + m2 - p1 + p2 + _lambda_sum(d, a, M, z0, order)
@@ -367,24 +368,18 @@ def _pair_even_d(d, a, M, zp, zpp, z0, order) -> QSeries:
     base = F(dd * M * M, 2)
     x_inner = Monomial.zeta(1 + (d * M) // 2, 2)
     x_psi = Monomial.zeta(h + 1, 2, F(dd, 4))
-    m1 = computed_to(
-        lambda o: appell_m(x_inner * Monomial.q(F(dd, 4) * (M * M - 2 * M * a)),
-                           base, zp, o)
-        .shift(Monomial.zeta((d * a) // 2, 2, -F(dd * a * a, 4))).scale(2), order)
-    m2 = computed_to(
-        lambda o: appell_m(x_inner * Monomial.q(F(dd, 4) * (M * M - 2 * M * (a - 1))),
-                           base, zpp, o)
-        .shift(Monomial.zeta(h * (a - 1) + 1, 2, -F(dd, 4) * (a - 1) ** 2)).scale(2),
-        order)
+    m1 = _shifted_m(x_inner * Monomial.q(F(dd, 4) * (M * M - 2 * M * a)), base, zp,
+                    Monomial.zeta((d * a) // 2, 2, -F(dd * a * a, 4)), order)
+    m2 = _shifted_m(x_inner * Monomial.q(F(dd, 4) * (M * M - 2 * M * (a - 1))), base, zpp,
+                    Monomial.zeta(h * (a - 1) + 1, 2, -F(dd, 4) * (a - 1) ** 2), order)
     p1 = psi(a, M, x_psi, Monomial.minus_one(), zp, F(dd, 2), order).scale(2)
     p2 = psi(a - 1, M, x_psi, Monomial.minus_one(), zpp, F(dd, 2), order).scale(2)
     tail = QSeries.zero(order)
     for j in range(1, M):
         weight = root_of_unity(j - a * j, M) * (1 - root_of_unity(j, M))
-        term = computed_to(
-            lambda o, j=j: psi(0, h, Monomial.zeta(2 * j, M * d) * Monomial.q(1 - d),
-                               Monomial.q(1), Monomial.minus_one(), 2, o)
-            .shift(Monomial.zeta(h, 2, -F(dd, 4))), order)
+        term = shifted(lambda o, j=j: psi(0, h, Monomial.zeta(2 * j, M * d) * Monomial.q(1 - d),
+                                          Monomial.q(1), Monomial.minus_one(), 2, o),
+                       Monomial.zeta(h, 2, -F(dd, 4)), order)
         tail = tail + term.scale(weight)
     tail = tail.scale(F(2, M))
     return _chi(a == 1) + m1 + m2 + p1 - p2 + tail

@@ -523,6 +523,8 @@ class QSeries:
 
     def dissect(self, parts: int) -> list["QSeries"]:
         """Split into residue classes: self = sum_k q^k F_k(q^parts)."""
+        if parts < 1:
+            raise ValueError("a dissection needs at least one part, got %d" % parts)
         s = self.normalize_denominator()
         if s.den != 1:
             raise FractionalExponents("dissection requires integral exponents")
@@ -622,12 +624,15 @@ class QSeries:
 
 
 def computed_to(builder, order, tries: int = 8) -> QSeries:
-    """Run a series builder until its result is valid below `order`.
+    """Run a series builder and return its result truncated at `order`.
 
-    Builders take a target order and propagate truncation honestly, but
-    negative-exponent prefactors inside a formula can leave the final result
-    known to less than was asked.  Recomputing with the shortfall added
-    converges because every constructor's precision loss is a fixed shift.
+    Builders plan their own precision loss: a factor q^{-k} costs k, and a
+    product with theta blocks of negative valuation costs what
+    `qrank.theta.product_loss` computes from the valuations, so each builder
+    asks its inputs for that much more and its first result is valid below
+    `order`.  This is the guard that keeps a wrong plan from over-claiming:
+    a result known to less than `order` is rebuilt with the shortfall added,
+    which converges because every constructor's loss is a fixed shift.
     """
     target = Fraction(order)
     arg = target
@@ -637,6 +642,17 @@ def computed_to(builder, order, tries: int = 8) -> QSeries:
             return s.truncate(target)
         arg = arg + (target - s.order)
     raise RuntimeError("could not reach order %s after %d attempts" % (order, tries))
+
+
+def shift_loss(m: Monomial) -> Fraction:
+    """How much order a product with the monomial m loses: max(0, -exp(m))."""
+    return max(Fraction(0), -m.q_exp)
+
+
+def shifted(builder, m: Monomial, order) -> QSeries:
+    """m * builder(.), valid below `order`: the builder is asked for
+    `shift_loss(m)` more than `order`."""
+    return computed_to(lambda o: builder(o + shift_loss(m)).shift(m), order)
 
 
 def _packed_product(field: CyclotomicField, a: Sequence[Raw], b: Sequence[Raw],
@@ -713,6 +729,8 @@ def eta_J(m, order) -> QSeries:
     prec = int(order * den)
     step0 = int(m * den)
     field = get_field(1)
+    if prec <= 0:
+        return QSeries(field, den, 0, (), prec, _normalized=True)
     coeffs = [1] + [0] * max(prec - 1, 0)
     k = 1
     while k * step0 < prec:
@@ -731,9 +749,11 @@ def eta_quotient(spec: dict[int, int], order) -> QSeries:
     Every J_m has valuation 0 and leading coefficient 1, so all factors can be
     expanded at the target order directly.
     """
-    out = QSeries.one(Fraction(order))
+    if order <= 0:
+        return QSeries.zero(order)
+    out = None
     for m, e in sorted(spec.items()):
         J = eta_J(Fraction(m), Fraction(order))
-        factor = J if e > 0 else J.invert()
-        out = out * factor ** abs(e)
-    return out
+        factor = (J if e > 0 else J.invert()) ** abs(e)
+        out = factor if out is None else out * factor
+    return QSeries.one(Fraction(order)) if out is None else out

@@ -14,12 +14,13 @@ catalog's two-route entry.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 from .cyclotomic import get_field
 from .reports import IdentityReport, compare_series
-from .series import Monomial, QSeries, computed_to
+from .series import Monomial, QSeries, computed_to, eta_quotient, shifted
 
 
 def _base_exp(base) -> Fraction:
@@ -63,6 +64,61 @@ def bilateral(lowest, order):
             elif nxt >= low:
                 break
             n, low = n + step, nxt
+
+
+def theta_valuation(z: Monomial, base) -> Fraction:
+    """The lowest exponent of j(z;q^p), min_n p C(n,2) + n exp(z).
+
+    The quadratic is least at the integers next to 1/2 - exp(z)/p.  Two
+    terms tie there only when exp(z) is a multiple of p, and they cancel
+    only when j(z;q^p) vanishes identically, so this is the valuation of
+    every theta block that can be inverted.  It is 0 for 0 <= exp(z) <= p
+    and negative outside, never positive.
+    """
+    p = _base_exp(base)
+    e = z.q_exp
+    n = math.floor(Fraction(1, 2) - e / p)
+    return min(p * binom2(n) + n * e, p * binom2(n + 1) + (n + 1) * e)
+
+
+def product_loss(factors, shift: Monomial | None = None) -> Fraction:
+    """How much further than a target order to expand every factor of
+    m prod_i f_i^{e_i}, so that the product is valid below the target.
+    `factors` holds (valuation of f_i, e_i) and m is the monomial `shift`.
+
+    A product or an inverse keeps the least relative precision (order minus
+    valuation) of its inputs, so factors known below O give a product known
+    below exp(m) + sum_i e_i v_i + O - max_i v_i.  Theta blocks have
+    valuation <= 0, so the loss comes from the shift and from factors of
+    negative valuation next to higher ones: J_1 j(x;q) with exp(x) = -1
+    loses 1, J_1 / j(x;q) gains 1.  The plan never asks for less than the
+    target.
+    """
+    factors = list(factors)
+    reach = sum(e * v for v, e in factors) - max(v for v, _ in factors)
+    if shift is not None:
+        reach += shift.q_exp
+    return max(Fraction(0), -reach)
+
+
+def theta_product(thetas, order, eta: dict | None = None,
+                  shift: Monomial | None = None) -> QSeries:
+    """shift * eta_quotient(eta) * prod j(z; q^p)^e over the (z, p, e) of
+    `thetas` (e = 1 or -1), with every factor expanded `product_loss` beyond
+    `order`, so that the first build is valid below `order`."""
+    factors = [(theta_valuation(z, p), e) for z, p, e in thetas]
+    if eta is not None:
+        factors.append((0, 1))
+    loss = product_loss(factors, shift)
+
+    def build(o):
+        o += loss
+        out = None if eta is None else eta_quotient(eta, o)
+        for z, p, e in thetas:
+            f = theta_j(z, p, o) if e > 0 else theta_j(z, p, o).invert()
+            out = f if out is None else out * f
+        return out if shift is None else out.shift(shift)
+    return computed_to(build, order)
 
 
 @lru_cache(maxsize=None)
@@ -139,7 +195,7 @@ def theta_shift_check(x: Monomial, n: int, base, order) -> IdentityReport:
     inst = {"x": x, "n": n, "base": Fraction(p)}
     shift_mono = Monomial.zeta(n, 2, -p * Fraction(binom2(n))) * x ** (-n)
     lhs1 = theta_j(x * Monomial.q(n * p), p, order)
-    rhs1 = computed_to(lambda o: theta_j(x, p, o).shift(shift_mono), order)
+    rhs1 = shifted(lambda o: theta_j(x, p, o), shift_mono, order)
     rep = compare_series("theta-base-shift", lhs1, rhs1, order, inst)
     if not rep.passed:
         return rep
@@ -148,5 +204,5 @@ def theta_shift_check(x: Monomial, n: int, base, order) -> IdentityReport:
     rep = compare_series("theta-base-shift", lhs2, rhs2a, order, inst)
     if not rep.passed:
         return rep
-    rhs2b = computed_to(lambda o: -theta_j(x.inverse(), p, o).shift(x), order)
+    rhs2b = -shifted(lambda o: theta_j(x.inverse(), p, o), x, order)
     return compare_series("theta-base-shift", lhs2, rhs2b, order, inst)

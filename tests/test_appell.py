@@ -213,3 +213,26 @@ def test_psi_boundary_k_values():
     for k in (3, -1):
         s = psi(k, 3, Q(9), minus, minus, 18, 24)
         assert s.order >= 24
+
+
+@pytest.mark.parametrize("k, n, x, z, zp, p", [
+    (1, 2, Z(1, 5, 1), Z(1, 7), Z(2, 7), 1),         # appell-root-average
+    (2, 3, Z(1, 11, 2), Z(1, 5), Z(1, 7), 1),
+    (2, 3, Q(9), Z(1, 2), Z(1, 2), 18),              # psi-difference
+    (0, 2, Z(2, 3) * Q(-1), Q(1), Z(1, 2), 2),       # pair-even-d tail, d = 2
+    (1, 3, Q(1), Z(1, 2), Z(2, 11, F(1, 2)), 2),     # odd-odd pair, shifted z'
+    (0, 1, Z(3, 7, -2), Z(1, 5, 3), Z(1, 9), 2),
+])
+def test_psi_plan_is_exact(monkeypatch, k, n, x, z, zp, p):
+    # built with no plan, Psi falls short of the target or not; with the
+    # plan it is valid below the target, and exactly there when it fell short
+    import qrank.appell as appell
+
+    order = F(10)
+    planned = appell._psi_once.__wrapped__(k, n, x, z, zp, F(p), order)
+    monkeypatch.setattr(appell, "_psi_loss", lambda *args: F(0))
+    unplanned = appell._psi_once.__wrapped__(k, n, x, z, zp, F(p), order)
+    if unplanned.order < order:
+        assert planned.order == order
+    else:
+        assert planned.order == unplanned.order

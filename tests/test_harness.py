@@ -185,6 +185,36 @@ def test_cli_verify(capsys, tmp_path):
     assert jpath.exists()
 
 
+def test_cli_expand_at_order_zero(capsys):
+    assert main(["expand", "--series", "pbar", "--order", "0"]) == 0
+    assert capsys.readouterr().out == "# order 0  D=1  L=1\n0\n"
+
+
+@pytest.fixture
+def no_worker_processes(monkeypatch):
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker process was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+
+
+@pytest.mark.parametrize("argv", [
+    ["deviation", "--d", "1", "--a", "0", "--M", "0"],
+    ["deviation", "--d", "1", "--a", "0", "--M", "-3"],
+    ["dissect", "--series", "pbar", "--parts", "0"],
+    ["dissect", "--series", "pbar", "--parts", "-2"],
+    ["verify", "--filter", "root-power-sums", "--jobs", "0"],
+    ["verify", "--filter", "root-power-sums", "--jobs", "-4"],
+])
+def test_cli_rejects_bad_arguments(no_worker_processes, capsys, argv):
+    assert main(argv + ["--order", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
 def test_cli_tables(capsys, tmp_path):
     path = tmp_path / "t.csv"
     assert main(["tables", "--d", "1", "--maxN", "4", "--csv", str(path)]) == 0

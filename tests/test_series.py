@@ -156,6 +156,15 @@ def test_eta_J_beyond_order_is_one():
     assert eta_J(9, 5).agrees_with(QSeries.one(), 5)
 
 
+@pytest.mark.parametrize("order", [0, -2])
+def test_eta_products_at_order_at_most_zero_are_zero(order):
+    # like theta_j and QSeries.zero: 0 + O(q^order), nothing stored
+    for s in (eta_J(1, order), eta_J(F(1, 2), order),
+              eta_quotient({2: 1, 1: -2}, order)):
+        assert s.is_zero() and s.order == order
+        assert str(s) == "0 + O(q^%d)" % order
+
+
 def test_eta_quotient_overpartitions():
     # J_2 / J_1^2 generates overpartition counts; 14 overpartitions of 4
     pbar = eta_quotient({2: 1, 1: -2}, 10)
@@ -173,6 +182,12 @@ def test_dissect_roundtrip():
     for k, c in enumerate(comps):
         rebuilt = rebuilt + c.substitute_q_power(3).shift(Monomial.q(k))
     assert rebuilt.agrees_with(J, 15)
+
+
+@pytest.mark.parametrize("parts", [0, -2])
+def test_dissect_rejects_fewer_than_one_part(parts):
+    with pytest.raises(ValueError):
+        eta_J(1, 6).dissect(parts)
 
 
 def test_dissect_fractional_raises():

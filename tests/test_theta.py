@@ -6,10 +6,12 @@ from qrank.series import Monomial, eta_quotient
 from qrank.theta import (
     bilateral,
     is_theta_zero_pattern,
+    product_loss,
     theta_j,
     theta_j2,
     theta_shift_check,
     theta_triple_product,
+    theta_valuation,
 )
 
 F = Fraction
@@ -112,3 +114,33 @@ def test_bilateral_visits_exactly():
         expected = [n for n in range(-400, 401) if lowest(n) < order]
         assert sorted(n for n, _ in pairs) == expected, (a, b, c, l, m, order)
         assert all(low == lowest(n) for n, low in pairs)
+
+
+def test_theta_valuation_matches_expansion():
+    rng = random.Random(11)
+    for _ in range(300):
+        p = F(rng.randint(1, 12), rng.choice([1, 2, 3]))
+        z = Z(rng.randint(1, 6), 7, F(rng.randint(-60, 60), rng.choice([1, 2, 5])))
+        v = theta_valuation(z, p)
+        assert theta_j(z, p, v + 2).valuation == v, (z, p)
+    assert theta_valuation(Z(1, 5, 3), 4) == 0     # 0 <= exp(z) < p
+    assert theta_valuation(Z(1, 5, 4), 4) == 0     # n = 0 and n = -1 tie
+    assert theta_valuation(Z(1, 5, -1), 4) == -1
+
+
+def test_product_loss_is_the_shortfall():
+    # j(z1) j(z2) / j(z3) q^s built at target + loss is valid exactly below target
+    rng = random.Random(5)
+    for _ in range(60):
+        p = rng.randint(1, 4)
+        zs = [Z(rng.randint(1, 6), 7, rng.randint(-6, 9)) for _ in range(3)]
+        shift = Q(rng.randint(-5, 5))
+        factors = [(theta_valuation(zs[0], p), 1), (theta_valuation(zs[1], p), 1),
+                   (theta_valuation(zs[2], p), -1)]
+        target = 12
+        loss = product_loss(factors, shift)
+        o = target + loss
+        s = (theta_j(zs[0], p, o) * theta_j(zs[1], p, o)
+             * theta_j(zs[2], p, o).invert()).shift(shift)
+        assert s.order >= target
+        assert loss == 0 or s.order == target, (zs, p, shift)
