@@ -2,10 +2,16 @@
 plus the direct expansions of the rank generating function O_d(z;q).
 
 Every free parameter is a Monomial (root of unity times a rational power of
-q), which makes each divisor 1/(1 - u) decidable: expand geometrically for
-positive exponent, flip u -> 1/u for negative exponent, and use the constant
-1/(1 - c) when the exponent vanishes; c = 1 there is a pole and raises
-NonGenericParameter.
+q), which makes each divisor 1/(1 - u) decidable.  `_geometric` turns
+w zeta_L^k q^e / (1 - u) into (weight, zeta-index, exponent) terms, which
+`qrank.series.root_sum` adds up over the integers, in three cases:
+- exp(u) > 0: the geometric series sum_{j>=0} u^j, each step adding exp(u)
+  to the exponent and the zeta-index of u to the index;
+- exp(u) < 0: the flip 1/(1 - u) = -u^{-1}/(1 - u^{-1}), the same steps
+  with 1/u from j = 1 on and the sign changed;
+- exp(u) = 0: u is a root of unity c; of order N > 1 it gives the constant
+  1/(1 - c) = -(1/N) sum_{j<N} j c^j, and c = 1 is a pole that raises
+  NonGenericParameter.
 
 The two-sided sums, m(x,q,z) and the Lerch sums behind O_d(z;q), run through
 `qrank.theta.bilateral`.  The lowest exponent a term reaches, a quadratic in
@@ -16,13 +22,14 @@ order.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import Raw, get_field, root_of_unity
+from .cyclotomic import root_of_unity
 from .errors import NonGenericParameter
 from .reports import IdentityReport, compare_series
-from .series import (Monomial, QSeries, _lcm, computed_to, eta_J, eta_quotient,
+from .series import (Monomial, QSeries, computed_to, eta_J, eta_quotient, root_sum,
                      shift_loss, shifted)
 from .theta import (bilateral, binom2, is_theta_zero_pattern, product_loss, theta_j,
                     theta_valuation)
@@ -30,53 +37,26 @@ from .theta import (bilateral, binom2, is_theta_zero_pattern, product_loss, thet
 F = Fraction
 
 
-def _field_for(*monomials: Monomial):
-    L = 1
-    for m in monomials:
-        L = _lcm(L, m.zeta_den)
-    return get_field(L)
-
-
-def _add_term(acc: dict, e: Fraction, c: Raw, field) -> None:
-    if e in acc:
-        acc[e] = field.add(acc[e], c)
-    else:
-        acc[e] = c
-
-
-def _accumulate_geometric(acc: dict, field, coeff: Raw, exp: Fraction,
-                          u: Monomial, order: Fraction) -> None:
-    """Add coeff * q^exp * (1/(1-u)) into the term accumulator, truncating
-    everything at `order`."""
-    e = u.q_exp
+def _geometric(w, k: int, exp: Fraction, u: Monomial, L: int, order: Fraction):
+    """Yield the (weight, zeta_L-index, exponent) terms of
+    w zeta_L^k q^exp / (1 - u) below `order`, for `root_sum`."""
+    e, ku = u.q_exp, u.zeta_num * (L // u.zeta_den)
     if e == 0:
         if u.coeff_is_one:
             raise NonGenericParameter("divisor 1 - %s vanishes" % u)
-        const = field.inv(field.sub(field.one, u.coeff_raw(field)))
+        # u = c of order N > 1: 1/(1 - c) = -(1/N) sum_{j<N} j c^j
+        N = u.zeta_den
         if exp < order:
-            _add_term(acc, exp, field.mul(coeff, const), field)
+            for j in range(1, N):
+                yield w * F(-j, N), k + j * ku, exp
         return
-    if e > 0:
-        step_mono = u
-        cur = coeff
-        k = 0
-        while exp + k * e < order:
-            _add_term(acc, exp + k * e, cur, field)
-            cur = field.mul(cur, step_mono.coeff_raw(field))
-            k += 1
-    else:
-        # 1/(1-u) = -u^{-1}/(1 - u^{-1})
-        ui = u.inverse()
-        cur = field.neg(field.mul(coeff, ui.coeff_raw(field)))
-        k = 1
-        while exp + k * (-e) < order:
-            _add_term(acc, exp + k * (-e), cur, field)
-            cur = field.mul(cur, ui.coeff_raw(field))
-            k += 1
-
-
-def _geom_min_exp(u: Monomial) -> Fraction:
-    return -u.q_exp if u.q_exp < 0 else F(0)
+    if e < 0:
+        # 1/(1 - u) = -u^{-1}/(1 - u^{-1}), starting at u^{-1}
+        w, e, ku = -w, -e, -ku
+        k, exp = k + ku, exp + e
+    while exp < order:
+        yield w, k, exp
+        k, exp = k + ku, exp + e
 
 
 # ---------------------------------------------------------------------------
@@ -99,23 +79,19 @@ def _appell_m_once(x: Monomial, p: Fraction, z: Monomial, order: Fraction) -> QS
     xz = x * z
     if is_theta_zero_pattern(xz, p):
         raise NonGenericParameter("xz = %s is an integral power of the base" % xz)
-    field = _field_for(x, z)
-    acc: dict[Fraction, Raw] = {}
+    L = math.lcm(x.zeta_den, z.zeta_den)
     e_z = z.q_exp
 
     def mono_exp(r: int) -> Fraction:
         return p * binom2(r) + r * e_z
 
     def lowest(r: int) -> Fraction:
-        return mono_exp(r) + _geom_min_exp(Monomial.q(p * (r - 1)) * xz)
+        return mono_exp(r) + shift_loss(Monomial.q(p * (r - 1)) * xz)
 
-    for r, _ in bilateral(lowest, order):
-        coeff = field.zeta_pow(z.zeta_num * r * (field.L // z.zeta_den))
-        if r % 2:
-            coeff = field.neg(coeff)
-        _accumulate_geometric(acc, field, coeff, mono_exp(r),
-                              Monomial.q(p * (r - 1)) * xz, order)
-    series = QSeries.from_terms(acc, field, order)
+    series = root_sum((t for r, _ in bilateral(lowest, order)
+                       for t in _geometric(-1 if r % 2 else 1, z.zeta_num * r * (L // z.zeta_den),
+                                           mono_exp(r), Monomial.q(p * (r - 1)) * xz, L, order)),
+                      L, order)
     jz = theta_j(z, p, order)
     return series * jz.invert()
 
@@ -263,17 +239,13 @@ def _lerch_sum(k: int, x: Monomial, order: Fraction) -> QSeries:
 
     Callers rule out the poles x q^{kn} = 1 first, each with its own message.
     """
-    field = _field_for(x)
-    acc: dict[Fraction, Raw] = {}
-
     def lowest(n: int) -> Fraction:
-        return F(n * n + k * n) + _geom_min_exp(x * Monomial.q(k * n))
+        return F(n * n + k * n) + shift_loss(x * Monomial.q(k * n))
 
-    for n, _ in bilateral(lowest, order):
-        coeff = field.one if n % 2 == 0 else field.neg(field.one)
-        _accumulate_geometric(acc, field, coeff, F(n * n + k * n),
-                              x * Monomial.q(k * n), order)
-    return QSeries.from_terms(acc, field, order)
+    return root_sum((t for n, _ in bilateral(lowest, order)
+                     for t in _geometric(-1 if n % 2 else 1, 0, F(n * n + k * n),
+                                         x * Monomial.q(k * n), x.zeta_den, order)),
+                    x.zeta_den, order)
 
 
 def o_d_direct(d: int, z: Monomial, order) -> QSeries:
@@ -316,29 +288,15 @@ def o_d_original(d: int, z: Monomial, order) -> QSeries:
 def _o_d_original_once(d: int, z: Monomial, order: Fraction) -> QSeries:
     if z.coeff_is_one and z.q_exp == 0:
         raise NonGenericParameter("z = 1 is excluded")
-    field = _field_for(z)
-    # (1 - z)(1 - 1/z): one constant coefficient when z is a root of unity
-    if z.q_exp == 0:
-        zc = z.coeff_raw(field)
-        scalar = field.mul(field.sub(field.one, zc),
-                           field.sub(field.one, field.inv(zc)))
-        poly = QSeries(field, 1, 0, (scalar,), None, _normalized=True)
-    else:
-        poly = (QSeries.one() - QSeries.from_monomial(z)) * \
-            (QSeries.one() - QSeries.from_monomial(z.inverse()))
+    poly = (QSeries.one() - QSeries.from_monomial(z)) * \
+        (QSeries.one() - QSeries.from_monomial(z.inverse()))
+    L = z.zeta_den
     total = QSeries.one(order)
     n = 1
     while F(n * n + d * n) < order:
-        acc_a: dict[Fraction, Raw] = {}
-        acc_b: dict[Fraction, Raw] = {}
-        base_exp = F(n * n + d * n)
-        coeff = field.one if n % 2 == 0 else field.neg(field.one)
-        _accumulate_geometric(acc_a, field, coeff, base_exp,
-                              z * Monomial.q(d * n), order)
-        _accumulate_geometric(acc_b, field, field.one, F(0),
-                              z.inverse() * Monomial.q(d * n), order)
-        term = QSeries.from_terms(acc_a, field, order) * \
-            QSeries.from_terms(acc_b, field, order)
+        a = _geometric(-1 if n % 2 else 1, 0, F(n * n + d * n), z * Monomial.q(d * n), L, order)
+        b = _geometric(1, 0, F(0), z.inverse() * Monomial.q(d * n), L, order)
+        term = root_sum(a, L, order) * root_sum(b, L, order)
         total = total + term.scale(2) * poly
         n += 1
     return total * eta_quotient({2: 1, 1: -2}, order)

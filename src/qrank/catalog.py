@@ -29,7 +29,7 @@ from .appell import (
     psi,
     s_bar_d,
 )
-from .cyclotomic import Cyclotomic, get_field, root_of_unity
+from .cyclotomic import Cyclotomic, root_of_unity
 from .errors import NonGenericParameter, UnknownName
 from .overpartitions import (
     deviation_by_definition,
@@ -40,7 +40,7 @@ from .overpartitions import (
     single_deviation,
 )
 from .reports import NON_GENERIC, PASS, IdentityReport, compare_series
-from .series import Monomial, QSeries, computed_to, eta_J, eta_quotient, shifted
+from .series import Monomial, QSeries, computed_to, eta_J, eta_quotient, root_sum, shifted
 from .theta import binom2, theta_j, theta_product, theta_shift_check, theta_triple_product
 
 F = Fraction
@@ -423,17 +423,11 @@ def _rank_series_entries() -> list[CatalogEntry]:
          for d in (1, 2) for z in (Z(1, 5), Z(2, 7))]))
 
     def enum_series(d, z, o):
-        # sum of N(m, n) z^m q^n for a root of unity z: the counts of each n
-        # go into one vector over the powers of zeta_L, reduced mod Phi_L once
+        # sum of N(m, n) z^m q^n for a root of unity z
         counts = enumeration_rank_counts(d, int(o) - 1)
         L = math.lcm(*{(z ** m).zeta_den for m, _ in counts})
-        field = get_field(L)
-        vecs: dict[int, list[int]] = {}
-        for (m, n), c in counts.items():
-            vec = vecs.setdefault(n, [0] * L)
-            vec[z.zeta_num * m * L // z.zeta_den % L] += c
-        terms = {F(n): (1, tuple(field.reduce_vec(vec))) for n, vec in vecs.items()}
-        return QSeries.from_terms(terms, field, o)
+        return root_sum(((c, z.zeta_num * m * L // z.zeta_den, n)
+                         for (m, n), c in counts.items()), L, o)
 
     for d in (1, 2):
         stat = "rank" if d == 1 else "M2-rank"

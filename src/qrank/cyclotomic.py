@@ -27,72 +27,60 @@ from array import array
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 from .errors import InverseOfZero
 
 Raw = tuple[int, tuple[int, ...]]  # (denominator, numerator vector)
 
 
+def _primes(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] if n > 1 else out
+
+
 def totient(n: int) -> int:
     if n < 1:
         raise ValueError("totient defined for n >= 1")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _poly_divmod_exact(a: list[int], b: list[int]) -> list[int]:
-    # exact division of integer polynomials, b monic up to +-1 leading coeff
-    a = list(a)
-    lead = b[-1]
-    out = [0] * (len(a) - len(b) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        c = a[k + len(b) - 1]
-        if c % lead != 0:
-            raise ArithmeticError("division not exact")
-        q = c // lead
-        out[k] = q
-        if q:
-            for i, bi in enumerate(b):
-                a[k + i] -= q * bi
-    if any(a):
-        raise ArithmeticError("division not exact")
-    return out
+    for p in _primes(n):
+        n -= n // p
+    return n
 
 
 @lru_cache(maxsize=None)
 def cyclo_polynomial(L: int) -> tuple[int, ...]:
-    """Coefficients of Phi_L (constant term first), by exact division of
-    x^L - 1 by the product of Phi_d over proper divisors d of L."""
+    """Coefficients of Phi_L (constant term first), from the Moebius product
+    Phi_L = prod_{d | L} (x^d - 1)^mu(L/d) over d = L/s, s a squarefree
+    divisor of L.  Multiplying by x^d - 1 is a shift and subtract; the
+    divisions come last, each exact, as the running recurrence
+    q_i = q_(i-d) - p_i of p = q (x^d - 1)."""
     if L < 1:
         raise ValueError("L must be positive")
-    if L == 1:
-        return (-1, 1)
-    num = [-1] + [0] * (L - 1) + [1]  # x^L - 1
-    den = [1]
-    for d in range(1, L):
-        if L % d == 0:
-            den = _poly_mul(den, list(cyclo_polynomial(d)))
-    return tuple(_poly_divmod_exact(num, den))
+    primes = _primes(L)
+    poly, divisors = [1], []
+    for r in range(len(primes) + 1):
+        for s in combinations(primes, r):
+            d = L // math.prod(s)
+            if r % 2:
+                divisors.append(d)
+            else:
+                up = [0] * d + poly
+                for i, c in enumerate(poly):
+                    up[i] -= c
+                poly = up
+    for d in divisors:
+        q = [0] * (len(poly) - d)
+        for i in range(len(q)):
+            q[i] = (q[i - d] if i >= d else 0) - poly[i]
+        poly = q
+    return tuple(poly)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +266,7 @@ class CyclotomicField:
             if da == 1:
                 return (1, tuple(x + y for x, y in zip(va, vb)))
             return self.normalize(da, [x + y for x, y in zip(va, vb)])
-        l = da * db // math.gcd(da, db)
+        l = math.lcm(da, db)
         fa = l // da
         fb = l // db
         return self.normalize(l, [x * fa + y * fb for x, y in zip(va, vb)])
@@ -420,8 +408,7 @@ class Cyclotomic:
         fa, fb = self.field, other.field
         if fa.L == fb.L:
             return fa, self.raw, other.raw
-        L = fa.L * fb.L // math.gcd(fa.L, fb.L)
-        f = get_field(L)
+        f = get_field(math.lcm(fa.L, fb.L))
         return f, f.embed_from(fa, self.raw), f.embed_from(fb, other.raw)
 
     def embed(self, L: int) -> "Cyclotomic":

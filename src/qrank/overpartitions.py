@@ -23,9 +23,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .appell import appell_m, lam, o_d_at_minus_one, o_d_direct, psi, s_bar_bracket
-from .cyclotomic import get_field, root_of_unity
+from .cyclotomic import root_of_unity
 from .errors import FractionalExponents, NonGenericParameter, UnsupportedCase
-from .series import Monomial, QSeries, eta_quotient, shifted
+from .series import Monomial, QSeries, eta_quotient, root_sum, shifted
 
 F = Fraction
 
@@ -256,13 +256,8 @@ def deviation_by_definition(d: int, a: int, M: int, order) -> QSeries:
     order = F(order)
     max_n = math.ceil(order) - 1
     tables = rank_tables(d, max_n)
-    field = get_field(1)
-    terms = {}
-    for n in range(max_n + 1):
-        c = F(tables.residue_count(a, M, n)) - F(tables.column_sum(n), M)
-        if c:
-            terms[F(n)] = field.from_fraction(c)
-    return QSeries.from_terms(terms, field, order)
+    return root_sum(((F(tables.residue_count(a, M, n)) - F(tables.column_sum(n), M), 0, n)
+                     for n in range(max_n + 1)), 1, order)
 
 
 def pair_by_definition(d: int, a: int, M: int, order) -> QSeries:
@@ -453,6 +448,8 @@ def single_deviation(d: int, a: int, M: int, order,
     reads neither z' nor z0.
     """
     order = _integral_order(order)
+    if M < 2 or d < 1:
+        raise UnsupportedCase("need M >= 2 and d >= 1")
     if zp is None or z0 is None:
         g1, _, g3 = default_generics(M, d)
         zp = zp or g1

@@ -13,7 +13,9 @@ denominator and laid out flat, q-coefficient i at offset i (2 phi - 1), so
 it costs one ``convolve_int`` call and one reduction mod Phi_L per output
 coefficient.  Inverses use Newton iteration, g <- g + g (1 - u g), which
 doubles the number of correct terms per step and runs every product through
-the same packed path.
+the same packed path.  ``root_sum`` builds a sum of signed roots of unity
+times powers of q (theta and Appell-Lerch sums) over the integers, with one
+reduction mod Phi_L per exponent.
 
 A ``Monomial`` is a symbolic value zeta_N^k * q^e with rational e.  It is the
 only admissible shape for the z/x/z' parameters of the theta and Appell-Lerch
@@ -32,10 +34,6 @@ from functools import lru_cache
 from .cyclotomic import (Cyclotomic, CyclotomicField, Raw, convolve_int, get_field,
                          root_of_unity)
 from .errors import FractionalExponents, NonGenericParameter
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +84,7 @@ class Monomial:
     # -- algebra -------------------------------------------------------------
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        den = _lcm(self.zeta_den, other.zeta_den)
+        den = math.lcm(self.zeta_den, other.zeta_den)
         num = self.zeta_num * (den // self.zeta_den) + other.zeta_num * (den // other.zeta_den)
         return Monomial(num, den, self.q_exp + other.q_exp)
 
@@ -179,7 +177,7 @@ class QSeries:
     def zero(order: Fraction | int | None = None, den: int = 1,
              L: int = 1) -> "QSeries":
         if order is not None:
-            den = _lcm(den, Fraction(order).denominator)
+            den = math.lcm(den, Fraction(order).denominator)
         prec = None if order is None else _scale_exp(Fraction(order), den)
         return QSeries(get_field(L), den, 0, (), prec, _normalized=True)
 
@@ -194,7 +192,7 @@ class QSeries:
         if order is not None:
             order = Fraction(order)
             den, prec = order.denominator, order.numerator
-        if field.is_zero(raw):
+        if field.is_zero(raw) or (prec is not None and prec <= 0):
             return QSeries(field, den, 0, (), prec, _normalized=True)
         return QSeries(field, den, 0, (raw,), prec, _normalized=True)
 
@@ -209,25 +207,6 @@ class QSeries:
         val = int(m.q_exp * den)
         prec = None if order is None else _scale_exp(Fraction(order), den)
         return QSeries(field, den, val, (m.coeff_raw(field),), prec)
-
-    @staticmethod
-    def from_terms(terms: dict[Fraction, Raw], field: CyclotomicField,
-                   order: Fraction | int) -> "QSeries":
-        """Build from an exponent -> raw coefficient map, truncating at order."""
-        order = Fraction(order)
-        den = order.denominator
-        for e in terms:
-            den = _lcm(den, Fraction(e).denominator)
-        prec = _scale_exp(order, den)
-        live = {e: c for e, c in terms.items() if Fraction(e) < order}
-        if not live:
-            return QSeries(field, den, 0, (), prec, _normalized=True)
-        scaled = sorted((int(Fraction(e) * den), c) for e, c in live.items())
-        val = scaled[0][0]
-        vec: list[Raw] = [field.zero] * (scaled[-1][0] - val + 1)
-        for k, c in scaled:
-            vec[k - val] = c
-        return QSeries(field, den, val, tuple(vec), prec)
 
     # -- basic queries ------------------------------------------------------
 
@@ -287,8 +266,8 @@ class QSeries:
         return QSeries(field, den, val, coeffs, prec, _normalized=True)
 
     def _common(self, other: "QSeries") -> tuple["QSeries", "QSeries"]:
-        L = _lcm(self.field.L, other.field.L)
-        den = _lcm(self.den, other.den)
+        L = math.lcm(self.field.L, other.field.L)
+        den = math.lcm(self.den, other.den)
         field = get_field(L)
         return self._with(field, den), other._with(field, den)
 
@@ -384,7 +363,7 @@ class QSeries:
                            tuple(f.scale(x, fr) for x in self.coeffs),
                            self.prec, _normalized=True)
         if isinstance(c, Cyclotomic):
-            L = _lcm(self.field.L, c.field.L)
+            L = math.lcm(self.field.L, c.field.L)
             field = get_field(L)
             s = self._with(field, self.den)
             raw = field.embed_from(c.field, c.raw)
@@ -396,8 +375,8 @@ class QSeries:
 
     def shift(self, m: Monomial) -> "QSeries":
         """Multiply by a monomial: scale coefficients, shift all exponents."""
-        den = _lcm(self.den, m.q_exp.denominator)
-        L = _lcm(self.field.L, m.zeta_den)
+        den = math.lcm(self.den, m.q_exp.denominator)
+        L = math.lcm(self.field.L, m.zeta_den)
         s = self._with(get_field(L), den)
         delta = int(m.q_exp * den)
         out = QSeries(s.field, den, s.val + delta, s.coeffs,
@@ -408,7 +387,7 @@ class QSeries:
 
     def truncate(self, order: Fraction | int) -> "QSeries":
         order = Fraction(order)
-        s = self._with(self.field, _lcm(self.den, order.denominator))
+        s = self._with(self.field, math.lcm(self.den, order.denominator))
         return s.truncate_scaled(_scale_exp(order, s.den))
 
     def truncate_scaled(self, prec: int | None) -> "QSeries":
@@ -433,7 +412,7 @@ class QSeries:
             raise ValueError("inverting an exact series requires a target order")
         if order is not None:
             order = Fraction(order)
-            den = _lcm(self.den, order.denominator)
+            den = math.lcm(self.den, order.denominator)
             if den != self.den:
                 return self._with(self.field, den).invert(order)
         target = None if order is None else _scale_exp(order, self.den)
@@ -623,6 +602,44 @@ class QSeries:
         return "QSeries(%s)" % str(self)
 
 
+def root_sum(terms, L: int, order) -> QSeries:
+    """sum w zeta_L^k q^e over the (w, k, e) of `terms`, below `order`.
+
+    The weights w (ints or Fractions) of one exponent go into one integer
+    vector over zeta_L^0 .. zeta_L^(L-1), reduced mod Phi_L once, so a
+    signed-root sum does no field arithmetic per term.  k may be any
+    integer; terms at or beyond `order` are dropped.
+    """
+    order = Fraction(order)
+    field = get_field(L)
+    vecs: dict[Fraction, list] = {}
+    fractional = set()
+    for w, k, e in terms:
+        if e < order:
+            vec = vecs.get(e)
+            if vec is None:
+                vec = vecs[e] = [0] * L
+            vec[k % L] += w
+            if type(w) is not int:
+                fractional.add(e)
+    den = math.lcm(order.denominator, *(Fraction(e).denominator for e in vecs))
+    prec = _scale_exp(order, den)
+    if not vecs:
+        return QSeries(field, den, 0, (), prec, _normalized=True)
+    coeffs = {}
+    for e, vec in vecs.items():
+        d = 1
+        if e in fractional:
+            d = math.lcm(*(v.denominator for v in vec))
+            vec = [v.numerator * (d // v.denominator) for v in vec]
+        coeffs[int(e * den)] = field.normalize(d, field.reduce_vec(vec))
+    val = min(coeffs)
+    out = [field.zero] * (max(coeffs) - val + 1)
+    for i, c in coeffs.items():
+        out[i - val] = c
+    return QSeries(field, den, val, tuple(out), prec)
+
+
 def computed_to(builder, order, tries: int = 8) -> QSeries:
     """Run a series builder and return its result truncated at `order`.
 
@@ -671,7 +688,7 @@ def _packed_product(field: CyclotomicField, a: Sequence[Raw], b: Sequence[Raw],
         den = 1
         for d, _ in coeffs:
             if d != 1:
-                den = _lcm(den, d)
+                den = math.lcm(den, d)
         flat = [0] * ((len(coeffs) - 1) * stride + phi)
         for i, (d, vec) in enumerate(coeffs):
             f = den // d
@@ -725,7 +742,7 @@ def eta_J(m, order) -> QSeries:
     order = Fraction(order)
     if m <= 0:
         raise ValueError("eta step must be positive")
-    den = _lcm(m.denominator, order.denominator)
+    den = math.lcm(m.denominator, order.denominator)
     prec = int(order * den)
     step0 = int(m * den)
     field = get_field(1)

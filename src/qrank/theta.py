@@ -18,9 +18,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import get_field
 from .reports import IdentityReport, compare_series
-from .series import Monomial, QSeries, computed_to, eta_quotient, shifted
+from .series import Monomial, QSeries, computed_to, eta_quotient, root_sum, shifted
 
 
 def _base_exp(base) -> Fraction:
@@ -127,18 +126,9 @@ def theta_j(z: Monomial, base, order) -> QSeries:
     p = _base_exp(base)
     order = Fraction(order)
     e = z.q_exp
-    field = get_field(z.zeta_den)
-    terms: dict[Fraction, tuple] = {}
-
-    for n, exp in bilateral(lambda n: p * binom2(n) + n * e, order):
-        coeff = field.zeta_pow(z.zeta_num * n * (field.L // z.zeta_den))
-        if n % 2:
-            coeff = field.neg(coeff)
-        if exp in terms:
-            terms[exp] = field.add(terms[exp], coeff)
-        else:
-            terms[exp] = coeff
-    return QSeries.from_terms(terms, field, order)
+    return root_sum(((-1 if n % 2 else 1, z.zeta_num * n, exp)
+                     for n, exp in bilateral(lambda n: p * binom2(n) + n * e, order)),
+                    z.zeta_den, order)
 
 
 def theta_j2(z1: Monomial, z2: Monomial, base, order) -> QSeries:

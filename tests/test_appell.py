@@ -12,10 +12,11 @@ from qrank.appell import (
     o_d_original,
     psi,
     s_bar_d,
+    _geometric,
 )
-from qrank.cyclotomic import root_of_unity
+from qrank.cyclotomic import Cyclotomic, get_field, root_of_unity
 from qrank.errors import NonGenericParameter
-from qrank.series import Monomial, QSeries, computed_to
+from qrank.series import Monomial, QSeries, computed_to, root_sum
 
 F = Fraction
 Z = Monomial.zeta
@@ -236,3 +237,47 @@ def test_psi_plan_is_exact(monkeypatch, k, n, x, z, zp, p):
         assert planned.order == order
     else:
         assert planned.order == unplanned.order
+
+
+# -- _geometric ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("N", range(2, 14))
+def test_geometric_constant_is_field_inverse(N):
+    # 1/(1 - c) = -(1/N) sum_{j<N} j c^j for c of order N, in fields that
+    # contain c properly and as a subfield
+    for L in (N, 2 * N, 3 * N):
+        field = get_field(L)
+        for a in (a for a in range(1, N) if F(a, N).denominator == N):
+            c = Z(a, N)
+            const = root_sum(_geometric(1, 0, F(0), c, L, F(1)), L, 1).coeff(0)
+            inv = field.inv(field.sub(field.one, c.coeff_raw(field)))
+            assert const == Cyclotomic(field, inv), (N, L, a)
+
+
+@pytest.mark.parametrize("u", [Z(2, 3, F(3, 2)), Z(1, 4, -2), Q(1), Q(F(-1, 3))])
+def test_geometric_matches_field_arithmetic(u):
+    # 3 zeta_12^5 q^(1/2) / (1 - u) below q^7, term by term
+    L, order = 12, F(7)
+    field = get_field(L)
+    w0 = Cyclotomic(field, field.zeta_pow(5)) * 3
+    expected = {}
+    if u.q_exp > 0:
+        for j in range(30):
+            expected[F(1, 2) + j * u.q_exp] = w0 * u.coeff() ** j
+    else:
+        for j in range(1, 30):
+            expected[F(1, 2) - j * u.q_exp] = -w0 * u.coeff() ** (-j)
+    got = root_sum(_geometric(3, 5, F(1, 2), u, L, order), L, order)
+    for e, c in expected.items():
+        if e < order:
+            assert got.coeff(e) == c, (u, e)
+    assert sum(1 for _ in got.terms()) == sum(1 for e in expected if e < order)
+
+
+def test_geometric_pole_raises():
+    with pytest.raises(NonGenericParameter):
+        list(_geometric(1, 0, F(0), Monomial.one(), 5, F(3)))
+    # the pole is reported even when the term lies beyond the order
+    with pytest.raises(NonGenericParameter):
+        list(_geometric(1, 0, F(4), Monomial.one(), 5, F(3)))

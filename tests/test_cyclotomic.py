@@ -32,7 +32,8 @@ def test_cyclo_polynomial_small():
     assert cyclo_polynomial(12) == (1, 0, -1, 0, 1)
 
 
-@pytest.mark.parametrize("L", [1, 2, 3, 4, 6, 8, 9, 12, 15, 21, 30, 63, 84, 105])
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 6, 8, 9, 12, 15, 21, 30, 63, 84, 105,
+                               385, 1155, 2310])
 def test_cyclo_polynomial_against_sympy(L):
     x = sympy.Symbol("x")
     expected = sympy.Poly(sympy.cyclotomic_poly(L, x), x).all_coeffs()[::-1]

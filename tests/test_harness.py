@@ -215,6 +215,15 @@ def test_cli_rejects_bad_arguments(no_worker_processes, capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("d, M", [(1, -2), (1, 0), (1, 1), (0, 3)])
+def test_cli_formula_deviation_rejects_bad_arguments(capsys, d, M):
+    argv = ["deviation", "--d", str(d), "--a", "0", "--M", str(M), "--method", "formula"]
+    assert main(argv + ["--order", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: need M >= 2 and d >= 1\n"
+    assert captured.out == ""
+
+
 def test_cli_tables(capsys, tmp_path):
     path = tmp_path / "t.csv"
     assert main(["tables", "--d", "1", "--maxN", "4", "--csv", str(path)]) == 0

@@ -7,18 +7,16 @@ import sympy
 
 from qrank.cyclotomic import Cyclotomic, get_field, root_of_unity
 from qrank.errors import FractionalExponents, NonGenericParameter
-from qrank.series import Monomial, QSeries, eta_J, eta_quotient
+from qrank.series import Monomial, QSeries, eta_J, eta_quotient, root_sum
 
 F = Fraction
 
 
 def poly(coeffs, order=None, start=0):
     """Series with integer coefficients coeffs[i] at exponent start + i."""
-    field = get_field(1)
-    terms = {F(start + i): field.from_fraction(c) for i, c in enumerate(coeffs) if c}
     if order is None:
         order = start + len(coeffs) + 10
-    return QSeries.from_terms(terms, field, F(order))
+    return root_sum(((c, 0, F(start + i)) for i, c in enumerate(coeffs) if c), 1, order)
 
 
 def naive_eta(m, order):
@@ -160,7 +158,8 @@ def test_eta_J_beyond_order_is_one():
 def test_eta_products_at_order_at_most_zero_are_zero(order):
     # like theta_j and QSeries.zero: 0 + O(q^order), nothing stored
     for s in (eta_J(1, order), eta_J(F(1, 2), order),
-              eta_quotient({2: 1, 1: -2}, order)):
+              eta_quotient({2: 1, 1: -2}, order), QSeries.one(order),
+              QSeries.scalar(5, order), QSeries.scalar(root_of_unity(1, 3), order)):
         assert s.is_zero() and s.order == order
         assert str(s) == "0 + O(q^%d)" % order
 
@@ -387,3 +386,36 @@ def test_pow_by_squaring_matches_repeated_product():
             repeated = repeated * s
         inv = s.invert()
         assert (s ** -3).to_json_dict() == (inv * inv * inv).to_json_dict(), L
+
+
+# -- root_sum ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("L", [1, 2, 5, 12, 21])
+def test_root_sum_matches_field_arithmetic(L):
+    # colliding exponents, zeta-indices beyond L and negative, Fraction
+    # weights, terms at and beyond the order
+    rng = random.Random(L)
+    field = get_field(L)
+    order = F(7, 2)
+    terms = [(rng.choice([1, -1, 3, F(2, 3), F(-5, 4)]), rng.randrange(-3 * L, 3 * L),
+              F(rng.randrange(-4, 9), rng.choice([1, 2])))
+             for _ in range(40)]
+    expected = {}
+    for w, k, e in terms:
+        if e < order:
+            expected[e] = expected.get(e, Cyclotomic(field, field.zero)) + \
+                Cyclotomic(field, field.zeta_pow(k)) * w
+    got = root_sum(terms, L, order)
+    assert got.field.L == L and got.order == order and got.den == 2
+    for e, c in got.terms():
+        assert e < order and c == expected.pop(e)
+    assert all(c.is_zero() for c in expected.values())
+
+
+def test_root_sum_cancellation_and_empty():
+    assert root_sum([(1, 1, 2), (-1, 4, 2), (7, 0, 5)], 3, 5).is_zero()
+    s = root_sum([], 6, F(5, 2))
+    assert s.is_zero() and s.order == F(5, 2) and s.field.L == 6
+    # 1 + zeta_4^2 q = 1 - q: coefficients land in the reduced basis
+    assert str(root_sum([(1, 0, 0), (1, 2, 1)], 4, 3)) == "1 - q + O(q^3)"
