@@ -29,7 +29,7 @@ from functools import lru_cache
 from .cyclotomic import root_of_unity
 from .errors import NonGenericParameter
 from .reports import IdentityReport, compare_series
-from .series import (Monomial, QSeries, computed_to, eta_J, eta_quotient, root_sum,
+from .series import (Monomial, QSeries, computed_to, eta_quotient, root_sum,
                      shift_loss, shifted)
 from .theta import (bilateral, binom2, is_theta_zero_pattern, product_loss, theta_j,
                     theta_valuation)
@@ -120,7 +120,7 @@ def _delta_once(x: Monomial, z1: Monomial, z0: Monomial, p: Fraction,
     den = QSeries.one(order)
     for zz in divisors:
         den = den * theta_j(zz, p, order)
-    num = eta_J(p, order) ** 3
+    num = eta_quotient({p: 3}, order)
     num = num * theta_j(z1 / z0, p, order)
     num = num * theta_j(x * z0 * z1, p, order)
     return (num * den.invert()).shift(z0)
@@ -165,7 +165,7 @@ def _psi_once(k: int, n: int, x: Monomial, z: Monomial, zp: Monomial,
         num = theta_j(a_arg, pn2, inner) * theta_j(b_arg, pn2, inner)
         den = j_c * theta_j(d_arg, pn2, inner)
         total = total + (num * den.invert()).shift(t_mono)
-    pref = eta_J(pn2, inner) ** 3
+    pref = eta_quotient({pn2: 3}, inner)
     pref = pref * theta_j(z, p, inner).invert()
     pref = pref * theta_j(zp, pn2, inner).invert()
     return (total * pref).shift(pref_mono)

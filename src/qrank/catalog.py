@@ -40,7 +40,7 @@ from .overpartitions import (
     single_deviation,
 )
 from .reports import NON_GENERIC, PASS, IdentityReport, compare_series
-from .series import Monomial, QSeries, computed_to, eta_J, eta_quotient, root_sum, shifted
+from .series import Monomial, QSeries, computed_to, eta_quotient, root_sum, shifted
 from .theta import binom2, theta_j, theta_product, theta_shift_check, theta_triple_product
 
 F = Fraction
@@ -298,8 +298,7 @@ def _theta_entries() -> list[CatalogEntry]:
                 term = theta_j(z * x ** n * Q(k), n, t) * \
                     theta_j(z * Q(k), n, t).invert()
                 total = total + term.shift(x ** k)
-            head = (eta_J(n, t) ** 3) * theta_j(z, 1, t)
-            head = head * (eta_J(1, t) ** 3).invert()
+            head = eta_quotient({n: 3, 1: -3}, t) * theta_j(z, 1, t)
             head = head * theta_j(x ** n, n, t).invert()
             return head * total
         return computed_to(build, o)

@@ -30,22 +30,34 @@ def _theta_ratio(z1: Monomial, z2: Monomial, base, order) -> QSeries:
 # -- three-dissection blocks -------------------------------------------------
 
 
+_W_HEAD = {3: 9, 1: -12}  # H = J_3^9 / J_1^12
+_W_SMALL = {1: 1, 6: 3, 2: -1, 3: -3}  # w = J_1 J_6^3 / (J_2 J_3^3)
+
+
 @lru_cache(maxsize=None)
 def _w_small(order) -> QSeries:
-    return eta_quotient({1: 1, 6: 3, 2: -1, 3: -3}, order)
+    return eta_quotient(_W_SMALL, order)
+
+
+def _head_times_w(k: int) -> dict[int, int]:
+    """The eta-quotient spec of H w^k."""
+    spec = dict(_W_HEAD)
+    for m, e in _W_SMALL.items():
+        spec[m] = spec.get(m, 0) + k * e
+    return spec
 
 
 @lru_cache(maxsize=None)
 def _W(i: int, order) -> QSeries:
-    head = eta_quotient({3: 9, 1: -12}, order)
+    """W_0 = H (w^-2 + 8 q w + 16 q^2 w^4), W_1 = H (3 w^-1 + 12 q w^2) and
+    W_2 = 9 H; every term is one eta quotient."""
     if i == 2:
-        return head.scale(9)
-    w = _w_small(order)
-    if i == 0:
-        inner = (w.invert() ** 2) + (w * Q(1)).scale(8) + ((w ** 4) * Q(2)).scale(16)
-    else:
-        inner = w.invert().scale(3) + ((w ** 2) * Q(1)).scale(12)
-    return head * inner
+        return eta_quotient(_W_HEAD, order).scale(9)
+    terms = ((-2, 0, 1), (1, 1, 8), (4, 2, 16)) if i == 0 else ((-1, 0, 3), (2, 1, 12))
+    out = QSeries.zero(order)
+    for k, e, c in terms:
+        out = out + eta_quotient(_head_times_w(k), order).shift(Q(e)).scale(c)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -104,7 +116,7 @@ def dissection_rhs(key: str, order) -> QSeries:
     order = F(order)
     out = QSeries.zero(order)
     for k in range(3):
-        comp = block(k, -(-order // 3) + 1)
+        comp = block(k, _inner_order(order))
         out = out + comp.substitute_q_power(3).shift(Q(k)).truncate(order)
     return out
 
@@ -131,22 +143,40 @@ def _letter(name: str, order) -> QSeries:
     raise UnknownName(name)
 
 
+def _inner_order(order) -> int:
+    """The order in q^3 that a component must reach to be valid below
+    `order` after q -> q^3 and a shift by at most q^2."""
+    return -(-F(order) // 3) + 1
+
+
+@lru_cache(maxsize=None)
+def _wf(l: int, m: int, inner) -> QSeries:
+    """W_l f_m at the inner order; the nine products are shared by both
+    triple sums and all three classes."""
+    return _W(l, inner) * _f(m, inner)
+
+
 @lru_cache(maxsize=None)
 def _triple_sum(block, n_class: int, order) -> QSeries:
     """sum over k, l, m in {0,1,2} with k+l+m = n_class (mod 3) of
-    q^{k+l+m} block_k(q^3) W_l(q^3) f_m(q^3)."""
-    order = F(order)
-    inner = -(-order // 3) + 1
-    blocks = [block(k, inner).substitute_q_power(3) for k in range(3)]
-    Ws = [_W(l, inner).substitute_q_power(3) for l in range(3)]
-    fs = [_f(m, inner).substitute_q_power(3) for m in range(3)]
-    out = QSeries.zero(order)
+    q^{k+l+m} block_k(q^3) W_l(q^3) f_m(q^3).
+
+    With r = n_class mod 3 the sum is q^r S(q^3), where S sums
+    x^{(k+l+m-r)/3} block_k W_l f_m.  S is built at the inner order, from
+    the shared W_l f_m and one product per block, and substituted once;
+    q -> q^3 is a ring map, so this is the same series as substituting
+    every factor first.
+    """
+    r = n_class % 3
+    inner = _inner_order(order)
+    total = QSeries.zero(inner)
     for k in range(3):
+        wf = QSeries.zero(inner)
         for l in range(3):
-            for m in range(3):
-                if (k + l + m) % 3 == n_class % 3:
-                    out = out + (blocks[k] * Ws[l] * fs[m]).shift(Q(k + l + m)).truncate(order)
-    return out
+            m = (r - k - l) % 3
+            wf = wf + _wf(l, m, inner).shift(Q((k + l + m - r) // 3))
+        total = total + block(k, inner) * wf
+    return total.substitute_q_power(3).shift(Q(r)).truncate(order)
 
 
 def script_G(n_class: int, order) -> QSeries:
@@ -160,17 +190,19 @@ def script_H(n_class: int, order) -> QSeries:
 @lru_cache(maxsize=None)
 def _pair_sum(block, n_class: int, order) -> QSeries:
     """sum over k, l in {0,1,2} with k+l = n_class (mod 3) of
-    q^{k+l} block_k(q^3) W_l(q^3)."""
-    order = F(order)
-    inner = -(-order // 3) + 1
-    blocks = [block(k, inner).substitute_q_power(3) for k in range(3)]
-    Ws = [_W(l, inner).substitute_q_power(3) for l in range(3)]
-    out = QSeries.zero(order)
+    q^{k+l} block_k(q^3) W_l(q^3).
+
+    As in `_triple_sum`, this is q^r S(q^3) with r = n_class mod 3 and
+    S = sum x^{(k+l-r)/3} block_k W_l built at the inner order: three
+    products, substituted once.
+    """
+    r = n_class % 3
+    inner = _inner_order(order)
+    total = QSeries.zero(inner)
     for k in range(3):
-        for l in range(3):
-            if (k + l) % 3 == n_class % 3:
-                out = out + (blocks[k] * Ws[l]).shift(Q(k + l)).truncate(order)
-    return out
+        l = (r - k) % 3
+        total = total + block(k, inner) * _W(l, inner).shift(Q((k + l - r) // 3))
+    return total.substitute_q_power(3).shift(Q(r)).truncate(order)
 
 
 def psi_difference_lhs(order) -> QSeries:
@@ -273,6 +305,13 @@ def b_block(n_class: int, order) -> QSeries:
 # -- registry ----------------------------------------------------------------
 
 
+def _from_positive_order(builder):
+    """`builder`, made valid at every order: below an order <= 0 a unit has
+    no known coefficient to invert and a product of such truncations loses
+    precision, so there the builder runs at order 1 and is truncated."""
+    return lambda o: builder(o) if o > 0 else builder(F(1)).truncate(o)
+
+
 def _named_builders():
     builders = {}
     for i in range(3):
@@ -293,7 +332,7 @@ def _named_builders():
     builders["B1"] = (lambda o: b_block(1, o))
     builders["B2"] = (lambda o: b_block(2, o))
     builders["pbar"] = (lambda o: eta_quotient({2: 1, 1: -2}, o))
-    return builders
+    return {name: _from_positive_order(b) for name, b in builders.items()}
 
 
 NAMED_BUILDERS = _named_builders()

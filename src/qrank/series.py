@@ -15,7 +15,9 @@ coefficient.  Inverses use Newton iteration, g <- g + g (1 - u g), which
 doubles the number of correct terms per step and runs every product through
 the same packed path.  ``root_sum`` builds a sum of signed roots of unity
 times powers of q (theta and Appell-Lerch sums) over the integers, with one
-reduction mod Phi_L per exponent.
+reduction mod Phi_L per exponent.  ``eta_quotient`` expands a product of
+powers of J_m = (q^m; q^m)_oo by the integer recurrence of its logarithmic
+derivative, with no series product or inverse.
 
 A ``Monomial`` is a symbolic value zeta_N^k * q^e with rational e.  It is the
 only admissible shape for the z/x/z' parameters of the theta and Appell-Lerch
@@ -26,6 +28,7 @@ root branch (zeta_N^k)^(1/d) = zeta_{N d}^k.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -733,10 +736,11 @@ def _coerce_series(x):
 
 @lru_cache(maxsize=None)
 def eta_J(m, order) -> QSeries:
-    """J_m = (q^m; q^m)_infinity, the eta building block, truncated at order.
+    """J_m = (q^m; q^m)_infinity, truncated at order, by direct product
+    accumulation; only the factors with m*k below the order contribute.
 
-    Computed by direct product accumulation; only the factors with m*k below
-    the order contribute.
+    This is the `J<m>` named series and an independent oracle for
+    `eta_quotient`, which every product of eta factors goes through.
     """
     m = Fraction(m)
     order = Fraction(order)
@@ -761,16 +765,40 @@ def eta_J(m, order) -> QSeries:
 
 
 def eta_quotient(spec: dict[int, int], order) -> QSeries:
-    """Product of J_m^e over the (m, e) pairs of `spec`.
+    """Product of J_m^e over the (m, e) pairs of `spec`, truncated at order.
 
-    Every J_m has valuation 0 and leading coefficient 1, so all factors can be
-    expanded at the target order directly.
+    One pass over the integers, with no series product or inverse.  In
+    t = q^(1/den) the factor J_m is (t^s; t^s)_oo with s = m den, and the
+    logarithmic derivative of f = prod J_m^e gives n f_n = sum_{k=1..n}
+    c_k f_(n-k), where c_n = -sum_m e_m (sum of the divisors of n that are
+    multiples of s_m).  The coefficients of f are integers, so the division
+    by n is exact.  The steps below the order share a gcd g, and the
+    recurrence runs in t^g.
     """
+    order = Fraction(order)
     if order <= 0:
         return QSeries.zero(order)
-    out = None
-    for m, e in sorted(spec.items()):
-        J = eta_J(Fraction(m), Fraction(order))
-        factor = (J if e > 0 else J.invert()) ** abs(e)
-        out = factor if out is None else out * factor
-    return QSeries.one(Fraction(order)) if out is None else out
+    spec = {Fraction(m): e for m, e in spec.items()}
+    if any(m <= 0 for m in spec):
+        raise ValueError("eta step must be positive")
+    den = math.lcm(order.denominator, *(m.denominator for m, e in spec.items() if e))
+    prec = int(order * den)
+    steps = [(int(m * den), e) for m, e in spec.items() if e and m * den < prec]
+    g = math.gcd(*(s for s, _ in steps)) if steps else prec
+    size = -(-prec // g)  # the exponents 0, g, 2g, ... below prec
+    c = [0] * size
+    for s, e in steps:
+        s //= g
+        for d in range(s, size, s):
+            w = e * d
+            for n in range(d, size, d):
+                c[n] -= w
+    f = [1]
+    for n in range(1, size):
+        f.append(sum(map(operator.mul, c[1:n + 1], f[n - 1::-1])) // n)
+    field = get_field(1)
+    vec = [field.zero] * ((size - 1) * g + 1)
+    for i, x in enumerate(f):
+        if x:
+            vec[i * g] = (1, (x,))
+    return QSeries(field, den, 0, tuple(vec), prec)

@@ -128,6 +128,13 @@ def test_cli_expand(capsys):
     assert "q^2: -1" in out and "q^4: -1" in out
 
 
+def test_cli_expand_named_block_at_order_zero(capsys):
+    # W0 inverts an eta quotient; at order 0 it is 0 + O(q^0), not an error
+    assert main(["expand", "--series", "W0", "--order", "0"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines() == ["# order 0  D=1  L=1", "0"]
+
+
 def test_cli_expand_od(capsys):
     assert main(["expand", "--series", "Od", "--d", "1", "--z", "zeta5",
                  "--order", "3"]) == 0

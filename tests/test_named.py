@@ -1,14 +1,25 @@
+from fractions import Fraction
+
 import pytest
 
 from qrank.errors import UnknownName
 from qrank.named import (
+    NAMED_BUILDERS,
+    _f,
+    _g,
+    _h,
+    _pair_sum,
+    _triple_sum,
+    _W,
     b_block,
     build_named_series,
     dissection_lhs,
     dissection_rhs,
     named_series_names,
 )
-from qrank.series import eta_J
+from qrank.series import Monomial, QSeries, eta_J
+
+F = Fraction
 
 
 def test_named_lookup_roundtrip():
@@ -70,3 +81,56 @@ def test_triple_sum_blocks_recombine():
     product = (dissection_lhs("dis3", 18) * dissection_lhs("dis1", 18)
                * dissection_lhs("dis2", 18))
     assert total.agrees_with(product, 18)
+
+
+@pytest.mark.parametrize("order", [0, -2])
+def test_named_builders_at_order_at_most_zero(order):
+    # each builder returns what its expansion at a positive order truncates to
+    for name, builder in NAMED_BUILDERS.items():
+        expected = builder(F(8)).truncate(order).to_json_dict()
+        assert builder(F(order)).to_json_dict() == expected, name
+
+
+def _triple_sum_substituted_first(block, n_class, order):
+    """The route `_triple_sum` replaced: every factor substituted q -> q^3
+    before the 18 products."""
+    order = F(order)
+    inner = -(-order // 3) + 1
+    blocks = [block(k, inner).substitute_q_power(3) for k in range(3)]
+    Ws = [_W(l, inner).substitute_q_power(3) for l in range(3)]
+    fs = [_f(m, inner).substitute_q_power(3) for m in range(3)]
+    out = QSeries.zero(order)
+    for k in range(3):
+        for l in range(3):
+            for m in range(3):
+                if (k + l + m) % 3 == n_class % 3:
+                    term = blocks[k] * Ws[l] * fs[m]
+                    out = out + term.shift(Monomial.q(k + l + m)).truncate(order)
+    return out
+
+
+def _pair_sum_substituted_first(block, n_class, order):
+    """The route `_pair_sum` replaced, substituting before multiplying."""
+    order = F(order)
+    inner = -(-order // 3) + 1
+    blocks = [block(k, inner).substitute_q_power(3) for k in range(3)]
+    Ws = [_W(l, inner).substitute_q_power(3) for l in range(3)]
+    out = QSeries.zero(order)
+    for k in range(3):
+        for l in range(3):
+            if (k + l) % 3 == n_class % 3:
+                out = out + (blocks[k] * Ws[l]).shift(Monomial.q(k + l)).truncate(order)
+    return out
+
+
+@pytest.mark.parametrize("block", [_g, _h], ids=["g", "h"])
+def test_dissection_sums_match_substitute_first_route(block):
+    # multiplying before q -> q^3 gives the same serialized series
+    for n_class in range(6):
+        for order in list(range(1, 32)) + [F(20, 3)]:
+            new = _triple_sum(block, n_class, order).to_json_dict()
+            old = _triple_sum_substituted_first(block, n_class, order).to_json_dict()
+            assert new == old, ("triple", n_class, order)
+            new = _pair_sum(block, n_class, order).to_json_dict()
+            old = _pair_sum_substituted_first(block, n_class, order).to_json_dict()
+            assert new == old, ("pair", n_class, order)

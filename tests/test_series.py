@@ -170,6 +170,50 @@ def test_eta_quotient_overpartitions():
     assert [pbar.coeff(n).as_fraction() for n in range(7)] == [1, 2, 4, 8, 14, 24, 40]
 
 
+def _eta_quotient_by_products(spec, order):
+    """The route `eta_quotient` replaced: one eta_J per step, raised to its
+    power through series products and Newton inverses."""
+    if order <= 0:
+        return QSeries.zero(order)
+    out = None
+    for m, e in sorted(spec.items()):
+        J = eta_J(F(m), F(order))
+        factor = (J if e > 0 else J.invert()) ** abs(e)
+        out = factor if out is None else out * factor
+    return QSeries.one(F(order)) if out is None else out
+
+
+def _eta_quotient_cases():
+    steps = list(range(1, 37)) + [F(1, 2), F(2, 3), F(3, 2)]
+    orders = list(range(1, 61)) + [F(13, 2), 0, -2, F(-1, 2)]
+    cases = [({}, 7), ({}, F(13, 2)), ({}, 0),
+             ({40: 3, 61: -2}, 30), ({5: 2, 7: -1}, 5), ({36: -12, 2: 1}, 36),
+             ({1: -2}, 0), ({F(1, 2): 3}, -2)]
+    rng = random.Random(1018)
+    for _ in range(300):
+        spec = {rng.choice(steps): rng.randint(-12, 12) for _ in range(rng.randint(1, 6))}
+        cases.append((spec, rng.choice(orders)))
+    return cases
+
+
+def test_eta_quotient_matches_product_route():
+    # the integer recurrence gives the same serialized series as products
+    # and inverses of eta_J, including L, D and the order
+    for spec, order in _eta_quotient_cases():
+        expected = _eta_quotient_by_products(spec, order)
+        if order > 0 and spec and not any(spec.values()):
+            # J^0 = 1: the product route returned the exact series 1 here
+            expected = QSeries.one(F(order))
+        assert eta_quotient(spec, order).to_json_dict() == expected.to_json_dict(), (spec, order)
+
+
+def test_eta_quotient_rejects_nonpositive_steps():
+    with pytest.raises(ValueError):
+        eta_quotient({0: 1}, 5)
+    with pytest.raises(ValueError):
+        eta_quotient({-2: 0}, 5)
+
+
 def test_dissect_roundtrip():
     a = poly([1, 1, 1, 1], order=4)
     parts = a.dissect(2)
