@@ -18,6 +18,13 @@ The two-sided sums, m(x,q,z) and the Lerch sums behind O_d(z;q), run through
 the summation index plus max(0, -exp(u)) from the flip of 1/(1 - u), is
 convex, and the walk stops where it has passed its minimum at or above the
 order.
+
+Every division by theta blocks goes through `qrank.theta.theta_quotient`:
+m(x,q,z) is the bilateral sum divided by j(z;q^p), Delta is one quotient of
+two blocks by four, and Psi passes its t-sum as the start of the quotient
+by its three common divisors, so the t-terms are added before the one
+reduction mod Phi_L.  The oracle side, O_d(z;q) and the Lerch-sum fold,
+divides by j(q;q^2) as the eta quotient J_2/J_1^2 and never reaches it.
 """
 
 from __future__ import annotations
@@ -31,8 +38,7 @@ from .errors import NonGenericParameter
 from .reports import IdentityReport, compare_series
 from .series import (Monomial, QSeries, computed_to, eta_quotient, root_sum,
                      shift_loss, shifted)
-from .theta import (bilateral, binom2, is_theta_zero_pattern, product_loss, theta_j,
-                    theta_valuation)
+from .theta import bilateral, binom2, is_theta_zero_pattern, theta_quotient
 
 F = Fraction
 
@@ -92,8 +98,7 @@ def _appell_m_once(x: Monomial, p: Fraction, z: Monomial, order: Fraction) -> QS
                        for t in _geometric(-1 if r % 2 else 1, z.zeta_num * r * (L // z.zeta_den),
                                            mono_exp(r), Monomial.q(p * (r - 1)) * xz, L, order)),
                       L, order)
-    jz = theta_j(z, p, order)
-    return series * jz.invert()
+    return theta_quotient((), ((z, p),), order, start=series)
 
 
 # ---------------------------------------------------------------------------
@@ -113,17 +118,9 @@ def _delta_once(x: Monomial, z1: Monomial, z0: Monomial, p: Fraction,
     if z1 == z0:
         # numerator factor j(1;q^p) vanishes identically
         return QSeries.zero(order)
-    divisors = (z0, z1, x * z0, x * z1)
-    for zz in divisors:
-        if is_theta_zero_pattern(zz, p):
-            raise NonGenericParameter("theta divisor j(%s; q^%s) vanishes" % (zz, p))
-    den = QSeries.one(order)
-    for zz in divisors:
-        den = den * theta_j(zz, p, order)
-    num = eta_quotient({p: 3}, order)
-    num = num * theta_j(z1 / z0, p, order)
-    num = num * theta_j(x * z0 * z1, p, order)
-    return (num * den.invert()).shift(z0)
+    return theta_quotient(((z1 / z0, p), (x * z0 * z1, p)),
+                          ((z0, p), (z1, p), (x * z0, p), (x * z1, p)),
+                          order, eta={p: 3}, shift=z0)
 
 
 def psi(k: int, n: int, x: Monomial, z: Monomial, zp: Monomial, base, order) -> QSeries:
@@ -138,62 +135,17 @@ def _psi_once(k: int, n: int, x: Monomial, z: Monomial, zp: Monomial,
     if n < 1:
         raise ValueError("n must be a positive integer")
     pn2 = p * n * n
-    pref_mono = -(x ** k) * z ** (k + 1)
-    if is_theta_zero_pattern(z, p):
-        raise NonGenericParameter("j(%s; q^%s) vanishes" % (z, p))
-    if is_theta_zero_pattern(zp, pn2):
-        raise NonGenericParameter("j(%s; q^%s) vanishes" % (zp, pn2))
-    minus_x = -x
-    minus_z = -z
-    c_arg = -(Monomial.q(p * (binom2(n) - n * k)) * minus_x ** n * zp)
-    if is_theta_zero_pattern(c_arg, pn2):
-        raise NonGenericParameter("constant theta divisor vanishes")
+    c_arg = -(Monomial.q(p * (binom2(n) - n * k)) * (-x) ** n * zp)
     xz_n = (x * z) ** n
+    # the t-sum of j(a_t) j(b_t) / j(d_t) q^tau_t starts the common quotient
     terms = []
     for t in range(n):
-        a_arg = -(Monomial.q(p * (binom2(n + 1) + n * k + n * t)) * minus_z ** n / zp)
-        b_arg = Monomial.q(p * n * t) * xz_n * zp
+        a_arg = -(Monomial.q(p * (binom2(n + 1) + n * k + n * t)) * (-z) ** n / zp)
         d_arg = Monomial.q(p * n * t) * xz_n
-        if is_theta_zero_pattern(d_arg, pn2):
-            raise NonGenericParameter("theta divisor j(%s; q^%s) vanishes" % (d_arg, pn2))
-        t_mono = Monomial.q(p * (binom2(t + 1) + k * t)) * minus_z ** t
-        terms.append((a_arg, b_arg, d_arg, t_mono))
-    inner = order + _psi_loss(terms, c_arg, z, zp, p, pn2, pref_mono)
-    j_c = theta_j(c_arg, pn2, inner)
-    total = QSeries.zero(inner)
-    for a_arg, b_arg, d_arg, t_mono in terms:
-        num = theta_j(a_arg, pn2, inner) * theta_j(b_arg, pn2, inner)
-        den = j_c * theta_j(d_arg, pn2, inner)
-        total = total + (num * den.invert()).shift(t_mono)
-    pref = eta_quotient({pn2: 3}, inner)
-    pref = pref * theta_j(z, p, inner).invert()
-    pref = pref * theta_j(zp, pn2, inner).invert()
-    return (total * pref).shift(pref_mono)
-
-
-def _psi_loss(terms, c_arg: Monomial, z: Monomial, zp: Monomial, p: Fraction,
-              pn2: Fraction, pref_mono: Monomial) -> Fraction:
-    """How much further than its target `_psi_once` expands its theta blocks.
-
-    Each t-term j(a) j(b) / (j(c) j(d)) q^tau loses its `product_loss`, and
-    the t-sum starts from zero(inner), so the sum is known below
-    inner - sum_loss and its valuation is at least `low` (cancellation only
-    raises it).  Its product with J^3 q^pref / (j(z) j(z')) keeps the least
-    relative precision of the sum and of those three factors.
-    """
-    vc = theta_valuation(c_arg, pn2)
-    sum_loss, vals = F(0), []
-    for a_arg, b_arg, d_arg, t_mono in terms:
-        factors = ((theta_valuation(a_arg, pn2), 1), (theta_valuation(b_arg, pn2), 1),
-                   (vc, -1), (theta_valuation(d_arg, pn2), -1))
-        sum_loss = max(sum_loss, product_loss(factors, t_mono))
-        vals.append(sum(e * v for v, e in factors) + t_mono.q_exp)
-    low = min(vals)
-    vz, vzp = theta_valuation(z, p), theta_valuation(zp, pn2)
-    # the result has valuation low - vz - vzp + exp(pref) and is known below
-    # inner + reach
-    reach = low - vz - vzp + pref_mono.q_exp + min(-sum_loss - low, -max(F(0), vz, vzp))
-    return max(F(0), -reach)
+        t_mono = Monomial.q(p * (binom2(t + 1) + k * t)) * (-z) ** t
+        terms.append((((a_arg, pn2), (d_arg * zp, pn2)), ((d_arg, pn2),), t_mono))
+    return theta_quotient((), ((z, p), (zp, pn2), (c_arg, pn2)), order, eta={pn2: 3},
+                          shift=-(x ** k) * z ** (k + 1), start=terms)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +219,7 @@ def _o_d_direct_once(d: int, z: Monomial, order: Fraction) -> QSeries:
     if z == Monomial.minus_one():
         raise NonGenericParameter("z = -1 is a pole of the (1+z) prefactor")
     s = _lerch_sum(d, z, order)
-    core = 1 + (s * theta_j(Monomial.q(1), 2, order).invert()).shift(z).scale(2)
+    core = 1 + (s * eta_quotient({2: 1, 1: -2}, order)).shift(z).scale(2)
     one_minus = QSeries.one() - QSeries.from_monomial(z)
     one_plus = QSeries.one() + QSeries.from_monomial(z)
     return core * one_minus * one_plus.invert(order)
@@ -357,7 +309,7 @@ def lerch_fold_lhs(x: Monomial, order) -> QSeries:
 def _lerch_fold_lhs_once(x: Monomial, order: Fraction) -> QSeries:
     if x.coeff_is_one and x.q_exp.denominator == 1:
         raise NonGenericParameter("divisor 1 - x q^n vanishes at n = %d" % (-x.q_exp))
-    return _lerch_sum(1, x, order) * theta_j(Monomial.q(1), 2, order).invert()
+    return _lerch_sum(1, x, order) * eta_quotient({2: 1, 1: -2}, order)
 
 
 def htom_check(x: Monomial, order) -> IdentityReport:

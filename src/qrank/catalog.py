@@ -41,21 +41,20 @@ from .overpartitions import (
 )
 from .reports import NON_GENERIC, PASS, IdentityReport, compare_series
 from .series import Monomial, QSeries, computed_to, eta_quotient, root_sum, shifted
-from .theta import binom2, theta_j, theta_product, theta_shift_check, theta_triple_product
+from .theta import (binom2, theta_j, theta_product, theta_quotient, theta_shift_check,
+                    theta_triple_product)
 
 F = Fraction
 Z = Monomial.zeta
 Q = Monomial.q
 MINUS = Monomial.minus_one()
 
-Builder = Callable[[Fraction], QSeries]
-
 
 @dataclass
 class Instance:
     params: dict
-    lhs: Optional[Builder] = None
-    rhs: Optional[Builder] = None
+    lhs: Optional[Callable[[Fraction], QSeries]] = None
+    rhs: Optional[Callable[[Fraction], QSeries]] = None
     note: Optional[str] = None
     # entries wrapping a multi-part check supply a report builder instead
     check: Optional[Callable[[Fraction], IdentityReport]] = None
@@ -224,13 +223,9 @@ def _theta_entries() -> list[CatalogEntry]:
         "j(-x;q)/(j(-x^2 q;q^2) j(x;q)) is odd under x -> 1/x",
         F(30),
         [Instance({"x": x},
-                  lambda o, x=x: computed_to(
-                      lambda t: theta_j(-x, 1, t)
-                      * (theta_j(-(x ** 2) * Q(1), 2, t) * theta_j(x, 1, t)).invert(), o),
-                  lambda o, x=x: computed_to(
-                      lambda t: -(theta_j(-x.inverse(), 1, t)
-                                  * (theta_j(-(x ** -2) * Q(1), 2, t)
-                                     * theta_j(x.inverse(), 1, t)).invert()), o))
+                  lambda o, x=x: theta_quotient(((-x, 1),), ((-(x ** 2) * Q(1), 2), (x, 1)), o),
+                  lambda o, x=x: -theta_quotient(((-x.inverse(), 1),),
+                                                 ((-(x ** -2) * Q(1), 2), (x.inverse(), 1)), o))
          for x in xs]))
 
     def power_split_rhs(z, n, o):
@@ -282,26 +277,17 @@ def _theta_entries() -> list[CatalogEntry]:
         "j(y;q)/j(-y;q) - j(x;q)/j(-x;q) = 2x j(y/x;q^2) j(qxy;q^2)/(j(-x;q) j(-y;q))",
         F(30),
         [Instance({"x": x, "y": y},
-                  lambda o, x=x, y=y: computed_to(
-                      lambda t: theta_j(y, 1, t) * theta_j(-y, 1, t).invert()
-                      - theta_j(x, 1, t) * theta_j(-x, 1, t).invert(), o),
-                  lambda o, x=x, y=y: computed_to(
-                      lambda t: (theta_j(y / x, 2, t) * theta_j(x * y * Q(1), 2, t)
-                                 * (theta_j(-x, 1, t) * theta_j(-y, 1, t)).invert())
-                      .shift(x).scale(2), o))
+                  lambda o, x=x, y=y: theta_quotient(((y, 1),), ((-y, 1),), o)
+                  - theta_quotient(((x, 1),), ((-x, 1),), o),
+                  lambda o, x=x, y=y: theta_quotient(((y / x, 2), (x * y * Q(1), 2)),
+                                                     ((-x, 1), (-y, 1)), o, shift=x).scale(2))
          for x, y in pairs]))
 
     def mult_shift_rhs(x, z, n, o):
-        def build(t):
-            total = QSeries.zero(t)
-            for k in range(n):
-                term = theta_j(z * x ** n * Q(k), n, t) * \
-                    theta_j(z * Q(k), n, t).invert()
-                total = total + term.shift(x ** k)
-            head = eta_quotient({n: 3, 1: -3}, t) * theta_j(z, 1, t)
-            head = head * theta_j(x ** n, n, t).invert()
-            return head * total
-        return computed_to(build, o)
+        # the k-sum of x^k j(z x^n q^k;q^n)/j(z q^k;q^n) is the start of
+        # J_n^3 j(z;q) / (J_1^3 j(x^n;q^n))
+        terms = [(((z * x ** n * Q(k), n),), ((z * Q(k), n),), x ** k) for k in range(n)]
+        return theta_quotient(((z, 1),), ((x ** n, n),), o, eta={n: 3, 1: -3}, start=terms)
 
     for n in (2, 3):
         entries.append(CatalogEntry(
@@ -309,8 +295,7 @@ def _theta_entries() -> list[CatalogEntry]:
             "j(zx;q)/j(x;q) as a %d-term sum of base-q^%d theta quotients" % (n, n),
             F(30),
             [Instance({"x": x, "z": z, "n": n},
-                      lambda o, x=x, z=z: computed_to(
-                          lambda t: theta_j(z * x, 1, t) * theta_j(x, 1, t).invert(), o),
+                      lambda o, x=x, z=z: theta_quotient(((z * x, 1),), ((x, 1),), o),
                       lambda o, x=x, z=z, n=n: mult_shift_rhs(x, z, n, o))
              for x, z in [(Z(1, 5), Z(1, 7)), (Z(1, 7, 1), Z(2, 5)), (Z(2, 11), Z(1, 5, 1))]]))
     return entries

@@ -15,7 +15,7 @@ from .appell import appell_m, psi
 from .cyclotomic import root_of_unity
 from .errors import UnknownName
 from .series import Monomial, QSeries, computed_to, eta_J, eta_quotient, shift_loss, shifted
-from .theta import theta_j, theta_product
+from .theta import theta_j, theta_product, theta_quotient
 
 F = Fraction
 Z = Monomial.zeta
@@ -242,12 +242,9 @@ def bracket_reduction_lhs(order) -> QSeries:
     """-(zeta_3 - zeta_3^2) J_2 J_6 J_18^4 / (2 J_4^2 J_36^2 j(-zeta_3 q^9;q^18))
     times the two-ratio sum above."""
     w = root_of_unity(1, 3)
-
-    def build(o):
-        quo = eta_quotient({2: 1, 6: 1, 18: 4, 4: -2, 36: -2}, o)
-        div = theta_j(-Z(1, 3, 9), 18, o).invert()
-        return (quo * div * ratio_sum_lhs(o)).scale((w - w ** 2) * F(-1, 2))
-    return computed_to(build, order)
+    order = F(order)
+    return theta_quotient((), ((-Z(1, 3, 9), 18),), order, eta={2: 1, 6: 1, 18: 4, 4: -2, 36: -2},
+                          start=ratio_sum_lhs(order)).scale((w - w ** 2) * F(-1, 2))
 
 
 def bracket_reduction_rhs(order) -> QSeries:

@@ -13,9 +13,11 @@ denominator and laid out flat, q-coefficient i at offset i (2 phi - 1), so
 it costs one ``convolve_int`` call and one reduction mod Phi_L per output
 coefficient.  Inverses use Newton iteration, g <- g + g (1 - u g), which
 doubles the number of correct terms per step and runs every product through
-the same packed path.  ``root_sum`` builds a sum of signed roots of unity
-times powers of q (theta and Appell-Lerch sums) over the integers, with one
-reduction mod Phi_L per exponent.  ``eta_quotient`` expands a product of
+the same packed path; quotients of theta blocks do not come here, since
+`qrank.theta.theta_quotient` divides by them with recurrences.  ``root_sum``
+builds a sum of signed roots of unity times powers of q (theta and
+Appell-Lerch sums) over the integers, with one reduction mod Phi_L per
+exponent.  ``eta_quotient`` expands a product of
 powers of J_m = (q^m; q^m)_oo by the integer recurrence of its logarithmic
 derivative, with no series product or inverse.
 
@@ -647,12 +649,12 @@ def computed_to(builder, order, tries: int = 8) -> QSeries:
     """Run a series builder and return its result truncated at `order`.
 
     Builders plan their own precision loss: a factor q^{-k} costs k, and a
-    product with theta blocks of negative valuation costs what
-    `qrank.theta.product_loss` computes from the valuations, so each builder
-    asks its inputs for that much more and its first result is valid below
-    `order`.  This is the guard that keeps a wrong plan from over-claiming:
-    a result known to less than `order` is rebuilt with the shortfall added,
-    which converges because every constructor's loss is a fixed shift.
+    quotient of theta blocks is expanded by `qrank.theta.theta_quotient`
+    from the blocks' valuations, so each builder asks its inputs for what it
+    needs and its first result is valid below `order`.  This is the guard
+    that keeps a wrong plan from over-claiming: a result known to less than
+    `order` is rebuilt with the shortfall added, which converges because
+    every constructor's loss is a fixed shift.
     """
     target = Fraction(order)
     arg = target

@@ -10,6 +10,11 @@ minimum and reached the order, no later term can fall below it.  That holds
 for any monomial z, including ones with negative or fractional q-exponent.
 The triple product is kept as an independent oracle for tests and for the
 catalog's two-route entry.
+
+`theta_quotient` builds every quotient of theta blocks (times an eta
+quotient, a monomial and a start series) in the group ring Z[C_L], with a
+sparse pass per block and one reduction mod Phi_L per output coefficient;
+`theta_product` is the same with the blocks given as (z, p, +-1).
 """
 
 from __future__ import annotations
@@ -17,9 +22,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, sub
 
+from .cyclotomic import get_field
+from .errors import NonGenericParameter
 from .reports import IdentityReport, compare_series
-from .series import Monomial, QSeries, computed_to, eta_quotient, root_sum, shifted
+from .series import Monomial, QSeries, eta_quotient, root_sum, shifted
 
 
 def _base_exp(base) -> Fraction:
@@ -80,44 +88,283 @@ def theta_valuation(z: Monomial, base) -> Fraction:
     return min(p * binom2(n) + n * e, p * binom2(n + 1) + (n + 1) * e)
 
 
-def product_loss(factors, shift: Monomial | None = None) -> Fraction:
-    """How much further than a target order to expand every factor of
-    m prod_i f_i^{e_i}, so that the product is valid below the target.
-    `factors` holds (valuation of f_i, e_i) and m is the monomial `shift`.
-
-    A product or an inverse keeps the least relative precision (order minus
-    valuation) of its inputs, so factors known below O give a product known
-    below exp(m) + sum_i e_i v_i + O - max_i v_i.  Theta blocks have
-    valuation <= 0, so the loss comes from the shift and from factors of
-    negative valuation next to higher ones: J_1 j(x;q) with exp(x) = -1
-    loses 1, J_1 / j(x;q) gains 1.  The plan never asks for less than the
-    target.
-    """
-    factors = list(factors)
-    reach = sum(e * v for v, e in factors) - max(v for v, _ in factors)
-    if shift is not None:
-        reach += shift.q_exp
-    return max(Fraction(0), -reach)
-
-
 def theta_product(thetas, order, eta: dict | None = None,
                   shift: Monomial | None = None) -> QSeries:
     """shift * eta_quotient(eta) * prod j(z; q^p)^e over the (z, p, e) of
-    `thetas` (e = 1 or -1), with every factor expanded `product_loss` beyond
-    `order`, so that the first build is valid below `order`."""
-    factors = [(theta_valuation(z, p), e) for z, p, e in thetas]
-    if eta is not None:
-        factors.append((0, 1))
-    loss = product_loss(factors, shift)
+    `thetas` (e = 1 or -1), exact below `order`: `theta_quotient` with the
+    blocks of exponent 1 above the line and those of exponent -1 below."""
+    return theta_quotient([(z, p) for z, p, e in thetas if e > 0],
+                          [(z, p) for z, p, e in thetas if e < 0], order, eta, shift)
 
-    def build(o):
-        o += loss
-        out = None if eta is None else eta_quotient(eta, o)
-        for z, p, e in thetas:
-            f = theta_j(z, p, o) if e > 0 else theta_j(z, p, o).invert()
-            out = f if out is None else out * f
-        return out if shift is None else out.shift(shift)
-    return computed_to(build, order)
+
+# ---------------------------------------------------------------------------
+# theta quotients over Z[C_L]
+# ---------------------------------------------------------------------------
+
+
+def theta_quotient(num, den, order, eta: dict | None = None,
+                   shift: Monomial | None = None, start=None) -> QSeries:
+    """shift * start * eta_quotient(eta) * prod_num j(z;q^p) / prod_den j(z;q^p),
+    exact below `order`.
+
+    `num` and `den` hold (z, p) pairs.  `start` is None (the constant 1), a
+    QSeries, or a sequence of (num, den, shift) terms whose sum is the start;
+    the terms are added in Z[C_L] and their sum is reduced once, with the
+    rest.  A QSeries start is used below the order the quotient needs of it,
+    and a start known less far shortens the result to match.
+
+    The expansion runs in the group ring Z[C_L]: a coefficient is a list of
+    L integers over zeta_L^0 .. zeta_L^(L-1), and multiplying by +-zeta_L^k
+    is a rotation.  A numerator block is a sparse shift-and-add pass.  A
+    divisor whose lowest term is a single +-zeta^k q^v divides by a sparse
+    recurrence after that term is taken out.  A divisor with a tie,
+    exp(z) = m p and z = c q^(m p) with c a root of unity of order N > 1, is
+    j(z;q^p) = (-1)^m q^(-p C(m,2)) c^(-m) (1 - c) P(q^p) with
+    P = sum_{n>=1} (-1)^(n+1) q^(p C(n,2)) sum_{|j|<n} c^j, whose lowest
+    coefficient is 1, so P also divides by a recurrence.  The (1 - c) of
+    every tie divide the start once: 1/(1 - c) = -(1/N) sum_{j<N} j c^j.
+    Both steps use that the sum of the N powers of c is 0 in Q(zeta_L): it
+    drops out of P's coefficients, and the identities need only hold after
+    the reduction mod Phi_L, which is a ring map and comes last, once per
+    coefficient.  The valuation of every block is `theta_valuation`, so the
+    quotient knows how far to expand each block and the result is exact
+    below `order` the first time.  A divisor that vanishes identically
+    raises NonGenericParameter.
+    """
+    order = Fraction(order)
+    outer = _Quotient(num, den, Monomial.one() if shift is None else shift)
+    need = order - outer.val  # the start is needed below this
+    # the start is used from its valuation s0 (need when it has no term
+    # below need) and is known below `known`
+    parts, known, L, D = [], need, outer.L, order.denominator
+    reach = [order]
+    if start is None:
+        s0 = Fraction(0)
+    elif isinstance(start, QSeries):
+        s0 = need if start.valuation is None else start.valuation
+        if start.prec is not None:
+            known = min(need, start.order)
+        L, D = math.lcm(L, start.field.L), math.lcm(D, start.den)
+    else:
+        parts = [_Quotient(*term) for term in start]
+        s0 = min([t.val for t in parts if t.val < need], default=need)
+    if start is not None:
+        reach.append(need)
+    if eta:
+        reach.append(need - s0)
+        D = math.lcm(D, *(Fraction(m).denominator for m, e in eta.items() if e))
+    # every block is listed below one bound: the order, or the furthest any
+    # factor reaches when the start is needed below `need`, if that is more
+    for q, s in [(outer, s0)] + [(t, t.val) for t in parts]:
+        L = math.lcm(L, q.L)
+        reach += [v + need - s for _, _, v, _ in q.blocks]
+    top = max(reach)
+    for q in [outer] + parts:
+        D = math.lcm(D, q.plan(top))
+    D = math.lcm(D, (known + outer.val).denominator)
+    field = get_field(L)
+    prec = int((known + outer.val) * D)
+    n = int(max(known - s0, 0) * D)
+    if n <= 0:
+        return QSeries(field, D, 0, (), prec, _normalized=True)
+    outer.prepare(n, D, L)
+    if start is None:
+        f, div = _seed(outer.kappa, n, L), 1
+    elif parts:
+        f, div = _sum_parts(parts, outer.kappa, s0, n, D, L)
+    else:
+        f, div = _lift(start, n, L, D)
+        f = _times(f, [(0, w, k) for k, w in outer.kappa.items()])
+    if eta:
+        e = eta_quotient(eta, Fraction(n, D))
+        f = _times(f, [((e.val + i) * (D // e.den), c[1][0], 0)
+                       for i, c in enumerate(e.coeffs) if c[1][0]])
+    f = outer.apply(f)
+    sign, rot, div = outer.sign, outer.rot, div * outer.div
+    coeffs = []
+    for v in f:
+        if v is None:
+            coeffs.append(field.zero)
+            continue
+        v = _rotate(v, rot) if rot else list(v)
+        coeffs.append(field.normalize(sign * div, field.reduce_vec(v)))
+    return QSeries(field, D, int((s0 + outer.val) * D), tuple(coeffs), prec)
+
+
+class _Quotient:
+    """shift * prod_num j(z;q^p) / prod_den j(z;q^p): its blocks as
+    (z, p, valuation, is a divisor), its valuation `val` and root order L."""
+
+    def __init__(self, num, den, shift: Monomial):
+        self.shift, self.val, self.L, self.blocks = shift, shift.q_exp, shift.zeta_den, []
+        for divisor, blocks in ((False, num), (True, den)):
+            for z, p in blocks:
+                p = _base_exp(p)
+                if divisor and is_theta_zero_pattern(z, p):
+                    raise NonGenericParameter("theta divisor j(%s; q^%s) vanishes" % (z, p))
+                v = theta_valuation(z, p)
+                self.val += -v if divisor else v
+                self.L = math.lcm(self.L, z.zeta_den)
+                self.blocks.append((z, p, v, divisor))
+
+    def plan(self, top: Fraction) -> int:
+        """List each block's terms below q^top, as (offset, n) for the term
+        (-1)^n z^n q^(p C(n,2)) at offset/s above the block's valuation, s
+        the denominator of p and exp(z); return the lcm of the denominators
+        of their exponents and of the shift's."""
+        den, self.terms = self.shift.q_exp.denominator, []
+        for z, p, v, _ in self.blocks:
+            s = math.lcm(p.denominator, z.q_exp.denominator)
+            P, E = int(p * s), int(z.q_exp * s)
+            block = list(bilateral(lambda n: P * binom2(n) + n * E, math.ceil(top * s)))
+            den = math.lcm(den, *(s // math.gcd(low, s) for _, low in block))
+            self.terms.append((s, [(low - int(v * s), n) for n, low in block]))
+        return den
+
+    def prepare(self, n: int, D: int, L: int) -> None:
+        """The passes of the blocks below n steps of q^(1/D), as `steps`.
+        The lowest term of each divisor is taken out, so the product is
+        sign zeta_L^rot q^val kappa / div times the passes.  `kappa`
+        ({rotation: weight}) is the product of the -sum_{j<N} j c^j of the
+        ties and div that of their N."""
+        self.sign, self.rot, self.div = 1, self.shift.zeta_num * (L // self.shift.zeta_den), 1
+        self.kappa, self.steps = {0: 1}, []
+        for (z, p, _, divisor), (s, block) in zip(self.blocks, self.terms):
+            k = z.zeta_num * (L // z.zeta_den)
+            m, i0 = z.q_exp / p, 0
+            if divisor and m.denominator == 1:
+                N, m = z.zeta_den, int(m)
+                self.sign *= -1 if m % 2 else 1
+                self.rot += m * k
+                self.div *= N
+                self.kappa = _ring_mul(self.kappa, {j * k % L: -j for j in range(1, N)}, L)
+                self.steps.append((True, _tie_rows(k, N, p, n, D, L)))
+                continue
+            if divisor:
+                i0 = min(block)[1]
+                self.sign *= -1 if i0 % 2 else 1
+                self.rot -= i0 * k
+            self.steps.append((divisor, sorted(
+                (off * D // s, -1 if (i - i0) % 2 else 1, (i - i0) * k % L)
+                for off, i in block if not divisor or i != i0)))
+        self.rot %= L
+
+    def apply(self, f):
+        """f times the passes of `prepare`, below len(f)."""
+        for divisor, rows in self.steps:
+            f = _divide(f, rows) if divisor else _times(f, rows)
+        return f
+
+
+def _ring_mul(a: dict, b: dict, L: int) -> dict:
+    """The product of two sparse elements {rotation: weight} of Z[C_L]."""
+    out: dict[int, int] = {}
+    for k, w in a.items():
+        for l, x in b.items():
+            r = (k + l) % L
+            out[r] = out.get(r, 0) + w * x
+    return {k: w for k, w in out.items() if w}
+
+
+def _tie_rows(k_c: int, N: int, p: Fraction, n: int, D: int, L: int):
+    """The terms of P(q^p) - 1 below n steps of q^(1/D), for c = zeta_L^k_c
+    of order N > 1, as (offset, sign, rotation).  Row r of P is
+    (-1)^(r+1) sum_{|j|<r} c^j; whole cycles of N powers sum to 0 and drop,
+    and a remainder of more than N/2 powers becomes minus the rest of its
+    cycle."""
+    rows, r = [], 2
+    while p * binom2(r) * D < n:
+        off, s = int(p * binom2(r) * D), 1 if r % 2 else -1
+        lo, cnt = 1 - r, (2 * r - 1) % N
+        if 2 * cnt > N:
+            lo, cnt, s = lo + cnt, N - cnt, -s
+        rows += [(off, s, (lo + j) * k_c % L) for j in range(cnt)]
+        r += 1
+    return rows
+
+
+def _seed(kappa: dict, n: int, L: int) -> list:
+    """The constant kappa below n steps, as vectors of L integers."""
+    v = [0] * L
+    for k, w in kappa.items():
+        v[k] = w
+    return [v] + [None] * (n - 1)
+
+
+def _rotate(v: list, k: int) -> list:
+    """v times zeta_L^k in Z[C_L], L = len(v), for 0 <= k < L."""
+    return v[-k:] + v[:-k] if k else v
+
+
+def _axpy(acc, v, w: int):
+    """acc + w v for lists of integers, with acc None for zero."""
+    if acc is None:
+        return v if w == 1 else [w * x for x in v]
+    if w == 1:
+        return list(map(add, acc, v))
+    if w == -1:
+        return list(map(sub, acc, v))
+    return [a + w * x for a, x in zip(acc, v)]
+
+
+def _times(f, terms):
+    """f times sum w zeta_L^k q^d over the (d, w, k) of `terms`, below len(f),
+    for vectors f of length L."""
+    n = len(f)
+    out = [None] * n
+    for d, w, k in terms:
+        for i in range(n - d):
+            if f[i] is not None:
+                out[i + d] = _axpy(out[i + d], _rotate(f[i], k), w)
+    return out
+
+
+def _divide(f, rows):
+    """f / (1 + sum w zeta_L^k q^d) over the (d, w, k) of `rows`, sorted by
+    d >= 1, below len(f): g_i = f_i - sum w zeta_L^k g_(i-d)."""
+    g = []
+    for i, acc in enumerate(f):
+        for d, w, k in rows:
+            if d > i:
+                break
+            if g[i - d] is not None:
+                acc = _axpy(acc, _rotate(g[i - d], k), -w)
+        g.append(acc)
+    return g
+
+
+def _lift(start: QSeries, n: int, L: int, D: int):
+    """The first n coefficients of `start` as vectors of L integers over one
+    common denominator."""
+    step, spread = L // start.field.L, D // start.den
+    coeffs = start.coeffs[:-(-n // spread)]
+    div = math.lcm(*(d for d, _ in coeffs))
+    f = [None] * n
+    for i, (d, vec) in enumerate(coeffs):
+        if any(vec):
+            f[i * spread] = v = [0] * L
+            for j, c in enumerate(vec):
+                v[j * step] = c * (div // d)
+    return f, div
+
+
+def _sum_parts(parts, kappa: dict, s0: Fraction, n: int, D: int, L: int):
+    """kappa times the sum of the (num, den, shift) terms of a start, below
+    n steps of q^(1/D) above s0, as vectors over one common denominator.
+    Each term starts from kappa times its own tie constant, one vector."""
+    built = []
+    for t in parts:
+        off = int((t.val - s0) * D)
+        if off < n:
+            t.prepare(n - off, D, L)
+            built.append((off, t, t.apply(_seed(_ring_mul(kappa, t.kappa, L), n - off, L))))
+    div = math.lcm(*(t.div for _, t, _ in built))
+    total = [None] * n
+    for off, t, g in built:
+        for i, v in enumerate(g):
+            if v is not None:
+                total[off + i] = _axpy(total[off + i], _rotate(v, t.rot), t.sign * (div // t.div))
+    return total, div
 
 
 @lru_cache(maxsize=None)

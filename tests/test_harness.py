@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+
+import qrank
 
 from qrank.catalog import (
     CATALOG,
@@ -256,3 +261,24 @@ def test_env_default_order(capsys, monkeypatch):
     assert main(["expand", "--series", "J1"]) == 0
     out = capsys.readouterr().out
     assert "# order 4" in out
+
+
+def test_reimport_releases_the_previous_generation():
+    # a fresh import of qrank, as a benchmark set-up does, must leave nothing
+    # that holds the previous generation's classes (and so its module
+    # globals and filled caches) alive
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qrank.__file__)))
+    code = "\n".join([
+        "import gc, sys, weakref",
+        "import qrank.catalog, qrank.cli",
+        "qrank.catalog.verify(qrank.catalog.CATALOG['appell-change-of-z'], 6)",
+        "old = weakref.ref(sys.modules['qrank.series'].QSeries)",
+        "for name in [m for m in sys.modules if m == 'qrank' or m.startswith('qrank.')]:",
+        "    del sys.modules[name]",
+        "import qrank.catalog, qrank.cli",
+        "gc.collect()",
+        "assert old() is None, gc.get_referrers(old())",
+    ])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr

@@ -1,10 +1,11 @@
-"""The oracle side of every formula check never touches m, Psi or Lambda.
+"""The oracle side of every formula check never touches m, Psi or Lambda,
+nor the theta-quotient engine they are built on.
 
-With the library caches cleared and `appell_m`, `psi` and `lam` rebound to
-raisers in every qrank module that holds them, both sides of the
-enumeration and two-forms entries and the definition route of the
-deviations must still build.  The formula side must raise, which shows the
-rebinding took hold.
+With the library caches cleared and `appell_m`, `psi`, `lam` and
+`theta_quotient` rebound to raisers in every qrank module that holds them,
+both sides of the enumeration and two-forms entries and the definition
+route of the deviations must still build.  The formula side must raise,
+which shows the rebinding took hold.
 """
 
 import sys
@@ -34,7 +35,7 @@ def no_appell_lerch(monkeypatch):
         for value in vars(mod).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
-        for name in ("appell_m", "psi", "lam"):
+        for name in ("appell_m", "psi", "lam", "theta_quotient"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, _forbidden)
     overpartitions._TABLE_CACHE.clear()

@@ -1,14 +1,18 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from qrank.cyclotomic import root_of_unity
-from qrank.series import Monomial, eta_quotient
+from qrank.errors import NonGenericParameter
+from qrank.series import Monomial, computed_to, eta_quotient, root_sum
 from qrank.theta import (
     bilateral,
     is_theta_zero_pattern,
-    product_loss,
     theta_j,
     theta_j2,
+    theta_product,
+    theta_quotient,
     theta_shift_check,
     theta_triple_product,
     theta_valuation,
@@ -128,19 +132,141 @@ def test_theta_valuation_matches_expansion():
     assert theta_valuation(Z(1, 5, -1), 4) == -1
 
 
-def test_product_loss_is_the_shortfall():
-    # j(z1) j(z2) / j(z3) q^s built at target + loss is valid exactly below target
-    rng = random.Random(5)
-    for _ in range(60):
-        p = rng.randint(1, 4)
-        zs = [Z(rng.randint(1, 6), 7, rng.randint(-6, 9)) for _ in range(3)]
-        shift = Q(rng.randint(-5, 5))
-        factors = [(theta_valuation(zs[0], p), 1), (theta_valuation(zs[1], p), 1),
-                   (theta_valuation(zs[2], p), -1)]
-        target = 12
-        loss = product_loss(factors, shift)
-        o = target + loss
-        s = (theta_j(zs[0], p, o) * theta_j(zs[1], p, o)
-             * theta_j(zs[2], p, o).invert()).shift(shift)
-        assert s.order >= target
-        assert loss == 0 or s.order == target, (zs, p, shift)
+# -- theta_quotient against the product-and-Newton route ----------------------
+
+
+def _product_route(num, den, order, eta=None, shift=None, start=None):
+    """shift * start * eta * prod_num j / prod_den j as series products and
+    Newton inverses, every factor expanded far enough that the product is
+    known below `order`: a product keeps the least relative precision of its
+    factors, so factors of valuation v_i (exponent e_i, the start and the
+    eta quotient among them) known below o give a product known below
+    exp(shift) + sum e_i v_i + o - max v_i."""
+    thetas = [(z, p, 1) for z, p in num] + [(z, p, -1) for z, p in den]
+    factors = [(theta_valuation(z, p), e) for z, p, e in thetas]
+    if eta is not None:
+        factors.append((F(0), 1))
+    if start is not None:
+        factors.append((start.valuation, 1))
+    reach = sum(e * v for v, e in factors) - max(v for v, _ in factors)
+    if shift is not None:
+        reach += shift.q_exp
+    loss = max(F(0), -reach)
+
+    def build(o):
+        o += loss
+        out = None if eta is None else eta_quotient(eta, o)
+        if start is not None:
+            out = start if out is None else out * start
+        for z, p, e in thetas:
+            f = theta_j(z, p, o) if e > 0 else theta_j(z, p, o).invert()
+            out = f if out is None else out * f
+        return out if shift is None else out.shift(shift)
+    return computed_to(build, order)
+
+
+def _random_block(rng, roots):
+    N = rng.choice(roots)
+    p = rng.choice([1, 2, 3, F(1, 2), 18])
+    tie = rng.randint(-2, 2) * p  # exp(z) a multiple of p: the two lowest terms tie
+    e = rng.choice([tie, tie, rng.randint(-6, 9), F(rng.randint(-9, 9), 2),
+                    F(rng.randint(-5, 5), 3)])
+    a = rng.randrange(N)
+    if a == 0 and (F(e) / p).denominator == 1:  # j(q^(m p);q^p) vanishes identically
+        a, e = (1, e) if N > 1 else (0, e + F(1, 3))
+    return Z(a, N, e), p
+
+
+def _random_quotient(rng, roots=None):
+    if roots is None:  # one root order 1-12 and its divisors per quotient
+        N = rng.randint(1, 12)
+        roots = [d for d in range(1, N + 1) if N % d == 0]
+    num = [_random_block(rng, roots) for _ in range(rng.randint(0, 2))]
+    den = [_random_block(rng, roots) for _ in range(rng.randint(1, 3))]
+    eta = rng.choice([None, None, {1: -1}, {2: 2, 1: -1}, {F(1, 2): 1, 3: -2}])
+    shift = rng.choice([None, Q(rng.randint(-3, 3)), Z(1, 3, F(1, 2)), Z(2, 5, -2)])
+    return num, den, eta, shift
+
+
+def test_theta_quotient_matches_product_route():
+    # byte-identical to the product-and-Newton route over ties and non-ties,
+    # bases 1, 2, 3, 1/2 and 18, root orders 1-12, negative and fractional
+    # exponents, eta quotients, shifts and orders 1-30 and 13/2
+    rng = random.Random(385)
+    ties = 0
+    for case in range(200):
+        num, den, eta, shift = _random_quotient(rng)
+        order = F(13, 2) if case % 10 == 0 else F(rng.randint(1, 30))
+        ties += sum((z.q_exp / F(p)).denominator == 1 for z, p in den)
+        new = theta_quotient(num, den, order, eta, shift)
+        old = _product_route(num, den, order, eta, shift)
+        assert new.order == order
+        assert new.to_json_dict() == old.to_json_dict(), (num, den, order, eta, shift)
+    assert 60 < ties < 400
+
+
+def test_theta_quotient_matches_product_route_in_a_large_field():
+    # L = 385: roots of order 5, 7 and 11 in one quotient
+    rng = random.Random(7)
+    for _ in range(6):
+        num = [_random_block(rng, (5, 7, 11))]
+        den = [_random_block(rng, (5, 7, 11)) for _ in range(2)]
+        z = Z(1, 385, rng.randint(-2, 2))
+        den.append((z, 1))
+        order = F(rng.randint(4, 12))
+        new = theta_quotient(num, den, order, {1: 1})
+        assert new.field.L == 385
+        assert new.to_json_dict() == _product_route(num, den, order, {1: 1}).to_json_dict()
+
+
+def test_theta_quotient_with_a_start():
+    # a start series with fractional coefficients, at a valuation of its own
+    rng = random.Random(11)
+    for case in range(40):
+        num, den, eta, shift = _random_quotient(rng, (1, 2, 3, 4, 6))
+        order = F(13, 2) if case % 10 == 0 else F(rng.randint(1, 30))
+        s0 = F(rng.randint(-3, 3), rng.choice([1, 2]))
+        start = root_sum(((F(rng.randint(-9, 9), rng.randint(1, 6)), rng.randrange(12),
+                           s0 + F(i, 2)) for i in range(200)), 12, order + 60)
+        new = theta_quotient(num, den, order, eta, shift, start)
+        old = _product_route(num, den, order, eta, shift, start)
+        assert new.order == order
+        assert new.to_json_dict() == old.to_json_dict(), (num, den, order, eta, shift)
+
+
+def test_theta_quotient_sums_its_start_terms():
+    # a start given as (num, den, shift) terms is their sum
+    rng = random.Random(17)
+    for _ in range(20):
+        num, den, eta, shift = _random_quotient(rng, (1, 2, 3, 5))
+        terms = [_random_quotient(rng, (1, 2, 3, 5)) for _ in range(rng.randint(1, 3))]
+        terms = [(n, d, s or Q(0)) for n, d, _, s in terms]
+        order = F(rng.randint(1, 20))
+        total = theta_quotient(num, den, order, eta, shift, terms)
+        one = Monomial.one() if shift is None else shift
+        parts = [theta_quotient(num + n, den + d, order, eta, one * s) for n, d, s in terms]
+        assert total.order == order
+        assert total.agrees_with(sum(parts[1:], parts[0]), order)
+
+
+def test_theta_quotient_vanishing_divisor_raises():
+    for z, p in ((Q(0), 1), (Q(2), 1), (Q(-4), 2), (Q(F(3, 2)), F(1, 2))):
+        with pytest.raises(NonGenericParameter):
+            theta_quotient([(Z(1, 5), 1)], [(z, p)], 10)
+        with pytest.raises(NonGenericParameter):
+            theta_quotient([], [], 10, start=[((), ((z, p),), Q(0))])
+
+
+def test_theta_quotient_vanishing_numerator_is_zero():
+    s = theta_quotient([(Q(2), 1)], [(Z(1, 5), 1)], 12, eta={1: 3})
+    assert s.is_zero() and s.order == 12
+
+
+@pytest.mark.parametrize("order", [0, -2, F(-1, 2)])
+def test_theta_product_at_order_at_most_zero(order):
+    # a quotient known to no coefficient is its zero-to-order series
+    s = theta_product(((Q(1), 3, -1),), order)
+    assert s.is_zero() and s.order == order
+    s = theta_product(((Z(1, 5), 1, 1), (Z(1, 7, -1), 1, -1)), order, eta={1: 1})
+    assert s.order == order and s.agrees_with(
+        theta_product(((Z(1, 5), 1, 1), (Z(1, 7, -1), 1, -1)), 4, eta={1: 1}), order)
