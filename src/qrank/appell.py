@@ -31,13 +31,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .cyclotomic import root_of_unity
 from .errors import NonGenericParameter
 from .reports import IdentityReport, compare_series
-from .series import (Monomial, QSeries, computed_to, eta_quotient, root_sum,
-                     shift_loss, shifted)
+from .series import (Monomial, QSeries, eta_quotient, exact_below, root_sum, shift_loss,
+                     shifted)
 from .theta import bilateral, binom2, is_theta_zero_pattern, theta_quotient
 
 F = Fraction
@@ -70,13 +69,10 @@ def _geometric(w, k: int, exp: Fraction, u: Monomial, L: int, order: Fraction):
 # ---------------------------------------------------------------------------
 
 
+@exact_below
 def appell_m(x: Monomial, base, z: Monomial, order) -> QSeries:
     """m(x, q^p, z) = (1/j(z;q^p)) sum_r (-1)^r q^{p C(r,2)} z^r / (1 - q^{p(r-1)} x z)."""
-    return computed_to(lambda o: _appell_m_once(x, F(base), z, o), order)
-
-
-@lru_cache(maxsize=None)
-def _appell_m_once(x: Monomial, p: Fraction, z: Monomial, order: Fraction) -> QSeries:
+    p = F(base)
     if p <= 0:
         raise ValueError("base exponent must be positive")
     # genericity: neither z nor xz may be an integral power of the base
@@ -106,15 +102,11 @@ def _appell_m_once(x: Monomial, p: Fraction, z: Monomial, order: Fraction) -> QS
 # ---------------------------------------------------------------------------
 
 
+@exact_below
 def delta(x: Monomial, z1: Monomial, z0: Monomial, base, order) -> QSeries:
     """Delta(x, z1, z0; q^p) = z0 J_1^3 j(z1/z0) j(x z0 z1) / (j(z0) j(z1) j(x z0) j(x z1)),
     everything at base q^p.  Equal to m(x,q^p,z1) - m(x,q^p,z0)."""
-    return computed_to(lambda o: _delta_once(x, z1, z0, F(base), o), order)
-
-
-@lru_cache(maxsize=None)
-def _delta_once(x: Monomial, z1: Monomial, z0: Monomial, p: Fraction,
-                order: Fraction) -> QSeries:
+    p = F(base)
     if z1 == z0:
         # numerator factor j(1;q^p) vanishes identically
         return QSeries.zero(order)
@@ -123,17 +115,13 @@ def _delta_once(x: Monomial, z1: Monomial, z0: Monomial, p: Fraction,
                           order, eta={p: 3}, shift=z0)
 
 
+@exact_below
 def psi(k: int, n: int, x: Monomial, z: Monomial, zp: Monomial, base, order) -> QSeries:
     """Psi_k^n(x, z, z'; q^p): the finite t-sum of theta quotients with the
     -x^k z^{k+1} J_{n^2}^3 / (j(z;q^p) j(z';q^{p n^2})) prefactor."""
-    return computed_to(lambda o: _psi_once(k, n, x, z, zp, F(base), o), order)
-
-
-@lru_cache(maxsize=None)
-def _psi_once(k: int, n: int, x: Monomial, z: Monomial, zp: Monomial,
-              p: Fraction, order: Fraction) -> QSeries:
     if n < 1:
         raise ValueError("n must be a positive integer")
+    p = F(base)
     pn2 = p * n * n
     c_arg = -(Monomial.q(p * (binom2(n) - n * k)) * (-x) ** n * zp)
     xz_n = (x * z) ** n
@@ -153,18 +141,13 @@ def _psi_once(k: int, n: int, x: Monomial, z: Monomial, zp: Monomial,
 # ---------------------------------------------------------------------------
 
 
+@exact_below
 def lam(d: int, z: Monomial, z0: Monomial, zp: Monomial, order) -> QSeries:
     """Lambda(d, z, z0, z') for odd d, built from Psi and a t-sum of Deltas at
     base q^2, with prefactor (-1)^{(d+1)/2} q^{-(d-1)^2/4} z^{(d-1)/d}.
 
     z^{1/d} is taken on the canonical root branch and reused consistently for
     every fractional power of z inside."""
-    return computed_to(lambda o: _lam_once(d, z, z0, zp, o), order)
-
-
-@lru_cache(maxsize=None)
-def _lam_once(d: int, z: Monomial, z0: Monomial, zp: Monomial,
-              order: Fraction) -> QSeries:
     if d < 1 or d % 2 == 0:
         raise ValueError("Lambda is defined for odd d >= 1")
     w = z.root(d)
@@ -200,6 +183,7 @@ def _lerch_sum(k: int, x: Monomial, order: Fraction) -> QSeries:
                     x.zeta_den, order)
 
 
+@exact_below
 def o_d_direct(d: int, z: Monomial, order) -> QSeries:
     """O_d(z;q) from its single-sum form:
     (1-z)/(1+z) * (1 + 2z/j(q;q^2) * sum_n (-1)^n q^{n^2+dn} / (1 - z q^{dn})).
@@ -207,11 +191,6 @@ def o_d_direct(d: int, z: Monomial, order) -> QSeries:
     This is the independent expansion used as the oracle for every deviation
     identity; it never touches the m/Psi/Lambda machinery.
     """
-    return computed_to(lambda o: _o_d_direct_once(d, z, o), order)
-
-
-@lru_cache(maxsize=None)
-def _o_d_direct_once(d: int, z: Monomial, order: Fraction) -> QSeries:
     if d < 1:
         raise ValueError("d must be a positive integer")
     if z.coeff_is_one and (z.q_exp / d).denominator == 1:
@@ -225,6 +204,7 @@ def _o_d_direct_once(d: int, z: Monomial, order: Fraction) -> QSeries:
     return core * one_minus * one_plus.invert(order)
 
 
+@exact_below
 def o_d_original(d: int, z: Monomial, order) -> QSeries:
     """O_d(z;q) from the symmetric double-divisor form:
     (J_2/J_1^2) (1 + 2 sum_{n>=1} (1-z)(1-1/z)(-1)^n q^{n^2+dn}
@@ -233,11 +213,6 @@ def o_d_original(d: int, z: Monomial, order) -> QSeries:
     Valid at z = -1, where the single-sum form has a removable prefactor pole;
     this is the route used for O_d(-1;q).
     """
-    return computed_to(lambda o: _o_d_original_once(d, z, o), order)
-
-
-@lru_cache(maxsize=None)
-def _o_d_original_once(d: int, z: Monomial, order: Fraction) -> QSeries:
     if z.coeff_is_one and z.q_exp == 0:
         raise NonGenericParameter("z = 1 is excluded")
     poly = (QSeries.one() - QSeries.from_monomial(z)) * \
@@ -263,6 +238,7 @@ def o_d_at_minus_one(d: int, order) -> QSeries:
 # ---------------------------------------------------------------------------
 
 
+@exact_below
 def s_bar_d(d: int, z: Monomial, z0: Monomial, zp: Monomial, order) -> QSeries:
     """(1+z) O_d(z;q) expressed through Appell-Lerch series.
 
@@ -270,11 +246,6 @@ def s_bar_d(d: int, z: Monomial, z0: Monomial, zp: Monomial, order) -> QSeries:
     Even d: (1-z) (-1 + 2 m((-1)^{d/2+1} z q^{d^2/4}, q^{d^2/2}, z')
                        + 2 (-1)^{d/2} z q^{-d^2/4} Psi_0^{d/2}(z^{2/d} q^{1-d}, q, z'; q^2)).
     """
-    return computed_to(lambda o: _s_bar_d_once(d, z, z0, zp, o), order)
-
-
-def _s_bar_d_once(d: int, z: Monomial, z0: Monomial, zp: Monomial,
-                  order: Fraction) -> QSeries:
     if d < 1:
         raise ValueError("d must be a positive integer")
     return s_bar_bracket(d, z, z0, zp, order) * (QSeries.one() - QSeries.from_monomial(z))
@@ -300,13 +271,9 @@ def s_bar_bracket(d: int, z: Monomial, z0: Monomial, zp: Monomial, order) -> QSe
 # ---------------------------------------------------------------------------
 
 
+@exact_below
 def lerch_fold_lhs(x: Monomial, order) -> QSeries:
     """(1/j(q;q^2)) sum_n (-1)^n q^{n^2+n} / (1 - x q^n)."""
-    return computed_to(lambda o: _lerch_fold_lhs_once(x, o), order)
-
-
-@lru_cache(maxsize=None)
-def _lerch_fold_lhs_once(x: Monomial, order: Fraction) -> QSeries:
     if x.coeff_is_one and x.q_exp.denominator == 1:
         raise NonGenericParameter("divisor 1 - x q^n vanishes at n = %d" % (-x.q_exp))
     return _lerch_sum(1, x, order) * eta_quotient({2: 1, 1: -2}, order)

@@ -408,7 +408,7 @@ def _rank_series_entries() -> list[CatalogEntry]:
 
     def enum_series(d, z, o):
         # sum of N(m, n) z^m q^n for a root of unity z
-        counts = enumeration_rank_counts(d, int(o) - 1)
+        counts = enumeration_rank_counts(d, math.ceil(o) - 1)
         L = math.lcm(*{(z ** m).zeta_den for m, _ in counts})
         return root_sum(((c, z.zeta_num * m * L // z.zeta_den, n)
                          for (m, n), c in counts.items()), L, o)

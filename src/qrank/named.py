@@ -9,12 +9,12 @@ is exact below that order.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .appell import appell_m, psi
 from .cyclotomic import root_of_unity
 from .errors import UnknownName
-from .series import Monomial, QSeries, computed_to, eta_J, eta_quotient, shift_loss, shifted
+from .series import (Monomial, QSeries, computed_to, eta_J, eta_quotient, exact_below,
+                     shift_loss, shifted)
 from .theta import theta_j, theta_product, theta_quotient
 
 F = Fraction
@@ -34,7 +34,7 @@ _W_HEAD = {3: 9, 1: -12}  # H = J_3^9 / J_1^12
 _W_SMALL = {1: 1, 6: 3, 2: -1, 3: -3}  # w = J_1 J_6^3 / (J_2 J_3^3)
 
 
-@lru_cache(maxsize=None)
+@exact_below
 def _w_small(order) -> QSeries:
     return eta_quotient(_W_SMALL, order)
 
@@ -47,7 +47,7 @@ def _head_times_w(k: int) -> dict[int, int]:
     return spec
 
 
-@lru_cache(maxsize=None)
+@exact_below
 def _W(i: int, order) -> QSeries:
     """W_0 = H (w^-2 + 8 q w + 16 q^2 w^4), W_1 = H (3 w^-1 + 12 q w^2) and
     W_2 = 9 H; every term is one eta quotient."""
@@ -60,7 +60,7 @@ def _W(i: int, order) -> QSeries:
     return out
 
 
-@lru_cache(maxsize=None)
+@exact_below
 def _f(i: int, order) -> QSeries:
     den = eta_quotient({1: -1, 2: -1}, order)
     if i == 0:
@@ -70,7 +70,7 @@ def _f(i: int, order) -> QSeries:
     return -(theta_j(Q(1), 18, order) * den * Q(1))
 
 
-@lru_cache(maxsize=None)
+@exact_below
 def _g(i: int, order) -> QSeries:
     if i == 0:
         return eta_quotient({1: 1, 2: 2, 8: 2, 12: 2, 4: -5, 24: -1}, order)
@@ -79,7 +79,7 @@ def _g(i: int, order) -> QSeries:
     return eta_quotient({2: 2, 6: 2, 8: 3, 3: -1, 4: -5}, order).scale(-2)
 
 
-@lru_cache(maxsize=None)
+@exact_below
 def _h(i: int, order) -> QSeries:
     if i == 0:
         return eta_quotient({4: 4, 6: 2, 2: -1, 3: -1, 8: -3}, order)
@@ -88,7 +88,7 @@ def _h(i: int, order) -> QSeries:
     return -eta_quotient({2: 5, 3: 1, 12: 1, 24: 1, 1: -2, 4: -1, 6: -2, 8: -2}, order)
 
 
-@lru_cache(maxsize=None)
+@exact_below
 def _I(i: int, order) -> QSeries:
     if i == 0:
         return eta_quotient({2: 2, 6: 3, 4: -6}, order)
@@ -124,7 +124,7 @@ def dissection_rhs(key: str, order) -> QSeries:
 # -- theta-ratio constants for the assembled decomposition --------------------
 
 
-@lru_cache(maxsize=None)
+@exact_below
 def _letter(name: str, order) -> QSeries:
     if name == "A":
         return theta_j(-Q(12), 27, order)
@@ -149,14 +149,14 @@ def _inner_order(order) -> int:
     return -(-F(order) // 3) + 1
 
 
-@lru_cache(maxsize=None)
+@exact_below
 def _wf(l: int, m: int, inner) -> QSeries:
     """W_l f_m at the inner order; the nine products are shared by both
     triple sums and all three classes."""
     return _W(l, inner) * _f(m, inner)
 
 
-@lru_cache(maxsize=None)
+@exact_below
 def _triple_sum(block, n_class: int, order) -> QSeries:
     """sum over k, l, m in {0,1,2} with k+l+m = n_class (mod 3) of
     q^{k+l+m} block_k(q^3) W_l(q^3) f_m(q^3).
@@ -187,7 +187,7 @@ def script_H(n_class: int, order) -> QSeries:
     return _triple_sum(_h, n_class, order)
 
 
-@lru_cache(maxsize=None)
+@exact_below
 def _pair_sum(block, n_class: int, order) -> QSeries:
     """sum over k, l in {0,1,2} with k+l = n_class (mod 3) of
     q^{k+l} block_k(q^3) W_l(q^3).
@@ -256,32 +256,30 @@ def bracket_reduction_rhs(order) -> QSeries:
 # -- the assembled three-part decomposition ----------------------------------
 
 
-@lru_cache(maxsize=None)
+@exact_below
 def _B_part(n_class: int, order) -> QSeries:
-    def build(o):
-        first = eta_quotient({6: 3, 9: 1, 108: 1, 3: -1, 18: -1, 36: -1}, o)
-        first = (first * _I(n_class, o).substitute_q_power(3)).shift(Q(3 + n_class)).scale(3)
-        outer = eta_quotient({3: 2, 6: 2, 36: 1, 12: -1, 18: -2}, o)
-        gw_coeff = eta_quotient({3: 3, 12: 2, 18: 2, 72: 1, 108: 2,
-                                 6: -4, 9: -1, 24: -1, 36: -1, 54: -1, 216: -1}, o)
-        term_gw = gw_coeff * _pair_sum(_g, n_class, o)
-        A, B, C, D, E, Fq, G = (_letter(x, o) for x in "ABCDEFG")
-        g_coeff = eta_quotient({12: 2, 108: 1, 6: -1, 24: -1}, o)
-        combo_G = (A * D).scale(2) - A * E
-        term_G = combo_G * script_G(n_class + 1, o)
-        term_G = term_G - (B * D + B * E) * script_G(n_class, o)
-        term_G = term_G + ((C * E).scale(2) - C * D) * script_G(n_class + 2, o)
-        term_G = (g_coeff * term_G).shift(Q(2)).scale(-2)
-        hw_coeff = eta_quotient({3: 3, 18: 1, 24: 1, 36: 2, 216: 1,
-                                 6: -3, 9: -1, 12: -1, 72: -1, 108: -1}, o)
-        term_hw = (hw_coeff * _pair_sum(_h, n_class + 1, o)).shift(Q(5))
-        h_coeff = eta_quotient({24: 1, 108: 1, 12: -1}, o)
-        combo_H = ((A * G).scale(2) + A * Fq) * script_H(n_class + 2, o)
-        combo_H = combo_H - ((B * Fq).scale(2) + B * G) * script_H(n_class + 1, o)
-        combo_H = combo_H - (C * G - C * Fq) * script_H(n_class, o)
-        term_H = (h_coeff * combo_H).shift(Q(1)).scale(-2)
-        return first + outer * (term_gw + term_G + term_hw + term_H)
-    return computed_to(build, order)
+    first = eta_quotient({6: 3, 9: 1, 108: 1, 3: -1, 18: -1, 36: -1}, order)
+    first = (first * _I(n_class, order).substitute_q_power(3)).shift(Q(3 + n_class)).scale(3)
+    outer = eta_quotient({3: 2, 6: 2, 36: 1, 12: -1, 18: -2}, order)
+    gw_coeff = eta_quotient({3: 3, 12: 2, 18: 2, 72: 1, 108: 2,
+                             6: -4, 9: -1, 24: -1, 36: -1, 54: -1, 216: -1}, order)
+    term_gw = gw_coeff * _pair_sum(_g, n_class, order)
+    A, B, C, D, E, Fq, G = (_letter(x, order) for x in "ABCDEFG")
+    g_coeff = eta_quotient({12: 2, 108: 1, 6: -1, 24: -1}, order)
+    combo_G = (A * D).scale(2) - A * E
+    term_G = combo_G * script_G(n_class + 1, order)
+    term_G = term_G - (B * D + B * E) * script_G(n_class, order)
+    term_G = term_G + ((C * E).scale(2) - C * D) * script_G(n_class + 2, order)
+    term_G = (g_coeff * term_G).shift(Q(2)).scale(-2)
+    hw_coeff = eta_quotient({3: 3, 18: 1, 24: 1, 36: 2, 216: 1,
+                             6: -3, 9: -1, 12: -1, 72: -1, 108: -1}, order)
+    term_hw = (hw_coeff * _pair_sum(_h, n_class + 1, order)).shift(Q(5))
+    h_coeff = eta_quotient({24: 1, 108: 1, 12: -1}, order)
+    combo_H = ((A * G).scale(2) + A * Fq) * script_H(n_class + 2, order)
+    combo_H = combo_H - ((B * Fq).scale(2) + B * G) * script_H(n_class + 1, order)
+    combo_H = combo_H - (C * G - C * Fq) * script_H(n_class, order)
+    term_H = (h_coeff * combo_H).shift(Q(1)).scale(-2)
+    return first + outer * (term_gw + term_G + term_hw + term_H)
 
 
 def b_block(n_class: int, order) -> QSeries:
@@ -300,13 +298,6 @@ def b_block(n_class: int, order) -> QSeries:
 
 
 # -- registry ----------------------------------------------------------------
-
-
-def _from_positive_order(builder):
-    """`builder`, made valid at every order: below an order <= 0 a unit has
-    no known coefficient to invert and a product of such truncations loses
-    precision, so there the builder runs at order 1 and is truncated."""
-    return lambda o: builder(o) if o > 0 else builder(F(1)).truncate(o)
 
 
 def _named_builders():
@@ -329,7 +320,7 @@ def _named_builders():
     builders["B1"] = (lambda o: b_block(1, o))
     builders["B2"] = (lambda o: b_block(2, o))
     builders["pbar"] = (lambda o: eta_quotient({2: 1, 1: -2}, o))
-    return {name: _from_positive_order(b) for name, b in builders.items()}
+    return builders
 
 
 NAMED_BUILDERS = _named_builders()

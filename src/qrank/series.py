@@ -34,7 +34,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .cyclotomic import (Cyclotomic, CyclotomicField, Raw, convolve_int, get_field,
                          root_of_unity)
@@ -209,6 +209,8 @@ class QSeries:
     def from_monomial(m: Monomial, order: Fraction | int | None = None) -> "QSeries":
         field = get_field(m.zeta_den)
         den = m.q_exp.denominator
+        if order is not None:
+            den = math.lcm(den, Fraction(order).denominator)
         val = int(m.q_exp * den)
         prec = None if order is None else _scale_exp(Fraction(order), den)
         return QSeries(field, den, val, (m.coeff_raw(field),), prec)
@@ -540,7 +542,7 @@ class QSeries:
         coefficients, or None if they agree on every exponent below `order`."""
         order = Fraction(order)
         a, b = self._common(other)
-        bound = _scale_exp(order, a.den)
+        bound = math.ceil(order * a.den)  # the first scaled exponent at or past `order`
         for p in (a.prec, b.prec):
             if p is not None and p < bound:
                 raise ValueError(
@@ -645,25 +647,39 @@ def root_sum(terms, L: int, order) -> QSeries:
     return QSeries(field, den, val, tuple(out), prec)
 
 
-def computed_to(builder, order, tries: int = 8) -> QSeries:
-    """Run a series builder and return its result truncated at `order`.
+def computed_to(builder, order) -> QSeries:
+    """Run a series builder once and return its result truncated at `order`.
 
     Builders plan their own precision loss: a factor q^{-k} costs k, and a
     quotient of theta blocks is expanded by `qrank.theta.theta_quotient`
     from the blocks' valuations, so each builder asks its inputs for what it
-    needs and its first result is valid below `order`.  This is the guard
-    that keeps a wrong plan from over-claiming: a result known to less than
-    `order` is rebuilt with the shortfall added, which converges because
-    every constructor's loss is a fixed shift.
+    needs and its one result is valid below `order`.  Below an order <= 0 a
+    unit has no known coefficient to invert and a product of truncations
+    loses precision, so there the builder runs at order 1.  This is the
+    guard that keeps a wrong plan from over-claiming: a result known to less
+    than the order it was built at raises instead of being returned.
     """
     target = Fraction(order)
-    arg = target
-    for _ in range(tries):
-        s = builder(arg)
-        if s.prec is None or s.order >= target:
-            return s.truncate(target)
-        arg = arg + (target - s.order)
-    raise RuntimeError("could not reach order %s after %d attempts" % (order, tries))
+    built_at = target if target > 0 else Fraction(1)
+    s = builder(built_at)
+    if s.prec is not None and s.order < built_at:
+        raise RuntimeError("a build at order %s is known only below %s" % (built_at, s.order))
+    return s.truncate(target)
+
+
+def exact_below(build):
+    """Decorate `build(*params, order)` into a cached builder that is exact
+    below its order: `build` is lru-cached and runs once through
+    `computed_to`, and the cache's `cache_clear` is the builder's own."""
+    cached = lru_cache(maxsize=None)(build)
+
+    @wraps(build)
+    def builder(*args):
+        *params, order = args
+        return computed_to(lambda o: cached(*params, o), order)
+
+    builder.cache_clear = cached.cache_clear
+    return builder
 
 
 def shift_loss(m: Monomial) -> Fraction:

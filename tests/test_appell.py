@@ -16,7 +16,7 @@ from qrank.appell import (
 )
 from qrank.cyclotomic import Cyclotomic, get_field, root_of_unity
 from qrank.errors import NonGenericParameter
-from qrank.series import Monomial, QSeries, computed_to, root_sum
+from qrank.series import Monomial, QSeries, computed_to, root_sum, shifted
 
 F = Fraction
 Z = Monomial.zeta
@@ -39,8 +39,7 @@ def test_appell_flip_inverse():
     # m(x,q,z) = x^{-1} m(x^{-1}, q, z^{-1})
     for x, p, z in SAMPLES:
         lhs = appell_m(x, p, z, 18)
-        rhs = computed_to(
-            lambda o: appell_m(x.inverse(), p, z.inverse(), o).shift(x.inverse()), 18)
+        rhs = shifted(lambda o: appell_m(x.inverse(), p, z.inverse(), o), x.inverse(), 18)
         assert lhs.agrees_with(rhs, 18), (x, p, z)
 
 
@@ -48,9 +47,8 @@ def test_appell_increment():
     # m(x,q,z) = x^{-1} - x^{-1} m(qx, q, z)
     for x, p, z in SAMPLES:
         lhs = appell_m(x, p, z, 18)
-        rhs = computed_to(
-            lambda o: (QSeries.from_monomial(x.inverse())
-                       - appell_m(x * Q(p), p, z, o).shift(x.inverse())), 18)
+        rhs = (QSeries.from_monomial(x.inverse())
+               - shifted(lambda o: appell_m(x * Q(p), p, z, o), x.inverse(), 18))
         assert lhs.agrees_with(rhs, 18), (x, p, z)
 
 
@@ -102,8 +100,7 @@ def test_root_averaging_small():
                 lhs = lhs + term.scale(root_of_unity(-k * t, n))
             head = Monomial.q(F(-binom2(k + 1))) * (-x) ** k
             inner_x = -(Q(binom2(n) - n * k) * (-x) ** n)
-            rhs = computed_to(
-                lambda o: appell_m(inner_x, n * n, zp, o).shift(head).scale(n), 12)
+            rhs = shifted(lambda o: appell_m(inner_x, n * n, zp, o), head, 12).scale(n)
             rhs = rhs + psi(k, n, x, z, zp, 1, 12).scale(n)
             assert lhs.agrees_with(rhs, 12), (n, k)
 
@@ -196,8 +193,7 @@ def test_fractional_base_flip():
     x, z = Z(1, 5, F(1, 2)), Z(1, 7)
     lhs = appell_m(x, F(1, 2), z, 8)
     assert lhs.den == 2
-    rhs = computed_to(
-        lambda o: appell_m(x.inverse(), F(1, 2), z.inverse(), o).shift(x.inverse()), 8)
+    rhs = shifted(lambda o: appell_m(x.inverse(), F(1, 2), z.inverse(), o), x.inverse(), 8)
     assert lhs.agrees_with(rhs, 8)
 
 
@@ -230,9 +226,9 @@ def test_psi_plan_is_exact(k, n, x, z, zp, p):
     import qrank.appell as appell
 
     order = F(10)
-    once = appell._psi_once.__wrapped__(k, n, x, z, zp, F(p), order)
+    once = appell.psi.__wrapped__(k, n, x, z, zp, F(p), order)
     assert once.order == order
-    assert once.agrees_with(appell._psi_once.__wrapped__(k, n, x, z, zp, F(p), order + 7), order)
+    assert once.agrees_with(appell.psi.__wrapped__(k, n, x, z, zp, F(p), order + 7), order)
 
 
 # -- _geometric ---------------------------------------------------------------

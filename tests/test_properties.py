@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from qrank.appell import appell_m, delta, lerch_fold_lhs, o_d_direct
 from qrank.errors import NonGenericParameter
-from qrank.series import Monomial, QSeries, computed_to
+from qrank.series import Monomial, QSeries, shifted
 from qrank.theta import (
     is_theta_zero_pattern,
     theta_j,
@@ -48,8 +48,7 @@ def test_m_flip(x, p, z, order):
     # m(x,q,z) = x^{-1} m(x^{-1}, q, z^{-1}), with q -> q^p
     assume(_generic_m(x, p, z))
     lhs = appell_m(x, p, z, order)
-    rhs = computed_to(
-        lambda o: appell_m(x.inverse(), p, z.inverse(), o).shift(x.inverse()), order)
+    rhs = shifted(lambda o: appell_m(x.inverse(), p, z.inverse(), o), x.inverse(), order)
     assert lhs.agrees_with(rhs, order)
 
 
@@ -59,9 +58,8 @@ def test_m_increment(x, p, z, order):
     # m(x,q,z) = x^{-1} - x^{-1} m(qx, q, z), with q -> q^p
     assume(_generic_m(x, p, z))
     lhs = appell_m(x, p, z, order)
-    rhs = computed_to(
-        lambda o: QSeries.from_monomial(x.inverse())
-        - appell_m(x * Q(p), p, z, o).shift(x.inverse()), order)
+    rhs = (QSeries.from_monomial(x.inverse())
+           - shifted(lambda o: appell_m(x * Q(p), p, z, o), x.inverse(), order))
     assert lhs.agrees_with(rhs, order)
 
 

@@ -294,6 +294,21 @@ def test_compare_beyond_order_raises():
         a.first_difference(poly([1], order=10), 5)
 
 
+@pytest.mark.parametrize("order", [F(13, 2), F(20, 3), F(25, 4)], ids=str)
+def test_orders_finer_than_the_series_denominator(order):
+    # series over q and q^{1/2} meet an order with a finer denominator
+    for e in (F(1), F(3, 2)):
+        m = QSeries.from_monomial(Monomial.zeta(1, 3, e), order)
+        assert m.order == order
+        assert m.coeff(e) == root_of_unity(1, 3)
+    a = poly([1, 2, 3, 4, 5, 6, 7, 8], order=8)
+    b = poly([1, 2, 3, 4, 5, 6, 0, 8], order=8)
+    assert a.first_difference(b, order)[0] == 6
+    assert a.agrees_with(b, 6)
+    with pytest.raises(ValueError):
+        a.first_difference(poly([1], order=6), order)
+
+
 def test_json_serialization():
     s = (QSeries.from_monomial(Monomial.zeta(1, 3), order=3) + QSeries.one(3))
     doc = s.to_json_dict()
