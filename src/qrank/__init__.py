@@ -41,12 +41,12 @@ from .overpartitions import (
 )
 from .reports import IdentityReport
 from .series import Monomial, QSeries, computed_to, eta_J, eta_quotient
-from .theta import theta_j, theta_j2, theta_shift_check, theta_triple_product
+from .theta import theta_j, theta_shift_check, theta_triple_product
 
 __all__ = [
     "Cyclotomic", "cyclo_polynomial", "get_field", "root_of_unity", "totient",
     "Monomial", "QSeries", "computed_to", "eta_J", "eta_quotient",
-    "theta_j", "theta_j2", "theta_shift_check", "theta_triple_product",
+    "theta_j", "theta_shift_check", "theta_triple_product",
     "appell_m", "delta", "psi", "lam", "htom_check",
     "o_d_direct", "o_d_original", "o_d_at_minus_one", "s_bar_d",
     "Overpartition", "RankTables", "enumerate_overpartitions",

@@ -41,8 +41,7 @@ from .overpartitions import (
 )
 from .reports import NON_GENERIC, PASS, IdentityReport, compare_series
 from .series import Monomial, QSeries, computed_to, eta_quotient, root_sum, shifted
-from .theta import (binom2, theta_j, theta_product, theta_quotient, theta_shift_check,
-                    theta_triple_product)
+from .theta import binom2, theta_j, theta_quotient, theta_shift_check, theta_triple_product
 
 F = Fraction
 Z = Monomial.zeta
@@ -212,10 +211,9 @@ def _theta_entries() -> list[CatalogEntry]:
         "j(x/q;q^2) j(q^2/x;q^2) = x^2 q^{-1} j(1/x;q) J_2^2/J_1",
         F(30),
         [Instance({"x": x},
-                  lambda o, x=x: theta_product(
-                      ((x * Q(-1), 2, 1), (x.inverse() * Q(2), 2, 1)), o),
-                  lambda o, x=x: theta_product(
-                      ((x.inverse(), 1, 1),), o, eta={2: 2, 1: -1}, shift=x ** 2 * Q(-1)))
+                  lambda o, x=x: theta_quotient(((x * Q(-1), 2), (x.inverse() * Q(2), 2)), (), o),
+                  lambda o, x=x: theta_quotient(((x.inverse(), 1),), (), o, eta={2: 2, 1: -1},
+                                                shift=x ** 2 * Q(-1)))
          for x in xs]))
 
     entries.append(CatalogEntry(
@@ -229,14 +227,10 @@ def _theta_entries() -> list[CatalogEntry]:
          for x in xs]))
 
     def power_split_rhs(z, n, o):
-        total = QSeries.zero(o)
-        for k in range(n):
-            arg = Z(n + 1, 2) * Q(binom2(n) + n * k) * z ** n
-            piece = computed_to(
-                lambda t, arg=arg, k=k: theta_j(arg, n * n, t)
-                .shift(Z(k, 2, F(k * (k - 1), 2)) * z ** k), o)
-            total = total + piece
-        return total
+        # sum_k (-1)^k q^C(k,2) z^k j((-1)^(n+1) q^(C(n,2)+nk) z^n;q^(n^2))
+        terms = [(((Z(n + 1, 2) * Q(binom2(n) + n * k) * z ** n, n * n),), (),
+                  Z(k, 2, binom2(k)) * z ** k) for k in range(n)]
+        return theta_quotient((), (), o, start=terms)
 
     for n in (2, 3):
         entries.append(CatalogEntry(
@@ -253,10 +247,10 @@ def _theta_entries() -> list[CatalogEntry]:
         "j(q x^3;q^3) + x j(q^2 x^3;q^3) = J_1 j(x^2;q)/j(x;q)",
         F(30),
         [Instance({"x": x},
-                  lambda o, x=x: computed_to(
-                      lambda t: theta_j(Q(1) * x ** 3, 3, t)
-                      + theta_j(Q(2) * x ** 3, 3, t).shift(x), o),
-                  lambda o, x=x: theta_product(((x ** 2, 1, 1), (x, 1, -1)), o, eta={1: 1}))
+                  lambda o, x=x: theta_quotient((), (), o, start=[
+                      (((Q(1) * x ** 3, 3),), (), Monomial.one()),
+                      (((Q(2) * x ** 3, 3),), (), x)]),
+                  lambda o, x=x: theta_quotient(((x ** 2, 1),), ((x, 1),), o, eta={1: 1}))
          for x in (Z(1, 5), Z(2, 7, 1), Z(3, 7))]))
 
     pairs = [(Z(1, 5), Z(1, 7)), (Z(1, 7, 1), Z(1, 5)), (Z(2, 11), Z(3, 11, 1))]
@@ -265,11 +259,10 @@ def _theta_entries() -> list[CatalogEntry]:
         "j(x;q) j(y;q) = j(-xy;q^2) j(-qy/x;q^2) - x j(-qxy;q^2) j(-y/x;q^2)",
         F(30),
         [Instance({"x": x, "y": y},
-                  lambda o, x=x, y=y: theta_j(x, 1, o) * theta_j(y, 1, o),
-                  lambda o, x=x, y=y: computed_to(
-                      lambda t: theta_j(-(x * y), 2, t) * theta_j(-(y / x) * Q(1), 2, t)
-                      - (theta_j(-(x * y) * Q(1), 2, t)
-                         * theta_j(-(y / x), 2, t)).shift(x), o))
+                  lambda o, x=x, y=y: theta_quotient(((x, 1), (y, 1)), (), o),
+                  lambda o, x=x, y=y: theta_quotient((), (), o, start=[
+                      (((-(x * y), 2), (-(y / x) * Q(1), 2)), (), Monomial.one()),
+                      (((-(x * y) * Q(1), 2), (-(y / x), 2)), (), -x)]))
          for x, y in pairs]))
 
     entries.append(CatalogEntry(
@@ -331,12 +324,9 @@ def _cube_root_entries() -> list[CatalogEntry]:
          for w in ws for s in (1, 2)]))
 
     def cubic_base_rhs(w, s, o):
-        def build(t):
-            bracket = named._theta_ratio(Q(2 * s), -Q(s), 9 * s, t)
-            tail = named._theta_ratio(Q(8 * s), -Q(4 * s), 9 * s, t)
-            wc = w.coeff()
-            return _scaled_eta({9: 1}, s, t) * (bracket - tail.shift(Q(s)).scale(wc * wc))
-        return computed_to(build, o)
+        return theta_quotient((), (), o, eta={9 * s: 1}, start=[
+            (((Q(2 * s), 9 * s),), ((-Q(s), 9 * s),), Monomial.one()),
+            (((Q(8 * s), 9 * s),), ((-Q(4 * s), 9 * s),), -(w * w) * Q(s))])
 
     entries.append(CatalogEntry(
         "theta-cube-root-cubic-base",
@@ -348,11 +338,9 @@ def _cube_root_entries() -> list[CatalogEntry]:
          for w in ws for s in (1, 2)]))
 
     def sextic_base_rhs(w, s, o):
-        def build(t):
-            bracket = named._theta_ratio(Q(10 * s), -Q(5 * s), 18 * s, t)
-            tail = named._theta_ratio(Q(14 * s), -Q(7 * s), 18 * s, t)
-            return _scaled_eta({18: 1}, s, t) * (bracket + tail.shift(Q(s)).scale(w.coeff()))
-        return computed_to(build, o)
+        return theta_quotient((), (), o, eta={18 * s: 1}, start=[
+            (((Q(10 * s), 18 * s),), ((-Q(5 * s), 18 * s),), Monomial.one()),
+            (((Q(14 * s), 18 * s),), ((-Q(7 * s), 18 * s),), w * Q(s))])
 
     entries.append(CatalogEntry(
         "theta-cube-root-sextic-base",
@@ -369,9 +357,8 @@ def _cube_root_entries() -> list[CatalogEntry]:
         "j(x;q) j(xw;q) j(xw^2;q) = (J_1^3/J_3) j(x^3;q^3)",
         F(30),
         [Instance({"x": x},
-                  lambda o, x=x: theta_product(
-                      ((x, 1, 1), (x * w, 1, 1), (x * w * w, 1, 1)), o),
-                  lambda o, x=x: theta_product(((x ** 3, 3, 1),), o, eta={1: 3, 3: -1}))
+                  lambda o, x=x: theta_quotient(((x, 1), (x * w, 1), (x * w * w, 1)), (), o),
+                  lambda o, x=x: theta_quotient(((x ** 3, 3),), (), o, eta={1: 3, 3: -1}))
          for x in (Z(1, 5), Z(1, 7, 1), Z(2, 11, 2))]))
     return entries
 

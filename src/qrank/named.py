@@ -15,16 +15,11 @@ from .cyclotomic import root_of_unity
 from .errors import UnknownName
 from .series import (Monomial, QSeries, computed_to, eta_J, eta_quotient, exact_below,
                      shift_loss, shifted)
-from .theta import theta_j, theta_product, theta_quotient
+from .theta import theta_quotient
 
 F = Fraction
 Z = Monomial.zeta
 Q = Monomial.q
-
-
-def _theta_ratio(z1: Monomial, z2: Monomial, base, order) -> QSeries:
-    """j(z1;q^p) / j(z2;q^p)."""
-    return theta_product(((z1, base, 1), (z2, base, -1)), order)
 
 
 # -- three-dissection blocks -------------------------------------------------
@@ -62,12 +57,11 @@ def _W(i: int, order) -> QSeries:
 
 @exact_below
 def _f(i: int, order) -> QSeries:
-    den = eta_quotient({1: -1, 2: -1}, order)
-    if i == 0:
-        return theta_j(Q(7), 18, order) * den
-    if i == 1:
-        return -(theta_j(Q(5), 18, order) * den)
-    return -(theta_j(Q(1), 18, order) * den * Q(1))
+    """f_0 = j(q^7;q^18)/(J_1 J_2), f_1 = -j(q^5;q^18)/(J_1 J_2) and
+    f_2 = -q j(q;q^18)/(J_1 J_2)."""
+    z, e = ((Q(7), 0), (Q(5), 0), (Q(1), 1))[i]
+    s = theta_quotient(((z, 18),), (), order, eta={1: -1, 2: -1}, shift=Q(e))
+    return -s if i else s
 
 
 @exact_below
@@ -124,23 +118,25 @@ def dissection_rhs(key: str, order) -> QSeries:
 # -- theta-ratio constants for the assembled decomposition --------------------
 
 
+# name: (numerator blocks, denominator blocks, power of q)
+_LETTERS = {
+    "A": (((-Q(12), 27),), (), 0),
+    "B": (((-Q(21), 27),), (), 1),
+    "C": (((-Q(3), 27),), (), 2),
+    "D": (((Q(60), 108),), ((-Q(30), 108),), 0),
+    "E": (((Q(84), 108),), ((-Q(42), 108),), 6),
+    "F": (((Q(24), 108),), ((-Q(12), 108),), 0),
+    "G": (((Q(96), 108),), ((-Q(48), 108),), 12),
+}
+
+
 @exact_below
 def _letter(name: str, order) -> QSeries:
-    if name == "A":
-        return theta_j(-Q(12), 27, order)
-    if name == "B":
-        return theta_j(-Q(21), 27, order) * Q(1)
-    if name == "C":
-        return theta_j(-Q(3), 27, order) * Q(2)
-    if name == "D":
-        return _theta_ratio(Q(60), -Q(30), 108, order)
-    if name == "E":
-        return _theta_ratio(Q(84), -Q(42), 108, order) * Q(6)
-    if name == "F":
-        return _theta_ratio(Q(24), -Q(12), 108, order)
-    if name == "G":
-        return _theta_ratio(Q(96), -Q(48), 108, order) * Q(12)
-    raise UnknownName(name)
+    try:
+        num, den, e = _LETTERS[name]
+    except KeyError:
+        raise UnknownName(name) from None
+    return theta_quotient(num, den, order, shift=Q(e))
 
 
 def _inner_order(order) -> int:
@@ -213,22 +209,26 @@ def psi_difference_lhs(order) -> QSeries:
     return a.scale(4) - b.scale(2)
 
 
+def _ratio_terms(zs, base):
+    """The start terms of sum_z j(z;q^p)/j(-z;q^p)."""
+    return [(((z, base),), ((-z, base),), Monomial.one()) for z in zs]
+
+
 def psi_difference_rhs(order) -> QSeries:
     """-(3/2) q^{-9} (J_18 J_27 J_108 J_162^5 / (J_36^2 J_54 J_81 J_324^3))
     ( j(q^27;q^162)/j(-q^27;q^162) + j(q^81;q^162)/j(-q^81;q^162) )."""
-    def build(o):
-        quo = eta_quotient({18: 1, 27: 1, 108: 1, 162: 5,
-                            36: -2, 54: -1, 81: -1, 324: -3}, o)
-        bracket = _theta_ratio(Q(27), -Q(27), 162, o) + _theta_ratio(Q(81), -Q(81), 162, o)
-        return quo * bracket
-    return shifted(build, Q(-9), order).scale(F(-3, 2))
+    return theta_quotient((), (), order, eta={18: 1, 27: 1, 108: 1, 162: 5,
+                                              36: -2, 54: -1, 81: -1, 324: -3},
+                          shift=Q(-9), start=_ratio_terms((Q(27), Q(81)), 162)).scale(F(-3, 2))
+
+
+# the two ratios of `ratio_sum_lhs`, also the start of `bracket_reduction_lhs`
+_RATIO_SUM = _ratio_terms((Z(1, 3, 15), Z(1, 3, 21)), 18)
 
 
 def ratio_sum_lhs(order) -> QSeries:
     """j(w q^15;q^18)/j(-w q^15;q^18) + j(w q^21;q^18)/j(-w q^21;q^18), w = zeta_3."""
-    w15 = Z(1, 3, 15)
-    w21 = Z(1, 3, 21)
-    return _theta_ratio(w15, -w15, 18, order) + _theta_ratio(w21, -w21, 18, order)
+    return theta_quotient((), (), order, start=_RATIO_SUM)
 
 
 def ratio_sum_rhs(order) -> QSeries:
@@ -242,9 +242,8 @@ def bracket_reduction_lhs(order) -> QSeries:
     """-(zeta_3 - zeta_3^2) J_2 J_6 J_18^4 / (2 J_4^2 J_36^2 j(-zeta_3 q^9;q^18))
     times the two-ratio sum above."""
     w = root_of_unity(1, 3)
-    order = F(order)
     return theta_quotient((), ((-Z(1, 3, 9), 18),), order, eta={2: 1, 6: 1, 18: 4, 4: -2, 36: -2},
-                          start=ratio_sum_lhs(order)).scale((w - w ** 2) * F(-1, 2))
+                          start=_RATIO_SUM).scale((w - w ** 2) * F(-1, 2))
 
 
 def bracket_reduction_rhs(order) -> QSeries:

@@ -255,6 +255,8 @@ def deviation_by_definition(d: int, a: int, M: int, order) -> QSeries:
         raise ValueError("the modulus M must be positive, got %d" % M)
     order = F(order)
     max_n = math.ceil(order) - 1
+    if max_n < 0:  # no coefficient below the order
+        return QSeries.zero(order)
     tables = rank_tables(d, max_n)
     return root_sum(((F(tables.residue_count(a, M, n)) - F(tables.column_sum(n), M), 0, n)
                      for n in range(max_n + 1)), 1, order)

@@ -13,10 +13,11 @@ denominator and laid out flat, q-coefficient i at offset i (2 phi - 1), so
 it costs one ``convolve_int`` call and one reduction mod Phi_L per output
 coefficient.  Inverses use Newton iteration, g <- g + g (1 - u g), which
 doubles the number of correct terms per step and runs every product through
-the same packed path; quotients of theta blocks do not come here, since
-`qrank.theta.theta_quotient` divides by them with recurrences.  ``root_sum``
-builds a sum of signed roots of unity times powers of q (theta and
-Appell-Lerch sums) over the integers, with one reduction mod Phi_L per
+the same packed path.  Products, quotients and sums of theta blocks and
+eta quotients are not built here but by `qrank.theta.theta_quotient`, in
+the group ring Z[C_L].  ``root_sum`` builds a sum of signed roots of unity
+times powers of q (the Appell-Lerch and Lerch sums, root-power sums, counts
+from the rank tables) over the integers, with one reduction mod Phi_L per
 exponent.  ``eta_quotient`` expands a product of
 powers of J_m = (q^m; q^m)_oo by the integer recurrence of its logarithmic
 derivative, with no series product or inverse.

@@ -2,19 +2,20 @@
 
 j(z;q) = (z;q)_oo (q/z;q)_oo (q;q)_oo = sum_{n in Z} (-1)^n q^C(n,2) z^n.
 
-The bilateral sum is the production route.  It and the other two-sided
-sums of the package (m(x,q,z) in `qrank.appell`, the Lerch sums behind
-O_d(z;q)) go through the one routine `bilateral`, which stops each direction
-by a convexity rule: once the convex lowest exponent of a term has passed its
-minimum and reached the order, no later term can fall below it.  That holds
-for any monomial z, including ones with negative or fractional q-exponent.
-The triple product is kept as an independent oracle for tests and for the
-catalog's two-route entry.
+`theta_quotient` builds every theta expression of the package: shift *
+start * eta quotient * prod j / prod j, where the start may itself be a sum
+of such quotients.  It runs in the group ring Z[C_L], with a sparse pass per
+block and one reduction mod Phi_L per output coefficient.  A single block
+j(z;q^p) is `theta_j`, the quotient with one numerator block.
 
-`theta_quotient` builds every quotient of theta blocks (times an eta
-quotient, a monomial and a start series) in the group ring Z[C_L], with a
-sparse pass per block and one reduction mod Phi_L per output coefficient;
-`theta_product` is the same with the blocks given as (z, p, +-1).
+The terms of each block are listed by `bilateral`, the routine that also
+walks the other two-sided sums of the package (m(x,q,z) in `qrank.appell`,
+the Lerch sums behind O_d(z;q)).  It stops each direction by a convexity
+rule: once the convex lowest exponent of a term has passed its minimum and
+reached the order, no later term can fall below it.  That holds for any
+monomial z, including ones with negative or fractional q-exponent.  The
+triple product is kept as an independent oracle for tests and for the
+catalog's two-route entry.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from operator import add, sub
 from .cyclotomic import get_field
 from .errors import NonGenericParameter
 from .reports import IdentityReport, compare_series
-from .series import Monomial, QSeries, eta_quotient, root_sum, shifted
+from .series import Monomial, QSeries, eta_quotient, shifted
 
 
 def _base_exp(base) -> Fraction:
@@ -86,15 +87,6 @@ def theta_valuation(z: Monomial, base) -> Fraction:
     e = z.q_exp
     n = math.floor(Fraction(1, 2) - e / p)
     return min(p * binom2(n) + n * e, p * binom2(n + 1) + (n + 1) * e)
-
-
-def theta_product(thetas, order, eta: dict | None = None,
-                  shift: Monomial | None = None) -> QSeries:
-    """shift * eta_quotient(eta) * prod j(z; q^p)^e over the (z, p, e) of
-    `thetas` (e = 1 or -1), exact below `order`: `theta_quotient` with the
-    blocks of exponent 1 above the line and those of exponent -1 below."""
-    return theta_quotient([(z, p) for z, p, e in thetas if e > 0],
-                          [(z, p) for z, p, e in thetas if e < 0], order, eta, shift)
 
 
 # ---------------------------------------------------------------------------
@@ -369,18 +361,8 @@ def _sum_parts(parts, kappa: dict, s0: Fraction, n: int, D: int, L: int):
 
 @lru_cache(maxsize=None)
 def theta_j(z: Monomial, base, order) -> QSeries:
-    """j(z; q^p) truncated below `order`, from the bilateral theta sum."""
-    p = _base_exp(base)
-    order = Fraction(order)
-    e = z.q_exp
-    return root_sum(((-1 if n % 2 else 1, z.zeta_num * n, exp)
-                     for n, exp in bilateral(lambda n: p * binom2(n) + n * e, order)),
-                    z.zeta_den, order)
-
-
-def theta_j2(z1: Monomial, z2: Monomial, base, order) -> QSeries:
-    """j(z1, z2; q^p) = j(z1; q^p) j(z2; q^p)."""
-    return theta_j(z1, base, order) * theta_j(z2, base, order)
+    """j(z; q^p) truncated below `order`: the quotient with one numerator block."""
+    return theta_quotient(((z, base),), (), order)
 
 
 def theta_triple_product(z: Monomial, base, order) -> QSeries:

@@ -100,6 +100,13 @@ def test_tables_reject_bad_arguments(d, max_n):
         rank_tables(d, max_n)
 
 
+@pytest.mark.parametrize("order", [F(0), F(-2), F(-1, 2)], ids=str)
+def test_deviation_below_order_one_is_zero(order):
+    # no coefficient lies below the order, so the tables are not consulted
+    s = deviation_by_definition(1, 1, 3, order)
+    assert s.is_zero() and s.order == order
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_table_invariants(d):
     t = rank_tables(d, 10)

@@ -37,7 +37,8 @@ def cold_caches():
     overpartitions._TABLE_CACHE.clear()
 
 
-@pytest.mark.parametrize("order", [F(1), F(3), F(8), F(13, 2), F(20, 3)], ids=str)
+@pytest.mark.parametrize("order", [F(-2), F(-1, 2), F(0), F(1), F(3), F(8), F(13, 2), F(20, 3)],
+                         ids=str)
 def test_catalog_passes_at_every_order(cold_caches, order):
     for entry_id, entry in CATALOG.items():
         for inst in entry.instances:

@@ -8,10 +8,9 @@ from qrank.errors import NonGenericParameter
 from qrank.series import Monomial, computed_to, eta_quotient, root_sum
 from qrank.theta import (
     bilateral,
+    binom2,
     is_theta_zero_pattern,
     theta_j,
-    theta_j2,
-    theta_product,
     theta_quotient,
     theta_shift_check,
     theta_triple_product,
@@ -70,17 +69,39 @@ def test_theta_j_oddeven_closed_forms():
     assert theta_j(Q(1), 3, 30).agrees_with(eta_quotient({1: 1}, 30), 30)
 
 
-def test_theta_j2_is_product():
-    a = theta_j2(Z(1, 3), Z(2, 3), 1, 20)
-    b = theta_j(Z(1, 3), 1, 20) * theta_j(Z(2, 3), 1, 20)
-    assert a.agrees_with(b, 20)
-    # (1 - w)(1 - w^2) = 3, so j(w, w^2; q) = 3 J_3^2
+def _theta_sum(z, p, order):
+    """j(z;q^p) below `order` as the bilateral sum of its terms, a reference
+    independent of `theta_quotient`."""
+    p, order = F(p), F(order)
+    return root_sum(((-1 if n % 2 else 1, z.zeta_num * n, exp)
+                     for n, exp in bilateral(lambda n: p * binom2(n) + n * z.q_exp, order)),
+                    z.zeta_den, order)
+
+
+def test_theta_j_matches_bilateral_sum():
+    # byte-identical to the bilateral sum over ties, vanishing blocks,
+    # negative and fractional exponents, fractional bases and orders
+    rng = random.Random(29)
+    for case in range(200):
+        p = rng.choice([1, 2, 3, F(1, 2), F(3, 2), 18, 27])
+        e = rng.choice([rng.randint(-3, 3) * p, rng.randint(-30, 40), F(rng.randint(-20, 20), 3)])
+        z = Z(rng.randrange(7), rng.choice([1, 2, 3, 5, 7, 12]), e)
+        order = rng.choice([F(rng.randint(-6, 30)), F(rng.randint(-9, 60), rng.choice([2, 3]))])
+        assert theta_j(z, p, order).to_json_dict() == _theta_sum(z, p, order).to_json_dict(), \
+            (z, p, order)
+
+
+def test_theta_quotient_of_two_blocks_is_their_product():
+    a = theta_quotient(((Z(1, 3), 1), (Z(2, 3), 1)), (), 20)
+    b = _theta_sum(Z(1, 3), 1, 20) * _theta_sum(Z(2, 3), 1, 20)
+    assert a.order == 20 and a.agrees_with(b, 20)
+    # (1 - w)(1 - w^2) = 3, so j(w;q) j(w^2;q) = 3 J_3^2
     rhs = eta_quotient({3: 2}, 20).scale(3)
     assert a.agrees_with(rhs, 20)
 
 
-def test_theta_j2_vanishing_factor():
-    assert theta_j2(Q(1), Z(1, 5), 1, 20).is_zero_to(20)
+def test_theta_quotient_with_a_vanishing_numerator_block():
+    assert theta_quotient(((Q(1), 1), (Z(1, 5), 1)), (), 20).is_zero_to(20)
 
 
 def test_shift_check_passes():
@@ -159,7 +180,7 @@ def _product_route(num, den, order, eta=None, shift=None, start=None):
         if start is not None:
             out = start if out is None else out * start
         for z, p, e in thetas:
-            f = theta_j(z, p, o) if e > 0 else theta_j(z, p, o).invert()
+            f = _theta_sum(z, p, o) if e > 0 else _theta_sum(z, p, o).invert()
             out = f if out is None else out * f
         return out if shift is None else out.shift(shift)
     return computed_to(build, order)
@@ -263,10 +284,10 @@ def test_theta_quotient_vanishing_numerator_is_zero():
 
 
 @pytest.mark.parametrize("order", [0, -2, F(-1, 2)])
-def test_theta_product_at_order_at_most_zero(order):
+def test_theta_quotient_at_order_at_most_zero(order):
     # a quotient known to no coefficient is its zero-to-order series
-    s = theta_product(((Q(1), 3, -1),), order)
+    s = theta_quotient((), ((Q(1), 3),), order)
     assert s.is_zero() and s.order == order
-    s = theta_product(((Z(1, 5), 1, 1), (Z(1, 7, -1), 1, -1)), order, eta={1: 1})
+    s = theta_quotient(((Z(1, 5), 1),), ((Z(1, 7, -1), 1),), order, eta={1: 1})
     assert s.order == order and s.agrees_with(
-        theta_product(((Z(1, 5), 1, 1), (Z(1, 7, -1), 1, -1)), 4, eta={1: 1}), order)
+        theta_quotient(((Z(1, 5), 1),), ((Z(1, 7, -1), 1),), 4, eta={1: 1}), order)
