@@ -13,7 +13,6 @@ from __future__ import annotations
 import fnmatch
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -666,13 +665,6 @@ def verify(entry: CatalogEntry, order=None) -> list[IdentityReport]:
     return reports
 
 
-def _suite_order(order) -> Optional[Fraction]:
-    if order is not None:
-        return F(order)
-    env = os.environ.get("QRANK_DEFAULT_ORDER")
-    return F(env) if env else None
-
-
 def _run_entry_task(args: tuple[str, Optional[str]]) -> list[dict]:
     entry_id, order = args
     entry = CATALOG[entry_id]
@@ -706,7 +698,7 @@ def run_suite(pattern: str = "*", order=None, jobs: int = 1,
     """Run all catalog entries whose id matches the glob pattern."""
     if jobs < 1:
         raise ValueError("jobs must be at least 1, got %d" % jobs)
-    order = _suite_order(order)
+    order = None if order is None else F(order)
     ids = sorted(eid for eid in CATALOG if fnmatch.fnmatch(eid, pattern))
     if not ids:
         raise UnknownName("no catalog entry matches %r" % pattern)

@@ -41,12 +41,22 @@ def parse_root_spec(text: str) -> Monomial:
     else:
         den = int(m.group("den"))
         num = int(m.group("num") or 1)
-    exp = Fraction(m.group("exp") or 0)
-    return Monomial(num, den, exp)
+    return Monomial(num, den, parse_rational(m.group("exp") or "0"))
 
 
-def _default_order(fallback: str) -> Fraction:
-    return Fraction(os.environ.get("QRANK_DEFAULT_ORDER", fallback))
+def parse_rational(text: str) -> Fraction:
+    """A rational such as 7, -2 or 13/2; ValueError for anything else, a zero
+    denominator included."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None
+
+
+def _order(text, fallback):
+    """--order if given, else QRANK_DEFAULT_ORDER if set, else `fallback`."""
+    text = text or os.environ.get("QRANK_DEFAULT_ORDER") or fallback
+    return None if text is None else parse_rational(text)
 
 
 def _print_series(s: QSeries) -> None:
@@ -60,7 +70,7 @@ def _print_series(s: QSeries) -> None:
 
 
 def cmd_expand(args) -> int:
-    order = Fraction(args.order) if args.order else _default_order("20")
+    order = _order(args.order, "20")
     if args.series == "Od":
         if args.d is None or args.z is None:
             print("expand --series Od needs --d and --z", file=sys.stderr)
@@ -78,7 +88,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_deviation(args) -> int:
-    order = Fraction(args.order) if args.order else _default_order("20")
+    order = _order(args.order, "20")
     if args.method in ("definition", "both"):
         by_def = deviation_by_definition(args.d, args.a, args.M, order)
     if args.method in ("formula", "both"):
@@ -100,7 +110,7 @@ def cmd_deviation(args) -> int:
 
 
 def cmd_dissect(args) -> int:
-    order = Fraction(args.order) if args.order else _default_order("20")
+    order = _order(args.order, "20")
     s = build_named_series(args.series, order)
     for k, comp in enumerate(s.dissect(args.parts)):
         print("# component %d (coefficient of q^%d, in q^%d)" % (k, k, args.parts))
@@ -109,8 +119,7 @@ def cmd_dissect(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    order = Fraction(args.order) if args.order else None
-    result = run_suite(args.filter, order=order, jobs=args.jobs,
+    result = run_suite(args.filter, order=_order(args.order, None), jobs=args.jobs,
                        json_path=args.json, csv_path=args.csv)
     for r in result.reports:
         inst = " ".join("%s=%s" % kv for kv in sorted(r["instantiation"].items()))

@@ -16,7 +16,10 @@ instead of 239.  Large convolutions pack signed coefficients into one big
 integer (Kronecker substitution): slots are two's complement, sized by the
 l1 bound max|a| sum|b| and rounded up to 1, 2, 4 or 8 bytes, so ``array``
 packs and unpacks them in C, and XOR with the slots' top bits moves between
-two's complement and the value-plus-half form that carries cleanly.
+two's complement and the value-plus-half form that carries cleanly.  The same
+packing batches the reduction of many vectors mod Phi_L (``reduce_all``):
+column j packs entry j of every vector, so a reduction row costs one big
+multiply-add per non-zero for all of them.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -91,6 +94,8 @@ _KRONECKER_CUTOFF = 800  # nnz(a) * nnz(b) above which packing wins
 
 # array typecodes by item size; slots of these widths pack and unpack in C
 _ARRAY_CODES = {array(code).itemsize: code for code in "qihb"}
+_BIG_ENDIAN = sys.byteorder == "big"
+_SIGN_BYTE = bytes(255 if c > 127 else 0 for c in range(256))  # a byte's sign, extended
 
 
 def _slot_mask(width: int, n: int) -> int:
@@ -98,43 +103,55 @@ def _slot_mask(width: int, n: int) -> int:
     return int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * n, "little")
 
 
+def _slot_width(bound: int) -> int:
+    # bytes per slot for values in [-bound, bound], rounded up to an array
+    # item size when one is wide enough
+    width = bound.bit_length() // 8 + 1
+    return min((w for w in _ARRAY_CODES if w >= width), default=width)
+
+
 def _pack(v: Sequence[int], width: int) -> int:
-    # sum_i v[i] 2^(8 width i): the slots hold v[i] in two's complement, and
-    # flipping every top bit turns that into v[i] + half, so subtracting the
-    # mask leaves the signed sum
+    # sum_i v[i] 2^(8 width i): the slots hold v[i] in two's complement,
+    # little-endian on every machine, and flipping every top bit turns that
+    # into v[i] + half, so subtracting the mask leaves the signed sum
     mask = _slot_mask(width, len(v))
     code = _ARRAY_CODES.get(width)
-    if code is not None:
-        data = array(code, v)
+    if code is None:
+        data = b"".join([x.to_bytes(width, "little", signed=True) for x in v])
     else:
-        data = b"".join(x.to_bytes(width, sys.byteorder, signed=True) for x in v)
-    return (int.from_bytes(data, sys.byteorder) ^ mask) - mask
+        data = array(code, v)
+        if _BIG_ENDIAN:
+            data.byteswap()
+    return (int.from_bytes(data, "little") ^ mask) - mask
 
 
-def _unpack(x: int, n: int, width: int) -> list[int]:
-    # inverse of _pack for n slots whose values lie in [-half, half)
-    mask = _slot_mask(width, n)
-    data = ((x + mask) ^ mask).to_bytes(n * width, sys.byteorder)
+def _slot_bytes(xs: Iterable[int], n: int, width: int) -> bytes:
+    # the n slots of each of xs, two's complement and little-endian, as bytes
+    mask, size = _slot_mask(width, n), n * width
+    return b"".join([((x + mask) ^ mask).to_bytes(size, "little") for x in xs])
+
+
+def _unpack(xs: Iterable[int], n: int, width: int) -> list[int]:
+    # inverse of _pack: the n slots of each of xs, whose values lie in
+    # [-half, half), as one list
+    data = _slot_bytes(xs, n, width)
     code = _ARRAY_CODES.get(width)
-    if code is not None:
-        out = array(code)
-        out.frombytes(data)
-        return out.tolist()
-    return [int.from_bytes(data[k * width:(k + 1) * width], sys.byteorder, signed=True)
-            for k in range(n)]
+    if code is None:
+        return [int.from_bytes(data[k:k + width], "little", signed=True)
+                for k in range(0, len(data), width)]
+    out = array(code)
+    out.frombytes(data)
+    if _BIG_ENDIAN:
+        out.byteswap()
+    return out.tolist()
 
 
 def _kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
     # one big multiply does the whole convolution.  Every output coefficient
-    # lies in [-bound, bound], since |sum_i a_i b_(k-i)| <= max|a| sum|b|, and
-    # a slot of width bytes holds [-2^(8 width - 1), 2^(8 width - 1)).  Widths
-    # round up to an array item size.  With native byte order the slots of a
-    # big-endian machine come out reversed, which reverses both factors and
-    # the product alike.
+    # lies in [-bound, bound], since |sum_i a_i b_(k-i)| <= max|a| sum|b|.
     bound = min(max(map(abs, a)) * sum(map(abs, b)), max(map(abs, b)) * sum(map(abs, a)))
-    width = bound.bit_length() // 8 + 1
-    width = min((w for w in _ARRAY_CODES if w >= width), default=width)
-    return _unpack(_pack(a, width) * _pack(b, width), len(a) + len(b) - 1, width)
+    width = _slot_width(bound)
+    return _unpack([_pack(a, width) * _pack(b, width)], len(a) + len(b) - 1, width)
 
 
 def convolve_int(a: list[int] | tuple[int, ...], b: list[int] | tuple[int, ...]) -> list[int]:
@@ -164,7 +181,7 @@ def convolve_int(a: list[int] | tuple[int, ...], b: list[int] | tuple[int, ...])
 class CyclotomicField:
     """Q(zeta_L) with dense power-basis representation mod Phi_L."""
 
-    __slots__ = ("L", "phi", "modulus", "_red", "zero", "one")
+    __slots__ = ("L", "phi", "modulus", "_red", "_red_max", "zero", "one")
 
     def __init__(self, L: int):
         self.L = L
@@ -173,6 +190,8 @@ class CyclotomicField:
         # _red[k - phi] = x^k mod Phi_L as a sparse row (indices, coefficients):
         # two tuples per row, not one per term, keep the table to few objects
         self._red: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        # _red_max[j] = max(1, the largest |coefficient| of rows 0 .. j)
+        self._red_max: list[int] = []
         self.zero: Raw = (1, (0,) * self.phi)
         one = [0] * self.phi
         one[0] = 1
@@ -196,6 +215,7 @@ class CyclotomicField:
                         row[i] -= top * c
             nz = [i for i, c in enumerate(row) if c]
             self._red.append((tuple(nz), tuple(row[i] for i in nz)))
+            self._red_max.append(max(self._red_max[-1:] + [abs(c) for c in row] + [1]))
 
     def reduce_vec(self, vec: list[int]) -> list[int]:
         """Reduce a coefficient list of any length mod Phi_L, in place."""
@@ -211,6 +231,41 @@ class CyclotomicField:
         elif len(vec) < phi:
             vec.extend([0] * (phi - len(vec)))
         return vec
+
+    def reduce_all(self, xs: Sequence[int], m: int, width: int,
+                   bound: int) -> list[tuple[int, ...]]:
+        """`reduce_vec` of each vector of m entries packed in xs by `_pack`,
+        `width` bytes a slot, whose l1 norms are at most `bound`, as tuples.
+
+        Column j packs entry j of every vector into one integer, so each
+        non-zero of a reduction row is one big multiply-add for all the
+        vectors at once.  A reduced entry is at most
+        bound max(1, max |row entry|) in size, which sizes the column slots.
+        """
+        phi, n = self.phi, len(xs)
+        if m <= phi or not n:
+            flat, pad = _unpack(xs, m, width), (0,) * (phi - m)
+            return [tuple(flat[k:k + m]) + pad for k in range(0, n * m, m)]
+        self._ensure_red(m - 1)
+        wide = max(width, _slot_width(bound * self._red_max[m - 1 - phi]))
+        # the n x m slots as m x n slots of `wide` bytes, moved one byte of
+        # every slot at a time; the bytes above `width` copy the sign
+        data, cells = _slot_bytes(xs, m, width), bytearray(n * m * wide)
+        for b in range(width):
+            plane = data[b::width]
+            cells[b::wide] = plane = b"".join([plane[j::m] for j in range(m)])
+        for b in range(width, wide):
+            cells[b::wide] = plane.translate(_SIGN_BYTE)
+        mask, size, red = _slot_mask(wide, n), n * wide, self._red
+        cols = [(int.from_bytes(cells[k:k + size], "little") ^ mask) - mask
+                for k in range(0, len(cells), size)]
+        for k in range(m - 1, phi - 1, -1):
+            c = cols[k]
+            if c:
+                for i, rc in zip(*red[k - phi]):
+                    cols[i] += c * rc
+        out = _unpack(cols[:phi], n, wide)
+        return list(zip(*[out[k:k + n] for k in range(0, phi * n, n)]))
 
     # -- raw element helpers --------------------------------------------
 

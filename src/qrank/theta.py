@@ -4,9 +4,10 @@ j(z;q) = (z;q)_oo (q/z;q)_oo (q;q)_oo = sum_{n in Z} (-1)^n q^C(n,2) z^n.
 
 `theta_quotient` builds every theta expression of the package: shift *
 start * eta quotient * prod j / prod j, where the start may itself be a sum
-of such quotients.  It runs in the group ring Z[C_L], with a sparse pass per
-block and one reduction mod Phi_L per output coefficient.  A single block
-j(z;q^p) is `theta_j`, the quotient with one numerator block.
+of such quotients.  It runs in the group ring Z[C_L], one packed integer per
+coefficient, with a sparse pass per block and one batched reduction mod
+Phi_L of all output coefficients.  A single block j(z;q^p) is `theta_j`,
+the quotient with one numerator block.
 
 The terms of each block are listed by `bilateral`, the routine that also
 walks the other two-sided sums of the package (m(x,q,z) in `qrank.appell`,
@@ -23,9 +24,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, sub
+from operator import add
 
-from .cyclotomic import get_field
+from .cyclotomic import _pack, _slot_mask, _slot_width, get_field
 from .errors import NonGenericParameter
 from .reports import IdentityReport, compare_series
 from .series import Monomial, QSeries, eta_quotient, shifted
@@ -105,9 +106,11 @@ def theta_quotient(num, den, order, eta: dict | None = None,
     rest.  A QSeries start is used below the order the quotient needs of it,
     and a start known less far shortens the result to match.
 
-    The expansion runs in the group ring Z[C_L]: a coefficient is a list of
-    L integers over zeta_L^0 .. zeta_L^(L-1), and multiplying by +-zeta_L^k
-    is a rotation.  A numerator block is a sparse shift-and-add pass.  A
+    The expansion runs in the group ring Z[C_L]: a coefficient is one
+    integer whose L slots hold its integers at zeta_L^0 .. zeta_L^(L-1), so
+    multiplying by +-zeta_L^k rotates the slots (`_expand`), and the slots
+    are as wide as a first run of the same passes on l1 norms proves
+    enough.  A numerator block is a sparse shift-and-add pass.  A
     divisor whose lowest term is a single +-zeta^k q^v divides by a sparse
     recurrence after that term is taken out.  A divisor with a tie,
     exp(z) = m p and z = c q^(m p) with c a root of unity of order N > 1, is
@@ -117,11 +120,11 @@ def theta_quotient(num, den, order, eta: dict | None = None,
     every tie divide the start once: 1/(1 - c) = -(1/N) sum_{j<N} j c^j.
     Both steps use that the sum of the N powers of c is 0 in Q(zeta_L): it
     drops out of P's coefficients, and the identities need only hold after
-    the reduction mod Phi_L, which is a ring map and comes last, once per
-    coefficient.  The valuation of every block is `theta_valuation`, so the
-    quotient knows how far to expand each block and the result is exact
-    below `order` the first time.  A divisor that vanishes identically
-    raises NonGenericParameter.
+    the reduction mod Phi_L, which is a ring map and comes last, once for
+    all coefficients together (`CyclotomicField.reduce_all`).  The valuation
+    of every block is `theta_valuation`, so the quotient knows how far to
+    expand each block and the result is exact below `order` the first time.
+    A divisor that vanishes identically raises NonGenericParameter.
     """
     order = Fraction(order)
     outer = _Quotient(num, den, Monomial.one() if shift is None else shift)
@@ -160,26 +163,35 @@ def theta_quotient(num, den, order, eta: dict | None = None,
     if n <= 0:
         return QSeries(field, D, 0, (), prec, _normalized=True)
     outer.prepare(n, D, L)
-    if start is None:
-        f, div = _seed(outer.kappa, n, L), 1
-    elif parts:
-        f, div = _sum_parts(parts, outer.kappa, s0, n, D, L)
-    else:
+    # the passes commute, so the final rotation is applied to the start
+    kappa, steps, terms = _ring_mul(outer.kappa, {outer.rot: 1}, L), [], []
+    if isinstance(start, QSeries):
         f, div = _lift(start, n, L, D)
-        f = _times(f, [(0, w, k) for k, w in outer.kappa.items()])
+        steps.append((False, [(0, w, k) for k, w in kappa.items()]))
+    else:
+        f, div = {0: kappa} if start is None else {}, 1
+    for t in parts:
+        off = int((t.val - s0) * D)
+        if off < n:
+            t.prepare(n - off, D, L)
+            terms.append((off, t))
+    div = math.lcm(div, *(t.div for _, t in terms))
+    # each start term from kappa times its own tie constant, rotation and
+    # weight on the common denominator, through its own passes
+    terms = [(off, _ring_mul(kappa, _ring_mul(t.kappa, {t.rot: t.sign * (div // t.div)}, L), L),
+              t.steps) for off, t in terms]
     if eta:
         e = eta_quotient(eta, Fraction(n, D))
-        f = _times(f, [((e.val + i) * (D // e.den), c[1][0], 0)
-                       for i, c in enumerate(e.coeffs) if c[1][0]])
-    f = outer.apply(f)
-    sign, rot, div = outer.sign, outer.rot, div * outer.div
-    coeffs = []
-    for v in f:
-        if v is None:
-            coeffs.append(field.zero)
-            continue
-        v = _rotate(v, rot) if rot else list(v)
-        coeffs.append(field.normalize(sign * div, field.reduce_vec(v)))
+        steps.append((False, [((e.val + i) * (D // e.den), c[1][0], 0)
+                              for i, c in enumerate(e.coeffs) if c[1][0]]))
+    steps += outer.steps
+    bound = _expand(f, terms, steps, n, L, 0)[1]
+    width = _slot_width(bound)
+    f = _expand(f, terms, steps, n, L, width)[0]
+    nz = [i for i, x in enumerate(f) if x]
+    den, coeffs = outer.sign * div * outer.div, [field.zero] * n
+    for i, v in zip(nz, field.reduce_all([f[i] for i in nz], L, width, bound)):
+        coeffs[i] = field.normalize(den, v)
     return QSeries(field, D, int((s0 + outer.val) * D), tuple(coeffs), prec)
 
 
@@ -241,12 +253,6 @@ class _Quotient:
                 for off, i in block if not divisor or i != i0)))
         self.rot %= L
 
-    def apply(self, f):
-        """f times the passes of `prepare`, below len(f)."""
-        for divisor, rows in self.steps:
-            f = _divide(f, rows) if divisor else _times(f, rows)
-        return f
-
 
 def _ring_mul(a: dict, b: dict, L: int) -> dict:
     """The product of two sparse elements {rotation: weight} of Z[C_L]."""
@@ -275,88 +281,97 @@ def _tie_rows(k_c: int, N: int, p: Fraction, n: int, D: int, L: int):
     return rows
 
 
-def _seed(kappa: dict, n: int, L: int) -> list:
-    """The constant kappa below n steps, as vectors of L integers."""
-    v = [0] * L
-    for k, w in kappa.items():
-        v[k] = w
-    return [v] + [None] * (n - 1)
+def _expand(start: dict, terms, steps, n: int, L: int, width: int):
+    """The coefficients below n of start ({index: {rotation: weight}}) plus
+    the sum of the (offset, seed, steps) `terms`, times the (is a divisor,
+    rows) `steps`; and the largest value of any stage.
+
+    A coefficient is one integer whose slot i, `width` bytes wide, holds its
+    integer at zeta_L^i in two's complement, as in `_pack`.  With B the
+    slots' top bits, x + B has non-negative slots, so x zeta_L^k is
+    ((((x + B) << WL | (x + B)) >> s) & M) - B with s = 8 width (L - k).
+    Width 0 is the majorant: an element is its l1 norm and a row (d, w, k)
+    is (d, |w|, 0), or (d, -|w|, 0) in a divisor, so every value bounds the
+    l1 norm, and so every slot, of the packed one at its place, and the
+    largest bounds every slot that the packed passes rotate or unpack."""
+    bits = 8 * width
+    B, M, WL = (_slot_mask(width, L), (1 << bits * L) - 1, bits * L) if width else (0, -1, 0)
+
+    def elem(c: dict) -> int:
+        if not width:
+            return sum(map(abs, c.values()))
+        v = [0] * L
+        for k, w in c.items():
+            v[k] = w
+        return _pack(v, width)
+
+    def passes(f, steps, top):
+        for divisor, rows in steps:
+            if width:
+                rows = [(d, w, WL - bits * k) for d, w, k in rows]
+            else:
+                top = max(top, *f)
+                rows = [(d, -abs(w) if divisor else abs(w), 0) for d, w, _ in rows]
+            f = (_divide if divisor else _times)(f, rows, B, M, WL)
+        return f, top if width else max(top, *f)
+
+    f, top = [0] * n, 0
+    for i, c in start.items():
+        f[i] = elem(c)
+    for off, seed, part in terms:
+        g, top = passes([elem(seed)] + [0] * (n - off - 1), part, top)
+        f[off:] = map(add, f[off:], g)
+    return passes(f, steps, top)
 
 
-def _rotate(v: list, k: int) -> list:
-    """v times zeta_L^k in Z[C_L], L = len(v), for 0 <= k < L."""
-    return v[-k:] + v[:-k] if k else v
-
-
-def _axpy(acc, v, w: int):
-    """acc + w v for lists of integers, with acc None for zero."""
-    if acc is None:
-        return v if w == 1 else [w * x for x in v]
-    if w == 1:
-        return list(map(add, acc, v))
-    if w == -1:
-        return list(map(sub, acc, v))
-    return [a + w * x for a, x in zip(acc, v)]
-
-
-def _times(f, terms):
-    """f times sum w zeta_L^k q^d over the (d, w, k) of `terms`, below len(f),
-    for vectors f of length L."""
+def _times(f, terms, B: int, M: int, WL: int):
+    """f times sum w zeta_L^k q^d over the (d, w, s) of `terms`, sorted by d,
+    s the shift of `_expand` for zeta_L^k, below len(f); each f_i is doubled
+    once, and the B of every sum taken off once."""
     n = len(f)
-    out = [None] * n
-    for d, w, k in terms:
-        for i in range(n - d):
-            if f[i] is not None:
-                out[i + d] = _axpy(out[i + d], _rotate(f[i], k), w)
-    return out
+    out, cor = [0] * n, [0] * n
+    for i, x in enumerate(f):
+        if x:
+            y = x + B
+            y |= y << WL
+            for d, w, s in terms:
+                if i + d >= n:
+                    break
+                out[i + d] += w * ((y >> s) & M)
+                cor[i + d] += w
+    return [x - c * B for x, c in zip(out, cor)] if B else out
 
 
-def _divide(f, rows):
-    """f / (1 + sum w zeta_L^k q^d) over the (d, w, k) of `rows`, sorted by
-    d >= 1, below len(f): g_i = f_i - sum w zeta_L^k g_(i-d)."""
-    g = []
+def _divide(f, rows, B: int, M: int, WL: int):
+    """f / (1 + sum w zeta_L^k q^d) over the (d, w, s) of `rows`, sorted by
+    d >= 1 and with w = +-1, below len(f): g_i = f_i - sum w zeta_L^k g_(i-d),
+    with each g_i doubled once, when it is made."""
+    g, doubled = [], []
     for i, acc in enumerate(f):
-        for d, w, k in rows:
+        c = 0
+        for d, w, s in rows:
             if d > i:
                 break
-            if g[i - d] is not None:
-                acc = _axpy(acc, _rotate(g[i - d], k), -w)
+            if w > 0:
+                acc -= (doubled[i - d] >> s) & M
+            else:
+                acc += (doubled[i - d] >> s) & M
+            c += w
+        acc += c * B
         g.append(acc)
+        y = acc + B
+        doubled.append(y | y << WL)
     return g
 
 
 def _lift(start: QSeries, n: int, L: int, D: int):
-    """The first n coefficients of `start` as vectors of L integers over one
-    common denominator."""
+    """The first n coefficients of `start`, {index: sparse element of Z[C_L]},
+    over one common denominator."""
     step, spread = L // start.field.L, D // start.den
     coeffs = start.coeffs[:-(-n // spread)]
     div = math.lcm(*(d for d, _ in coeffs))
-    f = [None] * n
-    for i, (d, vec) in enumerate(coeffs):
-        if any(vec):
-            f[i * spread] = v = [0] * L
-            for j, c in enumerate(vec):
-                v[j * step] = c * (div // d)
-    return f, div
-
-
-def _sum_parts(parts, kappa: dict, s0: Fraction, n: int, D: int, L: int):
-    """kappa times the sum of the (num, den, shift) terms of a start, below
-    n steps of q^(1/D) above s0, as vectors over one common denominator.
-    Each term starts from kappa times its own tie constant, one vector."""
-    built = []
-    for t in parts:
-        off = int((t.val - s0) * D)
-        if off < n:
-            t.prepare(n - off, D, L)
-            built.append((off, t, t.apply(_seed(_ring_mul(kappa, t.kappa, L), n - off, L))))
-    div = math.lcm(*(t.div for _, t, _ in built))
-    total = [None] * n
-    for off, t, g in built:
-        for i, v in enumerate(g):
-            if v is not None:
-                total[off + i] = _axpy(total[off + i], _rotate(v, t.rot), t.sign * (div // t.div))
-    return total, div
+    return {i * spread: {j * step: c * (div // d) for j, c in enumerate(vec) if c}
+            for i, (d, vec) in enumerate(coeffs) if any(vec)}, div
 
 
 @lru_cache(maxsize=None)

@@ -15,6 +15,7 @@ from qrank.cyclotomic import (
     totient,
 )
 from qrank.errors import InverseOfZero
+from qrank.theta import _expand
 
 
 def zeta(num, den):
@@ -254,3 +255,52 @@ def test_unit_tower_generates_units():
         for g, r in tower:
             units = {u * pow(g, e, L) % L for u in units for e in range(r)}
         assert units == {k % L for k in range(1, L + 1) if math.gcd(k, L) == 1}
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 6, 7, 35, 70, 105, 210, 1155, 2310])
+def test_reduce_all_matches_reduce_vec(L):
+    # vectors of length L and 2 phi - 1, entries up to the extremes of 1-,
+    # 2-, 4-, 8- and 9-byte slots, and all-zero columns, packed in those
+    # slots (which the reduced entries outgrow) and in slots wide enough for
+    # them
+    rng = random.Random(L)
+    f = get_field(L)
+    count = 3 if L > 1000 else 12
+    for m in sorted({L, 2 * f.phi - 1}):
+        for w in (1, 2, 4, 8, 9):
+            top = (1 << (8 * w - 1)) - 1
+            zero = set(rng.sample(range(m), m // 3))
+            vecs = [[0 if j in zero else rng.choice([top, -top, rng.randint(-top, top)])
+                     for j in range(m)] for _ in range(count)]
+            vecs.append([0] * m)
+            bound = max(sum(map(abs, v)) for v in vecs)
+            for slot in sorted({w, cyclotomic._slot_width(bound * 9)}):
+                got = f.reduce_all([cyclotomic._pack(v, slot) for v in vecs], m, slot, bound)
+                assert [list(v) for v in got] == [f.reduce_vec(list(v)) for v in vecs]
+    # a lone entry at the top of its slot, at the row with the largest
+    # coefficient: only the row maximum makes room for what it reduces to
+    m = 2 * f.phi - 1
+    if m > f.phi:
+        f._ensure_red(m - 1)
+        k = max(range(f.phi, m), key=lambda k: max(map(abs, f._red[k - f.phi][1])))
+        for w in (1, 2, 4, 8):
+            v = [0] * m
+            v[k] = (1 << (8 * w - 1)) - 1
+            assert list(f.reduce_all([cyclotomic._pack(v, w)], m, w, v[k])[0]) == f.reduce_vec(v)
+    assert f.reduce_all([], L, 1, 0) == []
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 8, 9])
+@pytest.mark.parametrize("L", [1, 2, 5, 12, 35])
+def test_packed_rotation_is_the_list_rotation(L, width):
+    # x zeta_L^k by shift and mask of the doubled x + B, for every k, with
+    # slots at both ends of their range [-half, half)
+    half = 1 << (8 * width - 1)
+    rng = random.Random(width * 100 + L)
+    for trial in range(3):
+        v = [rng.choice([-half, half - 1, 0, rng.randrange(-half, half)]) for _ in range(L)]
+        x = cyclotomic._pack(v, width)
+        assert cyclotomic._unpack([x], L, width) == v
+        for k in range(L):
+            rotated, _ = _expand({0: dict(enumerate(v))}, [], [(False, [(0, 1, k)])], 1, L, width)
+            assert cyclotomic._unpack(rotated, L, width) == (v[-k:] + v[:-k] if k else v)

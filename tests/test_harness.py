@@ -256,6 +256,24 @@ def test_cli_list(capsys):
     assert "Bbar0" in out
 
 
+@pytest.mark.parametrize("argv, env", [
+    (["verify", "--order", "1/0"], None),
+    (["expand", "--series", "J1"], "1/0"),
+    (["verify", "--filter", "root-power-sums"], "1/0"),
+    (["expand", "--series", "Od", "--d", "1", "--z", "zeta5*q^1/0"], None),
+])
+def test_cli_rejects_a_zero_denominator(capsys, monkeypatch, argv, env):
+    # reported as an error with exit code 2, as for any other bad rational
+    if env is None:
+        monkeypatch.delenv("QRANK_DEFAULT_ORDER", raising=False)
+    else:
+        monkeypatch.setenv("QRANK_DEFAULT_ORDER", env)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: zero denominator in '1/0'\n"
+    assert captured.out == ""
+
+
 def test_env_default_order(capsys, monkeypatch):
     monkeypatch.setenv("QRANK_DEFAULT_ORDER", "4")
     assert main(["expand", "--series", "J1"]) == 0

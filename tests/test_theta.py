@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qrank.cyclotomic import root_of_unity
+from qrank.cyclotomic import _unpack, root_of_unity
 from qrank.errors import NonGenericParameter
 from qrank.series import Monomial, computed_to, eta_quotient, root_sum
 from qrank.theta import (
+    _expand,
     bilateral,
     binom2,
     is_theta_zero_pattern,
@@ -291,3 +294,88 @@ def test_theta_quotient_at_order_at_most_zero(order):
     s = theta_quotient(((Z(1, 5), 1),), ((Z(1, 7, -1), 1),), order, eta={1: 1})
     assert s.order == order and s.agrees_with(
         theta_quotient(((Z(1, 5), 1),), ((Z(1, 7, -1), 1),), 4, eta={1: 1}), order)
+
+
+@st.composite
+def _generic_quotients(draw):
+    # one root order N <= 12 per quotient; bases 1, 2, 3; ties exp(z) = m p
+    # as often as not; up to two numerator and two divisor blocks, and up to
+    # two start terms of up to one of each
+    N = draw(st.integers(1, 12))
+
+    def blocks(most, least=0):
+        out = []
+        for _ in range(draw(st.integers(least, most))):
+            p = draw(st.sampled_from([1, 2, 3]))
+            e = draw(st.one_of(st.integers(-2, 2).map(lambda m: m * p), st.integers(-4, 8),
+                               st.integers(-8, 16).map(lambda k: F(k, 2))))
+            a = draw(st.integers(0, N - 1))
+            if a == 0 and (F(e) / p).denominator == 1:  # j(q^(m p);q^p) vanishes
+                a, e = (1, e) if N > 1 else (0, e + F(1, 2))
+            out.append((Z(a, N, e), p))
+        return out
+
+    shifts = st.sampled_from([Q(-2), Q(0), Q(1), Z(1, 3, F(1, 2))])
+    num, den = blocks(2), blocks(2, 1)
+    eta = draw(st.sampled_from([None, {1: -1}, {2: 2, 1: -1}, {3: 1, 1: -2}]))
+    shift = draw(st.one_of(st.none(), shifts))
+    terms = draw(st.one_of(st.none(), st.lists(
+        st.builds(lambda s: (blocks(1), blocks(1), s), shifts), min_size=1, max_size=2)))
+    return num, den, F(draw(st.integers(1, 16))), eta, shift, terms
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(_generic_quotients())
+def test_theta_quotient_agrees_with_the_product_route(case):
+    # a start given as terms is the sum of one product route per term
+    num, den, order, eta, shift, terms = case
+    got = theta_quotient(num, den, order, eta, shift, terms)
+    assert got.order == order
+    if terms is None:
+        assert got.to_json_dict() == _product_route(num, den, order, eta, shift).to_json_dict()
+        return
+    one = Monomial.one() if shift is None else shift
+    parts = [_product_route(num + n, den + d, order, eta, one * s) for n, d, s in terms]
+    assert got.agrees_with(sum(parts[1:], parts[0]), order)
+
+
+def test_theta_quotient_wider_than_a_machine_word():
+    # coefficients of 83 bits: slots wider than 8 bytes, sized by the
+    # majorant pass, against eta, bilateral sums and a Newton inverse
+    blocks = [(Z(k, 7), 1) for k in (1, 2, 3)]
+    got = theta_quotient((), blocks, 80, eta={1: -9})
+    product = _theta_sum(*blocks[0], 80) * _theta_sum(*blocks[1], 80) * _theta_sum(*blocks[2], 80)
+    expected = eta_quotient({1: -9}, 80) * product.invert()
+    assert expected.order == got.order == 80
+    assert got.to_json_dict() == expected.to_json_dict()
+    assert max(abs(c) for _, vec in got.coeffs for c in vec).bit_length() > 64
+
+
+def test_majorant_bounds_every_packed_coefficient():
+    # the width-0 pass of `_expand` bounds the l1 norm of every coefficient
+    # that the packed passes make at any stage, start terms and divisors
+    # included
+    rng = random.Random(5)
+    for case in range(80):
+        L, n = rng.choice([1, 2, 5, 12]), rng.randint(1, 12)
+
+        def elem():
+            return {rng.randrange(L): rng.randint(-9, 9) for _ in range(rng.randint(1, 3))}
+
+        def steps():
+            out = []
+            for _ in range(rng.randint(0, 3)):
+                divisor = rng.random() < 0.5
+                rows = [(rng.randint(1 if divisor else 0, n), rng.choice([-1, 1]) if divisor
+                         else rng.randint(-9, 9), rng.randrange(L))
+                        for _ in range(rng.randint(1, 4))]
+                out.append((divisor, sorted(rows)))
+            return out
+
+        start = {i: elem() for i in rng.sample(range(n), rng.randint(0, n))}
+        terms = [(rng.randrange(n), elem(), steps()) for _ in range(rng.randint(0, 2))]
+        outer = steps()
+        bound = _expand(start, terms, outer, n, L, 0)[1]
+        for k in range(len(outer) + 1):
+            packed = _expand(start, terms, outer[:k], n, L, 16)[0]  # wide enough here
+            assert max(sum(map(abs, _unpack([x], L, 16))) for x in packed) <= bound
