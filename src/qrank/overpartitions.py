@@ -13,19 +13,24 @@ each in closed form (see `enumeration_rank_counts`), so it never builds the
 overpartitions themselves.  `Overpartition` with `rank()` and `m2_rank()`,
 fed by `enumerate_overpartitions`, is the object route the tests hold those
 counts to.
+
+A rank table is one integer row N_d(-n..n, n) per n, and a deviation by
+definition one integer over M per coefficient.  Deviations have integer
+exponents: at a fractional order every route builds to the next integer.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .appell import appell_m, lam, o_d_at_minus_one, o_d_direct, psi, s_bar_bracket
-from .cyclotomic import root_of_unity
-from .errors import FractionalExponents, NonGenericParameter, UnsupportedCase
-from .series import Monomial, QSeries, eta_quotient, root_sum, shifted
+from .cyclotomic import get_field, root_of_unity
+from .errors import NonGenericParameter, UnsupportedCase
+from .series import Monomial, QSeries, eta_quotient, shifted
 
 F = Fraction
 
@@ -154,35 +159,36 @@ def enumeration_rank_counts(d: int, max_n: int) -> dict[tuple[int, int], int]:
 
 @dataclass
 class RankTables:
-    """N_d(m, n) for 0 <= n <= max_n and all m (entries outside |m| <= n are 0)."""
+    """N_d(m, n) for 0 <= n <= max_n and all m: rows[n][m + n] for
+    -n <= m <= n, and 0 for every other m.  Those with m = a mod M are the
+    slice rows[n][(a + n) % M::M]."""
 
     d: int
     max_n: int
-    counts: dict[tuple[int, int], int]
+    rows: list[list[int]]
 
-    def count(self, m: int, n: int) -> int:
+    def _row(self, n: int) -> list[int]:
         if n > self.max_n:
             raise ValueError("table only covers n <= %d" % self.max_n)
-        return self.counts.get((m, n), 0)
+        return self.rows[n] if n >= 0 else []
+
+    def count(self, m: int, n: int) -> int:
+        row = self._row(n)
+        return row[m + n] if -n <= m <= n else 0
 
     def residue_count(self, a: int, M: int, n: int) -> int:
         """Number of overpartitions of n with statistic congruent to a mod M."""
-        total = 0
-        for m in range(-n, n + 1):
-            if (m - a) % M == 0:
-                total += self.count(m, n)
-        return total
+        return sum(self._row(n)[(a + n) % M::M])
 
     def column_sum(self, n: int) -> int:
-        return sum(self.count(m, n) for m in range(-n, n + 1))
+        return sum(self._row(n))
 
     def write_csv(self, fh) -> None:
         fh.write("d,m,n,count\n")
-        for n in range(self.max_n + 1):
-            for m in range(-n, n + 1):
-                c = self.count(m, n)
+        for n, row in enumerate(self.rows):
+            for j, c in enumerate(row):
                 if c:
-                    fh.write("%d,%d,%d,%d\n" % (self.d, m, n, c))
+                    fh.write("%d,%d,%d,%d\n" % (self.d, j - n, n, c))
 
 
 _TABLE_CACHE: dict[int, RankTables] = {}
@@ -232,15 +238,13 @@ def _build_rank_tables(d: int, max_n: int) -> RankTables:
         j += 1
     p_bar_n = p_bar_series(max_n + 1)
     p_bar_coeffs = [int(p_bar_n.coeff(k).as_fraction()) for k in range(max_n + 1)]
-    counts: dict[tuple[int, int], int] = {}
+    rows = []  # N_d(m, n) = sum_k p_bar(k) bracket[n - k][m], one column per m
     for n in range(max_n + 1):
-        for m in range(-n, n + 1):
-            value = sum(p_bar_coeffs[k] * bracket[n - k][max_n + m] for k in range(n + 1))
-            if value < 0:
-                raise ArithmeticError("count N_%d(%d,%d) = %d is negative" % (d, m, n, value))
-            if value:
-                counts[m, n] = value
-    return RankTables(d, max_n, counts)
+        cols = zip(*(bracket[n - k][max_n - n:max_n + n + 1] for k in range(n + 1)))
+        rows.append([sum(map(operator.mul, p_bar_coeffs, col)) for col in cols])
+    if min(map(min, rows)) < 0:
+        raise ArithmeticError("a count N_%d(m,n) with n <= %d is negative" % (d, max_n))
+    return RankTables(d, max_n, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +261,10 @@ def deviation_by_definition(d: int, a: int, M: int, order) -> QSeries:
     max_n = math.ceil(order) - 1
     if max_n < 0:  # no coefficient below the order
         return QSeries.zero(order)
-    tables = rank_tables(d, max_n)
-    return root_sum(((F(tables.residue_count(a, M, n)) - F(tables.column_sum(n), M), 0, n)
-                     for n in range(max_n + 1)), 1, order)
+    field = get_field(1)
+    coeffs = [field.normalize(M, [M * sum(row[(a + n) % M::M]) - sum(row)])
+              for n, row in zip(range(max_n + 1), rank_tables(d, max_n).rows)]
+    return QSeries(field, 1, 0, tuple(coeffs), max_n + 1).truncate(order)
 
 
 def pair_by_definition(d: int, a: int, M: int, order) -> QSeries:
@@ -382,13 +387,6 @@ def _pair_even_d(d, a, M, zp, zpp, z0, order) -> QSeries:
     return _chi(a == 1) + m1 + m2 + p1 - p2 + tail
 
 
-def _integral_order(order) -> F:
-    order = F(order)
-    if order.denominator != 1:
-        raise FractionalExponents("deviations need an integral order, got %s" % order)
-    return order
-
-
 def deviation_pair_by_formula(d: int, a: int, M: int, order,
                               zp: Monomial | None = None,
                               zpp: Monomial | None = None,
@@ -399,7 +397,7 @@ def deviation_pair_by_formula(d: int, a: int, M: int, order,
     reflection D_d(a, M) = D_d(M - a, M), which sends the pair at a to the
     pair at M - a + 1.
     """
-    order = _integral_order(order)
+    order, built = F(order), F(math.ceil(F(order)))
     if M < 2 or d < 1:
         raise UnsupportedCase("need M >= 2 and d >= 1")
     if zp is None or zpp is None or z0 is None:
@@ -416,21 +414,21 @@ def deviation_pair_by_formula(d: int, a: int, M: int, order,
         if not 2 <= a <= M:
             raise UnsupportedCase("no reachable case for (d,a,M)=(%d,%d,%d)" % (d, a, M))
         if a % 2 == 0 and M % 2 == 0:
-            out = _pair_even_even(d, a, M, zp, zpp, z0, order)
+            out = _pair_even_even(d, a, M, zp, zpp, z0, built)
         elif a % 2 == 0:
-            out = _pair_even_odd(d, a, M, zp, zpp, z0, order)
+            out = _pair_even_odd(d, a, M, zp, zpp, z0, built)
         elif M % 2 == 1:
-            out = _pair_odd_odd(d, a, M, zp, zpp, z0, order)
+            out = _pair_odd_odd(d, a, M, zp, zpp, z0, built)
         else:
             raise UnsupportedCase("unreachable parity combination")
     else:
         if a == M:
             a = 1
-        out = _pair_even_d(d, a, M, zp, zpp, z0, order)
-    out = out.truncate(order).normalize_denominator()
+        out = _pair_even_d(d, a, M, zp, zpp, z0, built)
+    out = out.truncate(built).normalize_denominator()
     if out.den != 1:
         raise ArithmeticError("deviation pair has fractional exponents")
-    return out
+    return out.truncate(order)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +447,7 @@ def single_deviation(d: int, a: int, M: int, order,
     single-sum form has a (1+z) pole there).  M = 2 has no inner sum and
     reads neither z' nor z0.
     """
-    order = _integral_order(order)
+    order, built = F(order), F(math.ceil(F(order)))
     if M < 2 or d < 1:
         raise UnsupportedCase("need M >= 2 and d >= 1")
     if zp is None or z0 is None:
@@ -462,19 +460,19 @@ def single_deviation(d: int, a: int, M: int, order,
         if target == 0:
             target = M
         n = target - (M + 1) // 2
-        total = QSeries.zero(order)
+        total = QSeries.zero(built)
         lead = (M + 1) // 2 - n
         for i in range(n + 1):
-            total = total + deviation_pair_by_formula(d, lead + 2 * i, M, order,
+            total = total + deviation_pair_by_formula(d, lead + 2 * i, M, built,
                                                       zp=zp, z0=z0)
         for i in range(n):
-            total = total - deviation_pair_by_formula(d, lead + 2 * i + 1, M, order,
+            total = total - deviation_pair_by_formula(d, lead + 2 * i + 1, M, built,
                                                       zp=zp, z0=z0)
-        return total.scale(F(1, 2))
-    total = o_d_at_minus_one(d, order).scale(F(1 if a % 2 == 0 else -1, M))
+        return total.scale(F(1, 2)).truncate(order)
+    total = o_d_at_minus_one(d, built).scale(F(1 if a % 2 == 0 else -1, M))
     for k in range(1, M // 2):
         zk = root_of_unity(k, M)
         weight = (1 - zk) / (1 + zk) * (root_of_unity(-k * a, M) + root_of_unity(k * a, M))
-        bracket = s_bar_bracket(d, Monomial.zeta(k, M), z0, zp, order)
+        bracket = s_bar_bracket(d, Monomial.zeta(k, M), z0, zp, built)
         total = total + bracket.scale(weight).scale(F(1, M))
     return total.truncate(order)

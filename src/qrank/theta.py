@@ -4,7 +4,8 @@ j(z;q) = (z;q)_oo (q/z;q)_oo (q;q)_oo = sum_{n in Z} (-1)^n q^C(n,2) z^n.
 
 `theta_quotient` builds every theta expression of the package: shift *
 start * eta quotient * prod j / prod j, where the start may itself be a sum
-of such quotients.  It runs in the group ring Z[C_L], one packed integer per
+of such quotients.  It plans on integers, every exponent of a call in steps
+of one q^(1/G), and runs in the group ring Z[C_L], one packed integer per
 coefficient, with a sparse pass per block and one batched reduction mod
 Phi_L of all output coefficients.  A single block j(z;q^p) is `theta_j`,
 the quotient with one numerator block.
@@ -75,19 +76,31 @@ def bilateral(lowest, order):
             n, low = n + step, nxt
 
 
-def theta_valuation(z: Monomial, base) -> Fraction:
-    """The lowest exponent of j(z;q^p), min_n p C(n,2) + n exp(z).
+def _block(z: Monomial, base) -> tuple[int, int, int, int, bool]:
+    """j(z;q^p) on the grid q^(1/s), s the least common denominator of p and
+    exp(z): (s, P = p s, E = exp(z) s, valuation v times s, whether the block
+    vanishes identically, E % P == 0 with z a power of q).  P C(n,2) + n E is
+    least at n = (P - 2E) // 2P or n + 1; those tie only when E % P == 0, and
+    cancel only when the block vanishes, so v is the valuation of every block
+    that can be inverted: 0 for 0 <= E <= P and negative outside."""
+    p, e = _base_exp(base), z.q_exp
+    s = math.lcm(p.denominator, e.denominator)
+    P, E = p.numerator * (s // p.denominator), e.numerator * (s // e.denominator)
+    n = (P - 2 * E) // (2 * P)
+    v = min(P * binom2(n) + n * E, P * binom2(n + 1) + (n + 1) * E)
+    return s, P, E, v, z.coeff_is_one and E % P == 0
 
-    The quadratic is least at the integers next to 1/2 - exp(z)/p.  Two
-    terms tie there only when exp(z) is a multiple of p, and they cancel
-    only when j(z;q^p) vanishes identically, so this is the valuation of
-    every theta block that can be inverted.  It is 0 for 0 <= exp(z) <= p
-    and negative outside, never positive.
-    """
-    p = _base_exp(base)
-    e = z.q_exp
-    n = math.floor(Fraction(1, 2) - e / p)
-    return min(p * binom2(n) + n * e, p * binom2(n + 1) + (n + 1) * e)
+
+def theta_valuation(z: Monomial, base) -> Fraction:
+    """The lowest exponent of j(z;q^p), min_n p C(n,2) + n exp(z) (`_block`)."""
+    s, _, _, v, _ = _block(z, base)
+    return Fraction(v, s)
+
+
+def is_theta_zero_pattern(z: Monomial, base) -> bool:
+    """True when j(z;q^p) vanishes identically, i.e. z is an integral power
+    of the base with trivial root-of-unity part (`_block`)."""
+    return _block(z, base)[4]
 
 
 # ---------------------------------------------------------------------------
@@ -121,27 +134,34 @@ def theta_quotient(num, den, order, eta: dict | None = None,
     Both steps use that the sum of the N powers of c is 0 in Q(zeta_L): it
     drops out of P's coefficients, and the identities need only hold after
     the reduction mod Phi_L, which is a ring map and comes last, once for
-    all coefficients together (`CyclotomicField.reduce_all`).  The valuation
-    of every block is `theta_valuation`, so the quotient knows how far to
-    expand each block and the result is exact below `order` the first time.
-    A divisor that vanishes identically raises NonGenericParameter.
+    all coefficients together (`CyclotomicField.reduce_all`).  The plan is
+    made on integers, every exponent of the call (order, start, shifts, each
+    p and exp(z)) in steps of one q^(1/G).  It knows the valuation of every
+    block (`_block`), so it knows how far to expand each block and the result
+    is exact below `order` the first time.  A divisor that vanishes
+    identically raises NonGenericParameter.
     """
     order = Fraction(order)
+    lifted = isinstance(start, QSeries)  # a series start, lifted into Z[C_L]
     outer = _Quotient(num, den, Monomial.one() if shift is None else shift)
-    need = order - outer.val  # the start is needed below this
+    parts = [] if start is None or lifted else [_Quotient(*t) for t in start]
+    # every exponent from here on is an integer, in steps of q^(1/G)
+    G = math.lcm(order.denominator, start.den if lifted else 1, *(q.grid for q in [outer] + parts))
+    for q in [outer] + parts:
+        q.regrid(G)
+    reach = [order.numerator * (G // order.denominator)]
+    need = reach[0] - outer.val  # the start is needed below this
     # the start is used from its valuation s0 (need when it has no term
     # below need) and is known below `known`
-    parts, known, L, D = [], need, outer.L, order.denominator
-    reach = [order]
+    known, L, D = need, outer.L, order.denominator
     if start is None:
-        s0 = Fraction(0)
-    elif isinstance(start, QSeries):
-        s0 = need if start.valuation is None else start.valuation
+        s0 = 0
+    elif lifted:
+        s0 = start.val * (G // start.den) if start.coeffs else need
         if start.prec is not None:
-            known = min(need, start.order)
+            known = min(need, start.prec * (G // start.den))
         L, D = math.lcm(L, start.field.L), math.lcm(D, start.den)
     else:
-        parts = [_Quotient(*term) for term in start]
         s0 = min([t.val for t in parts if t.val < need], default=need)
     if start is not None:
         reach.append(need)
@@ -152,26 +172,26 @@ def theta_quotient(num, den, order, eta: dict | None = None,
     # factor reaches when the start is needed below `need`, if that is more
     for q, s in [(outer, s0)] + [(t, t.val) for t in parts]:
         L = math.lcm(L, q.L)
-        reach += [v + need - s for _, _, v, _ in q.blocks]
+        reach += [v + need - s for *_, v, _ in q.blocks]
     top = max(reach)
     for q in [outer] + parts:
         D = math.lcm(D, q.plan(top))
-    D = math.lcm(D, (known + outer.val).denominator)
+    end = known + outer.val  # the result is known below this
+    D = math.lcm(D, G // math.gcd(end, G))
     field = get_field(L)
-    prec = int((known + outer.val) * D)
-    n = int(max(known - s0, 0) * D)
+    prec, n = end * D // G, max(known - s0, 0) * D // G
     if n <= 0:
         return QSeries(field, D, 0, (), prec, _normalized=True)
     outer.prepare(n, D, L)
     # the passes commute, so the final rotation is applied to the start
     kappa, steps, terms = _ring_mul(outer.kappa, {outer.rot: 1}, L), [], []
-    if isinstance(start, QSeries):
+    if lifted:
         f, div = _lift(start, n, L, D)
         steps.append((False, [(0, w, k) for k, w in kappa.items()]))
     else:
         f, div = {0: kappa} if start is None else {}, 1
     for t in parts:
-        off = int((t.val - s0) * D)
+        off = (t.val - s0) * D // G
         if off < n:
             t.prepare(n - off, D, L)
             terms.append((off, t))
@@ -192,37 +212,46 @@ def theta_quotient(num, den, order, eta: dict | None = None,
     den, coeffs = outer.sign * div * outer.div, [field.zero] * n
     for i, v in zip(nz, field.reduce_all([f[i] for i in nz], L, width, bound)):
         coeffs[i] = field.normalize(den, v)
-    return QSeries(field, D, int((s0 + outer.val) * D), tuple(coeffs), prec)
+    return QSeries(field, D, (s0 + outer.val) * D // G, tuple(coeffs), prec)
 
 
 class _Quotient:
-    """shift * prod_num j(z;q^p) / prod_den j(z;q^p): its blocks as
-    (z, p, valuation, is a divisor), its valuation `val` and root order L."""
+    """shift * prod_num j(z;q^p) / prod_den j(z;q^p): its root order L, its
+    blocks as (z, s, p s, exp(z) s, valuation s, is a divisor) on a grid
+    q^(1/s) (`_block`), and `grid`, the lcm of their s and of the shift's
+    denominator."""
 
     def __init__(self, num, den, shift: Monomial):
-        self.shift, self.val, self.L, self.blocks = shift, shift.q_exp, shift.zeta_den, []
+        self.shift, self.L, self.blocks = shift, shift.zeta_den, []
+        self.grid = shift.q_exp.denominator
         for divisor, blocks in ((False, num), (True, den)):
             for z, p in blocks:
-                p = _base_exp(p)
-                if divisor and is_theta_zero_pattern(z, p):
-                    raise NonGenericParameter("theta divisor j(%s; q^%s) vanishes" % (z, p))
-                v = theta_valuation(z, p)
-                self.val += -v if divisor else v
-                self.L = math.lcm(self.L, z.zeta_den)
-                self.blocks.append((z, p, v, divisor))
+                s, P, E, v, vanishes = _block(z, p)
+                if divisor and vanishes:
+                    raise NonGenericParameter("theta divisor j(%s; q^%s) vanishes"
+                                              % (z, Fraction(P, s)))
+                self.L, self.grid = math.lcm(self.L, z.zeta_den), math.lcm(self.grid, s)
+                self.blocks.append((z, s, P, E, v, divisor))
 
-    def plan(self, top: Fraction) -> int:
-        """List each block's terms below q^top, as (offset, n) for the term
-        (-1)^n z^n q^(p C(n,2)) at offset/s above the block's valuation, s
-        the denominator of p and exp(z); return the lcm of the denominators
-        of their exponents and of the shift's."""
+    def regrid(self, G: int) -> None:
+        """Move every block to the grid q^(1/G), G a multiple of `grid`, and
+        give the valuation of the quotient there as `val`."""
+        self.blocks = [(z, G, P * (G // s), E * (G // s), v * (G // s), divisor)
+                       for z, s, P, E, v, divisor in self.blocks]
+        e = self.shift.q_exp
+        self.val = e.numerator * (G // e.denominator) + sum(
+            -v if divisor else v for *_, v, divisor in self.blocks)
+
+    def plan(self, top: int) -> int:
+        """List each block's terms below q^(top/s), as (offset, n) for the
+        term (-1)^n z^n q^(p C(n,2)) at q^(offset/s) above the block's
+        valuation, s the grid of the call; return the lcm of the
+        denominators of their exponents and of the shift's."""
         den, self.terms = self.shift.q_exp.denominator, []
-        for z, p, v, _ in self.blocks:
-            s = math.lcm(p.denominator, z.q_exp.denominator)
-            P, E = int(p * s), int(z.q_exp * s)
-            block = list(bilateral(lambda n: P * binom2(n) + n * E, math.ceil(top * s)))
-            den = math.lcm(den, *(s // math.gcd(low, s) for _, low in block))
-            self.terms.append((s, [(low - int(v * s), n) for n, low in block]))
+        for _, s, P, E, v, _ in self.blocks:
+            block = list(bilateral(lambda n: P * binom2(n) + n * E, top))
+            den = math.lcm(den, s // math.gcd(s, *(low for _, low in block)))
+            self.terms.append([(low - v, n) for n, low in block])
         return den
 
     def prepare(self, n: int, D: int, L: int) -> None:
@@ -233,16 +262,15 @@ class _Quotient:
         ties and div that of their N."""
         self.sign, self.rot, self.div = 1, self.shift.zeta_num * (L // self.shift.zeta_den), 1
         self.kappa, self.steps = {0: 1}, []
-        for (z, p, _, divisor), (s, block) in zip(self.blocks, self.terms):
-            k = z.zeta_num * (L // z.zeta_den)
-            m, i0 = z.q_exp / p, 0
-            if divisor and m.denominator == 1:
-                N, m = z.zeta_den, int(m)
+        for (z, s, P, E, _, divisor), block in zip(self.blocks, self.terms):
+            k, i0 = z.zeta_num * (L // z.zeta_den), 0
+            if divisor and E % P == 0:
+                N, m = z.zeta_den, E // P
                 self.sign *= -1 if m % 2 else 1
                 self.rot += m * k
                 self.div *= N
                 self.kappa = _ring_mul(self.kappa, {j * k % L: -j for j in range(1, N)}, L)
-                self.steps.append((True, _tie_rows(k, N, p, n, D, L)))
+                self.steps.append((True, _tie_rows(k, N, P, s, n, D, L)))
                 continue
             if divisor:
                 i0 = min(block)[1]
@@ -264,19 +292,19 @@ def _ring_mul(a: dict, b: dict, L: int) -> dict:
     return {k: w for k, w in out.items() if w}
 
 
-def _tie_rows(k_c: int, N: int, p: Fraction, n: int, D: int, L: int):
+def _tie_rows(k_c: int, N: int, ps: int, s: int, n: int, D: int, L: int):
     """The terms of P(q^p) - 1 below n steps of q^(1/D), for c = zeta_L^k_c
-    of order N > 1, as (offset, sign, rotation).  Row r of P is
+    of order N > 1 and p = ps/s, as (offset, sign, rotation).  Row r of P is
     (-1)^(r+1) sum_{|j|<r} c^j; whole cycles of N powers sum to 0 and drop,
     and a remainder of more than N/2 powers becomes minus the rest of its
     cycle."""
-    rows, r = [], 2
-    while p * binom2(r) * D < n:
-        off, s = int(p * binom2(r) * D), 1 if r % 2 else -1
+    rows, r, end = [], 2, n * s
+    while ps * binom2(r) * D < end:
+        off, sign = ps * binom2(r) * D // s, 1 if r % 2 else -1
         lo, cnt = 1 - r, (2 * r - 1) % N
         if 2 * cnt > N:
-            lo, cnt, s = lo + cnt, N - cnt, -s
-        rows += [(off, s, (lo + j) * k_c % L) for j in range(cnt)]
+            lo, cnt, sign = lo + cnt, N - cnt, -sign
+        rows += [(off, sign, (lo + j) * k_c % L) for j in range(cnt)]
         r += 1
     return rows
 
@@ -410,13 +438,6 @@ def theta_triple_product(z: Monomial, base, order) -> QSeries:
         out = out * factor
         k += 1
     return out
-
-
-def is_theta_zero_pattern(z: Monomial, base) -> bool:
-    """True when j(z;q^p) vanishes identically, i.e. z is an integral power
-    of the base with trivial root-of-unity part."""
-    p = _base_exp(base)
-    return z.coeff_is_one and (z.q_exp / p).denominator == 1
 
 
 def theta_shift_check(x: Monomial, n: int, base, order) -> IdentityReport:

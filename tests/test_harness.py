@@ -174,10 +174,11 @@ def test_cli_deviation_both(capsys):
     assert "agrees" in out
 
 
-def test_cli_deviation_rejects_rational_order(capsys):
+def test_cli_deviation_at_a_rational_order(capsys):
+    # deviations have integer exponents: both routes are known below 13/2
     assert main(["deviation", "--d", "1", "--a", "1", "--M", "3",
-                 "--order", "13/2", "--method", "formula"]) == 2
-    assert "error:" in capsys.readouterr().err
+                 "--order", "13/2", "--method", "both"]) == 0
+    assert "agrees with the definition route below q^13/2" in capsys.readouterr().out
 
 
 def test_cli_dissect(capsys):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from qrank.cyclotomic import root_of_unity
 from qrank.errors import UnsupportedCase
 from qrank.overpartitions import (
     Overpartition,
+    RankTables,
     deviation_by_definition,
     deviation_by_root_average,
     deviation_pair_by_formula,
@@ -18,7 +20,7 @@ from qrank.overpartitions import (
     rank_tables,
     single_deviation,
 )
-from qrank.series import Monomial, QSeries
+from qrank.series import Monomial, QSeries, root_sum
 
 F = Fraction
 
@@ -98,6 +100,39 @@ def test_tables_match_single_sum_form(d, L):
 def test_tables_reject_bad_arguments(d, max_n):
     with pytest.raises(ValueError):
         rank_tables(d, max_n)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_definition_matches_a_fraction_reference(d):
+    # the integer rows against the definition read off `count` one m at a
+    # time, a Fraction per coefficient through root_sum, byte for byte
+    t = rank_tables(d, 39)
+    for M in range(1, 9):
+        columns, residues = [], [[0] * M for _ in range(40)]
+        for n in range(40):
+            for m in range(-n, n + 1):
+                residues[n][m % M] += t.count(m, n)
+            columns.append(sum(t.count(m, n) for m in range(-n, n + 1)))
+        for order in (F(0), F(1), F(13, 2), F(24), F(40)):
+
+            def reference(a, M=M, order=order):
+                return [F(residues[n][a % M]) - F(columns[n], M) for n in range(math.ceil(order))]
+
+            for a in range(-M, 2 * M + 1):
+                one, pair = reference(a), map(sum, zip(reference(a), reference(a - 1)))
+                assert deviation_by_definition(d, a, M, order).to_json_dict() == root_sum(
+                    ((w, 0, n) for n, w in enumerate(one)), 1, order).to_json_dict(), (a, M, order)
+                assert pair_by_definition(d, a, M, order).to_json_dict() == root_sum(
+                    ((w, 0, n) for n, w in enumerate(pair)), 1, order).to_json_dict(), (a, M, order)
+
+
+def test_tables_raise_past_max_n():
+    t = rank_tables(1, 6)
+    t = RankTables(1, 6, t.rows[:7])  # exactly n <= 6, whatever the cache holds
+    assert (t.count(0, 6), t.residue_count(0, 2, 6), t.column_sum(6)) == (8, 16, p_bar(6))
+    for read in (lambda: t.count(0, 7), lambda: t.residue_count(1, 3, 7), lambda: t.column_sum(7)):
+        with pytest.raises(ValueError):
+            read()
 
 
 @pytest.mark.parametrize("order", [F(0), F(-2), F(-1, 2)], ids=str)

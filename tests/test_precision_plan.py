@@ -17,14 +17,10 @@ from qrank import named, overpartitions
 from qrank.appell import (appell_m, delta, lam, lerch_fold_lhs, o_d_direct, o_d_original,
                           psi, s_bar_d)
 from qrank.catalog import CATALOG, CatalogEntry, verify
-from qrank.errors import FractionalExponents
 from qrank.series import Monomial, QSeries, computed_to
 
 Z = Monomial.zeta
 Q = Monomial.q
-
-# the deviation tables count integer exponents only, by design
-INTEGRAL_ONLY = ("deviation-pair-", "deviation-single-")
 
 
 @pytest.fixture
@@ -43,10 +39,6 @@ def test_catalog_passes_at_every_order(cold_caches, order):
     for entry_id, entry in CATALOG.items():
         for inst in entry.instances:
             single = CatalogEntry(entry.id, entry.description, entry.default_order, [inst])
-            if order.denominator > 1 and entry_id.startswith(INTEGRAL_ONLY):
-                with pytest.raises(FractionalExponents):
-                    verify(single, order)
-                continue
             (report,) = verify(single, order)
             assert report.verdict == "pass", (entry_id, report.instantiation, report.note)
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 
 from qrank.cyclotomic import _unpack, root_of_unity
 from qrank.errors import NonGenericParameter
-from qrank.series import Monomial, computed_to, eta_quotient, root_sum
+from qrank.series import Monomial, QSeries, computed_to, eta_quotient, root_sum
 from qrank.theta import (
+    _block,
     _expand,
     bilateral,
     binom2,
@@ -156,6 +158,25 @@ def test_theta_valuation_matches_expansion():
     assert theta_valuation(Z(1, 5, -1), 4) == -1
 
 
+def test_block_grid_against_a_brute_force_minimum():
+    # the integer grid of one block: its valuation is the least exponent
+    # over a window of n wide enough for |exp(z)/p| <= 144, and it vanishes
+    # exactly when z is a power of q^p with no root-of-unity part
+    rng = random.Random(16)
+    for case in range(200):
+        p = F(rng.randint(1, 12), rng.choice([1, 2, 3, 4, 6]))
+        m = rng.choice([1, 2, 3, 6])
+        e = rng.choice([p * rng.randint(-4, 4), F(rng.randint(-24, 24), m)])
+        z = Z(rng.choice([0, 0, 1, 2]), rng.choice([1, 3, 5]), e)
+        s, P, E, v, vanishes = _block(z, Q(p) if case % 2 else p)
+        assert s == math.lcm(p.denominator, e.denominator)
+        assert (F(P, s), F(E, s)) == (p, e)
+        assert F(v, s) == min(p * binom2(n) + n * e for n in range(-150, 151)), (z, p)
+        assert vanishes == (z.coeff_is_one and (e / p).denominator == 1), (z, p)
+        assert theta_valuation(z, p) == F(v, s)
+        assert is_theta_zero_pattern(z, p) == vanishes
+
+
 # -- theta_quotient against the product-and-Newton route ----------------------
 
 
@@ -296,6 +317,13 @@ def test_theta_quotient_at_order_at_most_zero(order):
         theta_quotient(((Z(1, 5), 1),), ((Z(1, 7, -1), 1),), 4, eta={1: 1}), order)
 
 
+def test_a_start_known_less_far_sets_the_order_off_the_grid():
+    # 1/j(q^(-1/3);q) is q^(1/3) times a unit, and none of its terms is
+    # listed below -1: the order -2 + 1/3 of the result still has its thirds
+    s = theta_quotient((), ((Q(F(-1, 3)), 1),), -1, start=QSeries.zero(-2))
+    assert s.is_zero() and s.order == F(-5, 3) and s.den == 3
+
+
 @st.composite
 def _generic_quotients(draw):
     # one root order N <= 12 per quotient; bases 1, 2, 3; ties exp(z) = m p
@@ -337,6 +365,41 @@ def test_theta_quotient_agrees_with_the_product_route(case):
     one = Monomial.one() if shift is None else shift
     parts = [_product_route(num + n, den + d, order, eta, one * s) for n, d, s in terms]
     assert got.agrees_with(sum(parts[1:], parts[0]), order)
+
+
+@st.composite
+def _fractional_quotients(draw):
+    # the integer grid against Fractions: bases 1/2, 2/3, 3/2, 1 and 2,
+    # exponents over 2, 3 and 6 (ties among them), eta steps 1/2 and 2/3,
+    # fractional shifts and orders
+    N = draw(st.sampled_from([1, 2, 3, 4, 6]))
+
+    def blocks(most, least=0):
+        out = []
+        for _ in range(draw(st.integers(least, most))):
+            p = draw(st.sampled_from([F(1, 2), F(2, 3), F(3, 2), F(1), F(2)]))
+            e = draw(st.one_of(st.integers(-2, 2).map(lambda m: m * p),
+                               st.builds(F, st.integers(-18, 30), st.sampled_from([2, 3, 6]))))
+            a = draw(st.integers(0, N - 1))
+            if a == 0 and (e / p).denominator == 1:  # j(q^(m p);q^p) vanishes
+                a, e = (1, e) if N > 1 else (0, e + F(1, 6))
+            out.append((Z(a, N, e), p))
+        return out
+
+    num, den = blocks(2), blocks(2, 1)
+    eta = draw(st.sampled_from([None, {F(1, 2): 1}, {F(2, 3): -1}, {F(1, 2): -1, F(2, 3): 2}]))
+    shift = draw(st.sampled_from([None, Q(F(-1, 3)), Z(1, 3, F(1, 2)), Q(F(5, 6))]))
+    order = F(draw(st.integers(1, 60)), draw(st.sampled_from([1, 2, 3, 6])))
+    return num, den, order, eta, shift
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(_fractional_quotients())
+def test_theta_quotient_on_fractional_grids_agrees_with_the_product_route(case):
+    num, den, order, eta, shift = case
+    got = theta_quotient(num, den, order, eta, shift)
+    assert got.order == order
+    assert got.to_json_dict() == _product_route(num, den, order, eta, shift).to_json_dict()
 
 
 def test_theta_quotient_wider_than_a_machine_word():
