@@ -197,11 +197,12 @@ def o_d_direct(d: int, z: Monomial, order) -> QSeries:
         raise NonGenericParameter("z = %s hits a divisor pole" % z)
     if z == Monomial.minus_one():
         raise NonGenericParameter("z = -1 is a pole of the (1+z) prefactor")
-    s = _lerch_sum(d, z, order)
-    core = 1 + (s * eta_quotient({2: 1, 1: -2}, order)).shift(z).scale(2)
+    inner = order + shift_loss(z)  # the shift by z loses -exp(z)
+    s = _lerch_sum(d, z, inner)
+    core = 1 + (s * eta_quotient({2: 1, 1: -2}, inner)).shift(z).scale(2)
     one_minus = QSeries.one() - QSeries.from_monomial(z)
     one_plus = QSeries.one() + QSeries.from_monomial(z)
-    return core * one_minus * one_plus.invert(order)
+    return core * one_minus * one_plus.invert(inner)
 
 
 @exact_below
@@ -218,12 +219,13 @@ def o_d_original(d: int, z: Monomial, order) -> QSeries:
     poly = (QSeries.one() - QSeries.from_monomial(z)) * \
         (QSeries.one() - QSeries.from_monomial(z.inverse()))
     L = z.zeta_den
-    total = QSeries.one(order)
+    inner = order + abs(z.q_exp)  # poly starts at q^{-|exp z|}
+    total = QSeries.one(inner)
     n = 1
-    while F(n * n + d * n) < order:
-        a = _geometric(-1 if n % 2 else 1, 0, F(n * n + d * n), z * Monomial.q(d * n), L, order)
-        b = _geometric(1, 0, F(0), z.inverse() * Monomial.q(d * n), L, order)
-        term = root_sum(a, L, order) * root_sum(b, L, order)
+    while F(n * n + d * n) < inner:
+        a = _geometric(-1 if n % 2 else 1, 0, F(n * n + d * n), z * Monomial.q(d * n), L, inner)
+        b = _geometric(1, 0, F(0), z.inverse() * Monomial.q(d * n), L, inner)
+        term = root_sum(a, L, inner) * root_sum(b, L, inner)
         total = total + term.scale(2) * poly
         n += 1
     return total * eta_quotient({2: 1, 1: -2}, order)
@@ -251,19 +253,26 @@ def s_bar_d(d: int, z: Monomial, z0: Monomial, zp: Monomial, order) -> QSeries:
     return s_bar_bracket(d, z, z0, zp, order) * (QSeries.one() - QSeries.from_monomial(z))
 
 
+def bracket_tail(d: int, z: Monomial, z0: Monomial, zp: Monomial, order) -> QSeries:
+    """The theta part of the bracket of `s_bar_d`, valid below `order`:
+    Lambda(d, z, z0, z') for odd d, and
+    (-1)^{d/2} z q^{-d^2/4} Psi_0^{d/2}(z^{2/d} q^{1-d}, q, z'; q^2) for even d."""
+    if d % 2:
+        return lam(d, z, z0, zp, order)
+    h, x = d // 2, z.pow_frac(2, d) * Monomial.q(1 - d)
+    return shifted(lambda o: psi(0, h, x, Monomial.q(1), zp, 2, o),
+                   Monomial.zeta(h, 2, -F(d * d, 4)) * z, order)
+
+
 def s_bar_bracket(d: int, z: Monomial, z0: Monomial, zp: Monomial, order) -> QSeries:
     """S_d(z;q) / (1-z): the Appell-Lerch bracket of the folded rank series,
     valid below `order`."""
     if d % 2:
-        m_term = appell_m(z ** (-2) * Monomial.q(d * d), 2 * d * d, zp, order)
-        return 1 - m_term.scale(2) + lam(d, z, z0, zp, order).scale(2)
-    h = d // 2
-    x_m = Monomial.zeta(h + 1, 2) * z * Monomial.q(F(d * d, 4))
-    m_term = appell_m(x_m, F(d * d, 2), zp, order)
-    tail_mono = Monomial.zeta(h, 2, -F(d * d, 4)) * z
-    psi_term = psi(0, h, z.pow_frac(2, d) * Monomial.q(1 - d),
-                   Monomial.q(1), zp, 2, order + shift_loss(tail_mono))
-    return -1 + m_term.scale(2) + psi_term.shift(tail_mono).scale(2)
+        x_m, base, sign = z ** (-2) * Monomial.q(d * d), 2 * d * d, 1
+    else:
+        x_m, base, sign = Monomial.zeta(d // 2 + 1, 2, F(d * d, 4)) * z, F(d * d, 2), -1
+    m_term = appell_m(x_m, base, zp, order)
+    return sign - m_term.scale(2 * sign) + bracket_tail(d, z, z0, zp, order).scale(2)
 
 
 # ---------------------------------------------------------------------------

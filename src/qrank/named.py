@@ -1,6 +1,9 @@
 """Named series builders: eta-quotient blocks, dissection components, and the
 assembled three-part decomposition of the rank series at a cube root of unity.
 
+Every class sum of the dissection, q^r S(q^3) over the products of a block
+with W or with the W f products, is one `_class_sum`.
+
 Builder names are short stable identifiers shared by the catalog and the CLI
 (`expand --series`).  Every builder takes an order and returns a QSeries that
 is exact below that order.
@@ -146,59 +149,42 @@ def _inner_order(order) -> int:
 
 
 @exact_below
-def _wf(l: int, m: int, inner) -> QSeries:
-    """W_l f_m at the inner order; the nine products are shared by both
-    triple sums and all three classes."""
-    return _W(l, inner) * _f(m, inner)
+def _WF(j: int, order) -> QSeries:
+    """sum over l, m in {0,1,2} with l+m = j (mod 3) of x^{(l+m-j)/3} W_l f_m:
+    the partner of a block in the class sums of `script_G` and `script_H`."""
+    total = QSeries.zero(order)
+    for l in range(3):
+        m = (j - l) % 3
+        total = total + (_W(l, order) * _f(m, order)).shift(Q((l + m - j) // 3))
+    return total
 
 
 @exact_below
-def _triple_sum(block, n_class: int, order) -> QSeries:
-    """sum over k, l, m in {0,1,2} with k+l+m = n_class (mod 3) of
-    q^{k+l+m} block_k(q^3) W_l(q^3) f_m(q^3).
+def _class_sum(block, partner, n_class: int, order) -> QSeries:
+    """sum over k, j in {0,1,2} with k+j = n_class (mod 3) of
+    q^{k+j} block_k(q^3) partner_j(q^3).
 
     With r = n_class mod 3 the sum is q^r S(q^3), where S sums
-    x^{(k+l+m-r)/3} block_k W_l f_m.  S is built at the inner order, from
-    the shared W_l f_m and one product per block, and substituted once;
-    q -> q^3 is a ring map, so this is the same series as substituting
-    every factor first.
+    x^{(k+j-r)/3} block_k partner_j.  S is built at the inner order, one
+    product per block, and substituted once; q -> q^3 is a ring map, so
+    this is the same series as substituting every factor first.  The
+    partner is `_W`, or `_WF` for the triple sums over block_k W_l f_m.
     """
     r = n_class % 3
     inner = _inner_order(order)
     total = QSeries.zero(inner)
     for k in range(3):
-        wf = QSeries.zero(inner)
-        for l in range(3):
-            m = (r - k - l) % 3
-            wf = wf + _wf(l, m, inner).shift(Q((k + l + m - r) // 3))
-        total = total + block(k, inner) * wf
+        j = (r - k) % 3
+        total = total + block(k, inner) * partner(j, inner).shift(Q((k + j - r) // 3))
     return total.substitute_q_power(3).shift(Q(r)).truncate(order)
 
 
 def script_G(n_class: int, order) -> QSeries:
-    return _triple_sum(_g, n_class, order)
+    return _class_sum(_g, _WF, n_class, order)
 
 
 def script_H(n_class: int, order) -> QSeries:
-    return _triple_sum(_h, n_class, order)
-
-
-@exact_below
-def _pair_sum(block, n_class: int, order) -> QSeries:
-    """sum over k, l in {0,1,2} with k+l = n_class (mod 3) of
-    q^{k+l} block_k(q^3) W_l(q^3).
-
-    As in `_triple_sum`, this is q^r S(q^3) with r = n_class mod 3 and
-    S = sum x^{(k+l-r)/3} block_k W_l built at the inner order: three
-    products, substituted once.
-    """
-    r = n_class % 3
-    inner = _inner_order(order)
-    total = QSeries.zero(inner)
-    for k in range(3):
-        l = (r - k) % 3
-        total = total + block(k, inner) * _W(l, inner).shift(Q((k + l - r) // 3))
-    return total.substitute_q_power(3).shift(Q(r)).truncate(order)
+    return _class_sum(_h, _WF, n_class, order)
 
 
 def psi_difference_lhs(order) -> QSeries:
@@ -262,7 +248,7 @@ def _B_part(n_class: int, order) -> QSeries:
     outer = eta_quotient({3: 2, 6: 2, 36: 1, 12: -1, 18: -2}, order)
     gw_coeff = eta_quotient({3: 3, 12: 2, 18: 2, 72: 1, 108: 2,
                              6: -4, 9: -1, 24: -1, 36: -1, 54: -1, 216: -1}, order)
-    term_gw = gw_coeff * _pair_sum(_g, n_class, order)
+    term_gw = gw_coeff * _class_sum(_g, _W, n_class, order)
     A, B, C, D, E, Fq, G = (_letter(x, order) for x in "ABCDEFG")
     g_coeff = eta_quotient({12: 2, 108: 1, 6: -1, 24: -1}, order)
     combo_G = (A * D).scale(2) - A * E
@@ -272,7 +258,7 @@ def _B_part(n_class: int, order) -> QSeries:
     term_G = (g_coeff * term_G).shift(Q(2)).scale(-2)
     hw_coeff = eta_quotient({3: 3, 18: 1, 24: 1, 36: 2, 216: 1,
                              6: -3, 9: -1, 12: -1, 72: -1, 108: -1}, order)
-    term_hw = (hw_coeff * _pair_sum(_h, n_class + 1, order)).shift(Q(5))
+    term_hw = (hw_coeff * _class_sum(_h, _W, n_class + 1, order)).shift(Q(5))
     h_coeff = eta_quotient({24: 1, 108: 1, 12: -1}, order)
     combo_H = ((A * G).scale(2) + A * Fq) * script_H(n_class + 2, order)
     combo_H = combo_H - ((B * Fq).scale(2) + B * G) * script_H(n_class + 1, order)

@@ -14,6 +14,16 @@ overpartitions themselves.  `Overpartition` with `rank()` and `m2_rank()`,
 fed by `enumerate_overpartitions`, is the object route the tests hold those
 counts to.
 
+The formula route builds each pair from pieces:
+
+    D_d(a, M) + D_d(a-1, M) = chi + T(a, z') - T(a-1, z'') + tail(a),
+
+with chi = [a = M] for odd d and [a = 1] for even d.  One residue piece T,
+an m and a Psi (`_residue_piece`), serves odd d with odd M and every even
+d; odd d with even M has its own m and Psi at modulus M/2.  The tail is
+(2/M) sum_j zeta_M^{-aj} (1 - zeta_M^j) times the theta part of the
+bracket of `s_bar_d` at z = zeta_M^j and z' = -1 (`appell.bracket_tail`).
+
 A rank table is one integer row N_d(-n..n, n) per n, and a deviation by
 definition one integer over M per coefficient.  Deviations have integer
 exponents: at a fractional order every route builds to the next integer.
@@ -27,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .appell import appell_m, lam, o_d_at_minus_one, o_d_direct, psi, s_bar_bracket
+from .appell import appell_m, bracket_tail, o_d_at_minus_one, o_d_direct, psi, s_bar_bracket
 from .cyclotomic import get_field, root_of_unity
 from .errors import NonGenericParameter, UnsupportedCase
 from .series import Monomial, QSeries, eta_quotient, shifted
@@ -301,27 +311,30 @@ def default_generics(M: int, d: int) -> tuple[Monomial, Monomial, Monomial]:
     raise NonGenericParameter("no default generic parameter available")
 
 
-def _chi(flag: bool) -> QSeries:
-    return QSeries.one() if flag else QSeries.zero()
-
-
-def _lambda_sum(d: int, a: int, M: int, z0: Monomial, order) -> QSeries:
-    """(2/M) sum_{j=1}^{M-1} zeta_M^{-aj} (1 - zeta_M^j) Lambda(d, zeta_M^j, z0, -1)."""
-    total = QSeries.zero(order)
-    minus_one = Monomial.minus_one()
-    for j in range(1, M):
-        weight = root_of_unity(-a * j, M) * (1 - root_of_unity(j, M))
-        term = lam(d, Monomial.zeta(j, M), z0, minus_one, order)
-        total = total + term.scale(weight)
-    return total.scale(F(2, M))
-
-
 def _shifted_m(x: Monomial, base, zp: Monomial, mono: Monomial, order) -> QSeries:
     """2 mono m(x, q^base, z'), valid below order."""
     return shifted(lambda o: appell_m(x, base, zp, o), mono, order).scale(2)
 
 
-def _pair_even_even(d, a, M, zp, zpp, z0, order) -> QSeries:
+def _residue_piece(d: int, b: int, M: int, zp: Monomial, order) -> QSeries:
+    """T(b, z'), the m and Psi pieces of residue b in
+    D_d(a, M) + D_d(a-1, M) = chi + T(a, z') - T(a-1, z'') + tail(a),
+    for odd d with odd M and for every even d."""
+    dd = d * d
+    minus_one = Monomial.minus_one()
+    if d % 2:
+        k = -b * ((M + 1) // 2) % M  # k = -b/2 mod M
+        m_term = _shifted_m(Monomial.q(dd * M * (M - 2 * k)), 2 * dd * M * M, zp,
+                            Monomial.zeta(k + 1, 2, -dd * k * k), order)
+        return m_term - psi(k, M, Monomial.q(dd), minus_one, zp, 2 * dd, order).scale(2)
+    h = d // 2
+    m_term = _shifted_m(Monomial.zeta(1 + (d * M) // 2, 2, F(dd * (M * M - 2 * M * b), 4)),
+                        F(dd * M * M, 2), zp, Monomial.zeta(h * b, 2, -F(dd * b * b, 4)), order)
+    x_psi = Monomial.zeta(h + 1, 2, F(dd, 4))
+    return m_term + psi(b, M, x_psi, minus_one, zp, F(dd, 2), order).scale(2)
+
+
+def _pair_even_even(d, a, M, zp, order) -> QSeries:
     # d odd, a and M even.  The m and Psi pieces are the direct output of the
     # root-averaging identity at n = M/2, k = a/2 - 1, x = q^{-d^2}, base q^{2d^2}.
     dd = d * d
@@ -330,61 +343,18 @@ def _pair_even_even(d, a, M, zp, zpp, z0, order) -> QSeries:
     m_term = _shifted_m(x_m, F(dd * M * M, 2), zp, head, order)
     psi_term = shifted(lambda o: psi(a // 2 - 1, M // 2, Monomial.q(-dd), Monomial.minus_one(),
                                      zp, 2 * dd, o), Monomial.q(-dd), order).scale(2)
-    return _chi(a == M) + m_term - psi_term + _lambda_sum(d, a, M, z0, order)
+    return m_term - psi_term
 
 
-def _pair_even_odd(d, a, M, zp, zpp, z0, order) -> QSeries:
-    # d odd, a even, M odd
-    dd = d * d
-    k1 = (2 * M - a) // 2
-    k2 = (M + 1 - a) // 2
-    base = 2 * dd * M * M
-    m1 = _shifted_m(Monomial.q(dd * M * (a - M)), base, zp,
-                    Monomial.zeta(a // 2, 2, -dd * k1 * k1), order)
-    m2 = _shifted_m(Monomial.q(dd * M * (a - 1)), base, zpp,
-                    Monomial.zeta(k2, 2, -dd * k2 * k2), order)
-    p1 = psi(k1, M, Monomial.q(dd), Monomial.minus_one(), zp, 2 * dd, order).scale(2)
-    p2 = psi(k2, M, Monomial.q(dd), Monomial.minus_one(), zpp, 2 * dd, order).scale(2)
-    return m1 + m2 - p1 + p2 + _lambda_sum(d, a, M, z0, order)
-
-
-def _pair_odd_odd(d, a, M, zp, zpp, z0, order) -> QSeries:
-    # d odd, a odd, M odd
-    dd = d * d
-    k1 = (M - a) // 2
-    k2 = (2 * M + 1 - a) // 2
-    base = 2 * dd * M * M
-    m1 = _shifted_m(Monomial.q(dd * M * a), base, zp,
-                    Monomial.zeta(k1 + 1, 2, -dd * k1 * k1), order)
-    m2 = _shifted_m(Monomial.q(dd * M * (a - M - 1)), base, zpp,
-                    Monomial.zeta((a + 1) // 2, 2, -dd * k2 * k2), order)
-    p1 = psi(k1, M, Monomial.q(dd), Monomial.minus_one(), zp, 2 * dd, order).scale(2)
-    p2 = psi(k2, M, Monomial.q(dd), Monomial.minus_one(), zpp, 2 * dd, order).scale(2)
-    return _chi(a == M) + m1 + m2 - p1 + p2 + _lambda_sum(d, a, M, z0, order)
-
-
-def _pair_even_d(d, a, M, zp, zpp, z0, order) -> QSeries:
-    # d even, 1 <= a <= M-1
-    dd = d * d
-    h = d // 2
-    base = F(dd * M * M, 2)
-    x_inner = Monomial.zeta(1 + (d * M) // 2, 2)
-    x_psi = Monomial.zeta(h + 1, 2, F(dd, 4))
-    m1 = _shifted_m(x_inner * Monomial.q(F(dd, 4) * (M * M - 2 * M * a)), base, zp,
-                    Monomial.zeta((d * a) // 2, 2, -F(dd * a * a, 4)), order)
-    m2 = _shifted_m(x_inner * Monomial.q(F(dd, 4) * (M * M - 2 * M * (a - 1))), base, zpp,
-                    Monomial.zeta(h * (a - 1) + 1, 2, -F(dd, 4) * (a - 1) ** 2), order)
-    p1 = psi(a, M, x_psi, Monomial.minus_one(), zp, F(dd, 2), order).scale(2)
-    p2 = psi(a - 1, M, x_psi, Monomial.minus_one(), zpp, F(dd, 2), order).scale(2)
-    tail = QSeries.zero(order)
+def _tail_sum(d: int, a: int, M: int, z0: Monomial, order) -> QSeries:
+    """(2/M) sum_{j=1}^{M-1} zeta_M^{-aj} (1 - zeta_M^j) bracket_tail(d, zeta_M^j, z0, -1)."""
+    total = QSeries.zero(order)
+    minus_one = Monomial.minus_one()
     for j in range(1, M):
-        weight = root_of_unity(j - a * j, M) * (1 - root_of_unity(j, M))
-        term = shifted(lambda o, j=j: psi(0, h, Monomial.zeta(2 * j, M * d) * Monomial.q(1 - d),
-                                          Monomial.q(1), Monomial.minus_one(), 2, o),
-                       Monomial.zeta(h, 2, -F(dd, 4)), order)
-        tail = tail + term.scale(weight)
-    tail = tail.scale(F(2, M))
-    return _chi(a == 1) + m1 + m2 + p1 - p2 + tail
+        weight = root_of_unity(-a * j, M) * (1 - root_of_unity(j, M))
+        term = bracket_tail(d, Monomial.zeta(j, M), z0, minus_one, order)
+        total = total + term.scale(weight)
+    return total.scale(F(2, M))
 
 
 def deviation_pair_by_formula(d: int, a: int, M: int, order,
@@ -395,7 +365,10 @@ def deviation_pair_by_formula(d: int, a: int, M: int, order,
 
     Residues outside each formula's stated range are reached through the
     reflection D_d(a, M) = D_d(M - a, M), which sends the pair at a to the
-    pair at M - a + 1.
+    pair at M - a + 1: into 2..M for odd d, into 1..M-1 for even d.  Every
+    pair is chi + (its m and Psi pieces) + tail(a).  Odd d with even M (so
+    even a) has its own pieces at modulus M/2; every other case has
+    T(a, z') - T(a-1, z'') (`_residue_piece`).
     """
     order, built = F(order), F(math.ceil(F(order)))
     if M < 2 or d < 1:
@@ -405,27 +378,22 @@ def deviation_pair_by_formula(d: int, a: int, M: int, order,
         zp = zp or g1
         zpp = zpp or g2
         z0 = z0 or g3
-    a %= M
-    if a == 0:
-        a = M
+    a = a % M or M
     if d % 2:
         if a == 1 or (a % 2 == 1 and M % 2 == 0):
             a = M - a + 1
-        if not 2 <= a <= M:
-            raise UnsupportedCase("no reachable case for (d,a,M)=(%d,%d,%d)" % (d, a, M))
-        if a % 2 == 0 and M % 2 == 0:
-            out = _pair_even_even(d, a, M, zp, zpp, z0, built)
-        elif a % 2 == 0:
-            out = _pair_even_odd(d, a, M, zp, zpp, z0, built)
-        elif M % 2 == 1:
-            out = _pair_odd_odd(d, a, M, zp, zpp, z0, built)
-        else:
-            raise UnsupportedCase("unreachable parity combination")
+        chi = a == M
     else:
         if a == M:
             a = 1
-        out = _pair_even_d(d, a, M, zp, zpp, z0, built)
-    out = out.truncate(built).normalize_denominator()
+        chi = a == 1
+    if d % 2 and M % 2 == 0:
+        out = _pair_even_even(d, a, M, zp, built)
+    else:
+        out = _residue_piece(d, a, M, zp, built) - _residue_piece(d, a - 1, M, zpp, built)
+    if chi:
+        out = 1 + out
+    out = (out + _tail_sum(d, a, M, z0, built)).truncate(built).normalize_denominator()
     if out.den != 1:
         raise ArithmeticError("deviation pair has fractional exponents")
     return out.truncate(order)
@@ -456,10 +424,7 @@ def single_deviation(d: int, a: int, M: int, order,
         z0 = z0 or g3
     a %= M
     if M % 2 == 1:
-        target = a if a >= (M + 1) // 2 else M - a
-        if target == 0:
-            target = M
-        n = target - (M + 1) // 2
+        n = max(a, M - a) - (M + 1) // 2
         total = QSeries.zero(built)
         lead = (M + 1) // 2 - n
         for i in range(n + 1):
@@ -474,5 +439,5 @@ def single_deviation(d: int, a: int, M: int, order,
         zk = root_of_unity(k, M)
         weight = (1 - zk) / (1 + zk) * (root_of_unity(-k * a, M) + root_of_unity(k * a, M))
         bracket = s_bar_bracket(d, Monomial.zeta(k, M), z0, zp, built)
-        total = total + bracket.scale(weight).scale(F(1, M))
+        total = total + bracket.scale(weight * F(1, M))
     return total.truncate(order)

@@ -138,14 +138,24 @@ def test_o_d_direct_pole_cases():
         o_d_direct(1, Monomial.one(), 10)
     with pytest.raises(NonGenericParameter):
         o_d_direct(2, Monomial.minus_one(), 10)
+    for d in (1, 2):  # z = q^2 puts 1 - z q^{dn} or 1 - q^{dn}/z on zero
+        with pytest.raises(NonGenericParameter):
+            o_d_direct(d, Q(2), 10)
+        with pytest.raises(NonGenericParameter):
+            o_d_original(d, Q(2), 10)
 
 
 def test_o_d_forms_agree():
-    for d in (1, 2):
-        for z in (Z(1, 5), Z(2, 7)):
-            a = o_d_direct(d, z, 16)
-            b = o_d_original(d, z, 16)
-            assert a.agrees_with(b, 16), (d, z)
+    # at a z with a q-part the shift by z and the (1 - z)(1 - 1/z) factor
+    # lose order; both forms build past it and are known exactly to the order
+    for z in (Z(1, 5), Z(2, 7), Z(1, 3, -3), Z(1, 5, F(-1, 3)), Z(2, 7, -1), Z(1, 5, F(1, 2)),
+              Z(1, 3, 2), Z(3, 7, 6)):
+        for d in (1, 2, 3):
+            for order in (F(-2), F(0), F(13, 2), F(16)):
+                a = o_d_direct(d, z, order)
+                b = o_d_original(d, z, order)
+                assert a.order == b.order == order, (d, z, order)
+                assert a.agrees_with(b, order), (d, z, order)
 
 
 def test_o_d_at_minus_one_even_part():

@@ -75,6 +75,15 @@ def test_inverse_examples():
         rat(0).inv()
 
 
+def test_rtruediv_is_multiplication_by_the_inverse():
+    for c in (1 - zeta(1, 3), zeta(2, 5) + 3, zeta(1, 12) - zeta(5, 12) + Fraction(1, 2)):
+        assert 1 / c == c.inv()
+        assert Fraction(3, 4) / c == c.inv() * Fraction(3, 4)
+        assert (7 / c) * c == 7
+    with pytest.raises(InverseOfZero):
+        1 / rat(0)
+
+
 @pytest.mark.parametrize("L", [5, 12, 21, 35, 63])
 def test_inverse_matches_sympy(L):
     # an oracle independent of the norm route: inversion mod Phi_L in Q[x]

@@ -8,6 +8,7 @@ import pytest
 
 import qrank
 
+from qrank.appell import o_d_original
 from qrank.catalog import (
     CATALOG,
     REQUIRED_ENTRY_IDS,
@@ -152,6 +153,17 @@ def test_cli_expand_od_rational_order(capsys):
                  "--order", "13/2"]) == 0
     out = capsys.readouterr().out
     assert "q^1: 2" in out and "q^6: " in out
+
+
+def test_cli_expand_od_at_z_with_a_q_part(capsys):
+    # the shift by z = zeta_5 q^(-1/3) loses order that the build plans for
+    z = parse_root_spec("zeta5^1*q^-1/3")
+    assert main(["expand", "--series", "Od", "--d", "1", "--z", "zeta5^1*q^-1/3",
+                 "--order", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    expected = o_d_original(1, z, 5)
+    assert lines[0] == "# order 5  D=3  L=5"
+    assert lines[1:] == ["q^%s: %s" % (e, c) for e, c in expected.terms()]
 
 
 def test_cli_expand_json(capsys):

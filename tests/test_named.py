@@ -8,9 +8,9 @@ from qrank.named import (
     _f,
     _g,
     _h,
-    _pair_sum,
-    _triple_sum,
     _W,
+    _WF,
+    _class_sum,
     b_block,
     build_named_series,
     dissection_lhs,
@@ -92,8 +92,8 @@ def test_named_builders_at_order_at_most_zero(order):
 
 
 def _triple_sum_substituted_first(block, n_class, order):
-    """The route `_triple_sum` replaced: every factor substituted q -> q^3
-    before the 18 products."""
+    """The triple sum with every factor substituted q -> q^3 before the 18
+    products."""
     order = F(order)
     inner = -(-order // 3) + 1
     blocks = [block(k, inner).substitute_q_power(3) for k in range(3)]
@@ -110,7 +110,7 @@ def _triple_sum_substituted_first(block, n_class, order):
 
 
 def _pair_sum_substituted_first(block, n_class, order):
-    """The route `_pair_sum` replaced, substituting before multiplying."""
+    """The pair sum, substituting before multiplying."""
     order = F(order)
     inner = -(-order // 3) + 1
     blocks = [block(k, inner).substitute_q_power(3) for k in range(3)]
@@ -128,9 +128,9 @@ def test_dissection_sums_match_substitute_first_route(block):
     # multiplying before q -> q^3 gives the same serialized series
     for n_class in range(6):
         for order in list(range(1, 32)) + [F(20, 3)]:
-            new = _triple_sum(block, n_class, order).to_json_dict()
+            new = _class_sum(block, _WF, n_class, order).to_json_dict()
             old = _triple_sum_substituted_first(block, n_class, order).to_json_dict()
             assert new == old, ("triple", n_class, order)
-            new = _pair_sum(block, n_class, order).to_json_dict()
+            new = _class_sum(block, _W, n_class, order).to_json_dict()
             old = _pair_sum_substituted_first(block, n_class, order).to_json_dict()
             assert new == old, ("pair", n_class, order)

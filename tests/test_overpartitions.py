@@ -196,6 +196,17 @@ def test_pair_formula_parameter_independence():
     assert a == b
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 6])
+def test_deviation_grid_matches_definition(d):
+    # every residue of every modulus 2..7 at order 12, through both formula
+    # routes at their default generic parameters
+    for M in range(2, 8):
+        for a in range(M):
+            pair = deviation_pair_by_formula(d, a, M, 12)
+            assert pair == pair_by_definition(d, a, M, 12), (M, a)
+            assert single_deviation(d, a, M, 12) == deviation_by_definition(d, a, M, 12), (M, a)
+
+
 def test_pair_formula_rejects_bad_shape():
     with pytest.raises(UnsupportedCase):
         deviation_pair_by_formula(1, 1, 1, 8)

@@ -478,3 +478,44 @@ def test_root_sum_cancellation_and_empty():
     assert s.is_zero() and s.order == F(5, 2) and s.field.L == 6
     # 1 + zeta_4^2 q = 1 - q: coefficients land in the reduced basis
     assert str(root_sum([(1, 0, 0), (1, 2, 1)], 4, 3)) == "1 - q + O(q^3)"
+
+
+# -- division: `/` is multiplication by the inverse ----------------------------
+
+DIVIDEND = root_sum([(1, 0, 0), (2, 1, 1), (-3, 4, 3), (F(1, 2), 7, 4), (5, 2, 9)], 15, 12)
+
+
+def test_truediv_by_a_series():
+    # q^-1 (1 + zeta_5^2 q - q^3): the quotient gains one order and lands in Q(zeta_15)
+    divisor = root_sum([(1, 0, -1), (1, 2, 0), (-1, 0, 2)], 5, 12)
+    got = DIVIDEND / divisor
+    assert got == DIVIDEND * divisor.invert()
+    assert got.field.L == 15 and got.order == 13
+    assert (got * divisor).agrees_with(DIVIDEND, 12)
+
+
+@pytest.mark.parametrize("c", [3, -2, F(7, 4)], ids=str)
+def test_truediv_by_a_rational(c):
+    got = DIVIDEND / c
+    assert got == DIVIDEND.scale(F(1) / F(c))
+    assert got.scale(c) == DIVIDEND
+
+
+def test_truediv_by_a_cyclotomic():
+    c = 2 + root_of_unity(1, 3) - root_of_unity(2, 5)
+    got = DIVIDEND / c
+    assert got == DIVIDEND.scale(c.inv())
+    assert got.field.L == 15 and got.scale(c) == DIVIDEND
+
+
+def test_truediv_by_a_monomial():
+    m = Monomial.zeta(2, 3, F(-1, 2))
+    got = DIVIDEND / m
+    assert got == DIVIDEND.shift(m.inverse())
+    assert got.order == F(25, 2) and got.coeff(F(1, 2)) == root_of_unity(-2, 3)
+    assert got.shift(m).agrees_with(DIVIDEND, 12)
+
+
+def test_truediv_by_something_else_is_a_type_error():
+    with pytest.raises(TypeError):
+        DIVIDEND / "q"
