@@ -35,8 +35,8 @@ from fractions import Fraction
 from .cyclotomic import root_of_unity
 from .errors import NonGenericParameter
 from .reports import IdentityReport, compare_series
-from .series import (Monomial, QSeries, eta_quotient, exact_below, root_sum, shift_loss,
-                     shifted)
+from .series import (Monomial, QSeries, eta_quotient, exact_below, linear_sum, root_sum,
+                     shift_loss, shifted)
 from .theta import bilateral, binom2, is_theta_zero_pattern, theta_quotient
 
 F = Fraction
@@ -154,14 +154,12 @@ def lam(d: int, z: Monomial, z0: Monomial, zp: Monomial, order) -> QSeries:
     pref = Monomial.zeta((d + 1) // 2, 2, -F((d - 1) ** 2, 4)) * w ** (d - 1)
     inner = order + shift_loss(pref)
     x_head = w ** (-2) * Monomial.q(d)
-    total = psi((d - 1) // 2, d, x_head, z0, zp, 2, inner)
-    half = F(d - 1, 2)
-    for t in range(d):
-        x_t = Monomial.zeta(-2 * t, d) * w ** (-2) * Monomial.q(d)
-        z1_t = Monomial.zeta(t, d) * w * Monomial.q(-half)
-        term = delta(x_t, z1_t, z0, 2, inner)
-        total = total + term.scale(root_of_unity(-t, d)).scale(F(1, d))
-    return total.shift(pref)
+    z1 = w * Monomial.q(-F(d - 1, 2))
+    terms = [(1, psi((d - 1) // 2, d, x_head, z0, zp, 2, inner))]
+    terms += [(root_of_unity(-t, d) * F(1, d),
+               delta(Monomial.zeta(-2 * t, d) * x_head, Monomial.zeta(t, d) * z1, z0, 2, inner))
+              for t in range(d)]
+    return linear_sum(terms).shift(pref)
 
 
 # ---------------------------------------------------------------------------
@@ -220,15 +218,14 @@ def o_d_original(d: int, z: Monomial, order) -> QSeries:
         (QSeries.one() - QSeries.from_monomial(z.inverse()))
     L = z.zeta_den
     inner = order + abs(z.q_exp)  # poly starts at q^{-|exp z|}
-    total = QSeries.one(inner)
+    terms = [(1, QSeries.one())]
     n = 1
     while F(n * n + d * n) < inner:
         a = _geometric(-1 if n % 2 else 1, 0, F(n * n + d * n), z * Monomial.q(d * n), L, inner)
         b = _geometric(1, 0, F(0), z.inverse() * Monomial.q(d * n), L, inner)
-        term = root_sum(a, L, inner) * root_sum(b, L, inner)
-        total = total + term.scale(2) * poly
+        terms.append((2, root_sum(a, L, inner) * root_sum(b, L, inner) * poly))
         n += 1
-    return total * eta_quotient({2: 1, 1: -2}, order)
+    return linear_sum(terms, inner) * eta_quotient({2: 1, 1: -2}, order)
 
 
 def o_d_at_minus_one(d: int, order) -> QSeries:
@@ -271,8 +268,8 @@ def s_bar_bracket(d: int, z: Monomial, z0: Monomial, zp: Monomial, order) -> QSe
         x_m, base, sign = z ** (-2) * Monomial.q(d * d), 2 * d * d, 1
     else:
         x_m, base, sign = Monomial.zeta(d // 2 + 1, 2, F(d * d, 4)) * z, F(d * d, 2), -1
-    m_term = appell_m(x_m, base, zp, order)
-    return sign - m_term.scale(2 * sign) + bracket_tail(d, z, z0, zp, order).scale(2)
+    return linear_sum(((sign, QSeries.one()), (-2 * sign, appell_m(x_m, base, zp, order)),
+                       (2, bracket_tail(d, z, z0, zp, order))))
 
 
 # ---------------------------------------------------------------------------

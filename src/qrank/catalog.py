@@ -39,7 +39,8 @@ from .overpartitions import (
     single_deviation,
 )
 from .reports import NON_GENERIC, PASS, IdentityReport, compare_series
-from .series import Monomial, QSeries, computed_to, eta_quotient, root_sum, shifted
+from .series import (Monomial, QSeries, computed_to, eta_quotient, linear_sum, root_sum,
+                     shifted)
 from .theta import binom2, theta_j, theta_quotient, theta_shift_check, theta_triple_product
 
 F = Fraction
@@ -118,16 +119,14 @@ def _appell_entries() -> list[CatalogEntry]:
          for x, z1, z0, p in switch]))
 
     def avg_lhs(n, k, x, z, o):
-        total = QSeries.zero(o)
-        for t in range(n):
-            total = total + appell_m(Z(t, n) * x, 1, z, o).scale(root_of_unity(-k * t, n))
-        return total
+        return linear_sum(((root_of_unity(-k * t, n), appell_m(Z(t, n) * x, 1, z, o))
+                           for t in range(n)), o)
 
     def avg_rhs(n, k, x, z, zp, o):
         head = Q(F(-binom2(k + 1))) * (-x) ** k
         inner = -(Q(binom2(n) - n * k) * (-x) ** n)
-        out = shifted(lambda t: appell_m(inner, n * n, zp, t), head, o).scale(n)
-        return out + psi(k, n, x, z, zp, 1, o).scale(n)
+        return linear_sum(((n, shifted(lambda t: appell_m(inner, n * n, zp, t), head, o)),
+                           (n, psi(k, n, x, z, zp, 1, o))))
 
     avg_samples = [(Z(1, 5, 1), Z(1, 7), Z(2, 7)), (Z(2, 7, 1), Z(1, 5), Z(2, 5)),
                    (Z(1, 11, 2), Z(1, 5), Z(1, 7))]
@@ -430,11 +429,8 @@ def _rank_series_entries() -> list[CatalogEntry]:
          for d, z, z0, zp in fold_cases]))
 
     def residue_avg_lhs(d, a, M, o):
-        total = QSeries.zero(o)
-        for j in range(1, M):
-            w = root_of_unity(-a * j, M) * (1 + root_of_unity(j, M))
-            total = total + o_d_direct(d, Z(j, M), o).scale(w)
-        return total.scale(F(1, M))
+        return linear_sum(((root_of_unity(-a * j, M) * (1 + root_of_unity(j, M)) * F(1, M),
+                            o_d_direct(d, Z(j, M), o)) for j in range(1, M)), o)
 
     entries.append(CatalogEntry(
         "rank-residue-average",
@@ -494,10 +490,7 @@ def _deviation_entries() -> list[CatalogEntry]:
          for d, M, a in singles_even]))
 
     def residue_sum(d, M, o):
-        total = QSeries.zero(o)
-        for a in range(M):
-            total = total + deviation_by_definition(d, a, M, o)
-        return total
+        return linear_sum(((1, deviation_by_definition(d, a, M, o)) for a in range(M)), o)
 
     entries.append(CatalogEntry(
         "deviation-residue-sum",

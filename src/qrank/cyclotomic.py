@@ -344,12 +344,12 @@ class CyclotomicField:
             return (1, tuple(vec))
         return self.normalize(den, vec)
 
-    def scale(self, a: Raw, fr: Fraction | int) -> Raw:
-        fr = Fraction(fr)
-        if fr == 1:
+    def scale(self, a: Raw, num: int, den: int = 1) -> Raw:
+        """a num/den, for num/den in lowest terms with den > 0."""
+        if num == den:
             return a
-        den, vec = a
-        return self.normalize(den * fr.denominator, [v * fr.numerator for v in vec])
+        d, vec = a
+        return self.normalize(d * den, [v * num for v in vec])
 
     def reindex(self, vec: Sequence[int], k: int) -> list[int]:
         """sum_i vec[i] zeta_L^(i k), reduced mod Phi_L.

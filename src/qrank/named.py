@@ -17,7 +17,7 @@ from .appell import appell_m, psi
 from .cyclotomic import root_of_unity
 from .errors import UnknownName
 from .series import (Monomial, QSeries, computed_to, eta_J, eta_quotient, exact_below,
-                     shift_loss, shifted)
+                     linear_sum, shift_loss, shifted)
 from .theta import theta_quotient
 
 F = Fraction
@@ -52,10 +52,8 @@ def _W(i: int, order) -> QSeries:
     if i == 2:
         return eta_quotient(_W_HEAD, order).scale(9)
     terms = ((-2, 0, 1), (1, 1, 8), (4, 2, 16)) if i == 0 else ((-1, 0, 3), (2, 1, 12))
-    out = QSeries.zero(order)
-    for k, e, c in terms:
-        out = out + eta_quotient(_head_times_w(k), order).shift(Q(e)).scale(c)
-    return out
+    return linear_sum(((c, eta_quotient(_head_times_w(k), order).shift(Q(e)))
+                       for k, e, c in terms), order)
 
 
 @exact_below
@@ -110,12 +108,9 @@ def dissection_lhs(key: str, order) -> QSeries:
 
 def dissection_rhs(key: str, order) -> QSeries:
     _, block = DISSECTION_TARGETS[key]
-    order = F(order)
-    out = QSeries.zero(order)
-    for k in range(3):
-        comp = block(k, _inner_order(order))
-        out = out + comp.substitute_q_power(3).shift(Q(k)).truncate(order)
-    return out
+    inner = _inner_order(order)
+    return linear_sum(((1, block(k, inner).substitute_q_power(3).shift(Q(k))) for k in range(3)),
+                      order)
 
 
 # -- theta-ratio constants for the assembled decomposition --------------------
@@ -152,11 +147,9 @@ def _inner_order(order) -> int:
 def _WF(j: int, order) -> QSeries:
     """sum over l, m in {0,1,2} with l+m = j (mod 3) of x^{(l+m-j)/3} W_l f_m:
     the partner of a block in the class sums of `script_G` and `script_H`."""
-    total = QSeries.zero(order)
-    for l in range(3):
-        m = (j - l) % 3
-        total = total + (_W(l, order) * _f(m, order)).shift(Q((l + m - j) // 3))
-    return total
+    pairs = [(l, (j - l) % 3) for l in range(3)]
+    return linear_sum(((1, (_W(l, order) * _f(m, order)).shift(Q((l + m - j) // 3)))
+                       for l, m in pairs), order)
 
 
 @exact_below
@@ -172,10 +165,9 @@ def _class_sum(block, partner, n_class: int, order) -> QSeries:
     """
     r = n_class % 3
     inner = _inner_order(order)
-    total = QSeries.zero(inner)
-    for k in range(3):
-        j = (r - k) % 3
-        total = total + block(k, inner) * partner(j, inner).shift(Q((k + j - r) // 3))
+    pairs = [(k, (r - k) % 3) for k in range(3)]
+    total = linear_sum(((1, block(k, inner) * partner(j, inner).shift(Q((k + j - r) // 3)))
+                        for k, j in pairs), inner)
     return total.substitute_q_power(3).shift(Q(r)).truncate(order)
 
 
@@ -190,9 +182,8 @@ def script_H(n_class: int, order) -> QSeries:
 def psi_difference_lhs(order) -> QSeries:
     """4 Psi_2^3(q^9,-1,-1;q^18) - 2 Psi_1^3(q^9,-1,-1;q^18)."""
     minus = Monomial.minus_one()
-    a = psi(2, 3, Q(9), minus, minus, 18, order)
-    b = psi(1, 3, Q(9), minus, minus, 18, order)
-    return a.scale(4) - b.scale(2)
+    return linear_sum(((4, psi(2, 3, Q(9), minus, minus, 18, order)),
+                       (-2, psi(1, 3, Q(9), minus, minus, 18, order))))
 
 
 def _ratio_terms(zs, base):
@@ -244,27 +235,29 @@ def bracket_reduction_rhs(order) -> QSeries:
 @exact_below
 def _B_part(n_class: int, order) -> QSeries:
     first = eta_quotient({6: 3, 9: 1, 108: 1, 3: -1, 18: -1, 36: -1}, order)
-    first = (first * _I(n_class, order).substitute_q_power(3)).shift(Q(3 + n_class)).scale(3)
+    first = (first * _I(n_class, order).substitute_q_power(3)).shift(Q(3 + n_class))
     outer = eta_quotient({3: 2, 6: 2, 36: 1, 12: -1, 18: -2}, order)
     gw_coeff = eta_quotient({3: 3, 12: 2, 18: 2, 72: 1, 108: 2,
                              6: -4, 9: -1, 24: -1, 36: -1, 54: -1, 216: -1}, order)
     term_gw = gw_coeff * _class_sum(_g, _W, n_class, order)
     A, B, C, D, E, Fq, G = (_letter(x, order) for x in "ABCDEFG")
+    G0, G1, G2 = (script_G(n_class + i, order) for i in range(3))
     g_coeff = eta_quotient({12: 2, 108: 1, 6: -1, 24: -1}, order)
-    combo_G = (A * D).scale(2) - A * E
-    term_G = combo_G * script_G(n_class + 1, order)
-    term_G = term_G - (B * D + B * E) * script_G(n_class, order)
-    term_G = term_G + ((C * E).scale(2) - C * D) * script_G(n_class + 2, order)
-    term_G = (g_coeff * term_G).shift(Q(2)).scale(-2)
+    term_G = linear_sum(((1, linear_sum(((2, A * D), (-1, A * E))) * G1),
+                         (-1, linear_sum(((1, B * D), (1, B * E))) * G0),
+                         (1, linear_sum(((2, C * E), (-1, C * D))) * G2)))
+    term_G = (g_coeff * term_G).shift(Q(2))
     hw_coeff = eta_quotient({3: 3, 18: 1, 24: 1, 36: 2, 216: 1,
                              6: -3, 9: -1, 12: -1, 72: -1, 108: -1}, order)
     term_hw = (hw_coeff * _class_sum(_h, _W, n_class + 1, order)).shift(Q(5))
+    H0, H1, H2 = (script_H(n_class + i, order) for i in range(3))
     h_coeff = eta_quotient({24: 1, 108: 1, 12: -1}, order)
-    combo_H = ((A * G).scale(2) + A * Fq) * script_H(n_class + 2, order)
-    combo_H = combo_H - ((B * Fq).scale(2) + B * G) * script_H(n_class + 1, order)
-    combo_H = combo_H - (C * G - C * Fq) * script_H(n_class, order)
-    term_H = (h_coeff * combo_H).shift(Q(1)).scale(-2)
-    return first + outer * (term_gw + term_G + term_hw + term_H)
+    term_H = linear_sum(((1, linear_sum(((2, A * G), (1, A * Fq))) * H2),
+                         (-1, linear_sum(((2, B * Fq), (1, B * G))) * H1),
+                         (-1, linear_sum(((1, C * G), (-1, C * Fq))) * H0)))
+    term_H = (h_coeff * term_H).shift(Q(1))
+    inner = linear_sum(((1, term_gw), (-2, term_G), (1, term_hw), (-2, term_H)))
+    return linear_sum(((3, first), (1, outer * inner)))
 
 
 def b_block(n_class: int, order) -> QSeries:
@@ -277,8 +270,8 @@ def b_block(n_class: int, order) -> QSeries:
 
     def build(o):
         minus = Monomial.minus_one()
-        head = appell_m(Q(-27), 162, minus, o + shift_loss(Q(-36))).shift(Q(-36)).scale(6)
-        return head + psi_difference_rhs(o) + _B_part(0, o)
+        head = appell_m(Q(-27), 162, minus, o + shift_loss(Q(-36))).shift(Q(-36))
+        return linear_sum(((6, head), (1, psi_difference_rhs(o)), (1, _B_part(0, o))))
     return computed_to(build, order)
 
 

@@ -14,15 +14,15 @@ overpartitions themselves.  `Overpartition` with `rank()` and `m2_rank()`,
 fed by `enumerate_overpartitions`, is the object route the tests hold those
 counts to.
 
-The formula route builds each pair from pieces:
+The formula route builds each pair as one `linear_sum` of its terms:
 
     D_d(a, M) + D_d(a-1, M) = chi + T(a, z') - T(a-1, z'') + tail(a),
 
 with chi = [a = M] for odd d and [a = 1] for even d.  One residue piece T,
-an m and a Psi (`_residue_piece`), serves odd d with odd M and every even
-d; odd d with even M has its own m and Psi at modulus M/2.  The tail is
-(2/M) sum_j zeta_M^{-aj} (1 - zeta_M^j) times the theta part of the
-bracket of `s_bar_d` at z = zeta_M^j and z' = -1 (`appell.bracket_tail`).
+the terms of an m and a Psi (`_residue_piece`), serves odd d with odd M and
+every even d; odd d with even M has its own m and Psi at modulus M/2.  The
+tail terms are the theta part of the bracket of `s_bar_d` at z = zeta_M^j
+and z' = -1 (`appell.bracket_tail`), weighted by (2/M) zeta_M^{-aj} (1 - zeta_M^j).
 
 A rank table is one integer row N_d(-n..n, n) per n, and a deviation by
 definition one integer over M per coefficient.  Deviations have integer
@@ -40,7 +40,7 @@ from functools import lru_cache
 from .appell import appell_m, bracket_tail, o_d_at_minus_one, o_d_direct, psi, s_bar_bracket
 from .cyclotomic import get_field, root_of_unity
 from .errors import NonGenericParameter, UnsupportedCase
-from .series import Monomial, QSeries, eta_quotient, shifted
+from .series import Monomial, QSeries, eta_quotient, linear_sum, shifted
 
 F = Fraction
 
@@ -285,15 +285,10 @@ def pair_by_definition(d: int, a: int, M: int, order) -> QSeries:
 def deviation_by_root_average(d: int, a: int, M: int, order) -> QSeries:
     """(1/M) sum_{k=1}^{M-1} O_d(zeta_M^k; q) zeta_M^{-ka}, the root-of-unity
     average that recovers a single deviation for every M."""
-    order = F(order)
-    total = QSeries.zero(order)
-    for k in range(1, M):
-        if 2 * k == M:
-            value = o_d_at_minus_one(d, order)
-        else:
-            value = o_d_direct(d, Monomial.zeta(k, M), order)
-        total = total + value.scale(root_of_unity(-k * a, M))
-    return total.scale(F(1, M))
+    return linear_sum(((root_of_unity(-k * a, M) * F(1, M),
+                        o_d_at_minus_one(d, order) if 2 * k == M
+                        else o_d_direct(d, Monomial.zeta(k, M), order)) for k in range(1, M)),
+                      order)
 
 
 # ---------------------------------------------------------------------------
@@ -311,50 +306,37 @@ def default_generics(M: int, d: int) -> tuple[Monomial, Monomial, Monomial]:
     raise NonGenericParameter("no default generic parameter available")
 
 
-def _shifted_m(x: Monomial, base, zp: Monomial, mono: Monomial, order) -> QSeries:
-    """2 mono m(x, q^base, z'), valid below order."""
-    return shifted(lambda o: appell_m(x, base, zp, o), mono, order).scale(2)
-
-
-def _residue_piece(d: int, b: int, M: int, zp: Monomial, order) -> QSeries:
-    """T(b, z'), the m and Psi pieces of residue b in
+def _residue_piece(d: int, b: int, M: int, zp: Monomial, order) -> list:
+    """T(b, z') as (weight, series) terms, its m and its Psi, of residue b in
     D_d(a, M) + D_d(a-1, M) = chi + T(a, z') - T(a-1, z'') + tail(a),
     for odd d with odd M and for every even d."""
     dd = d * d
     minus_one = Monomial.minus_one()
     if d % 2:
         k = -b * ((M + 1) // 2) % M  # k = -b/2 mod M
-        m_term = _shifted_m(Monomial.q(dd * M * (M - 2 * k)), 2 * dd * M * M, zp,
-                            Monomial.zeta(k + 1, 2, -dd * k * k), order)
-        return m_term - psi(k, M, Monomial.q(dd), minus_one, zp, 2 * dd, order).scale(2)
-    h = d // 2
-    m_term = _shifted_m(Monomial.zeta(1 + (d * M) // 2, 2, F(dd * (M * M - 2 * M * b), 4)),
-                        F(dd * M * M, 2), zp, Monomial.zeta(h * b, 2, -F(dd * b * b, 4)), order)
-    x_psi = Monomial.zeta(h + 1, 2, F(dd, 4))
-    return m_term + psi(b, M, x_psi, minus_one, zp, F(dd, 2), order).scale(2)
+        x_m = Monomial.q(dd * M * (M - 2 * k))
+        base, head = 2 * dd * M * M, Monomial.zeta(k + 1, 2, -dd * k * k)
+        psi_term = (-2, psi(k, M, Monomial.q(dd), minus_one, zp, 2 * dd, order))
+    else:
+        h = d // 2
+        x_m = Monomial.zeta(1 + (d * M) // 2, 2, F(dd * (M * M - 2 * M * b), 4))
+        base, head = F(dd * M * M, 2), Monomial.zeta(h * b, 2, -F(dd * b * b, 4))
+        x_psi = Monomial.zeta(h + 1, 2, F(dd, 4))
+        psi_term = (2, psi(b, M, x_psi, minus_one, zp, F(dd, 2), order))
+    return [(2, shifted(lambda o: appell_m(x_m, base, zp, o), head, order)), psi_term]
 
 
-def _pair_even_even(d, a, M, zp, order) -> QSeries:
-    # d odd, a and M even.  The m and Psi pieces are the direct output of the
-    # root-averaging identity at n = M/2, k = a/2 - 1, x = q^{-d^2}, base q^{2d^2}.
+def _pair_even_even(d, a, M, zp, order) -> list:
+    # d odd, a and M even.  The m and Psi pieces, as (weight, series) terms,
+    # are the direct output of the root-averaging identity at n = M/2,
+    # k = a/2 - 1, x = q^{-d^2}, base q^{2d^2}.
     dd = d * d
     head = Monomial.zeta(a // 2, 2, -F(dd * a * a, 4))
     x_m = Monomial.zeta(M // 2 + 1, 2, dd * (F(M * M, 4) - F(a * M, 2)))
-    m_term = _shifted_m(x_m, F(dd * M * M, 2), zp, head, order)
+    m_term = shifted(lambda o: appell_m(x_m, F(dd * M * M, 2), zp, o), head, order)
     psi_term = shifted(lambda o: psi(a // 2 - 1, M // 2, Monomial.q(-dd), Monomial.minus_one(),
-                                     zp, 2 * dd, o), Monomial.q(-dd), order).scale(2)
-    return m_term - psi_term
-
-
-def _tail_sum(d: int, a: int, M: int, z0: Monomial, order) -> QSeries:
-    """(2/M) sum_{j=1}^{M-1} zeta_M^{-aj} (1 - zeta_M^j) bracket_tail(d, zeta_M^j, z0, -1)."""
-    total = QSeries.zero(order)
-    minus_one = Monomial.minus_one()
-    for j in range(1, M):
-        weight = root_of_unity(-a * j, M) * (1 - root_of_unity(j, M))
-        term = bracket_tail(d, Monomial.zeta(j, M), z0, minus_one, order)
-        total = total + term.scale(weight)
-    return total.scale(F(2, M))
+                                     zp, 2 * dd, o), Monomial.q(-dd), order)
+    return [(2, m_term), (-2, psi_term)]
 
 
 def deviation_pair_by_formula(d: int, a: int, M: int, order,
@@ -388,12 +370,17 @@ def deviation_pair_by_formula(d: int, a: int, M: int, order,
             a = 1
         chi = a == 1
     if d % 2 and M % 2 == 0:
-        out = _pair_even_even(d, a, M, zp, built)
+        terms = _pair_even_even(d, a, M, zp, built)
     else:
-        out = _residue_piece(d, a, M, zp, built) - _residue_piece(d, a - 1, M, zpp, built)
+        terms = _residue_piece(d, a, M, zp, built)
+        terms += [(-w, s) for w, s in _residue_piece(d, a - 1, M, zpp, built)]
+    # tail(a) = (2/M) sum_j zeta_M^{-aj} (1 - zeta_M^j) bracket_tail(d, zeta_M^j, z0, -1)
+    terms += [(root_of_unity(-a * j, M) * (1 - root_of_unity(j, M)) * F(2, M),
+               bracket_tail(d, Monomial.zeta(j, M), z0, Monomial.minus_one(), built))
+              for j in range(1, M)]
     if chi:
-        out = 1 + out
-    out = (out + _tail_sum(d, a, M, z0, built)).truncate(built).normalize_denominator()
+        terms.append((1, QSeries.one()))
+    out = linear_sum(terms, built).normalize_denominator()
     if out.den != 1:
         raise ArithmeticError("deviation pair has fractional exponents")
     return out.truncate(order)
@@ -424,20 +411,15 @@ def single_deviation(d: int, a: int, M: int, order,
         z0 = z0 or g3
     a %= M
     if M % 2 == 1:
-        n = max(a, M - a) - (M + 1) // 2
-        total = QSeries.zero(built)
-        lead = (M + 1) // 2 - n
-        for i in range(n + 1):
-            total = total + deviation_pair_by_formula(d, lead + 2 * i, M, built,
-                                                      zp=zp, z0=z0)
-        for i in range(n):
-            total = total - deviation_pair_by_formula(d, lead + 2 * i + 1, M, built,
-                                                      zp=zp, z0=z0)
-        return total.scale(F(1, 2)).truncate(order)
-    total = o_d_at_minus_one(d, built).scale(F(1 if a % 2 == 0 else -1, M))
+        # half the pairs at lead, lead + 1, ..., top, with signs +, -, ..., +
+        top = max(a, M - a)
+        lead = M + 1 - top
+        return linear_sum(((F((-1) ** (b - lead), 2),
+                            deviation_pair_by_formula(d, b, M, built, zp=zp, z0=z0))
+                           for b in range(lead, top + 1)), order)
+    terms = [(F(1 if a % 2 == 0 else -1, M), o_d_at_minus_one(d, built))]
     for k in range(1, M // 2):
         zk = root_of_unity(k, M)
         weight = (1 - zk) / (1 + zk) * (root_of_unity(-k * a, M) + root_of_unity(k * a, M))
-        bracket = s_bar_bracket(d, Monomial.zeta(k, M), z0, zp, built)
-        total = total + bracket.scale(weight * F(1, M))
-    return total.truncate(order)
+        terms.append((weight * F(1, M), s_bar_bracket(d, Monomial.zeta(k, M), z0, zp, built)))
+    return linear_sum(terms, order)

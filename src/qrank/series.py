@@ -7,6 +7,8 @@ coefficient vector starting at ``val``, and a scaled truncation bound
 ``prec`` of ``None`` marks an exact (polynomial) value.  Truncation is
 explicit data and propagates through arithmetic via the usual min rule, so an
 identity check can never claim agreement beyond what was actually computed.
+``linear_sum`` is the one weighted sum: ``+``, ``-``, ``scale`` and every
+sum of the formula layer pick their field, denominator and order once there.
 
 A product is one integer convolution: both factors are scaled to a common
 denominator and laid out flat, q-coefficient i at offset i (2 phi - 1), so
@@ -180,12 +182,8 @@ class QSeries:
     # -- constructors --------------------------------------------------
 
     @staticmethod
-    def zero(order: Fraction | int | None = None, den: int = 1,
-             L: int = 1) -> "QSeries":
-        if order is not None:
-            den = math.lcm(den, Fraction(order).denominator)
-        prec = None if order is None else _scale_exp(Fraction(order), den)
-        return QSeries(get_field(L), den, 0, (), prec, _normalized=True)
+    def zero(order: Fraction | int | None = None) -> "QSeries":
+        return linear_sum((), order)
 
     @staticmethod
     def scalar(value, order: Fraction | int | None = None) -> "QSeries":
@@ -273,12 +271,6 @@ class QSeries:
             prec = self.prec
         return QSeries(field, den, val, coeffs, prec, _normalized=True)
 
-    def _common(self, other: "QSeries") -> tuple["QSeries", "QSeries"]:
-        L = math.lcm(self.field.L, other.field.L)
-        den = math.lcm(self.den, other.den)
-        field = get_field(L)
-        return self._with(field, den), other._with(field, den)
-
     @staticmethod
     def _min_prec(p1: int | None, p2: int | None) -> int | None:
         if p1 is None:
@@ -289,47 +281,22 @@ class QSeries:
 
     # -- ring operations ----------------------------------------------------
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
         other = _coerce_series(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._common(other)
-        prec = QSeries._min_prec(a.prec, b.prec)
-        if not a.coeffs:
-            return b.truncate_scaled(prec)
-        if not b.coeffs:
-            return a.truncate_scaled(prec)
-        val = min(a.val, b.val)
-        hi = max(a.val + len(a.coeffs), b.val + len(b.coeffs))
-        if prec is not None:
-            hi = min(hi, prec)
-        field = a.field
-        vec: list[Raw] = [field.zero] * max(hi - val, 0)
-        for i, c in enumerate(a.coeffs):
-            k = a.val + i - val
-            if 0 <= k < len(vec):
-                vec[k] = c
-        for i, c in enumerate(b.coeffs):
-            k = b.val + i - val
-            if 0 <= k < len(vec):
-                vec[k] = field.add(vec[k], c)
-        return QSeries(field, a.den, val, tuple(vec), prec)
+        return linear_sum(((1, self), (sign, other)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce_series(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)
 
     def __neg__(self):
-        f = self.field
-        return QSeries(f, self.den, self.val, tuple(f.neg(c) for c in self.coeffs),
-                       self.prec, _normalized=True)
+        return linear_sum(((-1, self),))
 
     def __mul__(self, other):
         if isinstance(other, Monomial):
@@ -338,8 +305,8 @@ class QSeries:
             return self.scale(other)
         if not isinstance(other, QSeries):
             return NotImplemented
-        a, b = self._common(other)
-        field = a.field
+        field, den = _plan((self, other))
+        a, b = self._with(field, den), other._with(field, den)
         # unknown terms of a factor enter the product shifted by the other
         # factor's lowest exponent (its prec when it is zero-to-order)
         va = a.val if a.coeffs else a.prec
@@ -362,24 +329,9 @@ class QSeries:
     __rmul__ = __mul__
 
     def scale(self, c) -> "QSeries":
-        if isinstance(c, (int, Fraction)):
-            fr = Fraction(c)
-            if fr == 0:
-                return QSeries(self.field, self.den, 0, (), self.prec, _normalized=True)
-            f = self.field
-            return QSeries(f, self.den, self.val,
-                           tuple(f.scale(x, fr) for x in self.coeffs),
-                           self.prec, _normalized=True)
-        if isinstance(c, Cyclotomic):
-            L = math.lcm(self.field.L, c.field.L)
-            field = get_field(L)
-            s = self._with(field, self.den)
-            raw = field.embed_from(c.field, c.raw)
-            if field.is_zero(raw):
-                return QSeries(field, s.den, 0, (), s.prec, _normalized=True)
-            return QSeries(field, s.den, s.val,
-                           tuple(field.mul(x, raw) for x in s.coeffs), s.prec)
-        raise TypeError("cannot scale by %r" % (c,))
+        if not isinstance(c, (int, Fraction, Cyclotomic)):
+            raise TypeError("cannot scale by %r" % (c,))
+        return linear_sum(((c, self),))
 
     def shift(self, m: Monomial) -> "QSeries":
         """Multiply by a monomial: scale coefficients, shift all exponents."""
@@ -396,16 +348,10 @@ class QSeries:
     def truncate(self, order: Fraction | int) -> "QSeries":
         order = Fraction(order)
         s = self._with(self.field, math.lcm(self.den, order.denominator))
-        return s.truncate_scaled(_scale_exp(order, s.den))
-
-    def truncate_scaled(self, prec: int | None) -> "QSeries":
-        prec = QSeries._min_prec(self.prec, prec)
-        if prec == self.prec:
-            return self
-        coeffs = self.coeffs
-        if coeffs and prec is not None and self.val + len(coeffs) > prec:
-            coeffs = coeffs[:max(prec - self.val, 0)]
-        return QSeries(self.field, self.den, self.val, coeffs, prec)
+        prec = _scale_exp(order, s.den)
+        if s.prec is not None and s.prec <= prec:
+            return s
+        return QSeries(s.field, s.den, s.val, s.coeffs[:max(prec - s.val, 0)], prec)
 
     def invert(self, order: Fraction | int | None = None) -> "QSeries":
         """Multiplicative inverse up to the available truncation order.
@@ -542,7 +488,8 @@ class QSeries:
         """First exponent below `order` where the two series differ, with both
         coefficients, or None if they agree on every exponent below `order`."""
         order = Fraction(order)
-        a, b = self._common(other)
+        field, den = _plan((self, other))
+        a, b = self._with(field, den), other._with(field, den)
         bound = math.ceil(order * a.den)  # the first scaled exponent at or past `order`
         for p in (a.prec, b.prec):
             if p is not None and p < bound:
@@ -550,7 +497,6 @@ class QSeries:
                     "series only known to order %s, cannot compare to order %s"
                     % (Fraction(p, a.den), order))
         lo = min(a.val if a.coeffs else bound, b.val if b.coeffs else bound)
-        field = a.field
         for k in range(lo, bound):
             ca = a.coeffs[k - a.val] if a.coeffs and 0 <= k - a.val < len(a.coeffs) else field.zero
             cb = b.coeffs[k - b.val] if b.coeffs and 0 <= k - b.val < len(b.coeffs) else field.zero
@@ -567,7 +513,8 @@ class QSeries:
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        a, b = self._common(other)
+        field, den = _plan((self, other))
+        a, b = self._with(field, den), other._with(field, den)
         return (a.val == b.val and a.coeffs == b.coeffs and a.prec == b.prec)
 
     def __hash__(self):
@@ -608,6 +555,59 @@ class QSeries:
 
     def __repr__(self):
         return "QSeries(%s)" % str(self)
+
+
+def linear_sum(terms, order=None) -> QSeries:
+    """sum w s over the (weight, series) pairs of `terms`, w an int, a
+    Fraction or a Cyclotomic, below `order` when one is given.
+
+    The sum lives in Q(zeta_L), L the lcm of the fields of every series and
+    every Cyclotomic weight (the field a weight lives in, not the least one
+    holding its value), over the lcm of the series' denominators and
+    `order`'s, and is known below the least precision of its terms, capped
+    at `order`; a zero weight or an empty series counts towards all three.
+    Each term is moved into that field once and scaled once, below that
+    precision only, and the terms are merged in one pass.
+    """
+    terms = tuple(terms)
+    den = 1 if order is None else Fraction(order).denominator
+    weights, series = zip(*terms) if terms else ((), ())
+    field, den = _plan(series, weights, den)
+    prec = None if order is None else _scale_exp(Fraction(order), den)
+    live = []
+    for w, s in terms:
+        if s.prec is not None:
+            p = s.prec * (den // s.den)
+            prec = p if prec is None else min(prec, p)
+        if isinstance(w, Cyclotomic):
+            w = field.embed_from(w.field, w.raw)
+            if field.is_rational(w):
+                w = Fraction(w[1][0], w[0])
+        if s.coeffs and w != 0:  # a Raw weight is irrational, so never zero
+            live.append((w, s._with(field, den)))
+    lo = min([s.val for _, s in live], default=0)
+    hi = max([s.val + len(s.coeffs) for _, s in live], default=0)
+    if prec is not None and prec < hi:
+        hi = prec
+    if hi <= lo:
+        return QSeries(field, den, 0, (), prec, _normalized=True)
+    add, zero = field.add, field.zero
+    vec = [zero] * (hi - lo)
+    for i, (w, s) in enumerate(live):
+        coeffs = s.coeffs[:max(hi - s.val, 0)]
+        if type(w) is tuple:
+            coeffs = [field.mul(c, w) for c in coeffs]
+        elif w != 1:
+            num, d = w.numerator, w.denominator
+            coeffs = [field.scale(c, num, d) for c in coeffs]
+        k = s.val - lo
+        if not i:
+            vec[k:k + len(coeffs)] = coeffs
+            continue
+        for c in coeffs:
+            vec[k] = c if vec[k] is zero else add(vec[k], c)
+            k += 1
+    return QSeries(field, den, lo, tuple(vec), prec)
 
 
 def root_sum(terms, L: int, order) -> QSeries:
@@ -736,6 +736,18 @@ def _scale_exp(e: Fraction, den: int) -> int:
         raise FractionalExponents(
             "exponent %s is not representable over denominator %d" % (e, den))
     return int(scaled)
+
+
+def _plan(series, weights=(), den: int = 1) -> tuple[CyclotomicField, int]:
+    """The field and denominator for a sum or product of `series`: the lcm of
+    the fields of the series and the Cyclotomic `weights`, and of `den` and theirs."""
+    L = 1
+    for s in series:
+        L, den = math.lcm(L, s.field.L), math.lcm(den, s.den)
+    for w in weights:
+        if isinstance(w, Cyclotomic):
+            L = math.lcm(L, w.field.L)
+    return get_field(L), den
 
 
 def _coerce_series(x):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -32,6 +33,27 @@ def test_catalog_entries_well_formed():
         assert entry.instances, entry.id
         assert entry.description
         assert entry.default_order > 0
+
+
+# sha256 of every two-sided instantiation's serialized sides at default orders
+CATALOG_SERIALIZATION_SHA256 = "5375236c92fe653d9dcd44c029883791675c1e17e5c3d528ffd1b6cbb575d73d"
+
+
+def test_catalog_serialization_is_pinned():
+    # every to_json_dict() stays byte-identical: L, D, the order and each
+    # coefficient, lhs then rhs, in sorted entry order and catalog instance order
+    digest, count = hashlib.sha256(), 0
+    for eid in sorted(CATALOG):
+        entry = CATALOG[eid]
+        for inst in entry.instances:
+            if inst.check is not None:
+                continue
+            for side in (inst.lhs, inst.rhs):
+                doc = side(entry.default_order).to_json_dict()
+                digest.update(json.dumps(doc, sort_keys=True).encode())
+            count += 1
+    assert count == 223
+    assert digest.hexdigest() == CATALOG_SERIALIZATION_SHA256
 
 
 def test_verify_produces_reports():
@@ -313,3 +335,19 @@ def test_reimport_releases_the_previous_generation():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
+
+
+def test_closed_stdout_exits_quietly():
+    # the table is larger than the pipe's buffer, so the writer is still
+    # writing when the reader goes away
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qrank.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-m", "qrank.cli", "tables", "--d", "1",
+                             "--maxN", "120"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"d,m,n,count\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrank.cyclotomic import Cyclotomic, get_field, root_of_unity
 from qrank.errors import FractionalExponents, NonGenericParameter
-from qrank.series import Monomial, QSeries, eta_J, eta_quotient, root_sum
+from qrank.series import Monomial, QSeries, eta_J, eta_quotient, linear_sum, root_sum
 
 F = Fraction
 
@@ -519,3 +521,64 @@ def test_truediv_by_a_monomial():
 def test_truediv_by_something_else_is_a_type_error():
     with pytest.raises(TypeError):
         DIVIDEND / "q"
+
+
+# -- linear_sum against coefficient-wise Cyclotomic arithmetic ---------------
+
+
+def _raw(field, draw):
+    """A random element of `field` with a denominator in 1..3, as a Raw."""
+    vec = draw(st.lists(st.integers(-4, 4), min_size=field.phi, max_size=field.phi))
+    return field.normalize(draw(st.integers(1, 3)), vec)
+
+
+@st.composite
+def _sum_series(draw):
+    field = get_field(draw(st.sampled_from([1, 3, 5, 7, 15, 35])))
+    den, val = draw(st.integers(1, 3)), draw(st.integers(-4, 4))
+    coeffs = [_raw(field, draw) for _ in range(draw(st.integers(0, 5)))]
+    prec = draw(st.none() | st.integers(val - 2, val + len(coeffs) + 2))
+    if prec is not None:
+        coeffs = coeffs[:max(prec - val, 0)]
+    return QSeries(field, den, val, coeffs, prec)
+
+
+@st.composite
+def _sum_weights(draw):
+    kind = draw(st.sampled_from(["int", "fraction", "root", "dense"]))
+    if kind == "int":
+        return draw(st.integers(-2, 2))
+    if kind == "fraction":
+        return F(draw(st.integers(-3, 3)), draw(st.integers(1, 4)))
+    if kind == "root":
+        n = draw(st.sampled_from([1, 2, 3, 5, 15]))
+        return root_of_unity(draw(st.integers(0, n - 1)), n)
+    field = get_field(draw(st.sampled_from([1, 3, 5, 7, 15, 35])))
+    return Cyclotomic(field, _raw(field, draw))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.lists(st.tuples(_sum_weights(), _sum_series()), max_size=4),
+       st.none() | st.builds(F, st.integers(-6, 12), st.integers(1, 3)))
+def test_linear_sum_matches_coefficientwise_sums(terms, order):
+    out = linear_sum(terms, order)
+    L, D, top = 1, 1 if order is None else order.denominator, order
+    for w, s in terms:
+        L = math.lcm(L, s.field.L, w.field.L if isinstance(w, Cyclotomic) else 1)
+        D = math.lcm(D, s.den)
+        if s.order is not None:
+            top = s.order if top is None else min(top, s.order)
+    assert (out.field.L, out.den, out.order) == (L, D, top)
+    lows = [s.valuation for _, s in terms if s.coeffs]
+    highs = [F(s.val + len(s.coeffs), s.den) for _, s in terms if s.coeffs]
+    if not lows:
+        assert out.is_zero()
+        return
+    lo, hi = min(lows), max(highs) if top is None else min(max(highs), top)
+    assert all(lo <= e < hi for e, _ in out.terms())
+    for k in range(math.floor(lo * D), math.ceil(hi * D)):
+        e = F(k, D)
+        want = Cyclotomic.from_fraction(0)
+        for w, s in terms:
+            want = want + s.coeff(e) * w
+        assert out.coeff(e) == want
