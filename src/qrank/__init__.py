@@ -8,7 +8,6 @@ combinatorics and rank deviations, and a verification catalog with a CLI.
 from .appell import (
     appell_m,
     delta,
-    htom_check,
     lam,
     o_d_at_minus_one,
     o_d_direct,
@@ -47,7 +46,7 @@ __all__ = [
     "Cyclotomic", "cyclo_polynomial", "get_field", "root_of_unity", "totient",
     "Monomial", "QSeries", "computed_to", "eta_J", "eta_quotient",
     "theta_j", "theta_shift_check", "theta_triple_product",
-    "appell_m", "delta", "psi", "lam", "htom_check",
+    "appell_m", "delta", "psi", "lam",
     "o_d_direct", "o_d_original", "o_d_at_minus_one", "s_bar_d",
     "Overpartition", "RankTables", "enumerate_overpartitions",
     "p_bar", "p_bar_series", "rank_tables",

@@ -2,9 +2,19 @@
 plus the direct expansions of the rank generating function O_d(z;q).
 
 Every free parameter is a Monomial (root of unity times a rational power of
-q), which makes each divisor 1/(1 - u) decidable.  `_geometric` turns
-w zeta_L^k q^e / (1 - u) into (weight, zeta-index, exponent) terms, which
-`qrank.series.root_sum` adds up over the integers, in three cases:
+q), which makes each divisor 1/(1 - u) decidable.  The formula side
+divides only through `qrank.theta.theta_quotient`: m(x,q,z) is one quotient
+by j(z;q^p), each term of its bilateral sum a start term over the two-term
+block 1 - q^{p(r-1)} x z; Delta is one quotient of two blocks by four; and
+Psi passes its t-sum as the start of the quotient by its three common
+divisors.  So the terms are added in Z[C_L] before the one reduction mod
+Phi_L.
+
+The oracle side, O_d(z;q) and the Lerch-sum fold, divides by j(q;q^2) as
+the eta quotient J_2/J_1^2 and never reaches `theta_quotient`.  There
+`_geometric` turns w zeta_L^k q^e / (1 - u) into (weight, zeta-index,
+exponent) terms, which `qrank.series.root_sum` adds up over the integers,
+in three cases:
 - exp(u) > 0: the geometric series sum_{j>=0} u^j, each step adding exp(u)
   to the exponent and the zeta-index of u to the index;
 - exp(u) < 0: the flip 1/(1 - u) = -u^{-1}/(1 - u^{-1}), the same steps
@@ -13,28 +23,20 @@ w zeta_L^k q^e / (1 - u) into (weight, zeta-index, exponent) terms, which
   1/(1 - c) = -(1/N) sum_{j<N} j c^j, and c = 1 is a pole that raises
   NonGenericParameter.
 
-The two-sided sums, m(x,q,z) and the Lerch sums behind O_d(z;q), run through
-`qrank.theta.bilateral`.  The lowest exponent a term reaches, a quadratic in
-the summation index plus max(0, -exp(u)) from the flip of 1/(1 - u), is
-convex, and the walk stops where it has passed its minimum at or above the
-order.
-
-Every division by theta blocks goes through `qrank.theta.theta_quotient`:
-m(x,q,z) is the bilateral sum divided by j(z;q^p), Delta is one quotient of
-two blocks by four, and Psi passes its t-sum as the start of the quotient
-by its three common divisors, so the t-terms are added before the one
-reduction mod Phi_L.  The oracle side, O_d(z;q) and the Lerch-sum fold,
-divides by j(q;q^2) as the eta quotient J_2/J_1^2 and never reaches it.
+The two-sided sums, the terms of m(x,q,z) and the Lerch sums behind
+O_d(z;q), run through `qrank.theta.bilateral`.  The walk stops where a
+convex lowest exponent has passed its minimum at or above the order: for
+m the exponent of q^{p C(r,2)} z^r, and for the Lerch sums the lowest
+exponent a term reaches, a quadratic in the summation index plus
+max(0, -exp(u)) from the flip of 1/(1 - u).
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .cyclotomic import root_of_unity
 from .errors import NonGenericParameter
-from .reports import IdentityReport, compare_series
 from .series import (Monomial, QSeries, eta_quotient, exact_below, linear_sum, root_sum,
                      shift_loss, shifted)
 from .theta import bilateral, binom2, is_theta_zero_pattern, theta_quotient
@@ -71,7 +73,12 @@ def _geometric(w, k: int, exp: Fraction, u: Monomial, L: int, order: Fraction):
 
 @exact_below
 def appell_m(x: Monomial, base, z: Monomial, order) -> QSeries:
-    """m(x, q^p, z) = (1/j(z;q^p)) sum_r (-1)^r q^{p C(r,2)} z^r / (1 - q^{p(r-1)} x z)."""
+    """m(x, q^p, z) = (1/j(z;q^p)) sum_r (-1)^r q^{p C(r,2)} z^r / (1 - q^{p(r-1)} x z).
+
+    One theta quotient: the r-th term of the sum is a start term with the
+    two-term divisor 1 - q^{p(r-1)} x z and weight (-1)^r.  Every r whose
+    q^{p C(r,2)} z^r lies below the order is listed, a superset of the
+    terms the quotient uses, so m lives in Q(zeta_lcm(ord x, ord z))."""
     p = F(base)
     if p <= 0:
         raise ValueError("base exponent must be positive")
@@ -81,20 +88,10 @@ def appell_m(x: Monomial, base, z: Monomial, order) -> QSeries:
     xz = x * z
     if is_theta_zero_pattern(xz, p):
         raise NonGenericParameter("xz = %s is an integral power of the base" % xz)
-    L = math.lcm(x.zeta_den, z.zeta_den)
-    e_z = z.q_exp
-
-    def mono_exp(r: int) -> Fraction:
-        return p * binom2(r) + r * e_z
-
-    def lowest(r: int) -> Fraction:
-        return mono_exp(r) + shift_loss(Monomial.q(p * (r - 1)) * xz)
-
-    series = root_sum((t for r, _ in bilateral(lowest, order)
-                       for t in _geometric(-1 if r % 2 else 1, z.zeta_num * r * (L // z.zeta_den),
-                                           mono_exp(r), Monomial.q(p * (r - 1)) * xz, L, order)),
-                      L, order)
-    return theta_quotient((), ((z, p),), order, start=series)
+    return theta_quotient((), ((z, p),), order, start=[
+        ((), ((Monomial.q(p * (r - 1)) * xz, None),), Monomial.q(p * binom2(r)) * z ** r,
+         -1 if r % 2 else 1)
+        for r, _ in bilateral(lambda r: p * binom2(r) + r * z.q_exp, order)])
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +280,3 @@ def lerch_fold_lhs(x: Monomial, order) -> QSeries:
     if x.coeff_is_one and x.q_exp.denominator == 1:
         raise NonGenericParameter("divisor 1 - x q^n vanishes at n = %d" % (-x.q_exp))
     return _lerch_sum(1, x, order) * eta_quotient({2: 1, 1: -2}, order)
-
-
-def htom_check(x: Monomial, order) -> IdentityReport:
-    """Check the fold: lhs above equals -x^{-1} m(x^{-2} q, q^2, x)."""
-    order = F(order)
-    lhs = lerch_fold_lhs(x, order)
-    rhs = shifted(lambda o: appell_m(x ** (-2) * Monomial.q(1), 2, x, o), -x.inverse(), order)
-    return compare_series("lerch-fold", lhs, rhs, order, {"x": x})

@@ -143,13 +143,18 @@ def _inner_order(order) -> int:
     return -(-F(order) // 3) + 1
 
 
+def _class_pairs(r: int):
+    """The (k, j, x^{(k+j-r)/3}) over k, j in {0,1,2} with k+j = r (mod 3),
+    0 <= r < 3, with x = q: the pairing of every class sum."""
+    return [(k, (r - k) % 3, Q((k + (r - k) % 3 - r) // 3)) for k in range(3)]
+
+
 @exact_below
 def _WF(j: int, order) -> QSeries:
     """sum over l, m in {0,1,2} with l+m = j (mod 3) of x^{(l+m-j)/3} W_l f_m:
     the partner of a block in the class sums of `script_G` and `script_H`."""
-    pairs = [(l, (j - l) % 3) for l in range(3)]
-    return linear_sum(((1, (_W(l, order) * _f(m, order)).shift(Q((l + m - j) // 3)))
-                       for l, m in pairs), order)
+    return linear_sum(((1, (_W(l, order) * _f(m, order)).shift(x))
+                       for l, m, x in _class_pairs(j)), order)
 
 
 @exact_below
@@ -165,9 +170,8 @@ def _class_sum(block, partner, n_class: int, order) -> QSeries:
     """
     r = n_class % 3
     inner = _inner_order(order)
-    pairs = [(k, (r - k) % 3) for k in range(3)]
-    total = linear_sum(((1, block(k, inner) * partner(j, inner).shift(Q((k + j - r) // 3)))
-                        for k, j in pairs), inner)
+    total = linear_sum(((1, block(k, inner) * partner(j, inner).shift(x))
+                        for k, j, x in _class_pairs(r)), inner)
     return total.substitute_q_power(3).shift(Q(r)).truncate(order)
 
 

@@ -18,9 +18,9 @@ doubles the number of correct terms per step and runs every product through
 the same packed path.  Products, quotients and sums of theta blocks and
 eta quotients are not built here but by `qrank.theta.theta_quotient`, in
 the group ring Z[C_L].  ``root_sum`` builds a sum of signed roots of unity
-times powers of q (the Appell-Lerch and Lerch sums, root-power sums, counts
-from the rank tables) over the integers, with one reduction mod Phi_L per
-exponent.  ``eta_quotient`` expands a product of
+times powers of q (the Lerch sums and double-divisor factors of the O_d
+oracle, the catalog's root-power sums) over the integers, with one
+reduction mod Phi_L per exponent.  ``eta_quotient`` expands a product of
 powers of J_m = (q^m; q^m)_oo by the integer recurrence of its logarithmic
 derivative, with no series product or inverse.
 
@@ -455,12 +455,18 @@ class QSeries:
                        _normalized=True)
 
     def dissect(self, parts: int) -> list["QSeries"]:
-        """Split into residue classes: self = sum_k q^k F_k(q^parts)."""
+        """Split into residue classes: self = sum_k q^k F_k(q^parts).
+
+        The stored exponents must be integral; the order need not be, since
+        below an order o they are known below ceil(o), so F_k is known below
+        ceil((o - k) / parts)."""
         if parts < 1:
             raise ValueError("a dissection needs at least one part, got %d" % parts)
-        s = self.normalize_denominator()
+        s = QSeries(self.field, self.den, self.val, self.coeffs, None,
+                    _normalized=True).normalize_denominator()
         if s.den != 1:
             raise FractionalExponents("dissection requires integral exponents")
+        top = None if self.prec is None else -(-self.prec // self.den)  # ceil(order)
         out = []
         for k in range(parts):
             terms: list[tuple[int, Raw]] = []
@@ -468,10 +474,7 @@ class QSeries:
                 e = s.val + i
                 if e % parts == k % parts and not s.field.is_zero(c):
                     terms.append(((e - k) // parts, c))
-            if s.prec is None:
-                prec = None
-            else:
-                prec = -((k - s.prec) // parts)  # ceil((prec - k) / parts)
+            prec = None if top is None else -((k - top) // parts)  # ceil((top - k) / parts)
             if terms:
                 val = terms[0][0]
                 vec: list[Raw] = [s.field.zero] * (terms[-1][0] - val + 1)

@@ -3,16 +3,19 @@
 j(z;q) = (z;q)_oo (q/z;q)_oo (q;q)_oo = sum_{n in Z} (-1)^n q^C(n,2) z^n.
 
 `theta_quotient` builds every theta expression of the package: shift *
-start * eta quotient * prod j / prod j, where the start may itself be a sum
-of such quotients.  It plans on integers, every exponent of a call in steps
-of one q^(1/G), and runs in the group ring Z[C_L], one packed integer per
-coefficient, with a sparse pass per block and one batched reduction mod
-Phi_L of all output coefficients.  A single block j(z;q^p) is `theta_j`,
-the quotient with one numerator block.
+start * eta quotient * prod blocks / prod blocks, where a block is j(z;q^p)
+or the two-term factor 1 - u (its terms n = 0 and 1), and the start may be
+a weighted sum of such quotients.  So m(x,q,z) in `qrank.appell` is one
+quotient, each term of its bilateral sum a start term over 1 - u.  It plans
+on integers, every exponent of a call in steps of one q^(1/G), and runs in
+the group ring Z[C_L], one packed integer per coefficient, with a sparse
+pass per block and one batched reduction mod Phi_L of all output
+coefficients.  A single block j(z;q^p) is `theta_j`, the quotient with one
+numerator block.
 
 The terms of each block are listed by `bilateral`, the routine that also
-walks the other two-sided sums of the package (m(x,q,z) in `qrank.appell`,
-the Lerch sums behind O_d(z;q)).  It stops each direction by a convexity
+walks the other two-sided sums of the package (the terms of m(x,q,z), the
+Lerch sums behind O_d(z;q)).  It stops each direction by a convexity
 rule: once the convex lowest exponent of a term has passed its minimum and
 reached the order, no later term can fall below it.  That holds for any
 monomial z, including ones with negative or fractional q-exponent.  The
@@ -60,8 +63,8 @@ def bilateral(lowest, order):
     there is non-negative, so by convexity every later step is too, and no
     further term reaches below `order`.  Every caller's lowest exponent is a
     quadratic with positive leading coefficient, plus max(0, linear) where a
-    divisor 1/(1 - u) may flip: p C(n,2) + n e for j(z;q^p),
-    p C(r,2) + r e_z + max(0, -exp(u_r)) for m(x,q^p,z), and
+    divisor 1/(1 - u) may flip: p C(n,2) + n e for j(z;q^p) and for the
+    terms of m(x,q^p,z) (with e = exp(z)), and
     n^2 + kn + max(0, -(e_x + kn)) for the Lerch sums.  These are convex and
     unbounded, so both walks end.
     """
@@ -82,8 +85,14 @@ def _block(z: Monomial, base) -> tuple[int, int, int, int, bool]:
     vanishes identically, E % P == 0 with z a power of q).  P C(n,2) + n E is
     least at n = (P - 2E) // 2P or n + 1; those tie only when E % P == 0, and
     cancel only when the block vanishes, so v is the valuation of every block
-    that can be inverted: 0 for 0 <= E <= P and negative outside."""
-    p, e = _base_exp(base), z.q_exp
+    that can be inverted: 0 for 0 <= E <= P and negative outside.
+
+    Base None is the two-term block 1 - z, the terms n = 0 and 1 with P = 0:
+    its valuation is min(0, E), and it vanishes when z = 1."""
+    e = z.q_exp
+    if base is None:
+        return e.denominator, 0, e.numerator, min(0, e.numerator), z.coeff_is_one and not e
+    p = _base_exp(base)
     s = math.lcm(p.denominator, e.denominator)
     P, E = p.numerator * (s // p.denominator), e.numerator * (s // e.denominator)
     n = (P - 2 * E) // (2 * P)
@@ -110,14 +119,15 @@ def is_theta_zero_pattern(z: Monomial, base) -> bool:
 
 def theta_quotient(num, den, order, eta: dict | None = None,
                    shift: Monomial | None = None, start=None) -> QSeries:
-    """shift * start * eta_quotient(eta) * prod_num j(z;q^p) / prod_den j(z;q^p),
+    """shift * start * eta_quotient(eta) * prod_num blocks / prod_den blocks,
     exact below `order`.
 
-    `num` and `den` hold (z, p) pairs.  `start` is None (the constant 1), a
-    QSeries, or a sequence of (num, den, shift) terms whose sum is the start;
-    the terms are added in Z[C_L] and their sum is reduced once, with the
-    rest.  A QSeries start is used below the order the quotient needs of it,
-    and a start known less far shortens the result to match.
+    `num` and `den` hold blocks: (z, p) for j(z;q^p), and (u, None) for the
+    two-term factor 1 - u, the terms n = 0 and 1 of a theta block with
+    p = 0.  `start` is None (the constant 1) or a sequence of
+    (num, den, shift[, weight]) terms, weight an integer (default 1), whose
+    weighted sum is the start; the terms are added in Z[C_L] and their sum
+    is reduced once, with the rest.
 
     The expansion runs in the group ring Z[C_L]: a coefficient is one
     integer whose L slots hold its integers at zeta_L^0 .. zeta_L^(L-1), so
@@ -125,44 +135,36 @@ def theta_quotient(num, den, order, eta: dict | None = None,
     are as wide as a first run of the same passes on l1 norms proves
     enough.  A numerator block is a sparse shift-and-add pass.  A
     divisor whose lowest term is a single +-zeta^k q^v divides by a sparse
-    recurrence after that term is taken out.  A divisor with a tie,
-    exp(z) = m p and z = c q^(m p) with c a root of unity of order N > 1, is
-    j(z;q^p) = (-1)^m q^(-p C(m,2)) c^(-m) (1 - c) P(q^p) with
-    P = sum_{n>=1} (-1)^(n+1) q^(p C(n,2)) sum_{|j|<n} c^j, whose lowest
-    coefficient is 1, so P also divides by a recurrence.  The (1 - c) of
+    recurrence after that term is taken out; for 1 - u that is a one-row
+    pass, after 1/(1 - u) = -u^(-1)/(1 - u^(-1)) when exp(u) < 0.  A
+    divisor with a tie, exp(z) = m p and z = c q^(m p) with c a root of
+    unity of order N > 1, is j(z;q^p) = (-1)^m q^(-p C(m,2)) c^(-m) (1 - c)
+    P(q^p) with P = sum_{n>=1} (-1)^(n+1) q^(p C(n,2)) sum_{|j|<n} c^j,
+    whose lowest coefficient is 1, so P also divides by a recurrence; a
+    two-term divisor 1 - c is the tie with m = 0 and P = 1.  The (1 - c) of
     every tie divide the start once: 1/(1 - c) = -(1/N) sum_{j<N} j c^j.
     Both steps use that the sum of the N powers of c is 0 in Q(zeta_L): it
     drops out of P's coefficients, and the identities need only hold after
     the reduction mod Phi_L, which is a ring map and comes last, once for
     all coefficients together (`CyclotomicField.reduce_all`).  The plan is
-    made on integers, every exponent of the call (order, start, shifts, each
-    p and exp(z)) in steps of one q^(1/G).  It knows the valuation of every
-    block (`_block`), so it knows how far to expand each block and the result
-    is exact below `order` the first time.  A divisor that vanishes
+    made on integers, every exponent of the call (order, shifts, each p and
+    exp(z)) in steps of one q^(1/G).  It knows the valuation of every block
+    (`_block`), so it knows how far to expand each block and the result is
+    exact below `order` the first time.  A divisor that vanishes
     identically raises NonGenericParameter.
     """
     order = Fraction(order)
-    lifted = isinstance(start, QSeries)  # a series start, lifted into Z[C_L]
     outer = _Quotient(num, den, Monomial.one() if shift is None else shift)
-    parts = [] if start is None or lifted else [_Quotient(*t) for t in start]
+    parts = [] if start is None else [_Quotient(*t) for t in start]
     # every exponent from here on is an integer, in steps of q^(1/G)
-    G = math.lcm(order.denominator, start.den if lifted else 1, *(q.grid for q in [outer] + parts))
+    G = math.lcm(order.denominator, *(q.grid for q in [outer] + parts))
     for q in [outer] + parts:
         q.regrid(G)
     reach = [order.numerator * (G // order.denominator)]
     need = reach[0] - outer.val  # the start is needed below this
-    # the start is used from its valuation s0 (need when it has no term
-    # below need) and is known below `known`
-    known, L, D = need, outer.L, order.denominator
-    if start is None:
-        s0 = 0
-    elif lifted:
-        s0 = start.val * (G // start.den) if start.coeffs else need
-        if start.prec is not None:
-            known = min(need, start.prec * (G // start.den))
-        L, D = math.lcm(L, start.field.L), math.lcm(D, start.den)
-    else:
-        s0 = min([t.val for t in parts if t.val < need], default=need)
+    # the start is used from s0, its least term below need (need if none)
+    L, D = outer.L, order.denominator
+    s0 = 0 if start is None else min([t.val for t in parts if t.val < need], default=need)
     if start is not None:
         reach.append(need)
     if eta:
@@ -170,41 +172,37 @@ def theta_quotient(num, den, order, eta: dict | None = None,
         D = math.lcm(D, *(Fraction(m).denominator for m, e in eta.items() if e))
     # every block is listed below one bound: the order, or the furthest any
     # factor reaches when the start is needed below `need`, if that is more
-    for q, s in [(outer, s0)] + [(t, t.val) for t in parts]:
+    begins = [(outer, s0)] + [(t, t.val) for t in parts]
+    for q, s in begins:
         L = math.lcm(L, q.L)
         reach += [v + need - s for *_, v, _ in q.blocks]
     top = max(reach)
-    for q in [outer] + parts:
-        D = math.lcm(D, q.plan(top))
-    end = known + outer.val  # the result is known below this
-    D = math.lcm(D, G // math.gcd(end, G))
+    for q, s in begins:
+        D = math.lcm(D, q.plan(top, top - s))
     field = get_field(L)
-    prec, n = end * D // G, max(known - s0, 0) * D // G
+    prec, n = reach[0] * D // G, max(need - s0, 0) * D // G
     if n <= 0:
         return QSeries(field, D, 0, (), prec, _normalized=True)
     outer.prepare(n, D, L)
     # the passes commute, so the final rotation is applied to the start
-    kappa, steps, terms = _ring_mul(outer.kappa, {outer.rot: 1}, L), [], []
-    if lifted:
-        f, div = _lift(start, n, L, D)
-        steps.append((False, [(0, w, k) for k, w in kappa.items()]))
-    else:
-        f, div = {0: kappa} if start is None else {}, 1
+    kappa, terms = _ring_mul(outer.kappa, {outer.rot: 1}, L), []
     for t in parts:
         off = (t.val - s0) * D // G
         if off < n:
             t.prepare(n - off, D, L)
             terms.append((off, t))
-    div = math.lcm(div, *(t.div for _, t in terms))
+    div = math.lcm(*(t.div for _, t in terms))
     # each start term from kappa times its own tie constant, rotation and
     # weight on the common denominator, through its own passes
-    terms = [(off, _ring_mul(kappa, _ring_mul(t.kappa, {t.rot: t.sign * (div // t.div)}, L), L),
-              t.steps) for off, t in terms]
+    terms = [(off, _ring_mul(kappa, _ring_mul(t.kappa, {t.rot: t.sign * t.weight * (div // t.div)},
+                                              L), L), t.steps) for off, t in terms]
+    steps = []
     if eta:
         e = eta_quotient(eta, Fraction(n, D))
         steps.append((False, [((e.val + i) * (D // e.den), c[1][0], 0)
                               for i, c in enumerate(e.coeffs) if c[1][0]]))
     steps += outer.steps
+    f = {0: kappa} if start is None else {}
     bound = _expand(f, terms, steps, n, L, 0)[1]
     width = _slot_width(bound)
     f = _expand(f, terms, steps, n, L, width)[0]
@@ -216,19 +214,20 @@ def theta_quotient(num, den, order, eta: dict | None = None,
 
 
 class _Quotient:
-    """shift * prod_num j(z;q^p) / prod_den j(z;q^p): its root order L, its
-    blocks as (z, s, p s, exp(z) s, valuation s, is a divisor) on a grid
-    q^(1/s) (`_block`), and `grid`, the lcm of their s and of the shift's
-    denominator."""
+    """weight * shift * prod_num blocks / prod_den blocks: its root order L,
+    its blocks as (z, s, p s, exp(z) s, valuation s, is a divisor) on a grid
+    q^(1/s) (`_block`, p = 0 for 1 - z), and `grid`, the lcm of their s and
+    of the shift's denominator."""
 
-    def __init__(self, num, den, shift: Monomial):
-        self.shift, self.L, self.blocks = shift, shift.zeta_den, []
+    def __init__(self, num, den, shift: Monomial, weight: int = 1):
+        self.shift, self.weight, self.L, self.blocks = shift, weight, shift.zeta_den, []
         self.grid = shift.q_exp.denominator
         for divisor, blocks in ((False, num), (True, den)):
             for z, p in blocks:
                 s, P, E, v, vanishes = _block(z, p)
                 if divisor and vanishes:
-                    raise NonGenericParameter("theta divisor j(%s; q^%s) vanishes"
+                    raise NonGenericParameter("divisor 1 - %s vanishes" % z if p is None else
+                                              "theta divisor j(%s; q^%s) vanishes"
                                               % (z, Fraction(P, s)))
                 self.L, self.grid = math.lcm(self.L, z.zeta_den), math.lcm(self.grid, s)
                 self.blocks.append((z, s, P, E, v, divisor))
@@ -242,14 +241,20 @@ class _Quotient:
         self.val = e.numerator * (G // e.denominator) + sum(
             -v if divisor else v for *_, v, divisor in self.blocks)
 
-    def plan(self, top: int) -> int:
-        """List each block's terms below q^(top/s), as (offset, n) for the
-        term (-1)^n z^n q^(p C(n,2)) at q^(offset/s) above the block's
-        valuation, s the grid of the call; return the lcm of the
-        denominators of their exponents and of the shift's."""
+    def plan(self, top: int, ahead: int) -> int:
+        """List each block's terms, as (offset, n) for the term
+        (-1)^n z^n q^(p C(n,2)) at q^(offset/s) above the block's valuation,
+        s the grid of the call: a theta block's below q^(top/s), and the
+        terms of 1 - z less than q^(ahead/s) above it, `ahead` measured from
+        where the quotient's expansion begins, so the step of z counts only
+        where the expansion reaches it; return the lcm of the denominators of
+        their exponents and of the shift's."""
         den, self.terms = self.shift.q_exp.denominator, []
         for _, s, P, E, v, _ in self.blocks:
-            block = list(bilateral(lambda n: P * binom2(n) + n * E, top))
+            if P:
+                block = list(bilateral(lambda n: P * binom2(n) + n * E, top))
+            else:
+                block = [(n, n * E) for n in (0, 1) if n * E - v < ahead]
             den = math.lcm(den, s // math.gcd(s, *(low for _, low in block)))
             self.terms.append([(low - v, n) for n, low in block])
         return den
@@ -264,13 +269,15 @@ class _Quotient:
         self.kappa, self.steps = {0: 1}, []
         for (z, s, P, E, _, divisor), block in zip(self.blocks, self.terms):
             k, i0 = z.zeta_num * (L // z.zeta_den), 0
-            if divisor and E % P == 0:
-                N, m = z.zeta_den, E // P
+            m, tie = divmod(E, P) if P else (0, E)
+            if divisor and not tie:
+                N = z.zeta_den
                 self.sign *= -1 if m % 2 else 1
                 self.rot += m * k
                 self.div *= N
                 self.kappa = _ring_mul(self.kappa, {j * k % L: -j for j in range(1, N)}, L)
-                self.steps.append((True, _tie_rows(k, N, P, s, n, D, L)))
+                if P:  # 1 - c has no P(q^p) to divide by
+                    self.steps.append((True, _tie_rows(k, N, P, s, n, D, L)))
                 continue
             if divisor:
                 i0 = min(block)[1]
@@ -390,16 +397,6 @@ def _divide(f, rows, B: int, M: int, WL: int):
         y = acc + B
         doubled.append(y | y << WL)
     return g
-
-
-def _lift(start: QSeries, n: int, L: int, D: int):
-    """The first n coefficients of `start`, {index: sparse element of Z[C_L]},
-    over one common denominator."""
-    step, spread = L // start.field.L, D // start.den
-    coeffs = start.coeffs[:-(-n // spread)]
-    div = math.lcm(*(d for d, _ in coeffs))
-    return {i * spread: {j * step: c * (div // d) for j, c in enumerate(vec) if c}
-            for i, (d, vec) in enumerate(coeffs) if any(vec)}, div
 
 
 @lru_cache(maxsize=None)

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,8 +7,8 @@ import pytest
 from qrank.appell import (
     appell_m,
     delta,
-    htom_check,
     lam,
+    lerch_fold_lhs,
     o_d_at_minus_one,
     o_d_direct,
     o_d_original,
@@ -16,7 +18,10 @@ from qrank.appell import (
 )
 from qrank.cyclotomic import Cyclotomic, get_field, root_of_unity
 from qrank.errors import NonGenericParameter
-from qrank.series import Monomial, QSeries, computed_to, root_sum, shifted
+from qrank.series import (Monomial, QSeries, computed_to, linear_sum, root_sum, shift_loss,
+                          shifted)
+from qrank.theta import bilateral, binom2, is_theta_zero_pattern
+from test_theta import _product_route, _theta_sum
 
 F = Fraction
 Z = Monomial.zeta
@@ -50,6 +55,64 @@ def test_appell_increment():
         rhs = (QSeries.from_monomial(x.inverse())
                - shifted(lambda o: appell_m(x * Q(p), p, z, o), x.inverse(), 18))
         assert lhs.agrees_with(rhs, 18), (x, p, z)
+
+
+def _root_sum_m(x, p, z, order):
+    """m(x, q^p, z) by the route of root sums: the bilateral sum as one
+    `root_sum` of `_geometric` terms in Q(zeta_lcm(ord x, ord z)), divided by
+    j(z;q^p) through the product route; a zero sum keeps the field and grid
+    of both factors."""
+    p = F(p)
+    if is_theta_zero_pattern(z, p):
+        raise NonGenericParameter("z = %s is an integral power of the base" % z)
+    xz, L = x * z, math.lcm(x.zeta_den, z.zeta_den)
+    if is_theta_zero_pattern(xz, p):
+        raise NonGenericParameter("xz = %s is an integral power of the base" % xz)
+
+    def mono(r):
+        return p * binom2(r) + r * z.q_exp
+
+    def lowest(r):
+        return mono(r) + shift_loss(Q(p * (r - 1)) * xz)
+
+    def build(o):
+        series = root_sum((t for r, _ in bilateral(lowest, o)
+                           for t in _geometric(-1 if r % 2 else 1, z.zeta_num * r * (L // z.zeta_den),
+                                               mono(r), Q(p * (r - 1)) * xz, L, o)), L, o)
+        if series.is_zero():
+            return linear_sum(((1, series), (0, _theta_sum(z, p, o))), o)
+        return _product_route((), ((z, p),), o, start=series)
+    return computed_to(build, order)
+
+
+def test_appell_m_matches_the_root_sum_route():
+    # byte-identical, or the same exception, over 600 draws: x and z with
+    # root orders 1-12 and exponents +-12 over 1-3, bases 1, 2, 3, 1/2, 3/2
+    # and 18, orders -4..30 and halves and thirds; among them poles and
+    # results with no term below the order, which still live in
+    # Q(zeta_lcm(ord x, ord z))
+    rng = random.Random(600)
+
+    def mono():
+        N = rng.randint(1, 12)
+        return Z(rng.randrange(N), N, F(rng.randint(-12, 12), rng.randint(1, 3)))
+
+    outcomes = {"poles": 0, "zero": 0, "series": 0}
+    for _ in range(600):
+        x, z = mono(), mono()
+        p = rng.choice([1, 2, 3, F(1, 2), F(3, 2), 18])
+        order = rng.choice([F(rng.randint(-4, 30)), F(rng.randint(-8, 60), 2),
+                            F(rng.randint(-12, 90), 3)])
+        try:
+            expected = _root_sum_m(x, p, z, order).to_json_dict()
+        except NonGenericParameter:
+            outcomes["poles"] += 1
+            with pytest.raises(NonGenericParameter):
+                appell_m(x, p, z, order)
+            continue
+        assert appell_m(x, p, z, order).to_json_dict() == expected, (x, p, z, order)
+        outcomes["series" if expected["terms"] else "zero"] += 1
+    assert min(outcomes.values()) > 40, outcomes
 
 
 def test_appell_pole_detection():
@@ -110,10 +173,13 @@ def test_psi_vanishing_instance():
 
 
 def test_htom():
-    assert htom_check(Z(1, 5), 20).passed
-    assert htom_check(Z(1, 7, 1), 20).passed
+    # the Lerch-sum fold: (1/j(q;q^2)) sum_n (-1)^n q^(n^2+n) / (1 - x q^n)
+    # = -x^{-1} m(x^{-2} q, q^2, x)
+    for x in (Z(1, 5), Z(1, 7, 1)):
+        rhs = shifted(lambda o: appell_m(x ** (-2) * Q(1), 2, x, o), -x.inverse(), 20)
+        assert lerch_fold_lhs(x, 20).agrees_with(rhs, 20), x
     with pytest.raises(NonGenericParameter):
-        htom_check(Q(1), 10)
+        lerch_fold_lhs(Q(1), 10)
 
 
 def test_o_d_direct_first_coefficients():

@@ -222,6 +222,15 @@ def test_cli_dissect(capsys):
     assert "component 0" in out and "component 2" in out
 
 
+def test_cli_dissect_at_a_fractional_order(capsys):
+    # the exponents are integral: below 13/2 is below 7
+    for series in ("pbar", "dis1-lhs"):
+        assert main(["dissect", "--series", series, "--parts", "3", "--order", "13/2"]) == 0
+        half = capsys.readouterr().out
+        assert main(["dissect", "--series", series, "--parts", "3", "--order", "7"]) == 0
+        assert half == capsys.readouterr().out and "component 2" in half
+
+
 def test_cli_verify(capsys, tmp_path):
     jpath = tmp_path / "r.json"
     code = main(["verify", "--filter", "root-power-sums", "--order", "1",

@@ -239,6 +239,21 @@ def test_dissect_fractional_raises():
     s = eta_J(1, 6).substitute_q_power(F(1, 2))
     with pytest.raises(FractionalExponents):
         s.dissect(2)
+    # a fractional order does not hide a fractional exponent
+    with pytest.raises(FractionalExponents):
+        eta_J(1, 6).substitute_q_power(F(1, 2)).truncate(F(7, 3)).dissect(2)
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 5])
+def test_dissect_at_a_fractional_order(parts):
+    # integral exponents known below 13/2 are known through q^6, as below 7:
+    # component k is known below ceil((13/2 - k) / parts)
+    J = eta_J(1, 20)
+    for order in (F(13, 2), F(20, 3), F(-3, 2)):
+        got = J.truncate(order).dissect(parts)
+        whole = J.truncate(math.ceil(order)).dissect(parts)
+        assert [c.to_json_dict() for c in got] == [c.to_json_dict() for c in whole]
+        assert [c.order for c in got] == [math.ceil((order - k) / parts) for k in range(parts)]
 
 
 def test_substitute_q_power():

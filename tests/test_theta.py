@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qrank.cyclotomic import _unpack, root_of_unity
 from qrank.errors import NonGenericParameter
-from qrank.series import Monomial, QSeries, computed_to, eta_quotient, root_sum
+from qrank.series import Monomial, computed_to, eta_quotient, linear_sum, root_sum
 from qrank.theta import (
     _block,
     _expand,
@@ -76,10 +76,14 @@ def test_theta_j_oddeven_closed_forms():
 
 def _theta_sum(z, p, order):
     """j(z;q^p) below `order` as the bilateral sum of its terms, a reference
-    independent of `theta_quotient`."""
-    p, order = F(p), F(order)
-    return root_sum(((-1 if n % 2 else 1, z.zeta_num * n, exp)
-                     for n, exp in bilateral(lambda n: p * binom2(n) + n * z.q_exp, order)),
+    independent of `theta_quotient`; p None is the two-term block 1 - z."""
+    order = F(order)
+    if p is None:
+        terms = [(n, n * z.q_exp) for n in (0, 1) if n * z.q_exp < order]
+    else:
+        p = F(p)
+        terms = bilateral(lambda n: p * binom2(n) + n * z.q_exp, order)
+    return root_sum(((-1 if n % 2 else 1, z.zeta_num * n, exp) for n, exp in terms),
                     z.zeta_den, order)
 
 
@@ -107,6 +111,7 @@ def test_theta_quotient_of_two_blocks_is_their_product():
 
 def test_theta_quotient_with_a_vanishing_numerator_block():
     assert theta_quotient(((Q(1), 1), (Z(1, 5), 1)), (), 20).is_zero_to(20)
+    assert theta_quotient(((Q(0), None), (Z(1, 5), 1)), (), 20).is_zero_to(20)  # 1 - 1
 
 
 def test_shift_check_passes():
@@ -182,13 +187,15 @@ def test_block_grid_against_a_brute_force_minimum():
 
 def _product_route(num, den, order, eta=None, shift=None, start=None):
     """shift * start * eta * prod_num j / prod_den j as series products and
-    Newton inverses, every factor expanded far enough that the product is
+    Newton inverses, start a QSeries and 1 - u (a block (u, None)) expanded
+    as two terms, every factor expanded far enough that the product is
     known below `order`: a product keeps the least relative precision of its
     factors, so factors of valuation v_i (exponent e_i, the start and the
     eta quotient among them) known below o give a product known below
     exp(shift) + sum e_i v_i + o - max v_i."""
     thetas = [(z, p, 1) for z, p in num] + [(z, p, -1) for z, p in den]
-    factors = [(theta_valuation(z, p), e) for z, p, e in thetas]
+    factors = [(min(F(0), z.q_exp) if p is None else theta_valuation(z, p), e)
+               for z, p, e in thetas]
     if eta is not None:
         factors.append((F(0), 1))
     if start is not None:
@@ -264,19 +271,69 @@ def test_theta_quotient_matches_product_route_in_a_large_field():
         assert new.to_json_dict() == _product_route(num, den, order, {1: 1}).to_json_dict()
 
 
-def test_theta_quotient_with_a_start():
-    # a start series with fractional coefficients, at a valuation of its own
-    rng = random.Random(11)
-    for case in range(40):
-        num, den, eta, shift = _random_quotient(rng, (1, 2, 3, 4, 6))
+def _random_two_term(rng, roots):
+    # 1 - u with exp(u) > 0, < 0 (integral, halves, thirds) or 0, where u is
+    # a root of unity of order N > 1
+    N = rng.choice(roots)
+    e = rng.choice([F(0), F(rng.randint(1, 4)), F(rng.randint(-3, -1)),
+                    F(rng.choice([-5, -3, -1, 1, 3, 5]), 2),
+                    F(rng.choice([-4, -2, -1, 1, 2, 4]), 3)])
+    a = rng.randrange(N)
+    if a == 0 and e == 0:  # 1 - 1 vanishes
+        a, e = (1, e) if N > 1 else (0, F(1, 2))
+    return Z(a, N, e), None
+
+
+def _valuation(num, den, shift):
+    blocks = [(z, p, 1) for z, p in num] + [(z, p, -1) for z, p in den]
+    return (0 if shift is None else shift.q_exp) + sum(
+        e * (min(F(0), z.q_exp) if p is None else theta_valuation(z, p)) for z, p, e in blocks)
+
+
+def test_theta_quotient_with_two_term_blocks():
+    # 1 - u among the numerator and divisor blocks, byte-identical to the
+    # product route, which expands 1 - u as two terms and divides by Newton
+    rng = random.Random(19)
+    roots = (1, 2, 3, 4, 6)
+    for case in range(60):
+        num, den, eta, shift = _random_quotient(rng, roots)
+        num += [_random_two_term(rng, roots) for _ in range(rng.randint(0, 1))]
+        den += [_random_two_term(rng, roots) for _ in range(rng.randint(0, 2))]
         order = F(13, 2) if case % 10 == 0 else F(rng.randint(1, 30))
-        s0 = F(rng.randint(-3, 3), rng.choice([1, 2]))
-        start = root_sum(((F(rng.randint(-9, 9), rng.randint(1, 6)), rng.randrange(12),
-                           s0 + F(i, 2)) for i in range(200)), 12, order + 60)
-        new = theta_quotient(num, den, order, eta, shift, start)
-        old = _product_route(num, den, order, eta, shift, start)
+        new = theta_quotient(num, den, order, eta, shift)
         assert new.order == order
-        assert new.to_json_dict() == old.to_json_dict(), (num, den, order, eta, shift)
+        assert new.to_json_dict() == _product_route(num, den, order, eta, shift).to_json_dict(), \
+            (num, den, order, eta, shift)
+
+
+def test_theta_quotient_with_a_start():
+    # start terms (num, den, shift, weight) of two-term blocks in numerators
+    # and divisors, weights +-1 and +-2: byte-identical to the product route
+    # with their sum as a series start, known below what the start is needed
+    rng = random.Random(11)
+    roots, seen = (1, 2, 3, 4, 6), set()
+    for case in range(40):
+        num, den, eta, shift = _random_quotient(rng, roots)
+        order = F(13, 2) if case % 10 == 0 else F(rng.randint(1, 30))
+        terms = [([_random_two_term(rng, roots) for _ in range(rng.randint(0, 1))],
+                  [_random_two_term(rng, roots) for _ in range(rng.randint(1, 2))],
+                  rng.choice([Q(rng.randint(-3, 3)), Z(1, 3, F(1, 2)), Z(2, 5, -2),
+                              Q(F(rng.randint(-9, 9), 5))]),
+                  rng.choice([1, -1, 2, -2])) for _ in range(rng.randint(1, 3))]
+        for n, d, _, w in terms:
+            seen |= {(divisor, (u.q_exp > 0) - (u.q_exp < 0))
+                     for divisor, blocks in ((False, n), (True, d)) for u, _ in blocks}
+            seen.add(w)
+        need = order - _valuation(num, den, shift)
+        start = linear_sum((w, _product_route(n, d, need + 30, shift=s)) for n, d, s, w in terms)
+        new = theta_quotient(num, den, order, eta, shift, terms)
+        assert new.order == order
+        if start.is_zero():
+            assert new.is_zero()
+            continue
+        old = _product_route(num, den, order, eta, shift, start)
+        assert new.to_json_dict() == old.to_json_dict(), (num, den, order, eta, shift, terms)
+    assert seen == {1, -1, 2, -2} | {(d, e) for d in (False, True) for e in (-1, 0, 1)}
 
 
 def test_theta_quotient_sums_its_start_terms():
@@ -300,6 +357,11 @@ def test_theta_quotient_vanishing_divisor_raises():
             theta_quotient([(Z(1, 5), 1)], [(z, p)], 10)
         with pytest.raises(NonGenericParameter):
             theta_quotient([], [], 10, start=[((), ((z, p),), Q(0))])
+    # the two-term divisor 1 - q^0, as a block and in a start term
+    with pytest.raises(NonGenericParameter):
+        theta_quotient([(Z(1, 5), 1)], [(Q(0), None)], 10)
+    with pytest.raises(NonGenericParameter):
+        theta_quotient([], [], 10, start=[((), ((Q(0), None),), Q(0), -1)])
 
 
 def test_theta_quotient_vanishing_numerator_is_zero():
@@ -315,13 +377,6 @@ def test_theta_quotient_at_order_at_most_zero(order):
     s = theta_quotient(((Z(1, 5), 1),), ((Z(1, 7, -1), 1),), order, eta={1: 1})
     assert s.order == order and s.agrees_with(
         theta_quotient(((Z(1, 5), 1),), ((Z(1, 7, -1), 1),), 4, eta={1: 1}), order)
-
-
-def test_a_start_known_less_far_sets_the_order_off_the_grid():
-    # 1/j(q^(-1/3);q) is q^(1/3) times a unit, and none of its terms is
-    # listed below -1: the order -2 + 1/3 of the result still has its thirds
-    s = theta_quotient((), ((Q(F(-1, 3)), 1),), -1, start=QSeries.zero(-2))
-    assert s.is_zero() and s.order == F(-5, 3) and s.den == 3
 
 
 @st.composite
