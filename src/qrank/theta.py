@@ -178,7 +178,7 @@ def theta_quotient(num, den, order, eta: dict | None = None,
         reach += [v + need - s for *_, v, _ in q.blocks]
     top = max(reach)
     for q, s in begins:
-        D = math.lcm(D, q.plan(top, top - s))
+        D = math.lcm(D, q.plan(top, max(top, need) - s))
     field = get_field(L)
     prec, n = reach[0] * D // G, max(need - s0, 0) * D // G
     if n <= 0:
@@ -245,8 +245,8 @@ class _Quotient:
         """List each block's terms, as (offset, n) for the term
         (-1)^n z^n q^(p C(n,2)) at q^(offset/s) above the block's valuation,
         s the grid of the call: a theta block's below q^(top/s), and the
-        terms of 1 - z less than q^(ahead/s) above it, `ahead` measured from
-        where the quotient's expansion begins, so the step of z counts only
+        terms of 1 - z less than q^(ahead/s) above it, `ahead` at least
+        the length of the quotient's expansion, so the step of z counts only
         where the expansion reaches it; return the lcm of the denominators of
         their exponents and of the shift's."""
         den, self.terms = self.shift.q_exp.denominator, []

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qrank.cyclotomic import _unpack, root_of_unity
 from qrank.errors import NonGenericParameter
-from qrank.series import Monomial, computed_to, eta_quotient, linear_sum, root_sum
+from qrank.series import Monomial, QSeries, computed_to, eta_quotient, linear_sum, root_sum
 from qrank.theta import (
     _block,
     _expand,
@@ -304,6 +304,33 @@ def test_theta_quotient_with_two_term_blocks():
         assert new.order == order
         assert new.to_json_dict() == _product_route(num, den, order, eta, shift).to_json_dict(), \
             (num, den, order, eta, shift)
+
+
+def test_theta_quotient_of_two_term_blocks_alone():
+    # only 1 - u blocks, no eta and a negative shift: no theta block of
+    # valuation 0 carries the plan to the end of the expansion, so the terms
+    # of 1 - u must be listed as far as the expansion runs.  The product
+    # route expands every factor past the order and so may count a finer
+    # grid than the terms below the order need: its D is a multiple of
+    # theta_quotient's, and the two agree once both grids are reduced.
+    one = QSeries.one()
+    assert theta_quotient((), ((Q(-1), None),), 1, shift=Q(-2)).to_json_dict() == \
+        (-one.shift(Q(-1)) - one).truncate(1).to_json_dict()
+    assert theta_quotient((), ((Q(-1), None),), 0, shift=Q(-3)).to_json_dict() == \
+        (-one.shift(Q(-2)) - one.shift(Q(-1))).truncate(0).to_json_dict()
+    rng = random.Random(23)
+    roots = (1, 2, 3, 4, 6)
+    for case in range(120):
+        num = [_random_two_term(rng, roots) for _ in range(rng.randint(0, 2))]
+        den = [_random_two_term(rng, roots) for _ in range(rng.randint(1, 3))]
+        shift = rng.choice([None, Q(rng.randint(-6, -1)), Q(F(rng.randint(-9, -1), 2)),
+                            Z(1, 3, F(-5, 3))])
+        order = rng.choice([F(0), F(-2), F(-1, 2), F(13, 2), F(rng.randint(1, 12))])
+        new = theta_quotient(num, den, order, shift=shift)
+        old = _product_route(num, den, order, None, shift)
+        assert new.order == order and old.den % new.den == 0, (num, den, order, shift)
+        assert new.normalize_denominator().to_json_dict() == \
+            old.normalize_denominator().to_json_dict(), (num, den, order, shift)
 
 
 def test_theta_quotient_with_a_start():
