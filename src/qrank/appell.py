@@ -7,8 +7,8 @@ divides only through `qrank.theta.theta_quotient`: m(x,q,z) is one quotient
 by j(z;q^p), each term of its bilateral sum a start term over the two-term
 block 1 - q^{p(r-1)} x z; Delta is one quotient of two blocks by four; and
 Psi passes its t-sum as the start of the quotient by its three common
-divisors.  So the terms are added in Z[C_L] before the one reduction mod
-Phi_L.
+divisors.  So the terms are added unreduced, in the half ring of
+`qrank.cyclotomic`, before the one reduction mod Phi_L.
 
 The oracle side, O_d(z;q) and the Lerch-sum fold, divides by j(q;q^2) as
 the eta quotient J_2/J_1^2 and never reaches `theta_quotient`.  There

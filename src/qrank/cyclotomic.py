@@ -8,6 +8,11 @@ form, so two elements are equal iff their pairs are equal.  Keeping a single
 denominator per element (instead of one Fraction per coordinate) keeps the
 series convolution loops on plain machine/big integers.
 
+Unreduced vectors live in the half ring of N slots: Z[x]/(x^N + 1), N = L/2,
+for even L (zeta_L^N = -1, the wrap of Schoenhage-Strassen), Z[x]/(x^L - 1)
+for odd L, so the reduction rows run only from x^(N-1) down.  A move between
+fields and a weight are applied with one reduction (`CyclotomicField.mover`).
+
 Everything stays on integers.  An inverse is the product of the other Galois
 conjugates divided by the norm; the conjugates are multiplied level by level
 along a polycyclic sequence of (Z/L)^x (``unit_tower``), each orbit product
@@ -181,14 +186,15 @@ def convolve_int(a: list[int] | tuple[int, ...], b: list[int] | tuple[int, ...])
 class CyclotomicField:
     """Q(zeta_L) with dense power-basis representation mod Phi_L."""
 
-    __slots__ = ("L", "phi", "modulus", "_red", "_red_max", "zero", "one")
+    __slots__ = ("L", "N", "phi", "modulus", "_red", "_red_max", "zero", "one")
 
     def __init__(self, L: int):
         self.L = L
+        self.N = L // 2 if L % 2 == 0 else L  # the slots of the half ring
         self.phi = totient(L)
         self.modulus = cyclo_polynomial(L)
-        # _red[k - phi] = x^k mod Phi_L as a sparse row (indices, coefficients):
-        # two tuples per row, not one per term, keep the table to few objects
+        # _red[k - phi] = x^k mod Phi_L, k < N, as a sparse row (indices,
+        # coefficients): two tuples per row, not one per term, keep few objects
         self._red: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         # _red_max[j] = max(1, the largest |coefficient| of rows 0 .. j)
         self._red_max: list[int] = []
@@ -218,18 +224,27 @@ class CyclotomicField:
             self._red_max.append(max(self._red_max[-1:] + [abs(c) for c in row] + [1]))
 
     def reduce_vec(self, vec: list[int]) -> list[int]:
-        """Reduce a coefficient list of any length mod Phi_L, in place."""
-        phi = self.phi
-        if len(vec) > phi:
-            self._ensure_red(len(vec) - 1)
-            for k in range(len(vec) - 1, phi - 1, -1):
+        """Reduce a coefficient list of any length mod Phi_L, in place: slot j
+        goes to j mod N, negated when L is even and floor(j/N) is odd, then
+        the rows reduce slots N - 1 .. phi.  All of it is linear, so the
+        entries may be packed columns (`reduce_all`)."""
+        N, phi, n = self.N, self.phi, len(vec)
+        if n > N:
+            for j in range(N, n):
+                if vec[j]:
+                    vec[j % N] += -vec[j] if N < self.L and j // N % 2 else vec[j]
+            del vec[N:]
+            n = N
+        if n > phi:
+            self._ensure_red(n - 1)
+            for k in range(n - 1, phi - 1, -1):
                 c = vec[k]
                 if c:
                     for i, rc in zip(*self._red[k - phi]):
                         vec[i] += c * rc
             del vec[phi:]
-        elif len(vec) < phi:
-            vec.extend([0] * (phi - len(vec)))
+        elif n < phi:
+            vec.extend([0] * (phi - n))
         return vec
 
     def reduce_all(self, xs: Sequence[int], m: int, width: int,
@@ -239,15 +254,16 @@ class CyclotomicField:
 
         Column j packs entry j of every vector into one integer, so each
         non-zero of a reduction row is one big multiply-add for all the
-        vectors at once.  A reduced entry is at most
-        bound max(1, max |row entry|) in size, which sizes the column slots.
+        vectors at once.  A folded entry is at most `bound`, and a reduced one
+        at most bound max(1, max |row entry|), which sizes the column slots.
         """
         phi, n = self.phi, len(xs)
         if m <= phi or not n:
             flat, pad = _unpack(xs, m, width), (0,) * (phi - m)
             return [tuple(flat[k:k + m]) + pad for k in range(0, n * m, m)]
-        self._ensure_red(m - 1)
-        wide = max(width, _slot_width(bound * self._red_max[m - 1 - phi]))
+        top = min(m, self.N) - 1
+        self._ensure_red(top)
+        wide = max(width, _slot_width(bound * (self._red_max[top - phi] if top >= phi else 1)))
         # the n x m slots as m x n slots of `wide` bytes, moved one byte of
         # every slot at a time; the bytes above `width` copy the sign
         data, cells = _slot_bytes(xs, m, width), bytearray(n * m * wide)
@@ -256,15 +272,10 @@ class CyclotomicField:
             cells[b::wide] = plane = b"".join([plane[j::m] for j in range(m)])
         for b in range(width, wide):
             cells[b::wide] = plane.translate(_SIGN_BYTE)
-        mask, size, red = _slot_mask(wide, n), n * wide, self._red
+        mask, size = _slot_mask(wide, n), n * wide
         cols = [(int.from_bytes(cells[k:k + size], "little") ^ mask) - mask
                 for k in range(0, len(cells), size)]
-        for k in range(m - 1, phi - 1, -1):
-            c = cols[k]
-            if c:
-                for i, rc in zip(*red[k - phi]):
-                    cols[i] += c * rc
-        out = _unpack(cols[:phi], n, wide)
+        out = _unpack(self.reduce_vec(cols), n, wide)
         return list(zip(*[out[k:k + n] for k in range(0, phi * n, n)]))
 
     # -- raw element helpers --------------------------------------------
@@ -292,16 +303,8 @@ class CyclotomicField:
         return (fr.denominator, tuple(vec))
 
     def zeta_pow(self, k: int) -> Raw:
-        k %= self.L
-        if k < self.phi:
-            vec = [0] * self.phi
-            vec[k] = 1
-            return (1, tuple(vec))
-        self._ensure_red(k)
-        vec = [0] * self.phi
-        for i, c in zip(*self._red[k - self.phi]):
-            vec[i] = c
-        return (1, tuple(vec))
+        j, k = divmod(k % self.L, self.N)  # zeta_L^N = -1 when L is even
+        return (1, tuple(self.reduce_vec([0] * k + [-1 if j else 1])))
 
     def is_zero(self, a: Raw) -> bool:
         return not any(a[1])
@@ -398,11 +401,35 @@ class CyclotomicField:
 
     def embed_from(self, src: "CyclotomicField", a: Raw) -> Raw:
         """Image of an element of Q(zeta_src) under zeta_src -> zeta_L^(L/src)."""
-        if src.L == self.L:
-            return a
-        if self.L % src.L != 0:
+        return a if src.L == self.L else self.mover(src)(a)
+
+    def mover(self, src: "CyclotomicField", weight=1):
+        """a -> weight a from Q(zeta_src) into Q(zeta_L) on raw elements,
+        weight an int, a Fraction or a `Cyclotomic` of a field inside: the
+        terms of a spread by L/src, times those of the weight's vector in its
+        own field spread by L/L_w, reduced once by `reduce_vec`."""
+        if self.L % src.L:
             raise ValueError("no embedding: %d does not divide %d" % (src.L, self.L))
-        return (a[0], tuple(self.reindex(a[1], self.L // src.L)))
+        m = self.L // src.L
+        if isinstance(weight, Cyclotomic):
+            k, (wden, wvec) = self.L // weight.field.L, weight.raw
+        elif m == 1:
+            return lambda a: self.scale(a, weight.numerator, weight.denominator)
+        else:
+            k, wden, wvec = 0, weight.denominator, (weight.numerator,)
+        terms = [(j * k, w) for j, w in enumerate(wvec) if w] or [(0, 0)]
+
+        def move(a: Raw) -> Raw:
+            d, vec = a
+            if not any(vec):
+                return self.zero
+            out = [0] * ((len(vec) - 1) * m + terms[-1][0] + 1)  # below x^(2L - 1)
+            for i, c in enumerate(vec):
+                if c:
+                    for e, w in terms:
+                        out[i * m + e] += c * w
+            return self.normalize(d * wden, self.reduce_vec(out))
+        return move
 
 
 @lru_cache(maxsize=None)
@@ -425,6 +452,14 @@ def unit_tower(L: int) -> tuple[tuple[int, int], ...]:
         group = {h * pow(g, e, L) % L for h in group for e in range(r)}
         tower.append((g, r))
     return tuple(tower)
+
+
+@lru_cache(maxsize=None)
+def _trace_weights(L: int) -> tuple[Fraction, ...]:
+    """Tr(zeta_L^i)/phi(L) for i < phi(L): mu(d)/phi(d) with d = L/gcd(i, L),
+    and mu(d) is minus the coefficient of x^(phi(d) - 1) in Phi_d."""
+    ds = [L // math.gcd(i, L) for i in range(totient(L))]
+    return tuple(Fraction(-cyclo_polynomial(d)[-2], totient(d)) for d in ds)
 
 
 @lru_cache(maxsize=None)
@@ -552,9 +587,10 @@ class Cyclotomic:
         return a == b
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.as_fraction())
-        return hash((self.field.L, self.raw))
+        # Tr(a)/phi(L): the same in every field holding a, and a if rational
+        den, vec = self.raw
+        return hash(sum((c * t for c, t in zip(vec, _trace_weights(self.field.L)) if c),
+                        Fraction(0)) / den)
 
     def __repr__(self):
         return "Cyclotomic(%s)" % str(self)

@@ -8,7 +8,9 @@ coefficient vector starting at ``val``, and a scaled truncation bound
 explicit data and propagates through arithmetic via the usual min rule, so an
 identity check can never claim agreement beyond what was actually computed.
 ``linear_sum`` is the one weighted sum: ``+``, ``-``, ``scale`` and every
-sum of the formula layer pick their field, denominator and order once there.
+sum of the formula layer pick their field, denominator and order once there,
+and each term's coefficients below the sum's precision are moved into that
+field and multiplied by the term's weight in one step, one reduction each.
 
 A product is one integer convolution: both factors are scaled to a common
 denominator and laid out flat, q-coefficient i at offset i (2 phi - 1), so
@@ -17,10 +19,10 @@ coefficient.  Inverses use Newton iteration, g <- g + g (1 - u g), which
 doubles the number of correct terms per step and runs every product through
 the same packed path.  Products, quotients and sums of theta blocks and
 eta quotients are not built here but by `qrank.theta.theta_quotient`, in
-the group ring Z[C_L].  ``root_sum`` builds a sum of signed roots of unity
-times powers of q (the Lerch sums and double-divisor factors of the O_d
-oracle, the catalog's root-power sums) over the integers, with one
-reduction mod Phi_L per exponent.  ``eta_quotient`` expands a product of
+the half ring of `qrank.cyclotomic`.  ``root_sum`` builds a sum of signed
+roots of unity times powers of q (the Lerch sums and double-divisor factors
+of the O_d oracle, the catalog's root-power sums) over the integers, with
+one reduction mod Phi_L per exponent.  ``eta_quotient`` expands a product of
 powers of J_m = (q^m; q^m)_oo by the integer recurrence of its logarithmic
 derivative, with no series product or inverse.
 
@@ -75,11 +77,11 @@ class Monomial:
 
     @staticmethod
     def one() -> "Monomial":
-        return Monomial(0, 1, Fraction(0))
+        return _ONE
 
     @staticmethod
     def q(exp=1) -> "Monomial":
-        return Monomial(0, 1, Fraction(exp))
+        return _Q if exp == 1 else Monomial(0, 1, Fraction(exp))
 
     @staticmethod
     def zeta(num: int, den: int, exp=0) -> "Monomial":
@@ -87,7 +89,7 @@ class Monomial:
 
     @staticmethod
     def minus_one() -> "Monomial":
-        return Monomial(1, 2, Fraction(0))
+        return _MINUS_ONE
 
     # -- algebra -------------------------------------------------------------
 
@@ -144,6 +146,9 @@ class Monomial:
         if self.q_exp:
             parts.append("q^%s" % self.q_exp)
         return "*".join(parts) if parts else "1"
+
+
+_ONE, _Q, _MINUS_ONE = Monomial(0, 1, 0), Monomial(0, 1, 1), Monomial(1, 2, 0)  # built once
 
 
 # ---------------------------------------------------------------------------
@@ -248,28 +253,22 @@ class QSeries:
 
     # -- alignment helpers ---------------------------------------------------
 
-    def _with(self, field: CyclotomicField, den: int) -> "QSeries":
-        if field is self.field and den == self.den:
+    def _with(self, field: CyclotomicField, den: int, weight=1) -> "QSeries":
+        """weight * self over `field` and `den`, each coefficient moved and
+        weighted in one step (`CyclotomicField.mover`)."""
+        if field is self.field and den == self.den and weight == 1:
             return self
-        coeffs = self.coeffs
-        if field is not self.field:
-            src = self.field
-            coeffs = tuple(field.embed_from(src, c) for c in coeffs)
-        if den != self.den:
-            if den % self.den != 0:
-                raise ValueError("denominator rescale must be integral")
-            f = den // self.den
-            if f != 1:
-                spread: list[Raw] = [field.zero] * ((len(coeffs) - 1) * f + 1 if coeffs else 0)
-                for i, c in enumerate(coeffs):
-                    spread[i * f] = c
-                coeffs = tuple(spread)
-            val = self.val * f
-            prec = None if self.prec is None else self.prec * f
-        else:
-            val = self.val
-            prec = self.prec
-        return QSeries(field, den, val, coeffs, prec, _normalized=True)
+        if den % self.den:
+            raise ValueError("denominator rescale must be integral")
+        f, coeffs = den // self.den, self.coeffs
+        if field is not self.field or weight != 1:
+            coeffs = tuple(map(field.mover(self.field, weight), coeffs))
+        if f != 1 and coeffs:
+            spread: list[Raw] = [field.zero] * ((len(coeffs) - 1) * f + 1)
+            spread[::f] = coeffs
+            coeffs = tuple(spread)
+        return QSeries(field, den, self.val * f, coeffs,
+                       None if self.prec is None else self.prec * f, _normalized=True)
 
     @staticmethod
     def _min_prec(p1: int | None, p2: int | None) -> int | None:
@@ -337,13 +336,10 @@ class QSeries:
         """Multiply by a monomial: scale coefficients, shift all exponents."""
         den = math.lcm(self.den, m.q_exp.denominator)
         L = math.lcm(self.field.L, m.zeta_den)
-        s = self._with(get_field(L), den)
+        s = self._with(get_field(L), den, m.coeff() if m.zeta_num else 1)
         delta = int(m.q_exp * den)
-        out = QSeries(s.field, den, s.val + delta, s.coeffs,
-                      None if s.prec is None else s.prec + delta, _normalized=True)
-        if m.zeta_num:
-            out = out.scale(m.coeff())
-        return out
+        return QSeries(s.field, den, s.val + delta, s.coeffs,
+                       None if s.prec is None else s.prec + delta, _normalized=True)
 
     def truncate(self, order: Fraction | int) -> "QSeries":
         order = Fraction(order)
@@ -425,8 +421,7 @@ class QSeries:
         coeffs = self.coeffs
         if coeffs and num != 1:
             spread: list[Raw] = [self.field.zero] * ((len(coeffs) - 1) * num + 1)
-            for i, c in enumerate(coeffs):
-                spread[i * num] = c
+            spread[::num] = coeffs
             coeffs = tuple(spread)
         out = QSeries(self.field, den, self.val * num, coeffs,
                       None if self.prec is None else self.prec * num,
@@ -521,7 +516,9 @@ class QSeries:
         return (a.val == b.val and a.coeffs == b.coeffs and a.prec == b.prec)
 
     def __hash__(self):
-        return hash((self.field.L, self.den, self.val, self.coeffs, self.prec))
+        # equal series agree in these in every field and over every denominator
+        lead = Cyclotomic(self.field, self.coeffs[0]) if self.coeffs else None
+        return hash((self.valuation, self.order, lead))
 
     # -- presentation --------------------------------------------------------
 
@@ -569,8 +566,9 @@ def linear_sum(terms, order=None) -> QSeries:
     holding its value), over the lcm of the series' denominators and
     `order`'s, and is known below the least precision of its terms, capped
     at `order`; a zero weight or an empty series counts towards all three.
-    Each term is moved into that field once and scaled once, below that
-    precision only, and the terms are merged in one pass.
+    Each term is moved into that field and weighted in one step, one
+    reduction a coefficient (`CyclotomicField.mover`), below that precision
+    only, and the terms are merged in one pass.
     """
     terms = tuple(terms)
     den = 1 if order is None else Fraction(order).denominator
@@ -582,14 +580,12 @@ def linear_sum(terms, order=None) -> QSeries:
         if s.prec is not None:
             p = s.prec * (den // s.den)
             prec = p if prec is None else min(prec, p)
-        if isinstance(w, Cyclotomic):
-            w = field.embed_from(w.field, w.raw)
-            if field.is_rational(w):
-                w = Fraction(w[1][0], w[0])
-        if s.coeffs and w != 0:  # a Raw weight is irrational, so never zero
-            live.append((w, s._with(field, den)))
-    lo = min([s.val for _, s in live], default=0)
-    hi = max([s.val + len(s.coeffs) for _, s in live], default=0)
+        if isinstance(w, Cyclotomic) and w.is_rational():
+            w = w.as_fraction()
+        if s.coeffs and w != 0:  # an irrational weight is never zero
+            live.append((w, s))
+    lo = min([s.val * (den // s.den) for _, s in live], default=0)
+    hi = max([(s.val + len(s.coeffs) - 1) * (den // s.den) + 1 for _, s in live], default=0)
     if prec is not None and prec < hi:
         hi = prec
     if hi <= lo:
@@ -597,19 +593,17 @@ def linear_sum(terms, order=None) -> QSeries:
     add, zero = field.add, field.zero
     vec = [zero] * (hi - lo)
     for i, (w, s) in enumerate(live):
-        coeffs = s.coeffs[:max(hi - s.val, 0)]
-        if type(w) is tuple:
-            coeffs = [field.mul(c, w) for c in coeffs]
-        elif w != 1:
-            num, d = w.numerator, w.denominator
-            coeffs = [field.scale(c, num, d) for c in coeffs]
-        k = s.val - lo
+        # the coefficients below hi, moved and weighted in one step, every f-th slot
+        f = den // s.den
+        coeffs, k = s.coeffs[:max(-(-hi // f) - s.val, 0)], s.val * f - lo
+        if s.field is not field or w != 1:
+            coeffs = tuple(map(field.mover(s.field, w), coeffs))
         if not i:
-            vec[k:k + len(coeffs)] = coeffs
+            vec[k:k + f * len(coeffs):f] = coeffs
             continue
         for c in coeffs:
             vec[k] = c if vec[k] is zero else add(vec[k], c)
-            k += 1
+            k += f
     return QSeries(field, den, lo, tuple(vec), prec)
 
 

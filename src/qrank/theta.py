@@ -8,10 +8,11 @@ or the two-term factor 1 - u (its terms n = 0 and 1), and the start may be
 a weighted sum of such quotients.  So m(x,q,z) in `qrank.appell` is one
 quotient, each term of its bilateral sum a start term over 1 - u.  It plans
 on integers, every exponent of a call in steps of one q^(1/G), and runs in
-the group ring Z[C_L], one packed integer per coefficient, with a sparse
-pass per block and one batched reduction mod Phi_L of all output
-coefficients.  A single block j(z;q^p) is `theta_j`, the quotient with one
-numerator block.
+the half ring of `qrank.cyclotomic` (N = L/2 slots, x^N = -1, for even L;
+Z[C_L] for odd L), one packed integer per coefficient, with a sparse pass
+per block and one batched reduction mod Phi_L of all output coefficients.
+A single block j(z;q^p) is `theta_j`, the quotient with one numerator
+block.
 
 The terms of each block are listed by `bilateral`, the routine that also
 walks the other two-sided sums of the package (the terms of m(x,q,z), the
@@ -113,7 +114,7 @@ def is_theta_zero_pattern(z: Monomial, base) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# theta quotients over Z[C_L]
+# theta quotients over the half ring
 # ---------------------------------------------------------------------------
 
 
@@ -126,12 +127,13 @@ def theta_quotient(num, den, order, eta: dict | None = None,
     two-term factor 1 - u, the terms n = 0 and 1 of a theta block with
     p = 0.  `start` is None (the constant 1) or a sequence of
     (num, den, shift[, weight]) terms, weight an integer (default 1), whose
-    weighted sum is the start; the terms are added in Z[C_L] and their sum
+    weighted sum is the start; the terms are added unreduced and their sum
     is reduced once, with the rest.
 
-    The expansion runs in the group ring Z[C_L]: a coefficient is one
-    integer whose L slots hold its integers at zeta_L^0 .. zeta_L^(L-1), so
-    multiplying by +-zeta_L^k rotates the slots (`_expand`), and the slots
+    The expansion runs in the half ring: a coefficient is one integer whose
+    N slots hold its integers at zeta_L^0 .. zeta_L^(N-1), N = L/2 for even
+    L and L for odd L, so multiplying by +-zeta_L^k rotates the slots,
+    negating those that wrap when L is even (`_expand`), and the slots
     are as wide as a first run of the same passes on l1 norms proves
     enough.  A numerator block is a sparse shift-and-add pass.  A
     divisor whose lowest term is a single +-zeta^k q^v divides by a sparse
@@ -208,7 +210,7 @@ def theta_quotient(num, den, order, eta: dict | None = None,
     f = _expand(f, terms, steps, n, L, width)[0]
     nz = [i for i, x in enumerate(f) if x]
     den, coeffs = outer.sign * div * outer.div, [field.zero] * n
-    for i, v in zip(nz, field.reduce_all([f[i] for i in nz], L, width, bound)):
+    for i, v in zip(nz, field.reduce_all([f[i] for i in nz], field.N, width, bound)):
         coeffs[i] = field.normalize(den, v)
     return QSeries(field, D, (s0 + outer.val) * D // G, tuple(coeffs), prec)
 
@@ -321,33 +323,39 @@ def _expand(start: dict, terms, steps, n: int, L: int, width: int):
     the sum of the (offset, seed, steps) `terms`, times the (is a divisor,
     rows) `steps`; and the largest value of any stage.
 
-    A coefficient is one integer whose slot i, `width` bytes wide, holds its
-    integer at zeta_L^i in two's complement, as in `_pack`.  With B the
-    slots' top bits, x + B has non-negative slots, so x zeta_L^k is
-    ((((x + B) << WL | (x + B)) >> s) & M) - B with s = 8 width (L - k).
-    Width 0 is the majorant: an element is its l1 norm and a row (d, w, k)
-    is (d, |w|, 0), or (d, -|w|, 0) in a divisor, so every value bounds the
-    l1 norm, and so every slot, of the packed one at its place, and the
-    largest bounds every slot that the packed passes rotate or unpack."""
-    bits = 8 * width
-    B, M, WL = (_slot_mask(width, L), (1 << bits * L) - 1, bits * L) if width else (0, -1, 0)
+    A coefficient is one integer whose slot i < N, `width` bytes wide, holds
+    its integer at zeta_L^i in two's complement, as in `_pack`: N = L for odd
+    L, and the N = L/2 slots of the half ring Z[x]/(x^N + 1) for even L.
+    With B the slots' top bits, y = x + B has non-negative slots, so for
+    k < N x zeta_L^k is (((lo | y << WL) >> s) & M) - B, WL = 8 width N,
+    s = WL - 8 width k, where lo = y, or in the half ring lo = 2B - y, which
+    negates the slots that wrap (`_slot_width` keeps every slot below half),
+    and zeta_L^k = -zeta_L^(k - N) for k >= N.  Width 0 is the majorant: an
+    element is its l1 norm and a row (d, w, k) is (d, |w|, 0), or
+    (d, -|w|, 0) in a divisor, so every value bounds the l1 norm, and so
+    every slot, of the packed one at its place, and the largest bounds every
+    slot that the packed passes rotate or unpack."""
+    bits, N = 8 * width, L // 2 if L % 2 == 0 else L
+    B, M, WL = (_slot_mask(width, N), (1 << bits * N) - 1, bits * N) if width else (0, -1, 0)
+    T = 2 * B if N < L else 0  # lo = T - y in the half ring
 
     def elem(c: dict) -> int:
         if not width:
             return sum(map(abs, c.values()))
-        v = [0] * L
+        v = [0] * N
         for k, w in c.items():
-            v[k] = w
+            v[k % N] += -w if k >= N else w
         return _pack(v, width)
 
     def passes(f, steps, top):
         for divisor, rows in steps:
             if width:
-                rows = [(d, w, WL - bits * k) for d, w, k in rows]
+                rows = [(d, -w, WL - bits * (k - N)) if k >= N else (d, w, WL - bits * k)
+                        for d, w, k in rows]
             else:
                 top = max(top, *f)
                 rows = [(d, -abs(w) if divisor else abs(w), 0) for d, w, _ in rows]
-            f = (_divide if divisor else _times)(f, rows, B, M, WL)
+            f = (_divide if divisor else _times)(f, rows, B, T, M, WL)
         return f, top if width else max(top, *f)
 
     f, top = [0] * n, 0
@@ -359,7 +367,7 @@ def _expand(start: dict, terms, steps, n: int, L: int, width: int):
     return passes(f, steps, top)
 
 
-def _times(f, terms, B: int, M: int, WL: int):
+def _times(f, terms, B: int, T: int, M: int, WL: int):
     """f times sum w zeta_L^k q^d over the (d, w, s) of `terms`, sorted by d,
     s the shift of `_expand` for zeta_L^k, below len(f); each f_i is doubled
     once, and the B of every sum taken off once."""
@@ -368,7 +376,7 @@ def _times(f, terms, B: int, M: int, WL: int):
     for i, x in enumerate(f):
         if x:
             y = x + B
-            y |= y << WL
+            y = (T - y if T else y) | y << WL
             for d, w, s in terms:
                 if i + d >= n:
                     break
@@ -377,7 +385,7 @@ def _times(f, terms, B: int, M: int, WL: int):
     return [x - c * B for x, c in zip(out, cor)] if B else out
 
 
-def _divide(f, rows, B: int, M: int, WL: int):
+def _divide(f, rows, B: int, T: int, M: int, WL: int):
     """f / (1 + sum w zeta_L^k q^d) over the (d, w, s) of `rows`, sorted by
     d >= 1 and with w = +-1, below len(f): g_i = f_i - sum w zeta_L^k g_(i-d),
     with each g_i doubled once, when it is made."""
@@ -395,7 +403,7 @@ def _divide(f, rows, B: int, M: int, WL: int):
         acc += c * B
         g.append(acc)
         y = acc + B
-        doubled.append(y | y << WL)
+        doubled.append((T - y if T else y) | y << WL)
     return g
 
 

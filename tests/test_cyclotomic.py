@@ -302,14 +302,155 @@ def test_reduce_all_matches_reduce_vec(L):
 @pytest.mark.parametrize("width", [1, 2, 3, 8, 9])
 @pytest.mark.parametrize("L", [1, 2, 5, 12, 35])
 def test_packed_rotation_is_the_list_rotation(L, width):
-    # x zeta_L^k by shift and mask of the doubled x + B, for every k, with
-    # slots at both ends of their range [-half, half)
+    # x zeta_L^k by shift and mask of the doubled x + B, for every k: for odd
+    # L the cyclic rotation of L slots, with slots at both ends of their
+    # range [-half, half); for even L the negacyclic rotation of N = L/2
+    # slots, where a slot that wraps past x^N is negated, so slots reach
+    # +-(half - 1), and k >= N is -zeta_L^(k - N)
     half = 1 << (8 * width - 1)
+    N = L // 2 if L % 2 == 0 else L
+    lo = -half if N == L else 1 - half
     rng = random.Random(width * 100 + L)
     for trial in range(3):
-        v = [rng.choice([-half, half - 1, 0, rng.randrange(-half, half)]) for _ in range(L)]
+        v = [rng.choice([lo, half - 1, 0, rng.randrange(lo, half)]) for _ in range(N)]
         x = cyclotomic._pack(v, width)
-        assert cyclotomic._unpack([x], L, width) == v
+        assert cyclotomic._unpack([x], N, width) == v
         for k in range(L):
+            expected = [0] * N
+            for i, c in enumerate(v):
+                j, r = divmod(i + k, N)
+                expected[r] = -c if N < L and j % 2 else c
             rotated, _ = _expand({0: dict(enumerate(v))}, [], [(False, [(0, 1, k)])], 1, L, width)
-            assert cyclotomic._unpack(rotated, L, width) == (v[-k:] + v[:-k] if k else v)
+            assert cyclotomic._unpack(rotated, N, width) == expected
+
+
+def test_slot_width_leaves_every_bound_below_half():
+    # a slot of _slot_width(b) bytes holds [-b, b] with b < half, so negating
+    # a wrapped slot, half - x for x + half, never leaves the slot
+    bounds = list(range(600)) + [(1 << e) + d for e in range(7, 90) for d in (-1, 0, 1)]
+    for b in bounds:
+        assert b < 1 << (8 * cyclotomic._slot_width(b) - 1)
+
+
+# ---------------------------------------------------------------------------
+# the half ring and the fused move, against long division by Phi_L
+# ---------------------------------------------------------------------------
+
+
+def _reduce_by_division(vec, L):
+    # vec mod Phi_L by folding mod x^L - 1 (no signs) and long division by
+    # the monic Phi_L, independent of the half ring and of the reduction rows
+    poly = cyclo_polynomial(L)
+    phi = len(poly) - 1
+    terms = [(i, p) for i, p in enumerate(poly[:phi]) if p]
+    v = [0] * max(L, phi)
+    for j, c in enumerate(vec):
+        v[j % L] += c
+    for k in range(len(v) - 1, phi - 1, -1):
+        c = v[k]
+        if c:
+            for i, p in terms:
+                v[k - phi + i] -= c * p
+    return v[:phi]
+
+
+def _half_ring_fold(vec, L):
+    # exponent j to slot j mod N, negated when L is even and floor(j/N) is odd
+    N = L // 2 if L % 2 == 0 else L
+    out = [0] * N
+    for j, c in enumerate(vec):
+        out[j % N] += -c if N < L and j // N % 2 else c
+    return out
+
+
+_MOVE_FIELDS = [1, 2, 3, 4, 6, 7, 10, 12, 14, 15, 18, 21, 28, 30, 36, 42, 45, 60, 70, 84,
+                90, 105, 126, 154, 165, 182, 210, 330, 385, 770, 1155, 2310]
+
+
+def test_reduce_vec_is_the_reduction_of_the_half_ring_fold():
+    # any vector of length up to 2L, dense or sparse, with entries of both
+    # signs: reduce_vec, the reduction of its fold and long division agree
+    rng = random.Random(20)
+    for trial in range(60):
+        L = rng.choice(_MOVE_FIELDS if trial % 3 else _MOVE_FIELDS[:20])
+        f = get_field(L)
+        vec = [rng.randint(-50, 50) if rng.random() < 0.5 else 0
+               for _ in range(rng.randint(1, 2 * L))]
+        expected = _reduce_by_division(vec, L)
+        assert _reduce_by_division(_half_ring_fold(vec, L), L) == expected
+        assert f.reduce_vec(list(vec)) == expected
+        assert f.reduce_vec(_half_ring_fold(vec, L)) == expected
+
+
+def _draw_weight(rng, L):
+    # an int, a Fraction, a root of unity, a sum of two roots, or one of the
+    # last two times a rational, in a field dividing L
+    divisors = [d for d in range(1, L + 1) if L % d == 0]
+    kind = rng.randrange(6)
+    if kind == 0:
+        return rng.choice([-3, -1, 2, 5])
+    if kind == 1:
+        return Fraction(rng.choice([-7, 1, 3]), rng.choice([2, 5, 12]))
+    a, b = rng.choice(divisors), rng.choice(divisors)
+    w = root_of_unity(rng.randrange(a), a)
+    if kind in (3, 5):
+        w = w + root_of_unity(rng.randrange(b), b)
+    if kind >= 4:
+        w = w * Fraction(rng.choice([-5, 2, 9]), rng.choice([1, 3, 4]))
+    return w
+
+
+def test_fused_move_is_embed_then_mul():
+    # a -> weight a from Q(zeta_L') into Q(zeta_L), L' | L of both parities,
+    # equals embed_from then field.mul byte for byte, for m = L/L' with and
+    # without primes that divide L'; a part of the draws is also checked
+    # against the product of the spread vectors by long division
+    rng = random.Random(2310)
+    kinds = set()
+    for trial in range(120):
+        L = rng.choice(_MOVE_FIELDS[-6:] if trial % 4 == 0 else _MOVE_FIELDS[:26])
+        f = get_field(L)
+        src = get_field(rng.choice([d for d in range(1, L + 1) if L % d == 0]))
+        m = L // src.L
+        kinds.add((L % 2, src.L % 2, all(src.L % p == 0 for p in cyclotomic._primes(m))))
+        w = _draw_weight(rng, L)
+        if isinstance(w, Cyclotomic) and w.is_rational():
+            w = w.as_fraction()
+        wraw = (f.embed_from(w.field, w.raw) if isinstance(w, Cyclotomic)
+                else f.from_fraction(w))
+        move = f.mover(src, w)
+        for _ in range(3):
+            vec = [rng.randint(-40, 40) if rng.random() < 0.6 else 0 for _ in range(src.phi)]
+            a = src.normalize(rng.choice([1, 1, 2, 6, 35]), vec)
+            got = move(a)
+            assert got == f.mul(f.embed_from(src, a), wraw)
+            if trial % 4 == 0 and any(vec):
+                wden, wvec = w.raw if isinstance(w, Cyclotomic) else (w.denominator, (w.numerator,))
+                k = L // (w.field.L if isinstance(w, Cyclotomic) else 1)
+                spread = [0] * (2 * L)
+                for i, c in enumerate(a[1]):
+                    for j, x in enumerate(wvec):
+                        spread[i * m % L + j * k % L] += c * x
+                assert got == f.normalize(a[0] * wden, _reduce_by_division(spread, L))
+    assert {(1, 1), (0, 1), (0, 0)} <= {k[:2] for k in kinds}
+    assert {True, False} <= {k[2] for k in kinds if not k[0]}
+
+
+def test_equal_values_of_different_fields_hash_alike():
+    # the same values built in Q(zeta_3), Q(zeta_6) and Q(zeta_12)
+    values = [
+        (zeta(1, 3), zeta(2, 6), zeta(4, 12)),
+        (zeta(2, 3), zeta(4, 6), zeta(8, 12)),
+        (zeta(1, 3) * Fraction(-5, 7) + 2, zeta(2, 6) * Fraction(-5, 7) + 2,
+         zeta(4, 12) * Fraction(-5, 7) + 2),
+        (zeta(1, 3) + zeta(2, 3), zeta(3, 6), zeta(6, 12)),
+        (zeta(1, 3) - zeta(2, 3), zeta(1, 3) - zeta(4, 6), zeta(1, 3) - zeta(8, 12)),
+    ]
+    for built in values:
+        assert {b.field.L for b in built} >= {3, 6} or built[0] == -1
+        assert all(b == built[0] for b in built)
+        assert len({hash(b) for b in built}) == 1
+        assert len(set(built)) == 1
+    assert hash(zeta(3, 6)) == hash(-1) and -1 in {zeta(6, 12)}
+    assert hash(rat(Fraction(3, 4)).embed(12)) == hash(Fraction(3, 4))
+    assert len({zeta(1, 3), zeta(2, 3), zeta(1, 4)}) == 3

@@ -37,9 +37,15 @@ def test_catalog_entries_well_formed():
 
 # sha256 of every two-sided instantiation's serialized sides at default orders
 CATALOG_SERIALIZATION_SHA256 = "5375236c92fe653d9dcd44c029883791675c1e17e5c3d528ffd1b6cbb575d73d"
+# the same at other orders, each built at order 1 and truncated, or on a grid of q^(1/2)
+CATALOG_SERIALIZATION_SHA256_AT = {
+    "0": "72fc208d73e76b9d2ef977c5a3a338c2657ccae061694852328bd0ab7e42ed80",
+    "-2": "f0296bb41b96e64b2948d27416a4ba7c843a4c6ccf66e4f64a8a6eadb30a043f",
+    "13/2": "f941bb327a80be7cf3538db8ff01fb0e977f2d48dd2a35050d341b7606b89930",
+}
 
 
-def test_catalog_serialization_is_pinned():
+def _serialization_digest(order=None):
     # every to_json_dict() stays byte-identical: L, D, the order and each
     # coefficient, lhs then rhs, in sorted entry order and catalog instance order
     digest, count = hashlib.sha256(), 0
@@ -49,11 +55,20 @@ def test_catalog_serialization_is_pinned():
             if inst.check is not None:
                 continue
             for side in (inst.lhs, inst.rhs):
-                doc = side(entry.default_order).to_json_dict()
+                doc = side(entry.default_order if order is None else order).to_json_dict()
                 digest.update(json.dumps(doc, sort_keys=True).encode())
             count += 1
     assert count == 223
-    assert digest.hexdigest() == CATALOG_SERIALIZATION_SHA256
+    return digest.hexdigest()
+
+
+def test_catalog_serialization_is_pinned():
+    assert _serialization_digest() == CATALOG_SERIALIZATION_SHA256
+
+
+@pytest.mark.parametrize("order", sorted(CATALOG_SERIALIZATION_SHA256_AT))
+def test_catalog_serialization_is_pinned_at_other_orders(order):
+    assert _serialization_digest(Fraction(order)) == CATALOG_SERIALIZATION_SHA256_AT[order]
 
 
 def test_verify_produces_reports():

@@ -597,3 +597,19 @@ def test_linear_sum_matches_coefficientwise_sums(terms, order):
         for w, s in terms:
             want = want + s.coeff(e) * w
         assert out.coeff(e) == want
+
+
+def test_equal_series_of_different_fields_and_denominators_hash_alike():
+    z3, q2 = Monomial.zeta(1, 3), Monomial.q(2)
+    a = QSeries.from_monomial(z3 * q2, 5) + QSeries.one(5)
+    b = a._with(get_field(6), 1)
+    c = QSeries.from_monomial(q2, 5).scale(root_of_unity(4, 12)) + QSeries.one(5)
+    d = (QSeries.from_monomial(z3 * q2, Fraction(11, 2)) + QSeries.one(Fraction(11, 2))).truncate(5)
+    half = a._with(get_field(12), 2)  # the same series over Q(zeta_12), in steps of q^(1/2)
+    assert [s.field.L for s in (a, b, c, d, half)] == [3, 6, 12, 3, 12]
+    assert [s.den for s in (a, b, c, d, half)] == [1, 1, 1, 2, 2]
+    for s in (b, c, d, half):
+        assert s == a and hash(s) == hash(a)
+    assert len({a, b, c, d, half}) == 1
+    assert len({a, a + QSeries.from_monomial(Monomial.q(4), 5)}) == 2
+    assert hash(QSeries.zero(3)) == hash(QSeries.zero(3)._with(get_field(4), 2))
