@@ -5,10 +5,12 @@ Every free parameter is a Monomial (root of unity times a rational power of
 q), which makes each divisor 1/(1 - u) decidable.  The formula side
 divides only through `qrank.theta.theta_quotient`: m(x,q,z) is one quotient
 by j(z;q^p), each term of its bilateral sum a start term over the two-term
-block 1 - q^{p(r-1)} x z; Delta is one quotient of two blocks by four; and
-Psi passes its t-sum as the start of the quotient by its three common
-divisors.  So the terms are added unreduced, in the half ring of
-`qrank.cyclotomic`, before the one reduction mod Phi_L.
+block 1 - q^{p(r-1)} x z (`m_terms`, which a sum of m's over one j(z;q^p)
+shares); Delta is one quotient of two blocks by four; Psi passes its t-sum
+as the start of the quotient by its three common divisors; and Lambda is
+Psi plus one quotient by j(z0;q^2), its d Deltas the start terms.  So the
+terms are added unreduced, in the half ring of `qrank.cyclotomic`, before
+the one reduction mod Phi_L.
 
 The oracle side, O_d(z;q) and the Lerch-sum fold, divides by j(q;q^2) as
 the eta quotient J_2/J_1^2 and never reaches `theta_quotient`.  There
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import root_of_unity
 from .errors import NonGenericParameter
 from .series import (Monomial, QSeries, eta_quotient, exact_below, linear_sum, root_sum,
                      shift_loss, shifted)
@@ -71,14 +72,14 @@ def _geometric(w, k: int, exp: Fraction, u: Monomial, L: int, order: Fraction):
 # ---------------------------------------------------------------------------
 
 
-@exact_below
-def appell_m(x: Monomial, base, z: Monomial, order) -> QSeries:
-    """m(x, q^p, z) = (1/j(z;q^p)) sum_r (-1)^r q^{p C(r,2)} z^r / (1 - q^{p(r-1)} x z).
-
-    One theta quotient: the r-th term of the sum is a start term with the
-    two-term divisor 1 - q^{p(r-1)} x z and weight (-1)^r.  Every r whose
-    q^{p C(r,2)} z^r lies below the order is listed, a superset of the
-    terms the quotient uses, so m lives in Q(zeta_lcm(ord x, ord z))."""
+def m_terms(x: Monomial, base, z: Monomial, order) -> list:
+    """The start terms of m(x, q^p, z) over its divisor j(z;q^p), for
+    `theta_quotient`: the r-th term of
+    sum_r (-1)^r q^{p C(r,2)} z^r / (1 - q^{p(r-1)} x z), as the two-term
+    divisor 1 - q^{p(r-1)} x z, the shift q^{p C(r,2)} z^r and the weight
+    (-1)^r.  Every r whose q^{p C(r,2)} z^r lies below the order is listed,
+    a superset of the terms the quotient uses.  Raises NonGenericParameter
+    when z or xz is an integral power of the base, a pole of m."""
     p = F(base)
     if p <= 0:
         raise ValueError("base exponent must be positive")
@@ -88,10 +89,18 @@ def appell_m(x: Monomial, base, z: Monomial, order) -> QSeries:
     xz = x * z
     if is_theta_zero_pattern(xz, p):
         raise NonGenericParameter("xz = %s is an integral power of the base" % xz)
-    return theta_quotient((), ((z, p),), order, start=[
-        ((), ((Monomial.q(p * (r - 1)) * xz, None),), Monomial.q(p * binom2(r)) * z ** r,
-         -1 if r % 2 else 1)
-        for r, _ in bilateral(lambda r: p * binom2(r) + r * z.q_exp, order)])
+    return [((), ((Monomial.q(p * (r - 1)) * xz, None),), Monomial.q(p * binom2(r)) * z ** r,
+             -1 if r % 2 else 1)
+            for r, _ in bilateral(lambda r: p * binom2(r) + r * z.q_exp, order)]
+
+
+@exact_below
+def appell_m(x: Monomial, base, z: Monomial, order) -> QSeries:
+    """m(x, q^p, z) = (1/j(z;q^p)) sum_r (-1)^r q^{p C(r,2)} z^r / (1 - q^{p(r-1)} x z).
+
+    One theta quotient, its start the terms of `m_terms`, so m lives in
+    Q(zeta_lcm(ord x, ord z))."""
+    return theta_quotient((), ((z, F(base)),), order, start=m_terms(x, base, z, order))
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +149,12 @@ def psi(k: int, n: int, x: Monomial, z: Monomial, zp: Monomial, base, order) -> 
 
 @exact_below
 def lam(d: int, z: Monomial, z0: Monomial, zp: Monomial, order) -> QSeries:
-    """Lambda(d, z, z0, z') for odd d, built from Psi and a t-sum of Deltas at
-    base q^2, with prefactor (-1)^{(d+1)/2} q^{-(d-1)^2/4} z^{(d-1)/d}.
+    """Lambda(d, z, z0, z') for odd d: the prefactor
+    (-1)^{(d+1)/2} q^{-(d-1)^2/4} z^{(d-1)/d} times Psi plus
+    (1/d) sum_t zeta_d^{-t} Delta(zeta_d^{-2t} x, zeta_d^t z1, z0; q^2).
+    The Deltas share the divisor j(z0;q^2), J_2^3 and the shift z0, so the
+    sum is one quotient by those, each Delta's other blocks a start term
+    with zeta_d^{-t} in its shift.
 
     z^{1/d} is taken on the canonical root branch and reused consistently for
     every fractional power of z inside."""
@@ -152,11 +165,15 @@ def lam(d: int, z: Monomial, z0: Monomial, zp: Monomial, order) -> QSeries:
     inner = order + shift_loss(pref)
     x_head = w ** (-2) * Monomial.q(d)
     z1 = w * Monomial.q(-F(d - 1, 2))
-    terms = [(1, psi((d - 1) // 2, d, x_head, z0, zp, 2, inner))]
-    terms += [(root_of_unity(-t, d) * F(1, d),
-               delta(Monomial.zeta(-2 * t, d) * x_head, Monomial.zeta(t, d) * z1, z0, 2, inner))
-              for t in range(d)]
-    return linear_sum(terms).shift(pref)
+    head = psi((d - 1) // 2, d, x_head, z0, zp, 2, inner)
+    terms = []
+    for t in range(d):
+        x, z1_t = Monomial.zeta(-2 * t, d) * x_head, Monomial.zeta(t, d) * z1
+        if z1_t != z0:  # else the numerator j(z1_t/z0) = j(1) vanishes identically
+            terms.append((((z1_t / z0, 2), (x * z0 * z1_t, 2)),
+                          ((z1_t, 2), (x * z0, 2), (x * z1_t, 2)), Monomial.zeta(-t, d)))
+    deltas = theta_quotient((), ((z0, 2),), inner, eta={2: 3}, shift=z0, start=terms)
+    return linear_sum(((1, head), (F(1, d), deltas))).shift(pref)
 
 
 # ---------------------------------------------------------------------------

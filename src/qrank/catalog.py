@@ -23,6 +23,7 @@ from .appell import (
     appell_m,
     delta,
     lerch_fold_lhs,
+    m_terms,
     o_d_direct,
     o_d_original,
     psi,
@@ -71,6 +72,15 @@ def _scaled_eta(spec: dict[int, int], s: int, order) -> QSeries:
     return eta_quotient({m * s: e for m, e in spec.items()}, order)
 
 
+def avg_lhs(n: int, k: int, x: Monomial, z: Monomial, order) -> QSeries:
+    """sum_t zeta_n^{-kt} m(zeta_n^t x, q, z) over t < n, valid below `order`:
+    one quotient by the common divisor j(z;q), the terms of every twist
+    (`m_terms`) in its start, with zeta_n^{-kt} in their shifts."""
+    return computed_to(lambda o: theta_quotient((), ((z, 1),), o, start=[
+        (num, den, Z(-k * t, n) * shift, w)
+        for t in range(n) for num, den, shift, w in m_terms(Z(t, n) * x, 1, z, o)]), order)
+
+
 # ---------------------------------------------------------------------------
 # entry builders, grouped
 # ---------------------------------------------------------------------------
@@ -117,10 +127,6 @@ def _appell_entries() -> list[CatalogEntry]:
                   lambda o, x=x, z1=z1, z0=z0, p=p:
                   appell_m(x, p, z1, o) - appell_m(x, p, z0, o))
          for x, z1, z0, p in switch]))
-
-    def avg_lhs(n, k, x, z, o):
-        return linear_sum(((root_of_unity(-k * t, n), appell_m(Z(t, n) * x, 1, z, o))
-                           for t in range(n)), o)
 
     def avg_rhs(n, k, x, z, zp, o):
         head = Q(F(-binom2(k + 1))) * (-x) ** k

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from .appell import o_d_direct
-from .catalog import CATALOG, run_suite, verify
+from .catalog import CATALOG, run_suite
 from .errors import QRankError
 from .named import build_named_series, named_series_names
 from .overpartitions import (

@@ -101,12 +101,6 @@ def _block(z: Monomial, base) -> tuple[int, int, int, int, bool]:
     return s, P, E, v, z.coeff_is_one and E % P == 0
 
 
-def theta_valuation(z: Monomial, base) -> Fraction:
-    """The lowest exponent of j(z;q^p), min_n p C(n,2) + n exp(z) (`_block`)."""
-    s, _, _, v, _ = _block(z, base)
-    return Fraction(v, s)
-
-
 def is_theta_zero_pattern(z: Monomial, base) -> bool:
     """True when j(z;q^p) vanishes identically, i.e. z is an integral power
     of the base with trivial root-of-unity part (`_block`)."""

@@ -9,6 +9,7 @@ from qrank.appell import (
     delta,
     lam,
     lerch_fold_lhs,
+    m_terms,
     o_d_at_minus_one,
     o_d_direct,
     o_d_original,
@@ -16,6 +17,7 @@ from qrank.appell import (
     s_bar_d,
     _geometric,
 )
+from qrank.catalog import avg_lhs
 from qrank.cyclotomic import Cyclotomic, get_field, root_of_unity
 from qrank.errors import NonGenericParameter
 from qrank.series import (Monomial, QSeries, computed_to, linear_sum, root_sum, shift_loss,
@@ -305,6 +307,160 @@ def test_psi_plan_is_exact(k, n, x, z, zp, p):
     once = appell.psi.__wrapped__(k, n, x, z, zp, F(p), order)
     assert once.order == order
     assert once.agrees_with(appell.psi.__wrapped__(k, n, x, z, zp, F(p), order + 7), order)
+
+
+# -- Lambda and the root averages as one quotient each -------------------------
+
+ORDERS = (F(12), F(1), F(1, 2), F(0), F(-2), F(13, 2))
+
+
+def _lam_by_deltas(d, z, z0, zp, order):
+    """Lambda as Psi plus a linear_sum of its d Deltas, each its own quotient."""
+    def build(o):
+        w = z.root(d)
+        pref = Z((d + 1) // 2, 2, -F((d - 1) ** 2, 4)) * w ** (d - 1)
+        inner = o + shift_loss(pref)
+        x_head = w ** (-2) * Q(d)
+        z1 = w * Q(-F(d - 1, 2))
+        terms = [(1, psi((d - 1) // 2, d, x_head, z0, zp, 2, inner))]
+        terms += [(root_of_unity(-t, d) * F(1, d),
+                   delta(Z(-2 * t, d) * x_head, Z(t, d) * z1, z0, 2, inner)) for t in range(d)]
+        return linear_sum(terms).shift(pref)
+    return computed_to(build, order)
+
+
+def _avg_by_m(n, k, x, z, order):
+    """sum_t zeta_n^{-kt} m(zeta_n^t x, q, z) as a linear_sum of n m's."""
+    return linear_sum(((root_of_unity(-k * t, n), appell_m(Z(t, n) * x, 1, z, order))
+                       for t in range(n)), order)
+
+
+def _conjugates(rng, *params):
+    """The parameters and one Galois conjugate of them, zeta_N^a -> zeta_N^(a c)."""
+    L = math.lcm(*(m.zeta_den for m in params))
+    c = rng.choice([c for c in range(1, max(L, 2)) if math.gcd(c, L) == 1])
+    return [params, tuple(Monomial(m.zeta_num * c, m.zeta_den, m.q_exp) for m in params)]
+
+
+def _same_or_both_non_generic(new, old, case):
+    try:
+        expected = old().to_json_dict()
+    except NonGenericParameter:
+        with pytest.raises(NonGenericParameter):
+            new()
+        return False
+    assert new().to_json_dict() == expected, case
+    return True
+
+
+def test_lam_matches_the_sum_of_deltas():
+    # byte-identical to Psi plus d separately built Deltas, or non-generic
+    # on both routes, over draws and their Galois conjugates
+    rng = random.Random(2101)
+
+    def mono(exps):
+        N = rng.choice((1, 2, 3, 4, 5, 6))
+        return Z(rng.randrange(N), N, rng.choice(exps))
+
+    outcomes = [0, 0]  # non-generic, generic
+    for d in (1, 3, 5):
+        for _ in range(8):
+            draw = (mono([0, 0, 1, -1, F(1, 2)]), mono([0, 1, F(1, 2), -1]), mono([0, 1, F(1, 3)]))
+            for z, z0, zp in _conjugates(rng, *draw):
+                for order in ORDERS:
+                    outcomes[_same_or_both_non_generic(
+                        lambda: lam(d, z, z0, zp, order),
+                        lambda: _lam_by_deltas(d, z, z0, zp, order), (d, z, z0, zp, order))] += 1
+    assert min(outcomes) > 60, outcomes
+
+
+def test_lam_skips_the_delta_whose_z1_is_z0():
+    # Delta(x, z1, z0) vanishes at z1 = z0: d = 1 with z0 = z leaves Psi
+    # alone, and d = 3 with z0 = zeta_3 z^(1/3) q^-1 drops the Delta at t = 1
+    z, zp = Z(1, 5), Z(2, 7)
+    cases = [(1, z, z), (3, z, Z(1, 3) * z.root(3) * Q(-1))]
+    for d, z, z0 in cases:
+        for order in ORDERS:
+            assert lam(d, z, z0, zp, order).to_json_dict() == \
+                _lam_by_deltas(d, z, z0, zp, order).to_json_dict(), (d, z0, order)
+    lone = lam(1, z, z, zp, 12)
+    assert lone.agrees_with(-psi(0, 1, z ** (-2) * Q(1), z, zp, 2, 12), 12)
+
+
+def test_root_average_matches_the_sum_of_m():
+    # byte-identical to n separately built twisted m's, or non-generic on
+    # both routes, over draws and their Galois conjugates
+    rng = random.Random(2102)
+
+    def mono():
+        N = rng.choice((1, 2, 3, 5, 7))
+        return Z(rng.randrange(N), N, F(rng.randint(-4, 4), rng.choice([1, 1, 2])))
+
+    outcomes = [0, 0]  # non-generic, generic
+    for n in (2, 3, 4):
+        for _ in range(8):
+            k = rng.randrange(n)
+            for x, z in _conjugates(rng, mono(), mono()):
+                for order in ORDERS:
+                    outcomes[_same_or_both_non_generic(
+                        lambda: avg_lhs(n, k, x, z, order),
+                        lambda: _avg_by_m(n, k, x, z, order), (n, k, x, z, order))] += 1
+    assert min(outcomes) > 80, outcomes
+
+
+def test_m_terms_poles():
+    for p in (0, -1, F(-1, 2)):
+        with pytest.raises(ValueError, match="base exponent must be positive"):
+            m_terms(Z(1, 5), p, Z(1, 7), 5)
+    with pytest.raises(NonGenericParameter, match="z = .* is an integral power of the base"):
+        m_terms(Z(1, 5), 2, Q(4), 5)
+    with pytest.raises(NonGenericParameter, match="xz = .* is an integral power of the base"):
+        m_terms(Q(3) / Z(1, 7), 1, Z(1, 7), 5)
+
+
+def test_root_average_pole_in_a_twist():
+    # zeta_2 x z = q^2 is a pole of the twist t = 1 alone; x z = -q^2 is not
+    z = Z(1, 7)
+    x = Z(1, 2) * Q(2) / z
+    appell_m(x, 1, z, 4)
+    for order in ORDERS:
+        with pytest.raises(NonGenericParameter, match="xz = .* is an integral power of the base"):
+            avg_lhs(2, 1, x, z, order)
+    # zeta_3^2 x z = q^-1 at n = 3
+    x = Z(1, 3) * Q(-1) / z
+    for order in ORDERS:
+        with pytest.raises(NonGenericParameter):
+            avg_lhs(3, 0, x, z, order)
+
+
+def test_lam_and_the_root_average_build_one_quotient(monkeypatch):
+    import qrank.appell as appell
+    import qrank.catalog as catalog
+
+    def forbidden(*args):
+        raise AssertionError("built term by term")
+
+    calls = []
+
+    def counting(theta_quotient):
+        def quotient(*args, **kwargs):
+            calls.append(kwargs)
+            return theta_quotient(*args, **kwargs)
+        return quotient
+
+    monkeypatch.setattr(appell, "delta", forbidden)
+    monkeypatch.setattr(appell, "psi", lambda *args: QSeries.zero(args[-1]))
+    monkeypatch.setattr(appell, "theta_quotient", counting(appell.theta_quotient))
+    z = Z(1, 5)
+    for z0, deltas in ((Z(1, 7), 3), (Z(1, 3) * z.root(3) * Q(-1), 2)):
+        calls.clear()
+        appell.lam.__wrapped__(3, z, z0, Z(2, 7), F(6))
+        assert [len(kwargs["start"]) for kwargs in calls] == [deltas]
+    calls.clear()
+    monkeypatch.setattr(catalog, "appell_m", forbidden)
+    monkeypatch.setattr(catalog, "theta_quotient", counting(catalog.theta_quotient))
+    avg_lhs(3, 1, Z(1, 5, 1), Z(1, 7), 6)
+    assert len(calls) == 1
 
 
 # -- _geometric ---------------------------------------------------------------

@@ -19,12 +19,18 @@ from qrank.theta import (
     theta_quotient,
     theta_shift_check,
     theta_triple_product,
-    theta_valuation,
 )
 
 F = Fraction
 Z = Monomial.zeta
 Q = Monomial.q
+
+
+def _block_valuation(z, p):
+    """The lowest exponent of the block (z, p), as `_block` plans it:
+    min_n p C(n,2) + n exp(z) for j(z;q^p), min(0, exp(z)) for 1 - z."""
+    s, _, _, v, _ = _block(z, p)
+    return F(v, s)
 
 
 def test_theta_sum_matches_triple_product():
@@ -156,11 +162,11 @@ def test_theta_valuation_matches_expansion():
     for _ in range(300):
         p = F(rng.randint(1, 12), rng.choice([1, 2, 3]))
         z = Z(rng.randint(1, 6), 7, F(rng.randint(-60, 60), rng.choice([1, 2, 5])))
-        v = theta_valuation(z, p)
+        v = _block_valuation(z, p)
         assert theta_j(z, p, v + 2).valuation == v, (z, p)
-    assert theta_valuation(Z(1, 5, 3), 4) == 0     # 0 <= exp(z) < p
-    assert theta_valuation(Z(1, 5, 4), 4) == 0     # n = 0 and n = -1 tie
-    assert theta_valuation(Z(1, 5, -1), 4) == -1
+    assert _block_valuation(Z(1, 5, 3), 4) == 0     # 0 <= exp(z) < p
+    assert _block_valuation(Z(1, 5, 4), 4) == 0     # n = 0 and n = -1 tie
+    assert _block_valuation(Z(1, 5, -1), 4) == -1
 
 
 def test_block_grid_against_a_brute_force_minimum():
@@ -178,7 +184,6 @@ def test_block_grid_against_a_brute_force_minimum():
         assert (F(P, s), F(E, s)) == (p, e)
         assert F(v, s) == min(p * binom2(n) + n * e for n in range(-150, 151)), (z, p)
         assert vanishes == (z.coeff_is_one and (e / p).denominator == 1), (z, p)
-        assert theta_valuation(z, p) == F(v, s)
         assert is_theta_zero_pattern(z, p) == vanishes
 
 
@@ -194,8 +199,7 @@ def _product_route(num, den, order, eta=None, shift=None, start=None):
     eta quotient among them) known below o give a product known below
     exp(shift) + sum e_i v_i + o - max v_i."""
     thetas = [(z, p, 1) for z, p in num] + [(z, p, -1) for z, p in den]
-    factors = [(min(F(0), z.q_exp) if p is None else theta_valuation(z, p), e)
-               for z, p, e in thetas]
+    factors = [(_block_valuation(z, p), e) for z, p, e in thetas]
     if eta is not None:
         factors.append((F(0), 1))
     if start is not None:
@@ -287,7 +291,7 @@ def _random_two_term(rng, roots):
 def _valuation(num, den, shift):
     blocks = [(z, p, 1) for z, p in num] + [(z, p, -1) for z, p in den]
     return (0 if shift is None else shift.q_exp) + sum(
-        e * (min(F(0), z.q_exp) if p is None else theta_valuation(z, p)) for z, p, e in blocks)
+        e * _block_valuation(z, p) for z, p, e in blocks)
 
 
 def test_theta_quotient_with_two_term_blocks():
