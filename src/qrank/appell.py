@@ -3,14 +3,12 @@ plus the direct expansions of the rank generating function O_d(z;q).
 
 Every free parameter is a Monomial (root of unity times a rational power of
 q), which makes each divisor 1/(1 - u) decidable.  The formula side
-divides only through `qrank.theta.theta_quotient`: m(x,q,z) is one quotient
-by j(z;q^p), each term of its bilateral sum a start term over the two-term
-block 1 - q^{p(r-1)} x z (`m_terms`, which a sum of m's over one j(z;q^p)
-shares); Delta is one quotient of two blocks by four; Psi passes its t-sum
-as the start of the quotient by its three common divisors; and Lambda is
-Psi plus one quotient by j(z0;q^2), its d Deltas the start terms.  So the
-terms are added unreduced, in the half ring of `qrank.cyclotomic`, before
-the one reduction mod Phi_L.
+divides only through `qrank.theta.theta_quotient`, each sum of theta
+quotients one quotient with its shared divisors in the node above the
+terms that share them: m(x,q,z) is j(z;q^p) over the terms of `m_terms`,
+Psi three blocks over its t-sum (`psi_node`), Lambda j(z0;q^2) over the
+Psi node and the group of its d Deltas, and S_d(z;q) the block 1 - z over
+the nodes 1, m and Lambda (a shifted Psi for even d).
 
 The oracle side, O_d(z;q) and the Lerch-sum fold, divides by j(q;q^2) as
 the eta quotient J_2/J_1^2 and never reaches `theta_quotient`.  There
@@ -39,7 +37,7 @@ from fractions import Fraction
 
 from .errors import NonGenericParameter
 from .series import (Monomial, QSeries, eta_quotient, exact_below, linear_sum, root_sum,
-                     shift_loss, shifted)
+                     shift_loss)
 from .theta import bilateral, binom2, is_theta_zero_pattern, theta_quotient
 
 F = Fraction
@@ -73,13 +71,11 @@ def _geometric(w, k: int, exp: Fraction, u: Monomial, L: int, order: Fraction):
 
 
 def m_terms(x: Monomial, base, z: Monomial, order) -> list:
-    """The start terms of m(x, q^p, z) over its divisor j(z;q^p), for
-    `theta_quotient`: the r-th term of
-    sum_r (-1)^r q^{p C(r,2)} z^r / (1 - q^{p(r-1)} x z), as the two-term
-    divisor 1 - q^{p(r-1)} x z, the shift q^{p C(r,2)} z^r and the weight
-    (-1)^r.  Every r whose q^{p C(r,2)} z^r lies below the order is listed,
-    a superset of the terms the quotient uses.  Raises NonGenericParameter
-    when z or xz is an integral power of the base, a pole of m."""
+    """The start terms of m(x, q^p, z) over its divisor j(z;q^p): term r of
+    sum_r (-1)^r q^{p C(r,2)} z^r / (1 - q^{p(r-1)} x z) as that divisor
+    1 - u, its shift and its weight, for every r whose shift lies below the
+    order, a superset of the terms the quotient uses.  Raises
+    NonGenericParameter when z or xz is an integral power of q^p."""
     p = F(base)
     if p <= 0:
         raise ValueError("base exponent must be positive")
@@ -121,25 +117,39 @@ def delta(x: Monomial, z1: Monomial, z0: Monomial, base, order) -> QSeries:
                           order, eta={p: 3}, shift=z0)
 
 
-@exact_below
-def psi(k: int, n: int, x: Monomial, z: Monomial, zp: Monomial, base, order) -> QSeries:
-    """Psi_k^n(x, z, z'; q^p): the finite t-sum of theta quotients with the
-    -x^k z^{k+1} J_{n^2}^3 / (j(z;q^p) j(z';q^{p n^2})) prefactor."""
+def psi_node(k: int, n: int, x: Monomial, z: Monomial, zp: Monomial, base,
+             weight=1, over=None) -> tuple:
+    """weight * Psi_k^n(x, z, z'; q^p) as a node: its t-sum of quotients
+    j(a_t) j(b_t) / j(d_t) q^tau_t under -x^k z^{k+1} J_{n^2}^3 over
+    j(z;q^p) j(z';q^{p n^2}) j(c;q^{p n^2}), less `over`, one of those
+    three, left for the node above to divide by."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    p = F(base)
-    pn2 = p * n * n
+    p, pn2 = F(base), F(base) * n * n
     c_arg = -(Monomial.q(p * (binom2(n) - n * k)) * (-x) ** n * zp)
     xz_n = (x * z) ** n
-    # the t-sum of j(a_t) j(b_t) / j(d_t) q^tau_t starts the common quotient
     terms = []
     for t in range(n):
         a_arg = -(Monomial.q(p * (binom2(n + 1) + n * k + n * t)) * (-z) ** n / zp)
         d_arg = Monomial.q(p * n * t) * xz_n
         t_mono = Monomial.q(p * (binom2(t + 1) + k * t)) * (-z) ** t
         terms.append((((a_arg, pn2), (d_arg * zp, pn2)), ((d_arg, pn2),), t_mono))
-    return theta_quotient((), ((z, p), (zp, pn2), (c_arg, pn2)), order, eta={pn2: 3},
-                          shift=-(x ** k) * z ** (k + 1), start=terms)
+    den = [(z, p), (zp, pn2), (c_arg, pn2)]
+    if over is not None:
+        den.remove(over)
+    return (), tuple(den), -(x ** k) * z ** (k + 1), weight, {pn2: 3}, terms
+
+
+def _quotient(node, order) -> QSeries:
+    """A node of weight 1 as one theta quotient, valid below `order`."""
+    num, den, shift, _, eta, start = node
+    return theta_quotient(num, den, order, eta, shift, start)
+
+
+@exact_below
+def psi(k: int, n: int, x: Monomial, z: Monomial, zp: Monomial, base, order) -> QSeries:
+    """Psi_k^n(x, z, z'; q^p), the quotient of `psi_node`."""
+    return _quotient(psi_node(k, n, x, z, zp, base), order)
 
 
 # ---------------------------------------------------------------------------
@@ -147,33 +157,34 @@ def psi(k: int, n: int, x: Monomial, z: Monomial, zp: Monomial, base, order) -> 
 # ---------------------------------------------------------------------------
 
 
-@exact_below
-def lam(d: int, z: Monomial, z0: Monomial, zp: Monomial, order) -> QSeries:
-    """Lambda(d, z, z0, z') for odd d: the prefactor
-    (-1)^{(d+1)/2} q^{-(d-1)^2/4} z^{(d-1)/d} times Psi plus
-    (1/d) sum_t zeta_d^{-t} Delta(zeta_d^{-2t} x, zeta_d^t z1, z0; q^2).
-    The Deltas share the divisor j(z0;q^2), J_2^3 and the shift z0, so the
-    sum is one quotient by those, each Delta's other blocks a start term
-    with zeta_d^{-t} in its shift.
-
-    z^{1/d} is taken on the canonical root branch and reused consistently for
-    every fractional power of z inside."""
+def _lam_node(d: int, z: Monomial, z0: Monomial, zp: Monomial, weight=1) -> tuple:
+    """weight * Lambda(d, z, z0, z') for odd d as a node: the prefactor
+    (-1)^{(d+1)/2} q^{-(d-1)^2/4} z^{(d-1)/d} (z^{1/d} on the canonical
+    branch) over j(z0;q^2), which Psi and each Delta(zeta_d^{-2t} x,
+    zeta_d^t z1, z0; q^2) share, above the Psi node and the group of the
+    Deltas (weight 1/d, J_2^3, shift z0, zeta_d^{-t} in each term's shift)."""
     if d < 1 or d % 2 == 0:
         raise ValueError("Lambda is defined for odd d >= 1")
     w = z.root(d)
     pref = Monomial.zeta((d + 1) // 2, 2, -F((d - 1) ** 2, 4)) * w ** (d - 1)
-    inner = order + shift_loss(pref)
     x_head = w ** (-2) * Monomial.q(d)
     z1 = w * Monomial.q(-F(d - 1, 2))
-    head = psi((d - 1) // 2, d, x_head, z0, zp, 2, inner)
     terms = []
     for t in range(d):
         x, z1_t = Monomial.zeta(-2 * t, d) * x_head, Monomial.zeta(t, d) * z1
         if z1_t != z0:  # else the numerator j(z1_t/z0) = j(1) vanishes identically
             terms.append((((z1_t / z0, 2), (x * z0 * z1_t, 2)),
                           ((z1_t, 2), (x * z0, 2), (x * z1_t, 2)), Monomial.zeta(-t, d)))
-    deltas = theta_quotient((), ((z0, 2),), inner, eta={2: 3}, shift=z0, start=terms)
-    return linear_sum(((1, head), (F(1, d), deltas))).shift(pref)
+    parts = [psi_node((d - 1) // 2, d, x_head, z0, zp, 2, over=(z0, 2)),
+             ((), (), z0, F(1, d), {2: 3}, terms)]
+    return (), ((z0, 2),), pref, weight, None, parts
+
+
+@exact_below
+def lam(d: int, z: Monomial, z0: Monomial, zp: Monomial, order) -> QSeries:
+    """Lambda(d, z, z0, z') = prefactor * (Psi + (1/d) sum_t zeta_d^{-t} Delta_t)
+    for odd d, one quotient (`_lam_node`)."""
+    return _quotient(_lam_node(d, z, z0, zp), order)
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +262,34 @@ def o_d_at_minus_one(d: int, order) -> QSeries:
 # ---------------------------------------------------------------------------
 
 
+def _tail_node(d: int, z: Monomial, z0: Monomial, zp: Monomial, weight=1) -> tuple:
+    """weight times the theta part of the bracket of `s_bar_d` as a node: the
+    Lambda node for odd d, else the shift (-1)^{d/2} z q^{-d^2/4} above the
+    node of Psi_0^{d/2}(z^{2/d} q^{1-d}, q, z'; q^2)."""
+    if d % 2:
+        return _lam_node(d, z, z0, zp, weight)
+    h, x = d // 2, z.pow_frac(2, d) * Monomial.q(1 - d)
+    return ((), (), Monomial.zeta(h, 2, -F(d * d, 4)) * z, weight, None,
+            [psi_node(0, h, x, Monomial.q(1), zp, 2)])
+
+
+def _bracket(d: int, z: Monomial, z0: Monomial, zp: Monomial, order) -> list:
+    """The bracket of `s_bar_d` as the start of a quotient that needs it
+    below `order`: the nodes 1, m (j(z';q^p) over `m_terms`) and the theta
+    part (`_tail_node`), with the bracket's weights."""
+    if d % 2:
+        x_m, base, sign = z ** (-2) * Monomial.q(d * d), F(2 * d * d), 1
+    else:
+        x_m, base, sign = Monomial.zeta(d // 2 + 1, 2, F(d * d, 4)) * z, F(d * d, 2), -1
+    return [((), (), Monomial.one(), sign),
+            ((), ((zp, base),), Monomial.one(), -2 * sign, None, m_terms(x_m, base, zp, order)),
+            _tail_node(d, z, z0, zp, 2)]
+
+
 @exact_below
 def s_bar_d(d: int, z: Monomial, z0: Monomial, zp: Monomial, order) -> QSeries:
-    """(1+z) O_d(z;q) expressed through Appell-Lerch series.
+    """(1+z) O_d(z;q) expressed through Appell-Lerch series: the bracket of
+    `_bracket` times the numerator block 1 - z, one quotient.
 
     Odd d:  (1-z) (1 - 2 m(z^{-2} q^{d^2}, q^{2d^2}, z') + 2 Lambda(d, z, z0, z')).
     Even d: (1-z) (-1 + 2 m((-1)^{d/2+1} z q^{d^2/4}, q^{d^2/2}, z')
@@ -261,29 +297,22 @@ def s_bar_d(d: int, z: Monomial, z0: Monomial, zp: Monomial, order) -> QSeries:
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
-    return s_bar_bracket(d, z, z0, zp, order) * (QSeries.one() - QSeries.from_monomial(z))
+    # the bracket is needed below order + shift_loss(z), where 1 - z starts
+    return theta_quotient(((z, None),), (), order,
+                          start=_bracket(d, z, z0, zp, order + shift_loss(z)))
 
 
+@exact_below
 def bracket_tail(d: int, z: Monomial, z0: Monomial, zp: Monomial, order) -> QSeries:
-    """The theta part of the bracket of `s_bar_d`, valid below `order`:
-    Lambda(d, z, z0, z') for odd d, and
-    (-1)^{d/2} z q^{-d^2/4} Psi_0^{d/2}(z^{2/d} q^{1-d}, q, z'; q^2) for even d."""
-    if d % 2:
-        return lam(d, z, z0, zp, order)
-    h, x = d // 2, z.pow_frac(2, d) * Monomial.q(1 - d)
-    return shifted(lambda o: psi(0, h, x, Monomial.q(1), zp, 2, o),
-                   Monomial.zeta(h, 2, -F(d * d, 4)) * z, order)
+    """The theta part of the bracket of `s_bar_d`, the quotient of `_tail_node`."""
+    return _quotient(_tail_node(d, z, z0, zp), order)
 
 
+@exact_below
 def s_bar_bracket(d: int, z: Monomial, z0: Monomial, zp: Monomial, order) -> QSeries:
     """S_d(z;q) / (1-z): the Appell-Lerch bracket of the folded rank series,
-    valid below `order`."""
-    if d % 2:
-        x_m, base, sign = z ** (-2) * Monomial.q(d * d), 2 * d * d, 1
-    else:
-        x_m, base, sign = Monomial.zeta(d // 2 + 1, 2, F(d * d, 4)) * z, F(d * d, 2), -1
-    return linear_sum(((sign, QSeries.one()), (-2 * sign, appell_m(x_m, base, zp, order)),
-                       (2, bracket_tail(d, z, z0, zp, order))))
+    one quotient over the start of `_bracket`."""
+    return theta_quotient((), (), order, start=_bracket(d, z, z0, zp, order))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .appell import (
     o_d_direct,
     o_d_original,
     psi,
+    psi_node,
     s_bar_d,
 )
 from .cyclotomic import Cyclotomic, root_of_unity
@@ -41,7 +42,7 @@ from .overpartitions import (
 )
 from .reports import NON_GENERIC, PASS, IdentityReport, compare_series
 from .series import (Monomial, QSeries, computed_to, eta_quotient, linear_sum, root_sum,
-                     shifted)
+                     shift_loss, shifted)
 from .theta import binom2, theta_j, theta_quotient, theta_shift_check, theta_triple_product
 
 F = Fraction
@@ -79,6 +80,16 @@ def avg_lhs(n: int, k: int, x: Monomial, z: Monomial, order) -> QSeries:
     return computed_to(lambda o: theta_quotient((), ((z, 1),), o, start=[
         (num, den, Z(-k * t, n) * shift, w)
         for t in range(n) for num, den, shift, w in m_terms(Z(t, n) * x, 1, z, o)]), order)
+
+
+def avg_rhs(n: int, k: int, x: Monomial, z: Monomial, zp: Monomial, order) -> QSeries:
+    """n q^{-C(k+1,2)} (-x)^k m(-q^{C(n,2)-nk} (-x)^n, q^{n^2}, z') + n Psi_k^n(x, z, z'; q)
+    below `order`: one quotient by j(z';q^{n^2}) over the m node and the Psi node."""
+    head = Q(F(-binom2(k + 1))) * (-x) ** k
+    inner = -(Q(binom2(n) - n * k) * (-x) ** n)
+    return computed_to(lambda o: theta_quotient((), ((zp, n * n),), o, start=[
+        ((), (), head, n, None, m_terms(inner, n * n, zp, o + shift_loss(head))),
+        psi_node(k, n, x, z, zp, 1, n, over=(zp, n * n))]), order)
 
 
 # ---------------------------------------------------------------------------
@@ -127,12 +138,6 @@ def _appell_entries() -> list[CatalogEntry]:
                   lambda o, x=x, z1=z1, z0=z0, p=p:
                   appell_m(x, p, z1, o) - appell_m(x, p, z0, o))
          for x, z1, z0, p in switch]))
-
-    def avg_rhs(n, k, x, z, zp, o):
-        head = Q(F(-binom2(k + 1))) * (-x) ** k
-        inner = -(Q(binom2(n) - n * k) * (-x) ** n)
-        return linear_sum(((n, shifted(lambda t: appell_m(inner, n * n, zp, t), head, o)),
-                           (n, psi(k, n, x, z, zp, 1, o))))
 
     avg_samples = [(Z(1, 5, 1), Z(1, 7), Z(2, 7)), (Z(2, 7, 1), Z(1, 5), Z(2, 5)),
                    (Z(1, 11, 2), Z(1, 5), Z(1, 7))]

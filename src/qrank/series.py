@@ -385,19 +385,6 @@ class QSeries:
             inv.extend(field.neg(c) for c in step)
         return QSeries(field, self.den, out_val, tuple(inv), out_prec)
 
-    def __pow__(self, n: int) -> "QSeries":
-        if n < 0:
-            return self.invert() ** (-n)
-        out = None
-        base = self
-        while n:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return QSeries.one() if out is None else out
-
     def __truediv__(self, other):
         if isinstance(other, QSeries):
             return self * other.invert()

@@ -4,24 +4,20 @@ j(z;q) = (z;q)_oo (q/z;q)_oo (q;q)_oo = sum_{n in Z} (-1)^n q^C(n,2) z^n.
 
 `theta_quotient` builds every theta expression of the package: shift *
 start * eta quotient * prod blocks / prod blocks, where a block is j(z;q^p)
-or the two-term factor 1 - u (its terms n = 0 and 1), and the start may be
-a weighted sum of such quotients.  So m(x,q,z) in `qrank.appell` is one
-quotient, each term of its bilateral sum a start term over 1 - u.  It plans
-on integers, every exponent of a call in steps of one q^(1/G), and runs in
-the half ring of `qrank.cyclotomic` (N = L/2 slots, x^N = -1, for even L;
-Z[C_L] for odd L), one packed integer per coefficient, with a sparse pass
-per block and one batched reduction mod Phi_L of all output coefficients.
-A single block j(z;q^p) is `theta_j`, the quotient with one numerator
-block.
+or the two-term factor 1 - u (its terms n = 0 and 1), and the start is a
+sum of weighted nodes of the same form, so a weighted sum of quotients is
+one call (m(x,q,z), Lambda and S_d(z;q) in `qrank.appell`).  It plans on
+integers, in steps of one q^(1/G), and runs in the half ring of
+`qrank.cyclotomic`, one packed integer per coefficient, with a sparse pass
+per block and one batched reduction mod Phi_L at the end.  A single block
+j(z;q^p) is `theta_j`, the quotient with one numerator block.
 
 The terms of each block are listed by `bilateral`, the routine that also
 walks the other two-sided sums of the package (the terms of m(x,q,z), the
-Lerch sums behind O_d(z;q)).  It stops each direction by a convexity
-rule: once the convex lowest exponent of a term has passed its minimum and
-reached the order, no later term can fall below it.  That holds for any
-monomial z, including ones with negative or fractional q-exponent.  The
-triple product is kept as an independent oracle for tests and for the
-catalog's two-route entry.
+Lerch sums behind O_d(z;q)); it stops each direction by a convexity rule
+that holds for any monomial z, including ones with negative or fractional
+q-exponent.  The triple product is kept as an independent oracle for tests
+and for the catalog's two-route entry.
 """
 
 from __future__ import annotations
@@ -119,105 +115,58 @@ def theta_quotient(num, den, order, eta: dict | None = None,
 
     `num` and `den` hold blocks: (z, p) for j(z;q^p), and (u, None) for the
     two-term factor 1 - u, the terms n = 0 and 1 of a theta block with
-    p = 0.  `start` is None (the constant 1) or a sequence of
-    (num, den, shift[, weight]) terms, weight an integer (default 1), whose
-    weighted sum is the start; the terms are added unreduced and their sum
-    is reduced once, with the rest.
+    p = 0.  `start` is None (the constant 1) or a sequence of nodes, whose
+    sum it is (0 when empty); a node (num, den, shift[, weight[, eta[,
+    start]]]) is weight, an int or a Fraction, times a quotient of this
+    same form, so blocks that terms share sit in the node above them.
 
-    The expansion runs in the half ring: a coefficient is one integer whose
-    N slots hold its integers at zeta_L^0 .. zeta_L^(N-1), N = L/2 for even
-    L and L for odd L, so multiplying by +-zeta_L^k rotates the slots,
-    negating those that wrap when L is even (`_expand`), and the slots
-    are as wide as a first run of the same passes on l1 norms proves
-    enough.  A numerator block is a sparse shift-and-add pass.  A
-    divisor whose lowest term is a single +-zeta^k q^v divides by a sparse
-    recurrence after that term is taken out; for 1 - u that is a one-row
-    pass, after 1/(1 - u) = -u^(-1)/(1 - u^(-1)) when exp(u) < 0.  A
-    divisor with a tie, exp(z) = m p and z = c q^(m p) with c a root of
-    unity of order N > 1, is j(z;q^p) = (-1)^m q^(-p C(m,2)) c^(-m) (1 - c)
-    P(q^p) with P = sum_{n>=1} (-1)^(n+1) q^(p C(n,2)) sum_{|j|<n} c^j,
-    whose lowest coefficient is 1, so P also divides by a recurrence; a
-    two-term divisor 1 - c is the tie with m = 0 and P = 1.  The (1 - c) of
-    every tie divide the start once: 1/(1 - c) = -(1/N) sum_{j<N} j c^j.
-    Both steps use that the sum of the N powers of c is 0 in Q(zeta_L): it
-    drops out of P's coefficients, and the identities need only hold after
-    the reduction mod Phi_L, which is a ring map and comes last, once for
-    all coefficients together (`CyclotomicField.reduce_all`).  The plan is
-    made on integers, every exponent of the call (order, shifts, each p and
-    exp(z)) in steps of one q^(1/G).  It knows the valuation of every block
-    (`_block`), so it knows how far to expand each block and the result is
-    exact below `order` the first time.  A divisor that vanishes
-    identically raises NonGenericParameter.
+    Each node's expansion is its passes applied to the sum of its start's
+    expansions, each added in at its offset, all packed in the half ring of
+    the call's one field (`_expand`): a numerator block or an eta quotient
+    is a sparse shift-and-add pass, a divisor a sparse recurrence once its
+    lowest term is taken out (`_Quotient.prepare`).  All coefficients are
+    reduced mod Phi_L once, together (`CyclotomicField.reduce_all`).  The
+    plan is made on integers, in steps of one q^(1/G), from each block's
+    valuation (`_block`), so the result is exact below `order` the first
+    time.  A divisor that vanishes identically, in any node, raises
+    NonGenericParameter.
     """
     order = Fraction(order)
-    outer = _Quotient(num, den, Monomial.one() if shift is None else shift)
-    parts = [] if start is None else [_Quotient(*t) for t in start]
+    root = _Quotient(num, den, Monomial.one() if shift is None else shift, 1, eta, start)
     # every exponent from here on is an integer, in steps of q^(1/G)
-    G = math.lcm(order.denominator, *(q.grid for q in [outer] + parts))
-    for q in [outer] + parts:
-        q.regrid(G)
+    G = math.lcm(order.denominator, root.grid)
     reach = [order.numerator * (G // order.denominator)]
-    need = reach[0] - outer.val  # the start is needed below this
-    # the start is used from s0, its least term below need (need if none)
-    L, D = outer.L, order.denominator
-    s0 = 0 if start is None else min([t.val for t in parts if t.val < need], default=need)
-    if start is not None:
-        reach.append(need)
-    if eta:
-        reach.append(need - s0)
-        D = math.lcm(D, *(Fraction(m).denominator for m, e in eta.items() if e))
+    root.bound(G, reach[0], reach)
     # every block is listed below one bound: the order, or the furthest any
-    # factor reaches when the start is needed below `need`, if that is more
-    begins = [(outer, s0)] + [(t, t.val) for t in parts]
-    for q, s in begins:
-        L = math.lcm(L, q.L)
-        reach += [v + need - s for *_, v, _ in q.blocks]
+    # block reaches where its node is needed, if that is more
     top = max(reach)
-    for q, s in begins:
-        D = math.lcm(D, q.plan(top, max(top, need) - s))
-    field = get_field(L)
-    prec, n = reach[0] * D // G, max(need - s0, 0) * D // G
+    D = math.lcm(order.denominator, root.plan(top, max(top, root.need) - root.s0))
+    L, field = root.L, get_field(root.L)
+    prec, n = reach[0] * D // G, max(root.need - root.s0, 0) * D // G
     if n <= 0:
         return QSeries(field, D, 0, (), prec, _normalized=True)
-    outer.prepare(n, D, L)
-    # the passes commute, so the final rotation is applied to the start
-    kappa, terms = _ring_mul(outer.kappa, {outer.rot: 1}, L), []
-    for t in parts:
-        off = (t.val - s0) * D // G
-        if off < n:
-            t.prepare(n - off, D, L)
-            terms.append((off, t))
-    div = math.lcm(*(t.div for _, t in terms))
-    # each start term from kappa times its own tie constant, rotation and
-    # weight on the common denominator, through its own passes
-    terms = [(off, _ring_mul(kappa, _ring_mul(t.kappa, {t.rot: t.sign * t.weight * (div // t.div)},
-                                              L), L), t.steps) for off, t in terms]
-    steps = []
-    if eta:
-        e = eta_quotient(eta, Fraction(n, D))
-        steps.append((False, [((e.val + i) * (D // e.den), c[1][0], 0)
-                              for i, c in enumerate(e.coeffs) if c[1][0]]))
-    steps += outer.steps
-    f = {0: kappa} if start is None else {}
-    bound = _expand(f, terms, steps, n, L, 0)[1]
+    tree = [(0, *root.prepare(n, D, G, L, {0: 1}))]
+    bound = _expand(tree, n, L, 0)[1]
     width = _slot_width(bound)
-    f = _expand(f, terms, steps, n, L, width)[0]
+    f = _expand(tree, n, L, width)[0]
     nz = [i for i, x in enumerate(f) if x]
-    den, coeffs = outer.sign * div * outer.div, [field.zero] * n
+    coeffs = [field.zero] * n
     for i, v in zip(nz, field.reduce_all([f[i] for i in nz], field.N, width, bound)):
-        coeffs[i] = field.normalize(den, v)
-    return QSeries(field, D, (s0 + outer.val) * D // G, tuple(coeffs), prec)
+        coeffs[i] = field.normalize(root.total, v)
+    return QSeries(field, D, (root.s0 + root.val) * D // G, tuple(coeffs), prec)
 
 
 class _Quotient:
-    """weight * shift * prod_num blocks / prod_den blocks: its root order L,
-    its blocks as (z, s, p s, exp(z) s, valuation s, is a divisor) on a grid
-    q^(1/s) (`_block`, p = 0 for 1 - z), and `grid`, the lcm of their s and
-    of the shift's denominator."""
+    """A node of `theta_quotient`, weight * shift * eta quotient * blocks *
+    its start (1, or the sum of its `parts`), its blocks (z, s, p s,
+    exp(z) s, valuation s, is a divisor) on a grid q^(1/s) (`_block`); L
+    and `grid` cover its parts, and `div` is the product of its ties' N."""
 
-    def __init__(self, num, den, shift: Monomial, weight: int = 1):
-        self.shift, self.weight, self.L, self.blocks = shift, weight, shift.zeta_den, []
-        self.grid = shift.q_exp.denominator
+    def __init__(self, num, den, shift: Monomial, weight=1, eta: dict | None = None,
+                 start=None):
+        self.shift, self.weight, self.eta = shift, weight, eta
+        self.parts = None if start is None else [_Quotient(*t) for t in start]
+        self.L, self.grid, self.div, self.blocks = shift.zeta_den, shift.q_exp.denominator, 1, []
         for divisor, blocks in ((False, num), (True, den)):
             for z, p in blocks:
                 s, P, E, v, vanishes = _block(z, p)
@@ -225,26 +174,43 @@ class _Quotient:
                     raise NonGenericParameter("divisor 1 - %s vanishes" % z if p is None else
                                               "theta divisor j(%s; q^%s) vanishes"
                                               % (z, Fraction(P, s)))
+                if divisor and not (E % P if P else E):
+                    self.div *= z.zeta_den
                 self.L, self.grid = math.lcm(self.L, z.zeta_den), math.lcm(self.grid, s)
                 self.blocks.append((z, s, P, E, v, divisor))
+        for t in self.parts or ():
+            self.L, self.grid = math.lcm(self.L, t.L), math.lcm(self.grid, t.grid)
 
-    def regrid(self, G: int) -> None:
-        """Move every block to the grid q^(1/G), G a multiple of `grid`, and
-        give the valuation of the quotient there as `val`."""
+    def bound(self, G: int, order: int, reach: list) -> None:
+        """On the grid q^(1/G): `val`, the valuation without the start, and
+        `need`, below which the start is needed for the node below `order`;
+        `s0`, the least val + s0 of the `used` parts (those below need; 0 for
+        the start 1); `total`, the divisor; and in `reach`, how far to list."""
         self.blocks = [(z, G, P * (G // s), E * (G // s), v * (G // s), divisor)
                        for z, s, P, E, v, divisor in self.blocks]
         e = self.shift.q_exp
         self.val = e.numerator * (G // e.denominator) + sum(
             -v if divisor else v for *_, v, divisor in self.blocks)
+        need = self.need = order - self.val
+        self.s0, self.used = 0, []
+        if self.parts is not None:
+            for t in self.parts:
+                t.bound(G, need, reach)
+            self.used = [t for t in self.parts if t.val + t.s0 < need]
+            self.s0 = min([t.val + t.s0 for t in self.used], default=need)
+            reach.append(need)
+        self.total = self.div * self.weight.denominator * math.lcm(*(t.total for t in self.used))
+        if self.eta:
+            reach.append(need - self.s0)
+        reach += [v + need - self.s0 for *_, v, _ in self.blocks]
 
     def plan(self, top: int, ahead: int) -> int:
-        """List each block's terms, as (offset, n) for the term
-        (-1)^n z^n q^(p C(n,2)) at q^(offset/s) above the block's valuation,
-        s the grid of the call: a theta block's below q^(top/s), and the
-        terms of 1 - z less than q^(ahead/s) above it, `ahead` at least
-        the length of the quotient's expansion, so the step of z counts only
-        where the expansion reaches it; return the lcm of the denominators of
-        their exponents and of the shift's."""
+        """List each block's terms (offset, n), the term (-1)^n z^n q^(p C(n,2))
+        at q^(offset/G) above its valuation: a theta block's below q^(top/G),
+        and those of 1 - z below q^(ahead/G), ahead at least the length of
+        the expansion (a part's: max(top, need) above its lowest exponent).
+        Return the lcm of the denominators of their exponents, the shifts
+        and the eta quotients' steps."""
         den, self.terms = self.shift.q_exp.denominator, []
         for _, s, P, E, v, _ in self.blocks:
             if P:
@@ -253,36 +219,56 @@ class _Quotient:
                 block = [(n, n * E) for n in (0, 1) if n * E - v < ahead]
             den = math.lcm(den, s // math.gcd(s, *(low for _, low in block)))
             self.terms.append([(low - v, n) for n, low in block])
+        if self.eta:
+            den = math.lcm(den, *(Fraction(m).denominator for m, e in self.eta.items() if e))
+        for t in self.parts or ():
+            den = math.lcm(den, t.plan(top, max(top, self.need) - t.val - t.s0))
         return den
 
-    def prepare(self, n: int, D: int, L: int) -> None:
-        """The passes of the blocks below n steps of q^(1/D), as `steps`.
-        The lowest term of each divisor is taken out, so the product is
-        sign zeta_L^rot q^val kappa / div times the passes.  `kappa`
-        ({rotation: weight}) is the product of the -sum_{j<N} j c^j of the
-        ties and div that of their N."""
-        self.sign, self.rot, self.div = 1, self.shift.zeta_num * (L // self.shift.zeta_den), 1
-        self.kappa, self.steps = {0: 1}, []
+    def prepare(self, n: int, D: int, G: int, L: int, mult: dict):
+        """The node below n steps of q^(1/D), times mult, as (seed, steps)
+        for `_expand`: the passes of its eta quotient and blocks, and its
+        constant or its used parts, on the divisor `total`.  Each divisor's
+        lowest term is taken out, into sign zeta_L^rot q^val; a tie
+        j(c q^(m p);q^p) = (-1)^m q^(-p C(m,2)) c^(-m) (1 - c) P(q^p) divides
+        by P (`_tie_rows`; 1 - c has m = 0, P = 1), and N/(1 - c) =
+        -sum_{j<N} j c^j goes into kappa, N into div: true after the
+        reduction mod Phi_L, a ring map that comes last."""
+        sign, rot, kappa, steps = 1, self.shift.zeta_num * (L // self.shift.zeta_den), None, []
+        if self.eta:
+            e = eta_quotient(self.eta, Fraction(n, D))
+            steps.append((False, [((e.val + i) * (D // e.den), c[1][0], 0)
+                                  for i, c in enumerate(e.coeffs) if c[1][0]]))
         for (z, s, P, E, _, divisor), block in zip(self.blocks, self.terms):
             k, i0 = z.zeta_num * (L // z.zeta_den), 0
             m, tie = divmod(E, P) if P else (0, E)
             if divisor and not tie:
                 N = z.zeta_den
-                self.sign *= -1 if m % 2 else 1
-                self.rot += m * k
-                self.div *= N
-                self.kappa = _ring_mul(self.kappa, {j * k % L: -j for j in range(1, N)}, L)
+                sign *= -1 if m % 2 else 1
+                rot += m * k
+                inv = {j * k % L: -j for j in range(1, N)}  # N / (1 - c)
+                kappa = inv if kappa is None else _ring_mul(kappa, inv, L)
                 if P:  # 1 - c has no P(q^p) to divide by
-                    self.steps.append((True, _tie_rows(k, N, P, s, n, D, L)))
+                    steps.append((True, _tie_rows(k, N, P, s, n, D, L)))
                 continue
             if divisor:
                 i0 = min(block)[1]
-                self.sign *= -1 if i0 % 2 else 1
-                self.rot -= i0 * k
-            self.steps.append((divisor, sorted(
+                sign *= -1 if i0 % 2 else 1
+                rot -= i0 * k
+            steps.append((divisor, sorted(
                 (off * D // s, -1 if (i - i0) % 2 else 1, (i - i0) * k % L)
                 for off, i in block if not divisor or i != i0)))
-        self.rot %= L
+        k = {(r + rot) % L: w * sign * self.weight.numerator for r, w in mult.items()}
+        if kappa is not None:
+            k = _ring_mul(k, kappa, L)
+        if self.parts is None:
+            return k, steps
+        below, terms = self.total // (self.div * self.weight.denominator), []
+        for t in self.used:
+            off = (t.val + t.s0 - self.s0) * D // G
+            terms.append((off, *t.prepare(n - off, D, G, L,
+                                          {r: w * (below // t.total) for r, w in k.items()})))
+        return terms, steps
 
 
 def _ring_mul(a: dict, b: dict, L: int) -> dict:
@@ -297,10 +283,10 @@ def _ring_mul(a: dict, b: dict, L: int) -> dict:
 
 def _tie_rows(k_c: int, N: int, ps: int, s: int, n: int, D: int, L: int):
     """The terms of P(q^p) - 1 below n steps of q^(1/D), for c = zeta_L^k_c
-    of order N > 1 and p = ps/s, as (offset, sign, rotation).  Row r of P is
-    (-1)^(r+1) sum_{|j|<r} c^j; whole cycles of N powers sum to 0 and drop,
-    and a remainder of more than N/2 powers becomes minus the rest of its
-    cycle."""
+    of order N > 1 and p = ps/s, as (offset, sign, rotation), where
+    P = sum_{r>=1} (-1)^(r+1) q^(p C(r,2)) sum_{|j|<r} c^j has lowest
+    coefficient 1.  Whole cycles of N powers sum to 0 and drop, and a
+    remainder of more than N/2 powers becomes minus the rest of its cycle."""
     rows, r, end = [], 2, n * s
     while ps * binom2(r) * D < end:
         off, sign = ps * binom2(r) * D // s, 1 if r % 2 else -1
@@ -312,26 +298,25 @@ def _tie_rows(k_c: int, N: int, ps: int, s: int, n: int, D: int, L: int):
     return rows
 
 
-def _expand(start: dict, terms, steps, n: int, L: int, width: int):
-    """The coefficients below n of start ({index: {rotation: weight}}) plus
-    the sum of the (offset, seed, steps) `terms`, times the (is a divisor,
-    rows) `steps`; and the largest value of any stage.
+def _expand(terms, n: int, L: int, width: int):
+    """The coefficients below n of the sum of the (offset, seed, steps)
+    `terms`, and the largest value of any stage.  A term is its seed, a
+    constant {rotation: weight} or a list of terms summed, times its
+    (is a divisor, rows) steps.
 
     A coefficient is one integer whose slot i < N, `width` bytes wide, holds
-    its integer at zeta_L^i in two's complement, as in `_pack`: N = L for odd
-    L, and the N = L/2 slots of the half ring Z[x]/(x^N + 1) for even L.
-    With B the slots' top bits, y = x + B has non-negative slots, so for
-    k < N x zeta_L^k is (((lo | y << WL) >> s) & M) - B, WL = 8 width N,
-    s = WL - 8 width k, where lo = y, or in the half ring lo = 2B - y, which
-    negates the slots that wrap (`_slot_width` keeps every slot below half),
-    and zeta_L^k = -zeta_L^(k - N) for k >= N.  Width 0 is the majorant: an
-    element is its l1 norm and a row (d, w, k) is (d, |w|, 0), or
-    (d, -|w|, 0) in a divisor, so every value bounds the l1 norm, and so
-    every slot, of the packed one at its place, and the largest bounds every
-    slot that the packed passes rotate or unpack."""
+    its integer at zeta_L^i (`_pack`), N = L for odd L and N = L/2 in the
+    half ring Z[x]/(x^N + 1) for even L.  With B the slots' top bits, for
+    k < N x zeta_L^k is (((lo | y << WL) >> s) & M) - B, y = x + B,
+    WL = 8 width N, s = WL - 8 width k, lo = y, or 2B - y in the half ring
+    to negate the slots that wrap; zeta_L^k = -zeta_L^(k - N) for k >= N.
+    Width 0 is the majorant: an element is its l1 norm and a row (d, w, k)
+    is (d, |w|, 0), or (d, -|w|, 0) in a divisor, so every value bounds
+    every slot of the packed one at its place."""
     bits, N = 8 * width, L // 2 if L % 2 == 0 else L
     B, M, WL = (_slot_mask(width, N), (1 << bits * N) - 1, bits * N) if width else (0, -1, 0)
     T = 2 * B if N < L else 0  # lo = T - y in the half ring
+    top = 0
 
     def elem(c: dict) -> int:
         if not width:
@@ -341,7 +326,8 @@ def _expand(start: dict, terms, steps, n: int, L: int, width: int):
             v[k % N] += -w if k >= N else w
         return _pack(v, width)
 
-    def passes(f, steps, top):
+    def passes(f, steps):
+        nonlocal top
         for divisor, rows in steps:
             if width:
                 rows = [(d, -w, WL - bits * (k - N)) if k >= N else (d, w, WL - bits * k)
@@ -350,15 +336,23 @@ def _expand(start: dict, terms, steps, n: int, L: int, width: int):
                 top = max(top, *f)
                 rows = [(d, -abs(w) if divisor else abs(w), 0) for d, w, _ in rows]
             f = (_divide if divisor else _times)(f, rows, B, T, M, WL)
-        return f, top if width else max(top, *f)
+        if not width:
+            top = max(top, *f)
+        return f
 
-    f, top = [0] * n, 0
-    for i, c in start.items():
-        f[i] = elem(c)
-    for off, seed, part in terms:
-        g, top = passes([elem(seed)] + [0] * (n - off - 1), part, top)
-        f[off:] = map(add, f[off:], g)
-    return passes(f, steps, top)
+    def add_terms(n, terms):
+        f = None
+        for off, seed, part in terms:
+            g = passes([elem(seed)] + [0] * (n - off - 1) if isinstance(seed, dict)
+                       else add_terms(n - off, seed), part)
+            if f is None and not off:
+                f = g
+            else:
+                f = f or [0] * n
+                f[off:] = map(add, f[off:], g)
+        return f or [0] * n
+
+    return passes(add_terms(n, terms), ()), top
 
 
 def _times(f, terms, B: int, T: int, M: int, WL: int):
@@ -418,24 +412,11 @@ def theta_triple_product(z: Monomial, base, order) -> QSeries:
     if not (0 <= z.q_exp < p):
         raise ValueError("product oracle needs 0 <= exp(z) < base exponent")
     out = QSeries.one(order)
-    k = 0
-    while z.q_exp + k * p < order:
-        factor = QSeries.one(order) - QSeries.from_monomial(
-            z * Monomial.q(k * p), order)
-        out = out * factor
-        k += 1
-    k = 1
-    zinv = z.inverse()
-    while k * p - z.q_exp < order:
-        factor = QSeries.one(order) - QSeries.from_monomial(
-            zinv * Monomial.q(k * p), order)
-        out = out * factor
-        k += 1
-    k = 1
-    while k * p < order:
-        factor = QSeries.one(order) - QSeries.from_monomial(Monomial.q(k * p), order)
-        out = out * factor
-        k += 1
+    # the factors 1 - z q^(kp) (k >= 0), 1 - q^(kp)/z and 1 - q^(kp) (k >= 1)
+    for x, k in ((z, 0), (z.inverse(), 1), (Monomial.one(), 1)):
+        while x.q_exp + k * p < order:
+            out = out * (QSeries.one(order) - QSeries.from_monomial(x * Monomial.q(k * p), order))
+            k += 1
     return out
 
 
@@ -448,15 +429,13 @@ def theta_shift_check(x: Monomial, n: int, base, order) -> IdentityReport:
     order = Fraction(order)
     inst = {"x": x, "n": n, "base": Fraction(p)}
     shift_mono = Monomial.zeta(n, 2, -p * Fraction(binom2(n))) * x ** (-n)
-    lhs1 = theta_j(x * Monomial.q(n * p), p, order)
-    rhs1 = shifted(lambda o: theta_j(x, p, o), shift_mono, order)
-    rep = compare_series("theta-base-shift", lhs1, rhs1, order, inst)
-    if not rep.passed:
-        return rep
-    lhs2 = theta_j(x, p, order)
-    rhs2a = theta_j(Monomial.q(p) / x, p, order)
-    rep = compare_series("theta-base-shift", lhs2, rhs2a, order, inst)
-    if not rep.passed:
-        return rep
-    rhs2b = -shifted(lambda o: theta_j(x.inverse(), p, o), x, order)
-    return compare_series("theta-base-shift", lhs2, rhs2b, order, inst)
+    sides = ((lambda: theta_j(x * Monomial.q(n * p), p, order),
+              lambda: shifted(lambda o: theta_j(x, p, o), shift_mono, order)),
+             (lambda: theta_j(x, p, order), lambda: theta_j(Monomial.q(p) / x, p, order)),
+             (lambda: theta_j(x, p, order),
+              lambda: -shifted(lambda o: theta_j(x.inverse(), p, o), x, order)))
+    for lhs, rhs in sides:
+        rep = compare_series("theta-base-shift", lhs(), rhs(), order, inst)
+        if not rep.passed:
+            break
+    return rep

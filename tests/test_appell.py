@@ -6,6 +6,7 @@ import pytest
 
 from qrank.appell import (
     appell_m,
+    bracket_tail,
     delta,
     lam,
     lerch_fold_lhs,
@@ -14,10 +15,11 @@ from qrank.appell import (
     o_d_direct,
     o_d_original,
     psi,
+    s_bar_bracket,
     s_bar_d,
     _geometric,
 )
-from qrank.catalog import avg_lhs
+from qrank.catalog import avg_lhs, avg_rhs
 from qrank.cyclotomic import Cyclotomic, get_field, root_of_unity
 from qrank.errors import NonGenericParameter
 from qrank.series import (Monomial, QSeries, computed_to, linear_sum, root_sum, shift_loss,
@@ -434,33 +436,131 @@ def test_root_average_pole_in_a_twist():
 
 
 def test_lam_and_the_root_average_build_one_quotient(monkeypatch):
+    # Lambda, S_d, the bracket and its theta part, and both sides of the
+    # root average are one theta_quotient call each, with no m, Delta or Psi
+    # built on its own and no linear_sum
+    import inspect
+
     import qrank.appell as appell
     import qrank.catalog as catalog
 
-    def forbidden(*args):
+    def forbidden(*args, **kwargs):
         raise AssertionError("built term by term")
 
     calls = []
 
     def counting(theta_quotient):
         def quotient(*args, **kwargs):
-            calls.append(kwargs)
+            calls.append(inspect.signature(theta_quotient).bind(*args, **kwargs).arguments)
             return theta_quotient(*args, **kwargs)
         return quotient
 
-    monkeypatch.setattr(appell, "delta", forbidden)
-    monkeypatch.setattr(appell, "psi", lambda *args: QSeries.zero(args[-1]))
-    monkeypatch.setattr(appell, "theta_quotient", counting(appell.theta_quotient))
-    z = Z(1, 5)
+    for module in (appell, catalog):
+        for name in ("appell_m", "delta", "psi", "linear_sum"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+        monkeypatch.setattr(module, "theta_quotient", counting(module.theta_quotient))
+    z, zp = Z(1, 5), Z(2, 7)
     for z0, deltas in ((Z(1, 7), 3), (Z(1, 3) * z.root(3) * Q(-1), 2)):
         calls.clear()
-        appell.lam.__wrapped__(3, z, z0, Z(2, 7), F(6))
-        assert [len(kwargs["start"]) for kwargs in calls] == [deltas]
-    calls.clear()
-    monkeypatch.setattr(catalog, "appell_m", forbidden)
-    monkeypatch.setattr(catalog, "theta_quotient", counting(catalog.theta_quotient))
-    avg_lhs(3, 1, Z(1, 5, 1), Z(1, 7), 6)
-    assert len(calls) == 1
+        appell.lam.__wrapped__(3, z, z0, zp, F(6))
+        # the Psi node and the group of the Deltas, over j(z0;q^2)
+        assert [(len(a["start"]), len(a["start"][1][5])) for a in calls] == [(2, deltas)]
+    for d in range(1, 7):
+        for build in (appell.s_bar_d, appell.s_bar_bracket, appell.bracket_tail):
+            calls.clear()
+            build.__wrapped__(d, z, Z(1, 7), zp, F(6))
+            assert len(calls) == 1, (build.__name__, d)
+    for n, k in ((2, 1), (3, 1), (3, 2)):
+        calls.clear()
+        avg_lhs(n, k, Z(1, 5, 1), Z(1, 7), 6)
+        avg_rhs(n, k, Z(1, 5, 1), Z(1, 7), Z(2, 7), 6)
+        assert len(calls) == 2
+
+
+# -- S_d, its bracket and the root average against their terms -------------------
+
+
+def _tail_by_terms(d, z, z0, zp, order):
+    """The theta part of the bracket: Psi plus the Deltas for odd d, and the
+    shifted Psi, built on its own, for even d."""
+    if d % 2:
+        return _lam_by_deltas(d, z, z0, zp, order)
+    h, x = d // 2, z.pow_frac(2, d) * Q(1 - d)
+    return shifted(lambda o: psi(0, h, x, Q(1), zp, 2, o), Z(h, 2, -F(d * d, 4)) * z, order)
+
+
+def _bracket_by_terms(d, z, z0, zp, order):
+    """The bracket of S_d as a linear_sum of 1, m and the theta part."""
+    if d % 2:
+        x_m, base, sign = z ** (-2) * Q(d * d), 2 * d * d, 1
+    else:
+        x_m, base, sign = Z(d // 2 + 1, 2, F(d * d, 4)) * z, F(d * d, 2), -1
+    return linear_sum(((sign, QSeries.one()), (-2 * sign, appell_m(x_m, base, zp, order)),
+                       (2, _tail_by_terms(d, z, z0, zp, order))))
+
+
+def _s_bar_by_terms(d, z, z0, zp, order):
+    """The bracket times 1 - z as a series product, the bracket known below
+    the order plus what 1 - z loses."""
+    one_minus = QSeries.one() - QSeries.from_monomial(z)
+    return computed_to(lambda o: _bracket_by_terms(d, z, z0, zp, o + shift_loss(z)) * one_minus,
+                       order)
+
+
+def _avg_rhs_by_terms(n, k, x, z, zp, order):
+    """n times the shifted m at base q^(n^2) plus n Psi, each built on its own."""
+    head = Q(F(-binom2(k + 1))) * (-x) ** k
+    inner = -(Q(binom2(n) - n * k) * (-x) ** n)
+    return linear_sum(((n, shifted(lambda t: appell_m(inner, n * n, zp, t), head, order)),
+                       (n, psi(k, n, x, z, zp, 1, order))))
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_s_bar_and_its_bracket_match_their_terms(d):
+    # byte-identical to the sum of separately built m, Psi and Deltas, or
+    # non-generic on both routes, over draws and their Galois conjugates;
+    # z with a negative exponent included, where 1 - z loses order
+    rng = random.Random(2200 + d)
+
+    def mono(exps):
+        N = rng.choice((1, 2, 3, 4, 5, 6))
+        return Z(rng.randrange(N), N, rng.choice(exps))
+
+    outcomes = [0, 0]  # non-generic, generic
+    builds = ((s_bar_d, _s_bar_by_terms), (s_bar_bracket, _bracket_by_terms),
+              (bracket_tail, _tail_by_terms))
+    for _ in range(4):
+        draw = (mono([0, 0, 1, -1, F(1, 2)]), mono([0, 1, F(1, 2), -1]), mono([0, 1, F(1, 3)]))
+        for z, z0, zp in _conjugates(rng, *draw):
+            for order in ORDERS:
+                for new, old in builds:
+                    outcomes[_same_or_both_non_generic(
+                        lambda: new(d, z, z0, zp, order), lambda: old(d, z, z0, zp, order),
+                        (new.__name__, d, z, z0, zp, order))] += 1
+    assert outcomes[1] >= 36, outcomes
+
+
+def test_root_average_right_side_matches_its_terms():
+    # byte-identical to n shifted m's plus n Psi built on their own, or
+    # non-generic on both routes, over draws and their Galois conjugates
+    rng = random.Random(2205)
+
+    def mono():
+        N = rng.choice((1, 2, 3, 5, 7))
+        return Z(rng.randrange(N), N, F(rng.randint(-3, 3), rng.choice([1, 1, 2])))
+
+    outcomes = [0, 0]  # non-generic, generic
+    for n in (1, 2, 3, 4):
+        for _ in range(3):
+            k = rng.randrange(n)
+            for x, z, zp in _conjugates(rng, mono(), mono(), mono()):
+                for order in ORDERS:
+                    outcomes[_same_or_both_non_generic(
+                        lambda: avg_rhs(n, k, x, z, zp, order),
+                        lambda: _avg_rhs_by_terms(n, k, x, z, zp, order),
+                        (n, k, x, z, zp, order))] += 1
+    assert min(outcomes) > 20, outcomes
 
 
 # -- _geometric ---------------------------------------------------------------

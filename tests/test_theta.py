@@ -395,6 +395,145 @@ def test_theta_quotient_vanishing_divisor_raises():
         theta_quotient([], [], 10, start=[((), ((Q(0), None),), Q(0), -1)])
 
 
+# -- nested start terms --------------------------------------------------------
+
+
+def _node_by_node(node, order):
+    """A node (num, den, shift[, weight[, eta[, start]]]) of `theta_quotient`
+    built node by node: its start the linear_sum of its terms, each built
+    below where the node needs it, times its own quotient as a series
+    product, the quotient built as far past the order as the start is
+    known from (its valuation, or its order when it is zero to it)."""
+    num, den, shift, weight, eta, start = (tuple(node) + (1, None, None))[:6]
+    if start is None:
+        quotient = theta_quotient(num, den, order, eta, shift)
+    else:
+        need = order - _valuation(num, den, shift)
+        start = linear_sum(((1, _node_by_node(t, need)) for t in start), need)
+        known_from = start.valuation if start.coeffs else start.order
+        quotient = theta_quotient(num, den, order - known_from, eta, shift) * start
+    assert quotient.order >= order
+    return quotient.scale(weight).truncate(order)
+
+
+_SHIFTS = [Q(0), Q(-2), Q(F(-1, 2)), Q(F(3, 2)), Z(1, 3, F(-4, 3)), Z(2, 5, 1)]
+_WEIGHTS = [1, -1, 2, F(1, 2), F(-2, 3), F(3, 5)]
+_ETAS = [None, None, {1: -1}, {2: 2, 1: -1}, {F(1, 2): 1}]
+
+
+def _random_node(rng, roots, depth):
+    """A random node: up to one numerator and two divisor blocks, theta
+    blocks of bases 1, 2, 3 and 1/2 or 1 - u, a shift, a weight and an eta
+    quotient, with a start of up to three nodes (empty now and then) while
+    depth lasts."""
+    def block():
+        if rng.random() < 0.5:
+            return _random_two_term(rng, roots)
+        N, p = rng.choice(roots), rng.choice([1, 2, 3, F(1, 2)])
+        e = rng.choice([rng.randint(-1, 1) * p, F(rng.randint(-2, 6), rng.choice([1, 2, 3]))])
+        a = rng.randrange(N)
+        if a == 0 and (F(e) / p).denominator == 1:  # j(q^(m p);q^p) vanishes identically
+            a, e = (1, e) if N > 1 else (0, e + F(1, 3))
+        return Z(a, N, e), p
+
+    num = [block() for _ in range(rng.randint(0, 1))]
+    den = [block() for _ in range(rng.randint(0, 2))]
+    start = None
+    if depth and rng.random() < 0.7:
+        start = [_random_node(rng, roots, depth - 1) for _ in range(rng.choice([0, 1, 2, 2, 3]))]
+    return (num, den, rng.choice(_SHIFTS), rng.choice(_WEIGHTS), rng.choice(_ETAS), start)
+
+
+def _depth(node):
+    start = node[5]
+    return 0 if start is None else 1 + max(map(_depth, start), default=0)
+
+
+def test_nested_starts_match_the_tree_built_node_by_node():
+    # random trees of depth 2-3 with Fraction weights, an eta quotient per
+    # node, empty starts, negative and fractional shifts and 1 - u blocks,
+    # against each node its own quotient and each start a linear_sum; both
+    # reduced to their least grid, as the node-by-node route lists every
+    # block past the order
+    rng = random.Random(2201)
+    roots, depths, seen = (1, 2, 3, 4, 6), [], set()
+    for case in range(60):
+        num, den, shift, _, eta, start = _random_node(rng, roots, 3)
+        if start is None or _depth((num, den, shift, 1, eta, start)) < 2:
+            start = [_random_node(rng, roots, 2), _random_node(rng, roots, 1)]
+        tree = (num, den, shift, 1, eta, start)
+        depths.append(_depth(tree))
+        order = rng.choice([F(13, 2), F(rng.randint(1, 16)), F(rng.randint(1, 30), 3)])
+        got = theta_quotient(num, den, order, eta, shift, start)
+        ref = _node_by_node(tree, order)
+        assert got.order == order
+        assert got.normalize_denominator().to_json_dict() == \
+            ref.normalize_denominator().to_json_dict(), (tree, order)
+
+        def walk(node):
+            seen.add(("weight", type(node[3]).__name__))
+            seen.add(("eta", node[4] is not None))
+            seen.add(("start", None if node[5] is None else min(len(node[5]), 1)))
+            seen.add(("shift", (node[2].q_exp > 0) - (node[2].q_exp < 0)))
+            for t in node[5] or ():
+                walk(t)
+        for t in start:
+            walk(t)
+    assert {2, 3} <= set(depths)
+    assert {("weight", "Fraction"), ("weight", "int"), ("eta", True), ("start", 0),
+            ("start", 1), ("start", None), ("shift", -1), ("shift", 1)} <= seen
+
+
+def test_nested_start_with_a_fraction_weight_is_exact():
+    # 1/2 and 1/3 of one quotient sum to 5/6 of it; the weights' denominators
+    # join the divisor of the result
+    node = (((Z(1, 5), 1),), ((Z(1, 7), 2),), Q(F(-1, 2)))
+    order = F(12)
+    got = theta_quotient((), (), order, start=[
+        ((), (), Q(0), F(1, 2), None, [node]), ((), (), Q(0), F(1, 3), None, [node])])
+    assert got.to_json_dict() == theta_quotient(*node[:2], order, shift=node[2]).scale(
+        F(5, 6)).to_json_dict()
+
+
+def test_nested_empty_start_is_zero():
+    # a node whose start is empty adds nothing, however its blocks plan;
+    # its blocks still count towards the field, as an empty series does in
+    # linear_sum
+    leaf = (((Z(1, 5), 1),), (), Q(-3))
+    for order in (F(1), F(12), F(13, 2)):
+        empty = ((), ((Z(1, 7), 1),), Q(-5), 2, {1: -2}, [])
+        got = theta_quotient((), (), order, start=[leaf, empty])
+        alone = theta_quotient(*leaf[:2], order, shift=leaf[2])
+        assert got.order == order and got.field.L == 35 and got.agrees_with(alone, order)
+        assert theta_quotient((), (), order, start=[empty]).is_zero()
+
+
+def test_nested_start_under_a_one_minus_c_numerator():
+    # a root 1 - c (c a root of unity, or c q^-1) over two nodes: the two
+    # rows at offset 0 of its numerator pass, against the series product
+    rng = random.Random(2203)
+    for c in (Z(1, 3), Z(1, 4), Z(2, 5), Z(1, 3, -1), Q(F(1, 2))):
+        start = [_random_node(rng, (1, 2, 3), 2) for _ in range(2)]
+        tree = (((c, None),), (), Q(0), 1, None, start)
+        for order in (F(1), F(9), F(17, 2)):
+            got = theta_quotient(((c, None),), (), order, start=start)
+            assert got.order == order
+            assert got.normalize_denominator().to_json_dict() == \
+                _node_by_node(tree, order).normalize_denominator().to_json_dict(), (c, order)
+
+
+def test_nested_vanishing_divisor_raises():
+    # a divisor that vanishes identically raises wherever it sits in the
+    # tree, also in a node the expansion never reaches
+    for z, p in ((Q(0), 1), (Q(2), 1), (Q(F(3, 2)), F(1, 2)), (Q(0), None)):
+        bad = ((), ((z, p),), Q(0))
+        for start in ([((), (), Q(0), 1, None, [bad])],
+                      [((), ((Z(1, 3), 1),), Q(40), F(1, 2), {1: 1}, [bad])],
+                      [(((Z(1, 5), 1),), (), Q(0), 1, None, [((), (), Q(1), 2, None, [bad])])]):
+            with pytest.raises(NonGenericParameter):
+                theta_quotient([], [], 10, start=start)
+
+
 def test_theta_quotient_vanishing_numerator_is_zero():
     s = theta_quotient([(Q(2), 1)], [(Z(1, 5), 1)], 12, eta={1: 3})
     assert s.is_zero() and s.order == 12
@@ -502,8 +641,8 @@ def test_theta_quotient_wider_than_a_machine_word():
 
 def test_majorant_bounds_every_packed_coefficient():
     # the width-0 pass of `_expand` bounds the l1 norm of every coefficient
-    # that the packed passes make at any stage, start terms and divisors
-    # included
+    # that the packed passes make at any stage, start terms, nested terms
+    # and divisors included
     rng = random.Random(5)
     for case in range(80):
         L, n = rng.choice([1, 2, 5, 12]), rng.randint(1, 12)
@@ -523,9 +662,12 @@ def test_majorant_bounds_every_packed_coefficient():
 
         start = {i: elem() for i in rng.sample(range(n), rng.randint(0, n))}
         terms = [(rng.randrange(n), elem(), steps()) for _ in range(rng.randint(0, 2))]
+        terms += [(rng.randrange(n), [(0, elem(), steps())], steps())
+                  for _ in range(rng.randint(0, 1))]
         outer = steps()
-        bound = _expand(start, terms, outer, n, L, 0)[1]
+        start = [(i, c, []) for i, c in start.items()] + terms
+        bound = _expand([(0, start, outer)], n, L, 0)[1]
         for k in range(len(outer) + 1):
-            packed = _expand(start, terms, outer[:k], n, L, 16)[0]  # wide enough here
+            packed = _expand([(0, start, outer[:k])], n, L, 16)[0]  # wide enough here
             N = L // 2 if L % 2 == 0 else L  # the slots of the half ring
             assert max(sum(map(abs, _unpack([x], N, 16))) for x in packed) <= bound
