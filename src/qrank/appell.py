@@ -33,21 +33,24 @@ max(0, -exp(u)) from the flip of 1/(1 - u).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import NonGenericParameter
 from .series import (Monomial, QSeries, eta_quotient, exact_below, linear_sum, root_sum,
                      shift_loss)
-from .theta import bilateral, binom2, is_theta_zero_pattern, theta_quotient
+from .theta import _base_exp, bilateral, binom2, is_theta_zero_pattern, theta_quotient
 
 F = Fraction
 
 
 def _geometric(w, k: int, exp: Fraction, u: Monomial, L: int, order: Fraction):
     """Yield the (weight, zeta_L-index, exponent) terms of
-    w zeta_L^k q^exp / (1 - u) below `order`, for `root_sum`."""
+    w zeta_L^k q^exp / (1 - u) below `order`, for `root_sum`; exp is an int
+    or a Fraction, and when it and exp(u) are integral the walk steps on
+    ints, below ceil(order)."""
     e, ku = u.q_exp, u.zeta_num * (L // u.zeta_den)
-    if e == 0:
+    if not e:
         if u.coeff_is_one:
             raise NonGenericParameter("divisor 1 - %s vanishes" % u)
         # u = c of order N > 1: 1/(1 - c) = -(1/N) sum_{j<N} j c^j
@@ -56,6 +59,8 @@ def _geometric(w, k: int, exp: Fraction, u: Monomial, L: int, order: Fraction):
             for j in range(1, N):
                 yield w * F(-j, N), k + j * ku, exp
         return
+    if e.denominator == 1 == exp.denominator:
+        e, exp, order = e.numerator, exp.numerator, -(-order.numerator // order.denominator)
     if e < 0:
         # 1/(1 - u) = -u^{-1}/(1 - u^{-1}), starting at u^{-1}
         w, e, ku = -w, -e, -ku
@@ -76,18 +81,21 @@ def m_terms(x: Monomial, base, z: Monomial, order) -> list:
     1 - u, its shift and its weight, for every r whose shift lies below the
     order, a superset of the terms the quotient uses.  Raises
     NonGenericParameter when z or xz is an integral power of q^p."""
-    p = F(base)
-    if p <= 0:
-        raise ValueError("base exponent must be positive")
+    p = _base_exp(base)
     # genericity: neither z nor xz may be an integral power of the base
     if is_theta_zero_pattern(z, p):
         raise NonGenericParameter("z = %s is an integral power of the base" % z)
     xz = x * z
     if is_theta_zero_pattern(xz, p):
         raise NonGenericParameter("xz = %s is an integral power of the base" % xz)
+    # the walk in steps of q^(1/g), on ints
+    g = math.lcm(p.denominator, z.q_exp.denominator, order.denominator)
+    P, E, top = (v.numerator * (g // v.denominator) for v in (p, z.q_exp, order))
+    if p.denominator == 1:
+        p = p.numerator
     return [((), ((Monomial.q(p * (r - 1)) * xz, None),), Monomial.q(p * binom2(r)) * z ** r,
              -1 if r % 2 else 1)
-            for r, _ in bilateral(lambda r: p * binom2(r) + r * z.q_exp, order)]
+            for r, _ in bilateral(lambda r: P * binom2(r) + r * E, top)]
 
 
 @exact_below
@@ -96,7 +104,7 @@ def appell_m(x: Monomial, base, z: Monomial, order) -> QSeries:
 
     One theta quotient, its start the terms of `m_terms`, so m lives in
     Q(zeta_lcm(ord x, ord z))."""
-    return theta_quotient((), ((z, F(base)),), order, start=m_terms(x, base, z, order))
+    return theta_quotient((), ((z, _base_exp(base)),), order, start=m_terms(x, base, z, order))
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +116,7 @@ def appell_m(x: Monomial, base, z: Monomial, order) -> QSeries:
 def delta(x: Monomial, z1: Monomial, z0: Monomial, base, order) -> QSeries:
     """Delta(x, z1, z0; q^p) = z0 J_1^3 j(z1/z0) j(x z0 z1) / (j(z0) j(z1) j(x z0) j(x z1)),
     everything at base q^p.  Equal to m(x,q^p,z1) - m(x,q^p,z0)."""
-    p = F(base)
+    p = _base_exp(base)
     if z1 == z0:
         # numerator factor j(1;q^p) vanishes identically
         return QSeries.zero(order)
@@ -125,14 +133,18 @@ def psi_node(k: int, n: int, x: Monomial, z: Monomial, zp: Monomial, base,
     three, left for the node above to divide by."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    p, pn2 = F(base), F(base) * n * n
+    p = _base_exp(base)
+    pn2 = p * n * n
+    if p.denominator == 1:
+        p = p.numerator  # the exponents below on ints
     c_arg = -(Monomial.q(p * (binom2(n) - n * k)) * (-x) ** n * zp)
-    xz_n = (x * z) ** n
+    mz, xz_n = -z, (x * z) ** n
+    a_head = -(mz ** n / zp)
     terms = []
     for t in range(n):
-        a_arg = -(Monomial.q(p * (binom2(n + 1) + n * k + n * t)) * (-z) ** n / zp)
+        a_arg = Monomial.q(p * (binom2(n + 1) + n * k + n * t)) * a_head
         d_arg = Monomial.q(p * n * t) * xz_n
-        t_mono = Monomial.q(p * (binom2(t + 1) + k * t)) * (-z) ** t
+        t_mono = Monomial.q(p * (binom2(t + 1) + k * t)) * mz ** t
         terms.append((((a_arg, pn2), (d_arg * zp, pn2)), ((d_arg, pn2),), t_mono))
     den = [(z, p), (zp, pn2), (c_arg, pn2)]
     if over is not None:
@@ -173,8 +185,9 @@ def _lam_node(d: int, z: Monomial, z0: Monomial, zp: Monomial, weight=1) -> tupl
     for t in range(d):
         x, z1_t = Monomial.zeta(-2 * t, d) * x_head, Monomial.zeta(t, d) * z1
         if z1_t != z0:  # else the numerator j(z1_t/z0) = j(1) vanishes identically
-            terms.append((((z1_t / z0, 2), (x * z0 * z1_t, 2)),
-                          ((z1_t, 2), (x * z0, 2), (x * z1_t, 2)), Monomial.zeta(-t, d)))
+            xz0 = x * z0
+            terms.append((((z1_t / z0, 2), (xz0 * z1_t, 2)),
+                          ((z1_t, 2), (xz0, 2), (x * z1_t, 2)), Monomial.zeta(-t, d)))
     parts = [psi_node((d - 1) // 2, d, x_head, z0, zp, 2, over=(z0, 2)),
              ((), (), z0, F(1, d), {2: 3}, terms)]
     return (), ((z0, 2),), pref, weight, None, parts
@@ -197,11 +210,15 @@ def _lerch_sum(k: int, x: Monomial, order: Fraction) -> QSeries:
 
     Callers rule out the poles x q^{kn} = 1 first, each with its own message.
     """
-    def lowest(n: int) -> Fraction:
-        return F(n * n + k * n) + shift_loss(x * Monomial.q(k * n))
+    e = x.q_exp
+    if e.denominator == 1:
+        e = e.numerator  # then every lowest exponent is an int
+
+    def lowest(n: int) -> Fraction | int:
+        return n * n + k * n + max(0, -(e + k * n))  # shift_loss(x q^(kn))
 
     return root_sum((t for n, _ in bilateral(lowest, order)
-                     for t in _geometric(-1 if n % 2 else 1, 0, F(n * n + k * n),
+                     for t in _geometric(-1 if n % 2 else 1, 0, n * n + k * n,
                                          x * Monomial.q(k * n), x.zeta_den, order)),
                     x.zeta_den, order)
 
@@ -245,9 +262,9 @@ def o_d_original(d: int, z: Monomial, order) -> QSeries:
     inner = order + abs(z.q_exp)  # poly starts at q^{-|exp z|}
     terms = [(1, QSeries.one())]
     n = 1
-    while F(n * n + d * n) < inner:
-        a = _geometric(-1 if n % 2 else 1, 0, F(n * n + d * n), z * Monomial.q(d * n), L, inner)
-        b = _geometric(1, 0, F(0), z.inverse() * Monomial.q(d * n), L, inner)
+    while n * n + d * n < inner:
+        a = _geometric(-1 if n % 2 else 1, 0, n * n + d * n, z * Monomial.q(d * n), L, inner)
+        b = _geometric(1, 0, 0, z.inverse() * Monomial.q(d * n), L, inner)
         terms.append((2, root_sum(a, L, inner) * root_sum(b, L, inner) * poly))
         n += 1
     return linear_sum(terms, inner) * eta_quotient({2: 1, 1: -2}, order)

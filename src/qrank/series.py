@@ -24,12 +24,17 @@ roots of unity times powers of q (the Lerch sums and double-divisor factors
 of the O_d oracle, the catalog's root-power sums) over the integers, with
 one reduction mod Phi_L per exponent.  ``eta_quotient`` expands a product of
 powers of J_m = (q^m; q^m)_oo by the integer recurrence of its logarithmic
-derivative, with no series product or inverse.
+derivative, with no series product or inverse, once per (spec, order): the
+expansions sit in a module-level lru cache keyed by the sorted (m, e) pairs.
 
 A ``Monomial`` is a symbolic value zeta_N^k * q^e with rational e.  It is the
 only admissible shape for the z/x/z' parameters of the theta and Appell-Lerch
 constructors, and it supports exact fractional powers through the canonical
-root branch (zeta_N^k)^(1/d) = zeta_{N d}^k.
+root branch (zeta_N^k)^(1/d) = zeta_{N d}^k.  It is a slotted immutable
+value, normalized once when built; its exponent is always a Fraction, and
+integral exponents are added and multiplied as ints.  Exponent helpers
+(``_scale_exp``, ``truncate``, ``computed_to``) keep a Fraction they are
+given instead of wrapping it again.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import lru_cache, wraps
 
@@ -51,27 +56,60 @@ from .errors import FractionalExponents, NonGenericParameter
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__  # Monomial's one way to fill its slots
+
+
 class Monomial:
-    """zeta_den^num * q^exp with the root of unity stored in lowest terms."""
+    """zeta_den^num * q^exp with the root of unity stored in lowest terms.
 
-    zeta_num: int
-    zeta_den: int
-    q_exp: Fraction
+    An immutable value: the root is reduced once, in ``__init__``, and
+    ``q_exp`` is always a Fraction, built from an int or kept as the Fraction
+    given (any other exponent raises TypeError).  Products, powers and
+    inverses add integral exponents as ints.  Equality, hashing, ``repr``
+    and the error on assignment are those of a frozen dataclass with the
+    three fields."""
 
-    def __post_init__(self):
-        num, den = self.zeta_num, self.zeta_den
-        if den < 1:
+    __slots__ = ("zeta_num", "zeta_den", "q_exp")
+
+    def __init__(self, zeta_num: int, zeta_den: int, q_exp: Fraction | int):
+        if type(q_exp) is not Fraction:
+            if not isinstance(q_exp, (int, Fraction)):
+                raise TypeError("q-exponent must be an int or a Fraction, not %r" % (q_exp,))
+            q_exp = Fraction(q_exp)
+        if zeta_den < 1:
             raise ValueError("root order must be positive")
-        num %= den
-        g = math.gcd(num, den)
-        if num == 0:
-            num, den = 0, 1
-        elif g > 1:
-            num, den = num // g, den // g
-        object.__setattr__(self, "zeta_num", num)
-        object.__setattr__(self, "zeta_den", den)
-        object.__setattr__(self, "q_exp", Fraction(self.q_exp))
+        zeta_num %= zeta_den
+        if zeta_num == 0:
+            zeta_den = 1
+        else:
+            g = math.gcd(zeta_num, zeta_den)
+            if g > 1:
+                zeta_num, zeta_den = zeta_num // g, zeta_den // g
+        _set(self, "zeta_num", zeta_num)
+        _set(self, "zeta_den", zeta_den)
+        _set(self, "q_exp", q_exp)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        return Monomial, (self.zeta_num, self.zeta_den, self.q_exp)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.zeta_num == other.zeta_num and self.zeta_den == other.zeta_den
+                and self.q_exp == other.q_exp)
+
+    def __hash__(self):
+        return hash((self.zeta_num, self.zeta_den, self.q_exp))
+
+    def __repr__(self):
+        return "%s(zeta_num=%r, zeta_den=%r, q_exp=%r)" % (
+            type(self).__qualname__, self.zeta_num, self.zeta_den, self.q_exp)
 
     # -- constructors ------------------------------------------------------
 
@@ -81,11 +119,11 @@ class Monomial:
 
     @staticmethod
     def q(exp=1) -> "Monomial":
-        return _Q if exp == 1 else Monomial(0, 1, Fraction(exp))
+        return _Q if exp == 1 else Monomial(0, 1, exp)
 
     @staticmethod
     def zeta(num: int, den: int, exp=0) -> "Monomial":
-        return Monomial(num, den, Fraction(exp))
+        return Monomial(num, den, exp)
 
     @staticmethod
     def minus_one() -> "Monomial":
@@ -93,22 +131,34 @@ class Monomial:
 
     # -- algebra -------------------------------------------------------------
 
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        den = math.lcm(self.zeta_den, other.zeta_den)
-        num = self.zeta_num * (den // self.zeta_den) + other.zeta_num * (den // other.zeta_den)
-        return Monomial(num, den, self.q_exp + other.q_exp)
+    def __mul__(self, other: "Monomial", sign=1) -> "Monomial":
+        d1, d2 = self.zeta_den, other.zeta_den
+        if d1 == d2:
+            num, den = self.zeta_num + sign * other.zeta_num, d1
+        else:
+            den = math.lcm(d1, d2)
+            num = self.zeta_num * (den // d1) + sign * other.zeta_num * (den // d2)
+        a, b = self.q_exp, other.q_exp
+        if a.denominator == 1 == b.denominator:
+            return Monomial(num, den, a.numerator + sign * b.numerator)
+        return Monomial(num, den, a + b if sign == 1 else a - b)
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
-        return self * other.inverse()
+        return self.__mul__(other, -1)
 
     def inverse(self) -> "Monomial":
-        return Monomial(-self.zeta_num, self.zeta_den, -self.q_exp)
+        e = self.q_exp
+        return Monomial(-self.zeta_num, self.zeta_den,
+                        -e.numerator if e.denominator == 1 else -e)
 
     def __neg__(self) -> "Monomial":
-        return self * Monomial.minus_one()
+        # zeta_N^k * zeta_2 = zeta_2N^(2k + N)
+        return Monomial(2 * self.zeta_num + self.zeta_den, 2 * self.zeta_den, self.q_exp)
 
     def __pow__(self, n: int) -> "Monomial":
-        return Monomial(self.zeta_num * n, self.zeta_den, self.q_exp * n)
+        e = self.q_exp
+        return Monomial(self.zeta_num * n, self.zeta_den,
+                        e.numerator * n if e.denominator == 1 else e * n)
 
     def pow_frac(self, p: int, r: int) -> "Monomial":
         """Canonical branch of self^(p/r)."""
@@ -149,6 +199,7 @@ class Monomial:
 
 
 _ONE, _Q, _MINUS_ONE = Monomial(0, 1, 0), Monomial(0, 1, 1), Monomial(1, 2, 0)  # built once
+_ZERO_EXP, _ONE_EXP = Fraction(0), Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +265,10 @@ class QSeries:
         field = get_field(m.zeta_den)
         den = m.q_exp.denominator
         if order is not None:
-            den = math.lcm(den, Fraction(order).denominator)
-        val = int(m.q_exp * den)
-        prec = None if order is None else _scale_exp(Fraction(order), den)
+            order = _frac(order)
+            den = math.lcm(den, order.denominator)
+        val = _scale_exp(m.q_exp, den)
+        prec = None if order is None else _scale_exp(order, den)
         return QSeries(field, den, val, (m.coeff_raw(field),), prec)
 
     # -- basic queries ------------------------------------------------------
@@ -337,12 +389,12 @@ class QSeries:
         den = math.lcm(self.den, m.q_exp.denominator)
         L = math.lcm(self.field.L, m.zeta_den)
         s = self._with(get_field(L), den, m.coeff() if m.zeta_num else 1)
-        delta = int(m.q_exp * den)
+        delta = _scale_exp(m.q_exp, den)
         return QSeries(s.field, den, s.val + delta, s.coeffs,
                        None if s.prec is None else s.prec + delta, _normalized=True)
 
     def truncate(self, order: Fraction | int) -> "QSeries":
-        order = Fraction(order)
+        order = _frac(order)
         s = self._with(self.field, math.lcm(self.den, order.denominator))
         prec = _scale_exp(order, s.den)
         if s.prec is not None and s.prec <= prec:
@@ -361,7 +413,7 @@ class QSeries:
         if self.prec is None and order is None:
             raise ValueError("inverting an exact series requires a target order")
         if order is not None:
-            order = Fraction(order)
+            order = _frac(order)
             den = math.lcm(self.den, order.denominator)
             if den != self.den:
                 return self._with(self.field, den).invert(order)
@@ -558,10 +610,11 @@ def linear_sum(terms, order=None) -> QSeries:
     only, and the terms are merged in one pass.
     """
     terms = tuple(terms)
-    den = 1 if order is None else Fraction(order).denominator
+    order = None if order is None else _frac(order)
+    den = 1 if order is None else order.denominator
     weights, series = zip(*terms) if terms else ((), ())
     field, den = _plan(series, weights, den)
-    prec = None if order is None else _scale_exp(Fraction(order), den)
+    prec = None if order is None else _scale_exp(order, den)
     live = []
     for w, s in terms:
         if s.prec is not None:
@@ -602,9 +655,9 @@ def root_sum(terms, L: int, order) -> QSeries:
     signed-root sum does no field arithmetic per term.  k may be any
     integer; terms at or beyond `order` are dropped.
     """
-    order = Fraction(order)
+    order = _frac(order)
     field = get_field(L)
-    vecs: dict[Fraction, list] = {}
+    vecs: dict[Fraction | int, list] = {}
     fractional = set()
     for w, k, e in terms:
         if e < order:
@@ -614,7 +667,7 @@ def root_sum(terms, L: int, order) -> QSeries:
             vec[k % L] += w
             if type(w) is not int:
                 fractional.add(e)
-    den = math.lcm(order.denominator, *(Fraction(e).denominator for e in vecs))
+    den = math.lcm(order.denominator, *(e.denominator for e in vecs))
     prec = _scale_exp(order, den)
     if not vecs:
         return QSeries(field, den, 0, (), prec, _normalized=True)
@@ -624,7 +677,7 @@ def root_sum(terms, L: int, order) -> QSeries:
         if e in fractional:
             d = math.lcm(*(v.denominator for v in vec))
             vec = [v.numerator * (d // v.denominator) for v in vec]
-        coeffs[int(e * den)] = field.normalize(d, field.reduce_vec(vec))
+        coeffs[_scale_exp(e, den)] = field.normalize(d, field.reduce_vec(vec))
     val = min(coeffs)
     out = [field.zero] * (max(coeffs) - val + 1)
     for i, c in coeffs.items():
@@ -644,10 +697,10 @@ def computed_to(builder, order) -> QSeries:
     guard that keeps a wrong plan from over-claiming: a result known to less
     than the order it was built at raises instead of being returned.
     """
-    target = Fraction(order)
-    built_at = target if target > 0 else Fraction(1)
+    target = _frac(order)
+    built_at = target if target.numerator > 0 else _ONE_EXP
     s = builder(built_at)
-    if s.prec is not None and s.order < built_at:
+    if s.prec is not None and s.prec * built_at.denominator < built_at.numerator * s.den:
         raise RuntimeError("a build at order %s is known only below %s" % (built_at, s.order))
     return s.truncate(target)
 
@@ -669,7 +722,8 @@ def exact_below(build):
 
 def shift_loss(m: Monomial) -> Fraction:
     """How much order a product with the monomial m loses: max(0, -exp(m))."""
-    return max(Fraction(0), -m.q_exp)
+    e = m.q_exp
+    return -e if e.numerator < 0 else _ZERO_EXP
 
 
 def shifted(builder, m: Monomial, order) -> QSeries:
@@ -714,12 +768,18 @@ def _packed_product(field: CyclotomicField, a: Sequence[Raw], b: Sequence[Raw],
     return out
 
 
-def _scale_exp(e: Fraction, den: int) -> int:
-    scaled = e * den
-    if scaled.denominator != 1:
+def _scale_exp(e: Fraction | int, den: int) -> int:
+    """e * den, which must be an integer."""
+    f, r = divmod(den, e.denominator)
+    if r:
         raise FractionalExponents(
             "exponent %s is not representable over denominator %d" % (e, den))
-    return int(scaled)
+    return e.numerator * f
+
+
+def _frac(x) -> Fraction:
+    """x as a Fraction, x itself when it is one."""
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def _plan(series, weights=(), den: int = 1) -> tuple[CyclotomicField, int]:
@@ -788,12 +848,19 @@ def eta_quotient(spec: dict[int, int], order) -> QSeries:
     c_k f_(n-k), where c_n = -sum_m e_m (sum of the divisors of n that are
     multiples of s_m).  The coefficients of f are integers, so the division
     by n is exact.  The steps below the order share a gcd g, and the
-    recurrence runs in t^g.
+    recurrence runs in t^g.  Each (spec, order) is expanded once, by
+    `_eta_expansion`, whose cache is keyed by the sorted (m, e) pairs.
     """
-    order = Fraction(order)
+    return _eta_expansion(tuple(sorted(spec.items())), order)
+
+
+@lru_cache(maxsize=None)
+def _eta_expansion(spec: tuple, order) -> QSeries:
+    """`eta_quotient` of the sorted (m, e) pairs `spec`."""
+    order = _frac(order)
     if order <= 0:
         return QSeries.zero(order)
-    spec = {Fraction(m): e for m, e in spec.items()}
+    spec = {_frac(m): e for m, e in spec}
     if any(m <= 0 for m in spec):
         raise ValueError("eta step must be positive")
     den = math.lcm(order.denominator, *(m.denominator for m, e in spec.items() if e))

@@ -30,17 +30,23 @@ from operator import add
 from .cyclotomic import _pack, _slot_mask, _slot_width, get_field
 from .errors import NonGenericParameter
 from .reports import IdentityReport, compare_series
-from .series import Monomial, QSeries, eta_quotient, shifted
+from .series import Monomial, QSeries, _frac, eta_quotient, shifted
 
 
 def _base_exp(base) -> Fraction:
-    if isinstance(base, Monomial):
+    """The exponent p of a theta base q^p, given as p (an int or a Fraction)
+    or as the Monomial q^p."""
+    if type(base) is Fraction:
+        p = base
+    elif isinstance(base, Monomial):
         if not base.coeff_is_one:
             raise ValueError("theta base must be a pure power of q")
         p = base.q_exp
-    else:
+    elif isinstance(base, (int, Fraction)):
         p = Fraction(base)
-    if p <= 0:
+    else:
+        raise TypeError("theta base must be an int, a Fraction or a power of q, not %r" % (base,))
+    if p.numerator <= 0:
         raise ValueError("theta base exponent must be positive")
     return p
 
@@ -131,7 +137,7 @@ def theta_quotient(num, den, order, eta: dict | None = None,
     time.  A divisor that vanishes identically, in any node, raises
     NonGenericParameter.
     """
-    order = Fraction(order)
+    order = _frac(order)
     root = _Quotient(num, den, Monomial.one() if shift is None else shift, 1, eta, start)
     # every exponent from here on is an integer, in steps of q^(1/G)
     G = math.lcm(order.denominator, root.grid)
@@ -220,7 +226,7 @@ class _Quotient:
             den = math.lcm(den, s // math.gcd(s, *(low for _, low in block)))
             self.terms.append([(low - v, n) for n, low in block])
         if self.eta:
-            den = math.lcm(den, *(Fraction(m).denominator for m, e in self.eta.items() if e))
+            den = math.lcm(den, *(m.denominator for m, e in self.eta.items() if e))
         for t in self.parts or ():
             den = math.lcm(den, t.plan(top, max(top, self.need) - t.val - t.s0))
         return den

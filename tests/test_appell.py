@@ -1,9 +1,11 @@
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from qrank import appell
 from qrank.appell import (
     appell_m,
     bracket_tail,
@@ -605,3 +607,69 @@ def test_geometric_pole_raises():
     # the pole is reported even when the term lies beyond the order
     with pytest.raises(NonGenericParameter):
         list(_geometric(1, 0, F(4), Monomial.one(), 5, F(3)))
+
+
+def _geometric_on_fractions(w, k, exp, u, L, order):
+    """`_geometric` as it was before it stepped on ints: every exponent a
+    Fraction, compared with the order itself."""
+    exp, order = F(exp), F(order)
+    e, ku = u.q_exp, u.zeta_num * (L // u.zeta_den)
+    if e == 0:
+        if u.coeff_is_one:
+            raise NonGenericParameter("divisor 1 - %s vanishes" % u)
+        if exp < order:
+            for j in range(1, u.zeta_den):
+                yield w * F(-j, u.zeta_den), k + j * ku, exp
+        return
+    if e < 0:
+        w, e, ku = -w, -e, -ku
+        k, exp = k + ku, exp + e
+    while exp < order:
+        yield w, k, exp
+        k, exp = k + ku, exp + e
+
+
+def test_geometric_steps_on_ints_where_the_exponents_are_integral():
+    # the same terms as the Fraction walk, and int exponents where exp and
+    # exp(u) are integral, below fractional, integral and negative orders
+    stepped = 0
+    for u in (Z(1, 5, 1), Z(2, 7, -2), Q(3), Z(1, 4, F(1, 2)), Z(1, 3, F(-2, 3)), Z(1, 6)):
+        for exp in (0, 5, F(-3), F(1, 3)):
+            for order in (F(13, 2), F(20, 3), 7, F(1, 2), 0, -2, F(-5, 2)):
+                got = list(_geometric(-3, 2, exp, u, 12, order))
+                assert got == list(_geometric_on_fractions(-3, 2, exp, u, 12, order)), \
+                    (u, exp, order)
+                if u.q_exp and u.q_exp.denominator == 1 and F(exp).denominator == 1:
+                    assert all(type(e) is int for _, _, e in got), (u, exp, order)
+                    stepped += len(got)
+    assert stepped > 100
+
+
+def test_the_oracle_series_match_the_fraction_walk(monkeypatch):
+    # O_d by both forms and the Lerch fold, at z = zeta_5 q^(-1/3), at
+    # integral exponents and at fractional orders: the same serialized series
+    # (or the same pole) with `_geometric` stepping on ints or on Fractions
+    zs = [Z(1, 5, F(-1, 3)), Z(1, 5), Z(2, 7, 2), Z(1, 3, -1), Z(3, 8, F(1, 2)), Q(F(1, 2)),
+          Z(1, 4, -3), Z(1, 2), Q(-1)]
+    orders = [12, F(13, 2), F(1, 2), F(20, 3), 0, -2]
+
+    def build():
+        for fn in (o_d_direct, o_d_original, lerch_fold_lhs):
+            fn.cache_clear()
+        out = []
+        for z in zs:
+            for order in orders:
+                for make in [lambda: lerch_fold_lhs(z, order)] + [
+                        lambda d=d: fn(d, z, order) for d in (1, 2, 3)
+                        for fn in (o_d_direct, o_d_original)]:
+                    try:
+                        out.append(json.dumps(make().to_json_dict()))
+                    except NonGenericParameter as exc:
+                        out.append(repr(exc))
+        return out
+
+    on_ints = build()
+    monkeypatch.setattr(appell, "_geometric", _geometric_on_fractions)
+    on_fractions = build()
+    assert on_ints == on_fractions
+    assert sum(s.startswith("{") for s in on_ints) > 250

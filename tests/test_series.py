@@ -1,5 +1,8 @@
+import copy
 import math
+import pickle
 import random
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
 import pytest
@@ -7,6 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qrank import series as series_module
 from qrank.cyclotomic import Cyclotomic, get_field, root_of_unity
 from qrank.errors import FractionalExponents, NonGenericParameter
 from qrank.series import Monomial, QSeries, eta_J, eta_quotient, linear_sum, root_sum
@@ -57,6 +61,157 @@ def test_monomial_coeff_value():
     m = Monomial.zeta(1, 4)
     assert m.coeff() == root_of_unity(1, 4)
     assert (m ** 2).coeff() == -1
+
+
+@dataclass(frozen=True)
+class _DataclassMonomial:
+    """The frozen-dataclass Monomial that the slotted class replaced, kept as
+    the reference for its values, equality, hash, str and repr."""
+
+    __qualname__ = "Monomial"  # so the dataclass repr reads as the library's
+
+    zeta_num: int
+    zeta_den: int
+    q_exp: Fraction
+
+    def __post_init__(self):
+        num, den = self.zeta_num, self.zeta_den
+        if den < 1:
+            raise ValueError("root order must be positive")
+        num %= den
+        g = math.gcd(num, den)
+        if num == 0:
+            num, den = 0, 1
+        elif g > 1:
+            num, den = num // g, den // g
+        object.__setattr__(self, "zeta_num", num)
+        object.__setattr__(self, "zeta_den", den)
+        object.__setattr__(self, "q_exp", Fraction(self.q_exp))
+
+    @staticmethod
+    def q(exp=1):
+        return _DataclassMonomial(0, 1, Fraction(exp))
+
+    @staticmethod
+    def zeta(num, den, exp=0):
+        return _DataclassMonomial(num, den, Fraction(exp))
+
+    def __mul__(self, other):
+        den = math.lcm(self.zeta_den, other.zeta_den)
+        num = self.zeta_num * (den // self.zeta_den) + other.zeta_num * (den // other.zeta_den)
+        return _DataclassMonomial(num, den, self.q_exp + other.q_exp)
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def inverse(self):
+        return _DataclassMonomial(-self.zeta_num, self.zeta_den, -self.q_exp)
+
+    def __neg__(self):
+        return self * _DataclassMonomial(1, 2, 0)
+
+    def __pow__(self, n):
+        return _DataclassMonomial(self.zeta_num * n, self.zeta_den, self.q_exp * n)
+
+    def pow_frac(self, p, r):
+        return _DataclassMonomial(self.zeta_num * p, self.zeta_den * r, self.q_exp * Fraction(p, r))
+
+    def root(self, r):
+        return self.pow_frac(1, r)
+
+    def is_one(self):
+        return self.zeta_num == 0 and self.q_exp == 0
+
+    def __str__(self):
+        parts = []
+        if self.zeta_num:
+            if (self.zeta_num, self.zeta_den) == (1, 2):
+                parts.append("-1")
+            else:
+                parts.append("zeta%d^%d" % (self.zeta_den, self.zeta_num))
+        if self.q_exp:
+            parts.append("q^%s" % self.q_exp)
+        return "*".join(parts) if parts else "1"
+
+
+def _monomial_draws(rng, count):
+    """(zeta_num, zeta_den, q_exp) with negative and zero numerators,
+    non-reduced roots, and int, integral Fraction and fractional exponents."""
+    draws = [(0, 1, 2), (0, 1, F(2)), (0, 1, 0), (3, 6, F(-4, 6)), (-7, 7, F(0)), (1, 2, 0)]
+    for _ in range(count):
+        den = rng.randint(1, 24)
+        num = rng.choice([0, den, -den, rng.randint(-3 * den, 3 * den)])
+        exp = rng.choice([rng.randint(-9, 9), F(rng.randint(-9, 9)),
+                          F(rng.randint(-12, 12), rng.randint(1, 6))])
+        draws.append((num, den, exp))
+    return draws
+
+
+def _same(new, ref):
+    assert isinstance(new, Monomial) and type(new.q_exp) is Fraction, (new, ref)
+    assert (new.zeta_num, new.zeta_den, new.q_exp) == (ref.zeta_num, ref.zeta_den, ref.q_exp)
+    assert (str(new), repr(new), hash(new)) == (str(ref), repr(ref), hash(ref))
+
+
+def test_monomial_matches_the_dataclass_reference():
+    rng = random.Random(2311)
+    draws = _monomial_draws(rng, 300)
+    pairs = [(Monomial(*d), _DataclassMonomial(*d)) for d in draws]
+    for new, ref in pairs:
+        _same(new, ref)
+        _same(Monomial.q(new.q_exp), _DataclassMonomial.q(ref.q_exp))
+        _same(Monomial.zeta(new.zeta_num, new.zeta_den),
+              _DataclassMonomial.zeta(ref.zeta_num, ref.zeta_den))
+        for op in (lambda m: m.inverse(), lambda m: -m, lambda m: m.root(3),
+                   lambda m: m.pow_frac(-2, 5), lambda m: m ** 0, lambda m: m ** 3,
+                   lambda m: m ** -2):
+            _same(op(new), op(ref))
+        assert new.is_one() == ref.is_one()
+        assert new.coeff_is_one == (ref.zeta_num == 0)
+    for (a, ra), (b, rb) in zip(pairs, pairs[1:] + pairs[:1]):
+        _same(a * b, ra * rb)
+        _same(a / b, ra / rb)
+        _same(a * a, ra * ra)
+        _same(a / a, ra / ra)
+        assert (a == b) == (ra == rb) and (a != b) == (ra != rb)
+    # equal values hash alike, whatever the exponent was built from
+    assert Monomial(0, 1, 2) == Monomial(0, 1, F(2)) == Monomial.q(2)
+    assert hash(Monomial(0, 1, 2)) == hash(Monomial(0, 1, F(2))) \
+        == hash(_DataclassMonomial(0, 1, 2))
+    assert Monomial(2, 6, 1) == Monomial(1, 3, F(2, 2)) and Monomial(1, 3, 1) != Monomial(1, 3, 2)
+    assert Monomial(0, 1, 2) != (0, 1, F(2))
+    assert len({Monomial(0, 1, 2), Monomial(0, 1, F(2)), Monomial(5, 5, F(4, 2))}) == 1
+    for bad in ((1, 0, 0), (1, -3, 0)):
+        with pytest.raises(ValueError):
+            Monomial(*bad)
+        with pytest.raises(ValueError):
+            _DataclassMonomial(*bad)
+
+
+def test_monomial_is_immutable():
+    for m, ref in ((Monomial(1, 5, F(1, 3)), _DataclassMonomial(1, 5, F(1, 3))),
+                   (Monomial.one(), _DataclassMonomial(0, 1, 0))):
+        for name in ("zeta_num", "zeta_den", "q_exp", "other"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(m, name, 1)
+            with pytest.raises(FrozenInstanceError):
+                setattr(ref, name, 1)
+            with pytest.raises(FrozenInstanceError):
+                delattr(m, name)
+        assert not hasattr(m, "__dict__")
+        assert copy.copy(m) == copy.deepcopy(m) == pickle.loads(pickle.dumps(m)) == m
+    assert (Monomial(1, 5, F(1, 3)).zeta_num, Monomial.one().q_exp) == (1, 0)
+
+
+@pytest.mark.parametrize("exp", [0.1, 0.5, 2.0, "1/3", None, 1j])
+def test_monomial_rejects_an_exponent_that_is_not_an_int_or_a_fraction(exp):
+    # a float would become its binary fraction: 0.1 -> 3602879701896397/2^55
+    with pytest.raises(TypeError):
+        Monomial(1, 2, exp)
+    with pytest.raises(TypeError):
+        Monomial.zeta(1, 2, exp)
+    with pytest.raises(TypeError):
+        Monomial.q(exp)
 
 
 # -- series ring operations -----------------------------------------------------
@@ -216,6 +371,63 @@ def test_eta_quotient_rejects_nonpositive_steps():
         eta_quotient({0: 1}, 5)
     with pytest.raises(ValueError):
         eta_quotient({-2: 0}, 5)
+
+
+def _eta_recurrence(spec, order):
+    """`eta_quotient` without its cache: the integer recurrence, run afresh."""
+    order = F(order)
+    if order <= 0:
+        return QSeries.zero(order)
+    spec = {F(m): e for m, e in spec.items()}
+    den = math.lcm(order.denominator, *(m.denominator for m, e in spec.items() if e))
+    prec = int(order * den)
+    steps = [(int(m * den), e) for m, e in spec.items() if e and m * den < prec]
+    g = math.gcd(*(s for s, _ in steps)) if steps else prec
+    size = -(-prec // g)
+    c = [0] * size
+    for s, e in steps:
+        for d in range(s // g, size, s // g):
+            for n in range(d, size, d):
+                c[n] -= e * d
+    f = [1]
+    for n in range(1, size):
+        f.append(sum(c[k] * f[n - k] for k in range(1, n + 1)) // n)
+    field = get_field(1)
+    vec = [field.zero] * ((size - 1) * g + 1)
+    for i, x in enumerate(f):
+        if x:
+            vec[i * g] = (1, (x,))
+    return QSeries(field, den, 0, tuple(vec), prec)
+
+
+@pytest.mark.parametrize("order", [0, -2, F(1, 2), F(13, 2), 7, F(20, 3)])
+def test_eta_quotient_cache_matches_the_uncached_recurrence(order):
+    # reordered specs, int and Fraction keys and zero exponents name one
+    # expansion, and each gives the uncached recurrence's series
+    series_module._eta_expansion.cache_clear()
+    specs = [{2: 1, 1: -2}, {1: -2, 2: 1}, {F(2): 1, F(1): -2}, {2: 1, 1: -2, 5: 0},
+             {F(1, 2): 3, 3: -1}, {3: -1, F(1, 2): 3}, {F(3, 2): 2, 6: 0, 4: -1}, {}, {7: 0}]
+    for spec in specs:
+        got = eta_quotient(spec, order)
+        assert got.to_json_dict() == _eta_recurrence(spec, order).to_json_dict(), (spec, order)
+        assert eta_quotient(dict(reversed(list(spec.items()))), order) is got
+    assert eta_quotient({1: -2, 2: 1}, order) is eta_quotient({F(2): 1, F(1): -2}, F(order))
+    info = series_module._eta_expansion.cache_info()
+    assert info.currsize == len(specs) - 3 and info.hits > info.misses
+
+
+def test_eta_quotient_cache_is_a_module_level_lru_cache():
+    # found and cleared like every other library cache, by attribute
+    caches = [v for v in vars(series_module).values() if hasattr(v, "cache_clear")]
+    assert series_module._eta_expansion in caches
+    eta_quotient({2: 1, 1: -2}, 11)
+    assert series_module._eta_expansion.cache_info().currsize > 0
+    series_module._eta_expansion.cache_clear()
+    assert series_module._eta_expansion.cache_info().currsize == 0
+    with pytest.raises(ValueError):
+        eta_quotient({0: 1, 1: 1}, 5)  # raised again, not cached
+    with pytest.raises(ValueError):
+        eta_quotient({1: 1, 0: 1}, 5)
 
 
 def test_dissect_roundtrip():

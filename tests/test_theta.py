@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qrank.appell import m_terms, psi_node
 from qrank.cyclotomic import _unpack, root_of_unity
 from qrank.errors import NonGenericParameter
 from qrank.series import Monomial, QSeries, computed_to, eta_quotient, linear_sum, root_sum
 from qrank.theta import (
+    _base_exp,
     _block,
     _expand,
     bilateral,
@@ -56,6 +58,33 @@ def test_theta_vanishing_pattern():
         assert is_theta_zero_pattern(Q(n), 1)
     assert not is_theta_zero_pattern(Z(1, 2), 1)
     assert not is_theta_zero_pattern(Q(F(1, 2)), 1)
+
+
+@pytest.mark.parametrize("base", [0.1, 0.5, 2.0, "2", 1j])
+def test_theta_base_must_be_an_int_or_a_fraction(base):
+    # a float base would become its binary fraction, as 0.1 did (a base of
+    # None is the two-term block 1 - z)
+    with pytest.raises(TypeError):
+        _base_exp(base)
+    with pytest.raises(TypeError):
+        theta_j(Z(1, 5), base, 10)
+    with pytest.raises(TypeError):
+        theta_quotient((), ((Z(1, 5), base),), 10)
+    with pytest.raises(TypeError):
+        m_terms(Z(1, 5), base, Z(1, 7), 5)
+    with pytest.raises(TypeError):
+        psi_node(0, 2, Z(1, 5), Z(1, 7), Z(2, 7), base)
+
+
+def test_theta_base_as_an_int_a_fraction_or_a_power_of_q():
+    for base, p in ((2, F(2)), (F(3, 2), F(3, 2)), (Q(F(1, 3)), F(1, 3)), (True, F(1))):
+        assert _base_exp(base) == p and type(_base_exp(base)) is Fraction
+    assert theta_j(Z(1, 5), 2, 12) == theta_j(Z(1, 5), F(2), 12) == theta_j(Z(1, 5), Q(2), 12)
+    for base in (0, -1, F(-1, 2)):
+        with pytest.raises(ValueError, match="theta base exponent must be positive"):
+            _base_exp(base)
+    with pytest.raises(ValueError, match="pure power of q"):
+        _base_exp(Z(1, 3, 1))
 
 
 def test_theta_minus_one_closed_form():
