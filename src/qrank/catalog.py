@@ -405,7 +405,8 @@ def _rank_series_entries() -> list[CatalogEntry]:
     def enum_series(d, z, o):
         # sum of N(m, n) z^m q^n for a root of unity z
         counts = enumeration_rank_counts(d, math.ceil(o) - 1)
-        L = math.lcm(*{(z ** m).zeta_den for m, _ in counts})
+        # the order of z^m = zeta_N^(km), z = zeta_N^k, over the ranks m that occur
+        L = math.lcm(*{z.zeta_den // math.gcd(z.zeta_den, z.zeta_num * m) for m, _ in counts})
         return root_sum(((c, z.zeta_num * m * L // z.zeta_den, n)
                          for (m, n), c in counts.items()), L, o)
 

@@ -8,11 +8,14 @@ and single deviations.  The catalog entries `rank-series-two-forms` and
 `rank-enumeration-d1/d2` tie the double-divisor form to the single-sum form
 and the single-sum form to enumeration.
 
-Enumeration walks the plain partitions of n and counts the overlinings of
-each in closed form (see `enumeration_rank_counts`), so it never builds the
-overpartitions themselves.  `Overpartition` with `rank()` and `m2_rank()`,
-fed by `enumerate_overpartitions`, is the object route the tests hold those
-counts to.
+Enumeration is one iterative depth-first walk over the plain partitions of
+every n <= max_n at once.  It keeps each partition's statistics as it
+appends parts, groups the partitions by them and counts the overlinings of
+each group in closed form (see `enumeration_rank_counts`), so it never
+builds the overpartitions themselves.  The counts are cached per
+(d, max_n).  `Overpartition` with `rank()` and `m2_rank()`, fed by
+`enumerate_overpartitions` and its recursive `_partitions`, is the object
+route the tests hold those counts to.
 
 The formula route builds each pair as one `linear_sum` of its terms:
 
@@ -122,44 +125,60 @@ def p_bar(n: int) -> int:
 
 
 def enumeration_rank_counts(d: int, max_n: int) -> dict[tuple[int, int], int]:
-    """Counts of overpartitions of n by rank (d=1) or M2-rank (d=2).
+    """Counts of overpartitions of n by rank (d=1) or M2-rank (d=2), as a
+    fresh dict {(statistic, n): count} for 0 <= n <= max_n ({} if max_n < 0).
 
-    Walks the plain partitions of n <= max_n and counts the 2^k overlinings
-    of each (k distinct values) in closed form.  Overlining never moves the
-    rank, so a partition adds 2^k at largest - #parts.  For a set S of
-    overlined values the M2-rank is
+    One depth-first walk visits every nonempty partition of every n <= max_n
+    and groups them by the statistics below; the 2^k overlinings of a
+    partition with k distinct values are then counted in closed form.
+    Overlining never moves the rank, so a partition adds 2^k at
+    largest - #parts.  For a set S of overlined values the M2-rank is
 
         ceil(l/2) - #parts + #odd parts - [l odd] - |S & odd values other than l|
 
     with l the largest part, so S lowers it by j in 2^(#even values)
-    (2 if l is odd else 1) C(#odd values other than l, j) ways.  The test
-    suite checks this against `enumerate_overpartitions` with `rank()` and
-    `m2_rank()`.
+    (2 if l is odd else 1) C(#odd values other than l, j) ways.  The walk
+    is built once per (d, max_n) and kept in a module-level cache.  The test
+    suite checks the counts against `enumerate_overpartitions` with `rank()`
+    and `m2_rank()`.
     """
     if d not in (1, 2):
         raise ValueError("enumeration covers the rank (d=1) and M2-rank (d=2)")
-    counts: dict[tuple[int, int], int] = {}
-    if max_n >= 0:
-        counts[0, 0] = 1
-    for n in range(1, max_n + 1):
-        for plain in _partitions(n, n):
-            largest = plain[0]
-            values = set(plain)
-            if d == 1:
-                key = (largest - len(plain), n)
-                counts[key] = counts.get(key, 0) + (1 << len(values))
-                continue
-            odd_parts = sum(v & 1 for v in plain)
-            odd_values = sum(v & 1 for v in values)
-            free = len(values) - odd_values  # even values overline freely
-            if largest & 1:
-                odd_values -= 1
-                free += 1  # as does an odd largest part
-            base = -(-largest // 2) - len(plain) + odd_parts - (largest & 1)
-            for j in range(odd_values + 1):
-                key = (base - j, n)
-                counts[key] = counts.get(key, 0) + (math.comb(odd_values, j) << free)
-    return counts
+    return dict(_walk_rank_counts(d, max_n))
+
+
+@lru_cache(maxsize=None)
+def _walk_rank_counts(d: int, max_n: int) -> tuple[tuple[tuple[int, int], int], ...]:
+    """The items of `enumeration_rank_counts(d, max_n)`, as an immutable tuple."""
+    if max_n < 0:
+        return ()
+    groups: dict[tuple[int, int, int, int], int] = {}
+    # a node is a partition with parts in weakly decreasing order:
+    # (n, last part, largest, #parts, #distinct values, #odd parts, #odd distinct values)
+    stack = [(v, v, v, 1, 1, v & 1, v & 1) for v in range(1, max_n + 1)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        n, last, largest, parts, values, odd_parts, odd_values = pop()
+        if d == 1:
+            key = (largest - parts, n, values, 0)
+        else:  # an odd largest part adds -[l odd] and overlines freely
+            odd_largest = largest & 1
+            key = (-(-largest // 2) - parts + odd_parts - odd_largest, n,
+                   values - odd_values + odd_largest, odd_values - odd_largest)
+        groups[key] = groups.get(key, 0) + 1
+        room = max_n - n  # the largest part a child may append
+        if last <= room:  # repeat the last value
+            push((n + last, last, largest, parts + 1, values, odd_parts + (last & 1), odd_values))
+        for v in range(min(last - 1, room), 0, -1):  # a new, smaller value
+            odd = v & 1
+            push((n + v, v, largest, parts + 1, values + 1, odd_parts + odd, odd_values + odd))
+    # (m, n, free, others): the statistic is m - j in C(others, j) 2^free ways
+    counts = {(0, 0): 1}
+    for (m, n, free, others), c in groups.items():
+        for j in range(others + 1):
+            key = (m - j, n)
+            counts[key] = counts.get(key, 0) + (c * math.comb(others, j) << free)
+    return tuple(counts.items())
 
 
 # ---------------------------------------------------------------------------

@@ -408,7 +408,8 @@ def theta_j(z: Monomial, base, order) -> QSeries:
 
 
 def theta_triple_product(z: Monomial, base, order) -> QSeries:
-    """(z;q^p)_oo (q^p/z;q^p)_oo (q^p;q^p)_oo by direct product accumulation.
+    """(z;q^p)_oo (q^p/z;q^p)_oo (q^p;q^p)_oo by direct product of its
+    binomials below `order`, multiplied as a balanced product tree.
 
     Requires 0 <= exp(z) < p so every factor is 1 + O(q^positive) beyond
     finitely many; this covers the oracle's sampling domain.
@@ -417,13 +418,16 @@ def theta_triple_product(z: Monomial, base, order) -> QSeries:
     order = Fraction(order)
     if not (0 <= z.q_exp < p):
         raise ValueError("product oracle needs 0 <= exp(z) < base exponent")
-    out = QSeries.one(order)
+    factors = [QSeries.one(order)]
     # the factors 1 - z q^(kp) (k >= 0), 1 - q^(kp)/z and 1 - q^(kp) (k >= 1)
     for x, k in ((z, 0), (z.inverse(), 1), (Monomial.one(), 1)):
         while x.q_exp + k * p < order:
-            out = out * (QSeries.one(order) - QSeries.from_monomial(x * Monomial.q(k * p), order))
+            factors.append(QSeries.one(order) - QSeries.from_monomial(x * Monomial.q(k * p), order))
             k += 1
-    return out
+    while len(factors) > 1:
+        pairs = [a * b for a, b in zip(factors[::2], factors[1::2])]
+        factors = pairs + factors[len(pairs) * 2:]
+    return factors[0]
 
 
 def theta_shift_check(x: Monomial, n: int, base, order) -> IdentityReport:

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from qrank.appell import o_d_direct
 from qrank.cyclotomic import root_of_unity
+from qrank import overpartitions
 from qrank.errors import UnsupportedCase
 from qrank.overpartitions import (
     Overpartition,
@@ -21,6 +23,7 @@ from qrank.overpartitions import (
     single_deviation,
 )
 from qrank.series import Monomial, QSeries, root_sum
+from qrank.theta import theta_triple_product
 
 F = Fraction
 
@@ -56,6 +59,96 @@ def test_enumeration_rank_counts_match_objects(d):
             key = (p.rank() if d == 1 else p.m2_rank(), n)
             expected[key] = expected.get(key, 0) + 1
     assert enumeration_rank_counts(d, 20) == expected
+
+
+def _recursive_rank_counts(d, max_n):
+    # the counts as one recursive tuple-building walk per n, each partition
+    # weighed in closed form on its own
+    def partitions(n, max_part):
+        if n == 0:
+            yield ()
+            return
+        for first in range(min(n, max_part), 0, -1):
+            for rest in partitions(n - first, first):
+                yield (first,) + rest
+
+    counts = {(0, 0): 1} if max_n >= 0 else {}
+    for n in range(1, max_n + 1):
+        for plain in partitions(n, n):
+            largest, values = plain[0], set(plain)
+            if d == 1:
+                key = (largest - len(plain), n)
+                counts[key] = counts.get(key, 0) + (1 << len(values))
+                continue
+            odd_parts = sum(v & 1 for v in plain)
+            odd_values = sum(v & 1 for v in values)
+            free = len(values) - odd_values
+            if largest & 1:
+                odd_values -= 1
+                free += 1
+            base = -(-largest // 2) - len(plain) + odd_parts - (largest & 1)
+            for j in range(odd_values + 1):
+                key = (base - j, n)
+                counts[key] = counts.get(key, 0) + (math.comb(odd_values, j) << free)
+    return counts
+
+
+@pytest.mark.parametrize("max_n", [-1, 0, 1, 2, 7, 30])
+@pytest.mark.parametrize("d", [1, 2])
+def test_enumeration_rank_counts_match_the_recursive_walk(d, max_n):
+    assert enumeration_rank_counts(d, max_n) == _recursive_rank_counts(d, max_n)
+
+
+def test_enumeration_walk_is_a_module_level_lru_cache():
+    walk = overpartitions._walk_rank_counts
+    assert isinstance(walk, functools._lru_cache_wrapper)
+    assert vars(overpartitions)["_walk_rank_counts"] is walk
+    walk.cache_clear()
+    assert walk.cache_info().currsize == 0
+    first = enumeration_rank_counts(2, 9)
+    assert walk.cache_info()[:2] == (0, 1)  # (hits, misses)
+    assert enumeration_rank_counts(2, 9) == first
+    assert walk.cache_info()[:2] == (1, 1)
+    walk.cache_clear()
+    assert walk.cache_info() == (0, 0, None, 0)
+
+
+def test_enumeration_rank_counts_are_a_fresh_dict():
+    first = enumeration_rank_counts(1, 6)
+    expected = dict(first)
+    first[0, 6] += 100
+    first[99, 99] = 1
+    del first[0, 0]
+    second = enumeration_rank_counts(1, 6)
+    assert second == expected and second is not first
+    assert enumeration_rank_counts(2, -3) == {}
+
+
+@pytest.mark.parametrize("d", [0, 3, -1])
+def test_enumeration_rejects_a_bad_statistic_before_the_cache(d):
+    walk = overpartitions._walk_rank_counts
+    before = walk.cache_info()
+    with pytest.raises(ValueError):
+        enumeration_rank_counts(d, 5)
+    assert walk.cache_info() == before
+
+
+def _sequential_triple_product(z, p, order):
+    # the factors multiplied into one growing product, left to right
+    out = QSeries.one(order)
+    for x, k in ((z, 0), (z.inverse(), 1), (Monomial.one(), 1)):
+        while x.q_exp + k * p < order:
+            out = out * (QSeries.one(order) - QSeries.from_monomial(x * Monomial.q(k * p), order))
+            k += 1
+    return out
+
+
+@pytest.mark.parametrize("order", [F(30), F(13, 2), F(0)], ids=str)
+def test_triple_product_tree_matches_the_sequential_product(order):
+    Z = Monomial.zeta
+    for z, p in [(Z(1, 2), 1), (Z(1, 5), 1), (Z(2, 7, 1), 3), (Z(1, 3, 1), 2)]:
+        assert theta_triple_product(z, p, order).to_json_dict() == \
+            _sequential_triple_product(z, p, order).to_json_dict(), (z, p)
 
 
 def test_rank_values():
