@@ -254,6 +254,8 @@ def o_d_original(d: int, z: Monomial, order) -> QSeries:
     Valid at z = -1, where the single-sum form has a removable prefactor pole;
     this is the route used for O_d(-1;q).
     """
+    if d < 1:
+        raise ValueError("d must be a positive integer")
     if z.coeff_is_one and z.q_exp == 0:
         raise NonGenericParameter("z = 1 is excluded")
     poly = (QSeries.one() - QSeries.from_monomial(z)) * \

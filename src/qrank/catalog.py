@@ -482,8 +482,8 @@ def _deviation_entries() -> list[CatalogEntry]:
     singles_odd = [(d, M, a) for d, M in ((1, 3), (2, 3), (3, 3)) for a in range(M)]
     entries.append(CatalogEntry(
         "deviation-single-odd-modulus",
-        "single deviation via telescoped pairs (odd modulus) against the "
-        "rank-table route",
+        "single deviation via the root-of-unity average of the Appell-Lerch "
+        "bracket (odd modulus) against the rank-table route",
         F(25),
         [Instance({"d": d, "a": a, "M": M},
                   lambda o, d=d, a=a, M=M: deviation_by_definition(d, a, M, o),

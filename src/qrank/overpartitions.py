@@ -26,6 +26,11 @@ the terms of an m and a Psi (`_residue_piece`), serves odd d with odd M and
 every even d; odd d with even M has its own m and Psi at modulus M/2.  The
 tail terms are the theta part of the bracket of `s_bar_d` at z = zeta_M^j
 and z' = -1 (`appell.bracket_tail`), weighted by (2/M) zeta_M^{-aj} (1 - zeta_M^j).
+A single deviation takes one route for every M: the root-of-unity average
+of O_d(zeta_M^k;q), folded onto 1 <= k < M/2 by O_d(1/z;q) = O_d(z;q), each
+term the Appell-Lerch bracket `appell.s_bar_bracket` at z = zeta_M^k times
+(1 - z)/(1 + z), plus for even M the k = M/2 term O_d(-1;q) from the
+double-divisor form.
 
 A rank table is one integer row N_d(-n..n, n) per n, and a deviation by
 definition one integer over M per coefficient.  Deviations have integer
@@ -304,6 +309,10 @@ def pair_by_definition(d: int, a: int, M: int, order) -> QSeries:
 def deviation_by_root_average(d: int, a: int, M: int, order) -> QSeries:
     """(1/M) sum_{k=1}^{M-1} O_d(zeta_M^k; q) zeta_M^{-ka}, the root-of-unity
     average that recovers a single deviation for every M."""
+    if d < 1:
+        raise ValueError("d must be a positive integer")
+    if M < 1:
+        raise ValueError("the modulus M must be positive, got %d" % M)
     return linear_sum(((root_of_unity(-k * a, M) * F(1, M),
                         o_d_at_minus_one(d, order) if 2 * k == M
                         else o_d_direct(d, Monomial.zeta(k, M), order)) for k in range(1, M)),
@@ -413,13 +422,16 @@ def deviation_pair_by_formula(d: int, a: int, M: int, order,
 def single_deviation(d: int, a: int, M: int, order,
                      zp: Monomial | None = None,
                      z0: Monomial | None = None) -> QSeries:
-    """One deviation D_d(a, M) from the formula route.
+    """One deviation D_d(a, M) from the formula route, for every M >= 2.
 
-    Odd M: telescoping combination of deviation pairs, each at z' and z0
-    (z'' takes its default).  Even M: the explicit root-of-unity average
-    with O_d(-1;q) supplied by the symmetric double-divisor expansion (the
-    single-sum form has a (1+z) pole there).  M = 2 has no inner sum and
-    reads neither z' nor z0.
+    The root-of-unity average (1/M) sum_{k=1}^{M-1} zeta_M^{-ka} O_d(zeta_M^k;q)
+    folded by O_d(1/z;q) = O_d(z;q): each 1 <= k < M/2 carries
+    (zeta_M^{-ka} + zeta_M^{ka}) / M times O_d(zeta_M^k;q) = (1-z)/(1+z) times
+    the Appell-Lerch bracket `s_bar_bracket` at z = zeta_M^k.  Even M adds
+    the self-paired k = M/2 term (-1)^a/M O_d(-1;q), from the symmetric
+    double-divisor expansion (the single-sum form has a (1+z) pole there).
+    z' is read for every M >= 3 and z0 only for odd d (through Lambda);
+    M = 2 has no bracket and reads neither.
     """
     order, built = F(order), F(math.ceil(F(order)))
     if M < 2 or d < 1:
@@ -429,15 +441,12 @@ def single_deviation(d: int, a: int, M: int, order,
         zp = zp or g1
         z0 = z0 or g3
     a %= M
-    if M % 2 == 1:
-        # half the pairs at lead, lead + 1, ..., top, with signs +, -, ..., +
-        top = max(a, M - a)
-        lead = M + 1 - top
-        return linear_sum(((F((-1) ** (b - lead), 2),
-                            deviation_pair_by_formula(d, b, M, built, zp=zp, z0=z0))
-                           for b in range(lead, top + 1)), order)
-    terms = [(F(1 if a % 2 == 0 else -1, M), o_d_at_minus_one(d, built))]
-    for k in range(1, M // 2):
+    terms = []
+    if M % 2 == 0:
+        # k = M/2, with a rational weight: at orders <= 0 the empty sum
+        # takes its field from the weights
+        terms.append((F(1 if a % 2 == 0 else -1, M), o_d_at_minus_one(d, built)))
+    for k in range(1, (M + 1) // 2):
         zk = root_of_unity(k, M)
         weight = (1 - zk) / (1 + zk) * (root_of_unity(-k * a, M) + root_of_unity(k * a, M))
         terms.append((weight * F(1, M), s_bar_bracket(d, Monomial.zeta(k, M), z0, zp, built)))

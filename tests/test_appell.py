@@ -270,6 +270,14 @@ def test_lam_rejects_even_d():
         lam(2, Z(1, 5), Z(1, 7), Z(2, 7), 8)
 
 
+@pytest.mark.parametrize("d", [0, -1])
+def test_o_d_forms_reject_a_nonpositive_d(d):
+    for fn in (o_d_direct, o_d_original):
+        for z in (Z(1, 5), Monomial.minus_one()):
+            with pytest.raises(ValueError, match="d must be a positive integer"):
+                fn(d, z, 8)
+
+
 def test_fractional_base_flip():
     # the Puiseux machinery carries fractional exponents end to end
     x, z = Z(1, 5, F(1, 2)), Z(1, 7)

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from qrank.errors import UnsupportedCase
 from qrank.overpartitions import (
     Overpartition,
     RankTables,
+    default_generics,
     deviation_by_definition,
     deviation_by_root_average,
     deviation_pair_by_formula,
@@ -22,7 +24,7 @@ from qrank.overpartitions import (
     rank_tables,
     single_deviation,
 )
-from qrank.series import Monomial, QSeries, root_sum
+from qrank.series import Monomial, QSeries, linear_sum, root_sum
 from qrank.theta import theta_triple_product
 
 F = Fraction
@@ -328,6 +330,59 @@ def test_single_deviation_central_symmetry():
         hi = single_deviation(d, (M + 1) // 2, M, 8)
         lo = single_deviation(d, (M - 1) // 2, M, 8)
         assert hi.agrees_with(lo, 8)
+
+
+def _telescoped_single_deviation(d, a, M, order, zp, z0):
+    """An independent odd-M route: the pairs at b = lead, ..., top, where
+    top = max(a, M - a) and lead = M + 1 - top, with signs +, -, ..., +
+    telescope to D_d(lead - 1, M) + D_d(top, M) = 2 D_d(a, M)."""
+    built = F(math.ceil(F(order)))
+    top = max(a % M, M - a % M)
+    lead = M + 1 - top
+    return linear_sum(((F((-1) ** (b - lead), 2),
+                        deviation_pair_by_formula(d, b, M, built, zp=zp, z0=z0))
+                       for b in range(lead, top + 1)), order)
+
+
+def _conjugate(g, k):
+    return Monomial(g.zeta_num * k, g.zeta_den, g.q_exp)
+
+
+@pytest.mark.parametrize("d, M", [(d, M) for d in (1, 2, 3) for M in (3, 5, 7)] + [(5, 9)])
+def test_single_deviation_matches_the_telescoped_pairs(d, M):
+    # the folded root-of-unity average serializes exactly as the telescoped
+    # pair sum, for every residue, at default and conjugated generics
+    g1, _, g3 = default_generics(M, d)
+    for order in (8,) if M == 9 else (12, F(13, 2), 1, 0, -2):
+        for k in (1, 2, 3):
+            zp, z0 = _conjugate(g1, k), _conjugate(g3, k)
+            for a in range(M):
+                got = single_deviation(d, a, M, order, zp=zp, z0=z0).to_json_dict()
+                want = _telescoped_single_deviation(d, a, M, order, zp, z0).to_json_dict()
+                assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True), \
+                    (d, M, a, order, k)
+
+
+def test_single_deviation_builds_no_pair(monkeypatch):
+    def no_pair(*args, **kwargs):
+        raise AssertionError("single_deviation built a deviation pair")
+
+    monkeypatch.setattr(overpartitions, "deviation_pair_by_formula", no_pair)
+    for d, M in [(1, 3), (2, 5), (3, 7), (2, 4)]:
+        for a in range(M):
+            assert single_deviation(d, a, M, 10) == deviation_by_definition(d, a, M, 10), (d, M, a)
+
+
+@pytest.mark.parametrize("d, M, message", [
+    (0, 2, "d must be a positive integer"),
+    (-1, 5, "d must be a positive integer"),
+    (1, 0, "the modulus M must be positive, got 0"),
+    (2, -3, "the modulus M must be positive, got -3"),
+])
+def test_both_deviation_oracles_reject_bad_arguments(d, M, message):
+    for route in (deviation_by_definition, deviation_by_root_average):
+        with pytest.raises(ValueError, match=message):
+            route(d, 0, M, 8)
 
 
 def test_root_average_matches_definition():
