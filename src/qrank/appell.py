@@ -323,7 +323,13 @@ def s_bar_d(d: int, z: Monomial, z0: Monomial, zp: Monomial, order) -> QSeries:
 
 @exact_below
 def bracket_tail(d: int, z: Monomial, z0: Monomial, zp: Monomial, order) -> QSeries:
-    """The theta part of the bracket of `s_bar_d`, the quotient of `_tail_node`."""
+    """The theta part of the bracket of `s_bar_d`, the quotient of `_tail_node`.
+
+    At z' = -1 it is odd under z <-> 1/z, and so zero at z = -1.  The
+    bracket (1+z)/(1-z) O_d(z) is odd because O_d(1/z) = O_d(z), and at
+    z' = -1 so is its part outside the theta part (the m term M obeys
+    M(1/z) = 1 - M(z) by `appell-flip` and `appell-increment`).  A deviation
+    pair's tail therefore reads only 1 <= j < M/2."""
     return _quotient(_tail_node(d, z, z0, zp), order)
 
 

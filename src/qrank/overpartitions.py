@@ -21,11 +21,12 @@ The formula route builds each pair as one `linear_sum` of its terms:
 
     D_d(a, M) + D_d(a-1, M) = chi + T(a, z') - T(a-1, z'') + tail(a),
 
-with chi = [a = M] for odd d and [a = 1] for even d.  One residue piece T,
-the terms of an m and a Psi (`_residue_piece`), serves odd d with odd M and
-every even d; odd d with even M has its own m and Psi at modulus M/2.  The
-tail terms are the theta part of the bracket of `s_bar_d` at z = zeta_M^j
-and z' = -1 (`appell.bracket_tail`), weighted by (2/M) zeta_M^{-aj} (1 - zeta_M^j).
+with chi = [a = M] for odd d and [a = 1] for even d.  One table of m and
+Psi terms (`_residue_piece`) gives T for all three cases; odd d with even M
+takes a single piece at modulus M/2 and no T(a-1, z'').  The tail terms are
+the theta part of the bracket of `s_bar_d` at z = zeta_M^j and z' = -1
+(`appell.bracket_tail`), weighted by (2/M) zeta_M^{-aj} (1 - zeta_M^j); odd
+under z <-> 1/z and zero at z = -1, it is built only for 1 <= j < M/2.
 A single deviation takes one route for every M: the root-of-unity average
 of O_d(zeta_M^k;q), folded onto 1 <= k < M/2 by O_d(1/z;q) = O_d(z;q), each
 term the Appell-Lerch bracket `appell.s_bar_bracket` at z = zeta_M^k times
@@ -336,35 +337,26 @@ def default_generics(M: int, d: int) -> tuple[Monomial, Monomial, Monomial]:
 
 def _residue_piece(d: int, b: int, M: int, zp: Monomial, order) -> list:
     """T(b, z') as (weight, series) terms, its m and its Psi, of residue b in
-    D_d(a, M) + D_d(a-1, M) = chi + T(a, z') - T(a-1, z'') + tail(a),
-    for odd d with odd M and for every even d."""
+    D_d(a, M) + D_d(a-1, M) = chi + T(a, z') - T(a-1, z'') + tail(a).  Odd d
+    with even M (so even b) has the m of even d and, for its Psi, the
+    root-averaging identity at modulus M/2, k = b/2 - 1, x = q^{-d^2}."""
     dd = d * d
     minus_one = Monomial.minus_one()
-    if d % 2:
+    if d % 2 and M % 2:
         k = -b * ((M + 1) // 2) % M  # k = -b/2 mod M
         x_m = Monomial.q(dd * M * (M - 2 * k))
         base, head = 2 * dd * M * M, Monomial.zeta(k + 1, 2, -dd * k * k)
         psi_term = (-2, psi(k, M, Monomial.q(dd), minus_one, zp, 2 * dd, order))
     else:
-        h = d // 2
         x_m = Monomial.zeta(1 + (d * M) // 2, 2, F(dd * (M * M - 2 * M * b), 4))
-        base, head = F(dd * M * M, 2), Monomial.zeta(h * b, 2, -F(dd * b * b, 4))
-        x_psi = Monomial.zeta(h + 1, 2, F(dd, 4))
-        psi_term = (2, psi(b, M, x_psi, minus_one, zp, F(dd, 2), order))
+        base, head = F(dd * M * M, 2), Monomial.zeta((d * b) // 2, 2, -F(dd * b * b, 4))
+        if d % 2:
+            psi_term = (-2, shifted(lambda o: psi(b // 2 - 1, M // 2, Monomial.q(-dd), minus_one,
+                                                 zp, 2 * dd, o), Monomial.q(-dd), order))
+        else:
+            x_psi = Monomial.zeta(d // 2 + 1, 2, F(dd, 4))
+            psi_term = (2, psi(b, M, x_psi, minus_one, zp, F(dd, 2), order))
     return [(2, shifted(lambda o: appell_m(x_m, base, zp, o), head, order)), psi_term]
-
-
-def _pair_even_even(d, a, M, zp, order) -> list:
-    # d odd, a and M even.  The m and Psi pieces, as (weight, series) terms,
-    # are the direct output of the root-averaging identity at n = M/2,
-    # k = a/2 - 1, x = q^{-d^2}, base q^{2d^2}.
-    dd = d * d
-    head = Monomial.zeta(a // 2, 2, -F(dd * a * a, 4))
-    x_m = Monomial.zeta(M // 2 + 1, 2, dd * (F(M * M, 4) - F(a * M, 2)))
-    m_term = shifted(lambda o: appell_m(x_m, F(dd * M * M, 2), zp, o), head, order)
-    psi_term = shifted(lambda o: psi(a // 2 - 1, M // 2, Monomial.q(-dd), Monomial.minus_one(),
-                                     zp, 2 * dd, o), Monomial.q(-dd), order)
-    return [(2, m_term), (-2, psi_term)]
 
 
 def deviation_pair_by_formula(d: int, a: int, M: int, order,
@@ -376,9 +368,9 @@ def deviation_pair_by_formula(d: int, a: int, M: int, order,
     Residues outside each formula's stated range are reached through the
     reflection D_d(a, M) = D_d(M - a, M), which sends the pair at a to the
     pair at M - a + 1: into 2..M for odd d, into 1..M-1 for even d.  Every
-    pair is chi + (its m and Psi pieces) + tail(a).  Odd d with even M (so
-    even a) has its own pieces at modulus M/2; every other case has
-    T(a, z') - T(a-1, z'') (`_residue_piece`).
+    pair is chi + T(a, z') - T(a-1, z'') + tail(a) (`_residue_piece`), with
+    T(a, z') alone for odd d with even M.  The tail reads zeta_M^j only for
+    1 <= j < M/2, so z0 is read only for odd d with M >= 3.
     """
     order, built = F(order), F(math.ceil(F(order)))
     if M < 2 or d < 1:
@@ -397,15 +389,15 @@ def deviation_pair_by_formula(d: int, a: int, M: int, order,
         if a == M:
             a = 1
         chi = a == 1
-    if d % 2 and M % 2 == 0:
-        terms = _pair_even_even(d, a, M, zp, built)
-    else:
-        terms = _residue_piece(d, a, M, zp, built)
+    terms = _residue_piece(d, a, M, zp, built)
+    if d % 2 == 0 or M % 2:
         terms += [(-w, s) for w, s in _residue_piece(d, a - 1, M, zpp, built)]
-    # tail(a) = (2/M) sum_j zeta_M^{-aj} (1 - zeta_M^j) bracket_tail(d, zeta_M^j, z0, -1)
-    terms += [(root_of_unity(-a * j, M) * (1 - root_of_unity(j, M)) * F(2, M),
-               bracket_tail(d, Monomial.zeta(j, M), z0, Monomial.minus_one(), built))
-              for j in range(1, M)]
+    # tail(a) = (2/M) sum_j zeta_M^{-aj} (1 - zeta_M^j) bracket_tail(d, zeta_M^j, z0, -1),
+    # folded by bracket_tail(1/z) = -bracket_tail(z) and bracket_tail(-1) = 0
+    for j in range(1, (M + 1) // 2):
+        weight = (root_of_unity(-a * j, M) * (1 - root_of_unity(j, M))
+                  - root_of_unity(a * j, M) * (1 - root_of_unity(-j, M))) * F(2, M)
+        terms.append((weight, bracket_tail(d, Monomial.zeta(j, M), z0, Monomial.minus_one(), built)))
     if chi:
         terms.append((1, QSeries.one()))
     out = linear_sum(terms, built).normalize_denominator()

@@ -21,8 +21,9 @@ the same packed path.  Products, quotients and sums of theta blocks and
 eta quotients are not built here but by `qrank.theta.theta_quotient`, in
 the half ring of `qrank.cyclotomic`.  ``root_sum`` builds a sum of signed
 roots of unity times powers of q (the Lerch sums and double-divisor factors
-of the O_d oracle, the catalog's root-power sums) over the integers, with
-one reduction mod Phi_L per exponent.  ``eta_quotient`` expands a product of
+of the O_d oracle, the enumeration series of the catalog's
+`rank-enumeration-d1/d2`) over the integers, with one reduction mod Phi_L
+per exponent.  ``eta_quotient`` expands a product of
 powers of J_m = (q^m; q^m)_oo by the integer recurrence of its logarithmic
 derivative, with no series product or inverse, once per (spec, order): the
 expansions sit in a module-level lru cache keyed by the sorted (m, e) pairs.
@@ -439,7 +440,13 @@ class QSeries:
 
     def __truediv__(self, other):
         if isinstance(other, QSeries):
-            return self * other.invert()
+            order = None
+            if self.prec is not None and other.coeffs:
+                # self * (1/other) is known to self's order minus other's
+                # valuation once 1/other is known to that minus self's
+                lead = self.valuation if self.coeffs else self.order
+                order = self.order - lead - other.valuation
+            return self * other.invert(order)
         if isinstance(other, (int, Fraction)):
             return self.scale(Fraction(1, 1) / Fraction(other))
         if isinstance(other, Cyclotomic):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qrank.appell import o_d_direct
+from qrank.appell import bracket_tail, o_d_direct
 from qrank.cyclotomic import root_of_unity
 from qrank import overpartitions
 from qrank.errors import UnsupportedCase
@@ -300,6 +300,77 @@ def test_deviation_grid_matches_definition(d):
             pair = deviation_pair_by_formula(d, a, M, 12)
             assert pair == pair_by_definition(d, a, M, 12), (M, a)
             assert single_deviation(d, a, M, 12) == deviation_by_definition(d, a, M, 12), (M, a)
+
+
+@pytest.mark.parametrize("z0", [Monomial.zeta(3, 7), Monomial.zeta(2, 11)], ids=str)
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_bracket_tail_is_odd_under_inversion(d, z0):
+    # at z' = -1 the tail is odd under z <-> 1/z, so zero at z = -1
+    minus_one = Monomial.minus_one()
+    assert bracket_tail(d, minus_one, z0, minus_one, 12) == QSeries.zero(12)
+    for M in range(3, 8):
+        for j in range(1, M):
+            z = Monomial.zeta(j, M)
+            assert bracket_tail(d, z.inverse(), z0, minus_one, 12) == \
+                -bracket_tail(d, z, z0, minus_one, 12), (M, j)
+
+
+def _unfolded_pair(d, a, M, order, zp, zpp, z0):
+    """The pair with its tail summed over every j in 1..M-1, unfolded."""
+    built = F(math.ceil(F(order)))
+    a = a % M or M
+    if d % 2:
+        if a == 1 or (a % 2 == 1 and M % 2 == 0):
+            a = M - a + 1
+        chi = a == M
+    else:
+        if a == M:
+            a = 1
+        chi = a == 1
+    terms = overpartitions._residue_piece(d, a, M, zp, built)
+    if d % 2 == 0 or M % 2:
+        terms += [(-w, s) for w, s in overpartitions._residue_piece(d, a - 1, M, zpp, built)]
+    terms += [(root_of_unity(-a * j, M) * (1 - root_of_unity(j, M)) * F(2, M),
+               bracket_tail(d, Monomial.zeta(j, M), z0, Monomial.minus_one(), built))
+              for j in range(1, M)]
+    if chi:
+        terms.append((1, QSeries.one()))
+    return linear_sum(terms, built).normalize_denominator().truncate(order)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_pair_formula_matches_the_unfolded_tail(d):
+    # the folded tail serializes exactly as the unfolded one, for every
+    # residue, at default and conjugated generics; odd d >= 3 with M = 2 is
+    # the zero series, whose field no longer carries the j = 1 term's roots
+    for M in range(2, 8):
+        generics = default_generics(M, d)
+        for order in (12, F(13, 2), 0, -2):
+            for k in (1, 2):
+                zp, zpp, z0 = (_conjugate(g, k) for g in generics)
+                for a in range(M):
+                    got = deviation_pair_by_formula(d, a, M, order, zp=zp, zpp=zpp, z0=z0)
+                    want = _unfolded_pair(d, a, M, order, zp, zpp, z0)
+                    if d % 2 and d >= 3 and M == 2:
+                        assert got == want and got.is_zero(), (M, a, order, k)
+                    else:
+                        assert json.dumps(got.to_json_dict(), sort_keys=True) == \
+                            json.dumps(want.to_json_dict(), sort_keys=True), (M, a, order, k)
+
+
+def test_pair_formula_builds_the_tail_on_half_the_roots(monkeypatch):
+    calls = []
+
+    def counted(d, z, z0, zp, order):
+        calls.append(z)
+        return bracket_tail(d, z, z0, zp, order)
+
+    monkeypatch.setattr(overpartitions, "bracket_tail", counted)
+    for d in (1, 2, 3):
+        for M in range(2, 8):
+            calls.clear()
+            deviation_pair_by_formula(d, 2, M, 8)
+            assert calls == [Monomial.zeta(j, M) for j in range(1, (M + 1) // 2)], (d, M)
 
 
 def test_pair_formula_rejects_bad_shape():

@@ -734,6 +734,24 @@ def test_truediv_by_a_series():
     assert (got * divisor).agrees_with(DIVIDEND, 12)
 
 
+def test_truediv_by_an_exact_series():
+    # the dividend's order fixes the quotient's, so an exact divisor is
+    # inverted as far as the quotient needs
+    one_plus_q = QSeries.one() + QSeries.from_monomial(Monomial.q(1))
+    got = QSeries.one(10) / one_plus_q
+    assert str(got) == "1 - q + q^2 - q^3 + q^4 - q^5 + q^6 - q^7 + q^8 - q^9 + O(q^10)"
+    divisor = linear_sum([(1, QSeries.from_monomial(Monomial.q(-1))),
+                          (root_of_unity(2, 5), QSeries.one()),
+                          (-1, QSeries.from_monomial(Monomial.q(2)))])
+    got = DIVIDEND / divisor
+    assert got.order == 13 and got == DIVIDEND / divisor.truncate(30)
+    half = DIVIDEND.shift(Monomial.q(F(1, 2)))
+    assert half / divisor == got.shift(Monomial.q(F(1, 2)))
+    assert QSeries.zero(7) / divisor == QSeries.zero(8)
+    with pytest.raises(ValueError, match="requires a target order"):
+        QSeries.one() / one_plus_q
+
+
 @pytest.mark.parametrize("c", [3, -2, F(7, 4)], ids=str)
 def test_truediv_by_a_rational(c):
     got = DIVIDEND / c
