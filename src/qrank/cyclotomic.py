@@ -97,7 +97,8 @@ def cyclo_polynomial(L: int) -> tuple[int, ...]:
 
 _KRONECKER_CUTOFF = 800  # nnz(a) * nnz(b) above which packing wins
 
-# array typecodes by item size; slots of these widths pack and unpack in C
+# array typecodes by item size; slots of these widths pack in C, and every
+# width unpacks in C (`_unpack`)
 _ARRAY_CODES = {array(code).itemsize: code for code in "qihb"}
 _BIG_ENDIAN = sys.byteorder == "big"
 _SIGN_BYTE = bytes(255 if c > 127 else 0 for c in range(256))  # a byte's sign, extended
@@ -138,12 +139,28 @@ def _slot_bytes(xs: Iterable[int], n: int, width: int) -> bytes:
 
 def _unpack(xs: Iterable[int], n: int, width: int) -> list[int]:
     # inverse of _pack: the n slots of each of xs, whose values lie in
-    # [-half, half), as one list
+    # [-half, half), as one list.  A width with no array item is widened to
+    # whole 8-byte limbs, its bytes above `width` copying the sign; the top
+    # limb is read signed, the others unsigned, one shift-or a limb
     data = _slot_bytes(xs, n, width)
     code = _ARRAY_CODES.get(width)
     if code is None:
-        return [int.from_bytes(data[k:k + width], "little", signed=True)
-                for k in range(0, len(data), width)]
+        limbs = -(-width // 8)
+        size = 8 * limbs
+        cells = bytearray(len(data) // width * size)
+        for b in range(width):
+            cells[b::size] = data[b::width]
+        sign = data[width - 1::width].translate(_SIGN_BYTE)
+        for b in range(width, size):
+            cells[b::size] = sign
+        signed, unsigned = array("q", cells), array("Q", cells)
+        if _BIG_ENDIAN:
+            signed.byteswap()
+            unsigned.byteswap()
+        out = signed[limbs - 1::limbs].tolist()
+        for j in range(limbs - 2, -1, -1):
+            out = [hi << 64 | lo for hi, lo in zip(out, unsigned[j::limbs])]
+        return out
     out = array(code)
     out.frombytes(data)
     if _BIG_ENDIAN:

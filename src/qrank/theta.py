@@ -9,7 +9,9 @@ sum of weighted nodes of the same form, so a weighted sum of quotients is
 one call (m(x,q,z), Lambda and S_d(z;q) in `qrank.appell`).  It plans on
 integers, in steps of one q^(1/G), and runs in the half ring of
 `qrank.cyclotomic`, one packed integer per coefficient, with a sparse pass
-per block and one batched reduction mod Phi_L at the end.  A single block
+per block and one batched reduction mod Phi_L at the end; a term of m whose
+one divisor is 1 - u is the geometric series it is, added straight in at
+every multiple of the step of u.  A single block
 j(z;q^p) is `theta_j`, the quotient with one numerator block.
 
 The terms of each block are listed by `bilateral`, the routine that also
@@ -27,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
-from .cyclotomic import _pack, _slot_mask, _slot_width, get_field
+from .cyclotomic import _slot_mask, _slot_width, get_field
 from .errors import NonGenericParameter
 from .reports import IdentityReport, compare_series
 from .series import Monomial, QSeries, _frac, eta_quotient, shifted
@@ -254,16 +256,16 @@ class _Quotient:
                 rot += m * k
                 inv = {j * k % L: -j for j in range(1, N)}  # N / (1 - c)
                 kappa = inv if kappa is None else _ring_mul(kappa, inv, L)
-                if P:  # 1 - c has no P(q^p) to divide by
-                    steps.append((True, _tie_rows(k, N, P, s, n, D, L)))
-                continue
-            if divisor:
-                i0 = min(block)[1]
-                sign *= -1 if i0 % 2 else 1
-                rot -= i0 * k
-            steps.append((divisor, sorted(
-                (off * D // s, -1 if (i - i0) % 2 else 1, (i - i0) * k % L)
-                for off, i in block if not divisor or i != i0)))
+                rows = _tie_rows(k, N, P, s, n, D, L) if P else []  # 1 - c has no P(q^p)
+            else:
+                if divisor:
+                    i0 = min(block)[1]
+                    sign *= -1 if i0 % 2 else 1
+                    rot -= i0 * k
+                rows = sorted((off * D // s, -1 if (i - i0) % 2 else 1, (i - i0) * k % L)
+                              for off, i in block if not divisor or i != i0)
+            if rows or not divisor:  # a divisor with no rows below n is 1
+                steps.append((divisor, rows))
         k = {(r + rot) % L: w * sign * self.weight.numerator for r, w in mult.items()}
         if kappa is not None:
             k = _ring_mul(k, kappa, L)
@@ -308,7 +310,10 @@ def _expand(terms, n: int, L: int, width: int):
     """The coefficients below n of the sum of the (offset, seed, steps)
     `terms`, and the largest value of any stage.  A term is its seed, a
     constant {rotation: weight} or a list of terms summed, times its
-    (is a divisor, rows) steps.
+    (is a divisor, rows) steps.  A constant seed whose only step is a
+    divisor of one row (d, w, k) is the geometric series seed (-w zeta_L^k)^t
+    at t d, each term the rotation of the one before, added in where it
+    falls: no list of its own and no `_divide`.
 
     A coefficient is one integer whose slot i < N, `width` bytes wide, holds
     its integer at zeta_L^i (`_pack`), N = L for odd L and N = L/2 in the
@@ -318,7 +323,8 @@ def _expand(terms, n: int, L: int, width: int):
     to negate the slots that wrap; zeta_L^k = -zeta_L^(k - N) for k >= N.
     Width 0 is the majorant: an element is its l1 norm and a row (d, w, k)
     is (d, |w|, 0), or (d, -|w|, 0) in a divisor, so every value bounds
-    every slot of the packed one at its place."""
+    every slot of the packed one at its place; a geometric seed adds its
+    norm at every t d and raises the largest value to it."""
     bits, N = 8 * width, L // 2 if L % 2 == 0 else L
     B, M, WL = (_slot_mask(width, N), (1 << bits * N) - 1, bits * N) if width else (0, -1, 0)
     T = 2 * B if N < L else 0  # lo = T - y in the half ring
@@ -327,10 +333,8 @@ def _expand(terms, n: int, L: int, width: int):
     def elem(c: dict) -> int:
         if not width:
             return sum(map(abs, c.values()))
-        v = [0] * N
-        for k, w in c.items():
-            v[k % N] += -w if k >= N else w
-        return _pack(v, width)
+        # sum_k w zeta_L^k packed: only the slots of c can be non-zero
+        return sum(w << bits * k if k < N else -w << bits * (k - N) for k, w in c.items())
 
     def passes(f, steps):
         nonlocal top
@@ -347,8 +351,24 @@ def _expand(terms, n: int, L: int, width: int):
         return f
 
     def add_terms(n, terms):
+        nonlocal top
         f = None
         for off, seed, part in terms:
+            if isinstance(seed, dict) and len(part) == 1 and part[0][0] and len(part[0][1]) == 1:
+                # seed / (1 + w zeta_L^k q^d) is seed (-w zeta_L^k)^t at t d
+                (d, w, k), = part[0][1]
+                x, f = elem(seed), f or [0] * n
+                if k >= N:
+                    w, k = -w, k - N
+                if not width:  # the majorant row (d, -|w|, 0) keeps x as it is
+                    top, w = max(top, x), -1
+                s = WL - bits * k
+                for i in range(off, n, d):
+                    f[i] += x
+                    y = x + B
+                    x = (((T - y if T else y) | y << WL) >> s) & M
+                    x = B - x if w > 0 else x - B
+                continue
             g = passes([elem(seed)] + [0] * (n - off - 1) if isinstance(seed, dict)
                        else add_terms(n - off, seed), part)
             if f is None and not off:
@@ -380,9 +400,11 @@ def _times(f, terms, B: int, T: int, M: int, WL: int):
 
 
 def _divide(f, rows, B: int, T: int, M: int, WL: int):
-    """f / (1 + sum w zeta_L^k q^d) over the (d, w, s) of `rows`, sorted by
-    d >= 1 and with w = +-1, below len(f): g_i = f_i - sum w zeta_L^k g_(i-d),
-    with each g_i doubled once, when it is made."""
+    """f / (1 + sum w zeta_L^k q^d) over the (d, w, s) of `rows`, at least
+    one, sorted by d >= 1 and with w = +-1, below len(f):
+    g_i = f_i - sum w zeta_L^k g_(i-d), with each g_i doubled once, when it
+    is made.  A constant seed over one row alone is a geometric node of
+    `_expand` instead."""
     g, doubled = [], []
     for i, acc in enumerate(f):
         c = 0

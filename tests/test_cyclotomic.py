@@ -207,7 +207,7 @@ def test_str_formats():
 def test_kronecker_every_slot_width(monkeypatch, width):
     # b is chosen so that the l1 bound 6b of the first three pairs needs
     # exactly `width` bytes and is reached with both signs; widths 1-8 round
-    # up to an array item size, 9 and 20 take the per-element path
+    # up to an array item size, 9 and 20 unpack in 8-byte limbs
     monkeypatch.setattr(cyclotomic, "_KRONECKER_CUTOFF", 0)
     b = ((1 << (8 * width - 1)) - 1) // 6
     assert (6 * b).bit_length() // 8 + 1 == width
@@ -269,14 +269,14 @@ def test_unit_tower_generates_units():
 @pytest.mark.parametrize("L", [1, 2, 3, 4, 6, 7, 35, 70, 105, 210, 1155, 2310])
 def test_reduce_all_matches_reduce_vec(L):
     # vectors of length L and 2 phi - 1, entries up to the extremes of 1-,
-    # 2-, 4-, 8- and 9-byte slots, and all-zero columns, packed in those
-    # slots (which the reduced entries outgrow) and in slots wide enough for
-    # them
+    # 2-, 4-, 8-, 9-, 12-, 16- and 17-byte slots, and all-zero columns,
+    # packed in those slots (which the reduced entries outgrow) and in slots
+    # wide enough for them
     rng = random.Random(L)
     f = get_field(L)
     count = 3 if L > 1000 else 12
     for m in sorted({L, 2 * f.phi - 1}):
-        for w in (1, 2, 4, 8, 9):
+        for w in (1, 2, 4, 8, 9, 12, 16, 17):
             top = (1 << (8 * w - 1)) - 1
             zero = set(rng.sample(range(m), m // 3))
             vecs = [[0 if j in zero else rng.choice([top, -top, rng.randint(-top, top)])
@@ -297,6 +297,22 @@ def test_reduce_all_matches_reduce_vec(L):
             v[k] = (1 << (8 * w - 1)) - 1
             assert list(f.reduce_all([cyclotomic._pack(v, w)], m, w, v[k])[0]) == f.reduce_vec(v)
     assert f.reduce_all([], L, 1, 0) == []
+
+
+def test_unpack_inverts_pack_at_every_width():
+    # slots at both ends of [-half, half) and at 0, one slot or many, one
+    # packed integer or several: array items at 1, 2, 4 and 8 bytes, whole
+    # 8-byte limbs, sign-extended, at every other width
+    rng = random.Random(17)
+    for width in range(1, 21):
+        half = 1 << (8 * width - 1)
+        for n in (1, 2, 5):
+            vecs = [[rng.choice([-half, half - 1, 0, rng.randrange(-half, half)])
+                     for _ in range(n)] for _ in range(4)]
+            vecs += [[-half] * n, [half - 1] * n, [0] * n]
+            xs = [cyclotomic._pack(v, width) for v in vecs]
+            assert cyclotomic._unpack(xs, n, width) == [c for v in vecs for c in v]
+            assert cyclotomic._unpack(xs[:1], n, width) == vecs[0]
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 8, 9])
