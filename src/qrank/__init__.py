@@ -15,7 +15,7 @@ from .appell import (
     psi,
     s_bar_d,
 )
-from .catalog import CATALOG, run_suite, verify
+from .catalog import CATALOG, run_suite, theta_shift_check, verify
 from .cyclotomic import Cyclotomic, cyclo_polynomial, get_field, root_of_unity, totient
 from .errors import (
     FractionalExponents,
@@ -40,7 +40,7 @@ from .overpartitions import (
 )
 from .reports import IdentityReport
 from .series import Monomial, QSeries, computed_to, eta_J, eta_quotient
-from .theta import theta_j, theta_shift_check, theta_triple_product
+from .theta import theta_j, theta_triple_product
 
 __all__ = [
     "Cyclotomic", "cyclo_polynomial", "get_field", "root_of_unity", "totient",

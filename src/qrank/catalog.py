@@ -43,7 +43,7 @@ from .overpartitions import (
 from .reports import NON_GENERIC, PASS, IdentityReport, compare_series
 from .series import (Monomial, QSeries, computed_to, eta_quotient, linear_sum, root_sum,
                      shift_loss, shifted)
-from .theta import binom2, theta_j, theta_quotient, theta_shift_check, theta_triple_product
+from .theta import _base_exp, binom2, theta_j, theta_quotient, theta_triple_product
 
 F = Fraction
 Z = Monomial.zeta
@@ -90,6 +90,27 @@ def avg_rhs(n: int, k: int, x: Monomial, z: Monomial, zp: Monomial, order) -> QS
     return computed_to(lambda o: theta_quotient((), ((zp, n * n),), o, start=[
         ((), (), head, n, None, m_terms(inner, n * n, zp, o + shift_loss(head))),
         psi_node(k, n, x, z, zp, 1, n, over=(zp, n * n))]), order)
+
+
+def theta_shift_check(x: Monomial, n: int, base, order) -> IdentityReport:
+    """Verify the two theta rewriting laws at one instance by expansion:
+    j(q^n x; q) = (-1)^n q^{-C(n,2)} x^{-n} j(x; q) and
+    j(x; q) = j(q/x; q) = -x j(1/x; q), all with q -> q^p.
+    """
+    p = _base_exp(base)
+    order = Fraction(order)
+    inst = {"x": x, "n": n, "base": Fraction(p)}
+    shift_mono = Monomial.zeta(n, 2, -p * Fraction(binom2(n))) * x ** (-n)
+    sides = ((lambda: theta_j(x * Monomial.q(n * p), p, order),
+              lambda: shifted(lambda o: theta_j(x, p, o), shift_mono, order)),
+             (lambda: theta_j(x, p, order), lambda: theta_j(Monomial.q(p) / x, p, order)),
+             (lambda: theta_j(x, p, order),
+              lambda: -shifted(lambda o: theta_j(x.inverse(), p, o), x, order)))
+    for lhs, rhs in sides:
+        rep = compare_series("theta-base-shift", lhs(), rhs(), order, inst)
+        if not rep.passed:
+            break
+    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,18 @@ Everything stays on integers.  An inverse is the product of the other Galois
 conjugates divided by the norm; the conjugates are multiplied level by level
 along a polycyclic sequence of (Z/L)^x (``unit_tower``), each orbit product
 by doubling, so an inverse in Q(zeta_385) costs about 15 field products
-instead of 239.  Large convolutions pack signed coefficients into one big
-integer (Kronecker substitution): slots are two's complement, sized by the
-l1 bound max|a| sum|b| and rounded up to 1, 2, 4 or 8 bytes, so ``array``
-packs and unpacks them in C, and XOR with the slots' top bits moves between
-two's complement and the value-plus-half form that carries cleanly.  The same
-packing batches the reduction of many vectors mod Phi_L (``reduce_all``):
-column j packs entry j of every vector, so a reduction row costs one big
-multiply-add per non-zero for all of them.
+instead of 239.
+
+There is one multiply path.  ``CyclotomicField.product`` multiplies two
+vectors of field elements (the q-coefficients of two series, or one element
+each for ``mul``) as one integer convolution, ``convolve_int``, which packs
+signed coefficients into one big integer (Kronecker substitution): slots are
+two's complement, sized by the l1 bound max|a| sum|b| and rounded up to 1,
+2, 4 or 8 bytes, so ``array`` packs and unpacks them in C, and XOR with the
+slots' top bits moves between two's complement and the value-plus-half form
+that carries cleanly.  The same packing batches the reduction of many
+vectors mod Phi_L (``reduce_all``): column j packs entry j of every vector,
+so a reduction row costs one big multiply-add per non-zero for all of them.
 """
 
 from __future__ import annotations
@@ -92,10 +96,8 @@ def cyclo_polynomial(L: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# integer vector convolution, with a Kronecker-substitution fast path
+# integer vector convolution by Kronecker substitution
 # ---------------------------------------------------------------------------
-
-_KRONECKER_CUTOFF = 800  # nnz(a) * nnz(b) above which packing wins
 
 # array typecodes by item size; slots of these widths pack in C, and every
 # width unpacks in C (`_unpack`)
@@ -168,31 +170,20 @@ def _unpack(xs: Iterable[int], n: int, width: int) -> list[int]:
     return out.tolist()
 
 
-def _kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    # one big multiply does the whole convolution.  Every output coefficient
-    # lies in [-bound, bound], since |sum_i a_i b_(k-i)| <= max|a| sum|b|.
+def convolve_int(a: list[int] | tuple[int, ...], b: list[int] | tuple[int, ...]) -> list[int]:
+    """Full convolution of integer vectors by one big multiply, or [] when
+    either vector has no non-zero entry.
+
+    Every output coefficient lies in [-bound, bound], since
+    |sum_i a_i b_(k-i)| <= max|a| sum|b|, which sizes the slots.  A zero
+    factor returns before any slot is sized: its bound is 0, too narrow
+    for the other factor's entries.
+    """
+    if not any(a) or not any(b):
+        return []
     bound = min(max(map(abs, a)) * sum(map(abs, b)), max(map(abs, b)) * sum(map(abs, a)))
     width = _slot_width(bound)
     return _unpack([_pack(a, width) * _pack(b, width)], len(a) + len(b) - 1, width)
-
-
-def convolve_int(a: list[int] | tuple[int, ...], b: list[int] | tuple[int, ...]) -> list[int]:
-    """Full convolution of integer vectors (schoolbook or Kronecker)."""
-    na = [i for i, c in enumerate(a) if c]
-    nb = [i for i, c in enumerate(b) if c]
-    if not na or not nb:
-        return []
-    if len(na) > len(nb):
-        a, b, na, nb = b, a, nb, na
-    lo = na[0] + nb[0]
-    if len(na) * len(nb) >= _KRONECKER_CUTOFF:
-        return [0] * lo + _kronecker(a[na[0]:na[-1] + 1], b[nb[0]:nb[-1] + 1])
-    out = [0] * (na[-1] + nb[-1] + 1)
-    for i in na:
-        ai = a[i]
-        for j in nb:
-            out[i + j] += ai * b[j]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -353,16 +344,42 @@ class CyclotomicField:
         return self.add(a, self.neg(b))
 
     def mul(self, a: Raw, b: Raw) -> Raw:
-        da, va = a
-        db, vb = b
-        conv = convolve_int(va, vb)
-        if not conv:
-            return self.zero
-        vec = self.reduce_vec(conv)
+        return self.product((a,), (b,), 1)[0]
+
+    def product(self, a: Sequence[Raw], b: Sequence[Raw], out_len: int) -> list[Raw]:
+        """The first out_len coefficients of the product of two vectors of
+        elements (the q-coefficients of two series), by one `convolve_int`.
+
+        Each factor is scaled to one common denominator and laid out flat
+        with stride 2 phi - 1, so index i and zeta-index j sit at
+        i (2 phi - 1) + j and the zeta-products of two terms never reach the
+        next slot; each output coefficient is reduced once.
+        """
+        phi = self.phi
+        stride = 2 * phi - 1
+
+        def pack(coeffs: Sequence[Raw]) -> tuple[int, list[int]]:
+            den = 1
+            for d, _ in coeffs:
+                if d != 1:
+                    den = math.lcm(den, d)
+            flat = [0] * ((len(coeffs) - 1) * stride + phi)
+            for i, (d, vec) in enumerate(coeffs):
+                f = den // d
+                flat[i * stride:i * stride + phi] = vec if f == 1 else [v * f for v in vec]
+            return den, flat
+
+        da, fa = pack(a[:out_len])
+        db, fb = pack(b[:out_len])
+        conv = convolve_int(fa, fb)
+        del fa, fb  # release the packed inputs before unpacking the output
         den = da * db
-        if den == 1:
-            return (1, tuple(vec))
-        return self.normalize(den, vec)
+        reduce_vec, normalize = self.reduce_vec, self.normalize
+        out: list[Raw] = []
+        for k in range(out_len):
+            vec = conv[k * stride:(k + 1) * stride]
+            out.append(normalize(den, reduce_vec(vec)) if any(vec) else self.zero)
+        return out
 
     def scale(self, a: Raw, num: int, den: int = 1) -> Raw:
         """a num/den, for num/den in lowest terms with den > 0."""

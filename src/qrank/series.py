@@ -12,18 +12,17 @@ sum of the formula layer pick their field, denominator and order once there,
 and each term's coefficients below the sum's precision are moved into that
 field and multiplied by the term's weight in one step, one reduction each.
 
-A product is one integer convolution: both factors are scaled to a common
-denominator and laid out flat, q-coefficient i at offset i (2 phi - 1), so
-it costs one ``convolve_int`` call and one reduction mod Phi_L per output
-coefficient.  Inverses use Newton iteration, g <- g + g (1 - u g), which
-doubles the number of correct terms per step and runs every product through
-the same packed path.  Products, quotients and sums of theta blocks and
-eta quotients are not built here but by `qrank.theta.theta_quotient`, in
-the half ring of `qrank.cyclotomic`.  ``root_sum`` builds a sum of signed
-roots of unity times powers of q (the Lerch sums and double-divisor factors
-of the O_d oracle, the enumeration series of the catalog's
-`rank-enumeration-d1/d2`) over the integers, with one reduction mod Phi_L
-per exponent.  ``eta_quotient`` expands a product of
+A product is one call of ``CyclotomicField.product``, the one multiply
+path of `qrank.cyclotomic`: one integer convolution and one reduction mod
+Phi_L per output coefficient.  Inverses use Newton iteration,
+g <- g + g (1 - u g), which doubles the number of correct terms per step and
+runs every product through the same call.  Products, quotients and sums of
+theta blocks and eta quotients are not built here but by
+`qrank.theta.theta_quotient`, in the half ring of `qrank.cyclotomic`.
+``root_sum`` builds a sum of signed roots of unity times powers of q (the
+Lerch sums and double-divisor factors of the O_d oracle, the enumeration
+series of the catalog's `rank-enumeration-d1/d2`) over the integers, with
+one reduction mod Phi_L per exponent.  ``eta_quotient`` expands a product of
 powers of J_m = (q^m; q^m)_oo by the integer recurrence of its logarithmic
 derivative, with no series product or inverse, once per (spec, order): the
 expansions sit in a module-level lru cache keyed by the sorted (m, e) pairs.
@@ -42,13 +41,11 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Sequence
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import lru_cache, wraps
 
-from .cyclotomic import (Cyclotomic, CyclotomicField, Raw, convolve_int, get_field,
-                         root_of_unity)
+from .cyclotomic import Cyclotomic, CyclotomicField, Raw, get_field, root_of_unity
 from .errors import FractionalExponents, NonGenericParameter
 
 
@@ -365,8 +362,7 @@ class QSeries:
         vb = b.val if b.coeffs else b.prec
         pa = None if a.prec is None else a.prec + (vb if vb is not None else 0)
         pb = None if b.prec is None else b.prec + (va if va is not None else 0)
-        prec = QSeries._min_prec(pa if a.prec is not None else None,
-                                 pb if b.prec is not None else None)
+        prec = QSeries._min_prec(pa, pb)
         if not a.coeffs or not b.coeffs:
             return QSeries(field, a.den, 0, (), prec, _normalized=True)
         base = a.val + b.val
@@ -376,7 +372,7 @@ class QSeries:
         if out_len <= 0:
             return QSeries(field, a.den, 0, (), prec, _normalized=True)
         return QSeries(field, a.den, base,
-                       tuple(_packed_product(field, a.coeffs, b.coeffs, out_len)), prec)
+                       tuple(field.product(a.coeffs, b.coeffs, out_len)), prec)
 
     __rmul__ = __mul__
 
@@ -433,8 +429,8 @@ class QSeries:
         while len(inv) < rel_len:
             m = len(inv)
             n = min(2 * m, rel_len)
-            err = _packed_product(field, u, inv, n)[m:]
-            step = _packed_product(field, inv, err, n - m)
+            err = field.product(u, inv, n)[m:]
+            step = field.product(inv, err, n - m)
             inv.extend(field.neg(c) for c in step)
         return QSeries(field, self.den, out_val, tuple(inv), out_prec)
 
@@ -737,42 +733,6 @@ def shifted(builder, m: Monomial, order) -> QSeries:
     """m * builder(.), valid below `order`: the builder is asked for
     `shift_loss(m)` more than `order`."""
     return computed_to(lambda o: builder(o + shift_loss(m)).shift(m), order)
-
-
-def _packed_product(field: CyclotomicField, a: Sequence[Raw], b: Sequence[Raw],
-                    out_len: int) -> list[Raw]:
-    """The first out_len coefficients of the product of two coefficient
-    vectors, by one integer convolution.
-
-    Each factor is scaled to one common denominator and laid out flat with
-    stride 2 phi - 1, so q-index i and zeta-index j sit at i (2 phi - 1) + j
-    and the zeta-products of two q-terms never reach the next slot.
-    """
-    phi = field.phi
-    stride = 2 * phi - 1
-
-    def pack(coeffs: Sequence[Raw]) -> tuple[int, list[int]]:
-        den = 1
-        for d, _ in coeffs:
-            if d != 1:
-                den = math.lcm(den, d)
-        flat = [0] * ((len(coeffs) - 1) * stride + phi)
-        for i, (d, vec) in enumerate(coeffs):
-            f = den // d
-            flat[i * stride:i * stride + phi] = vec if f == 1 else [v * f for v in vec]
-        return den, flat
-
-    da, fa = pack(a[:out_len])
-    db, fb = pack(b[:out_len])
-    conv = convolve_int(fa, fb)
-    del fa, fb  # release the packed inputs before unpacking the output
-    den = da * db
-    reduce_vec, normalize = field.reduce_vec, field.normalize
-    out: list[Raw] = []
-    for k in range(out_len):
-        vec = conv[k * stride:(k + 1) * stride]
-        out.append(normalize(den, reduce_vec(vec)) if any(vec) else field.zero)
-    return out
 
 
 def _scale_exp(e: Fraction | int, den: int) -> int:

@@ -31,8 +31,7 @@ from operator import add
 
 from .cyclotomic import _slot_mask, _slot_width, get_field
 from .errors import NonGenericParameter
-from .reports import IdentityReport, compare_series
-from .series import Monomial, QSeries, _frac, eta_quotient, shifted
+from .series import Monomial, QSeries, _frac, eta_quotient
 
 
 def _base_exp(base) -> Fraction:
@@ -450,24 +449,3 @@ def theta_triple_product(z: Monomial, base, order) -> QSeries:
         pairs = [a * b for a, b in zip(factors[::2], factors[1::2])]
         factors = pairs + factors[len(pairs) * 2:]
     return factors[0]
-
-
-def theta_shift_check(x: Monomial, n: int, base, order) -> IdentityReport:
-    """Verify the two theta rewriting laws at one instance by expansion:
-    j(q^n x; q) = (-1)^n q^{-C(n,2)} x^{-n} j(x; q) and
-    j(x; q) = j(q/x; q) = -x j(1/x; q), all with q -> q^p.
-    """
-    p = _base_exp(base)
-    order = Fraction(order)
-    inst = {"x": x, "n": n, "base": Fraction(p)}
-    shift_mono = Monomial.zeta(n, 2, -p * Fraction(binom2(n))) * x ** (-n)
-    sides = ((lambda: theta_j(x * Monomial.q(n * p), p, order),
-              lambda: shifted(lambda o: theta_j(x, p, o), shift_mono, order)),
-             (lambda: theta_j(x, p, order), lambda: theta_j(Monomial.q(p) / x, p, order)),
-             (lambda: theta_j(x, p, order),
-              lambda: -shifted(lambda o: theta_j(x.inverse(), p, o), x, order)))
-    for lhs, rhs in sides:
-        rep = compare_series("theta-base-shift", lhs(), rhs(), order, inst)
-        if not rep.passed:
-            break
-    return rep

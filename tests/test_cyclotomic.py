@@ -176,21 +176,16 @@ DEGENERATE_CASES = [
     ([0] * 40 + [1], [1] + [0] * 40),           # sparse ends
     ([2**200] * 45, [-(2**180)] * 45),          # giant magnitudes
     ([-27] * 40, [27] * 40),                    # peak -29160 fills a 2-byte slot
+    ([3], [-4]),                                # one term each
+    ([0, 0, -1], [0, 2]),                       # leading zeros
+    ([0, 0], [300, -7]),                        # zero factor
+    ([10**30, 1], [0]),                         # zero factor against a wide one
+    ([], [5]),                                  # empty factor
 ]
 
 
 def test_convolve_degenerate_shapes():
     for a, b in DEGENERATE_CASES:
-        got = convolve_int(a, b)
-        expected = _school(a, b)
-        got = got + [0] * (len(expected) - len(got))
-        assert got == expected
-
-
-def test_convolve_degenerate_shapes_kronecker(monkeypatch):
-    # some of these shapes fall below the cutoff; force packing for all
-    monkeypatch.setattr(cyclotomic, "_KRONECKER_CUTOFF", 0)
-    for a, b in DEGENERATE_CASES + [([3], [-4]), ([0, 0, -1], [0, 2])]:
         got = convolve_int(a, b)
         expected = _school(a, b)
         got = got + [0] * (len(expected) - len(got))
@@ -204,11 +199,10 @@ def test_str_formats():
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 7, 8, 9, 20])
-def test_kronecker_every_slot_width(monkeypatch, width):
+def test_kronecker_every_slot_width(width):
     # b is chosen so that the l1 bound 6b of the first three pairs needs
     # exactly `width` bytes and is reached with both signs; widths 1-8 round
     # up to an array item size, 9 and 20 unpack in 8-byte limbs
-    monkeypatch.setattr(cyclotomic, "_KRONECKER_CUTOFF", 0)
     b = ((1 << (8 * width - 1)) - 1) // 6
     assert (6 * b).bit_length() // 8 + 1 == width
     rng = random.Random(width)

@@ -15,12 +15,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qrank.appell import appell_m, delta, lerch_fold_lhs, o_d_direct
+from qrank.catalog import theta_shift_check
 from qrank.errors import NonGenericParameter
 from qrank.series import Monomial, QSeries, shifted
 from qrank.theta import (
     is_theta_zero_pattern,
     theta_j,
-    theta_shift_check,
     theta_triple_product,
 )
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qrank import theta
 from qrank.appell import appell_m, m_terms, psi_node
-from qrank.catalog import run_suite
+from qrank.catalog import run_suite, theta_shift_check
 from qrank.cyclotomic import _pack, _slot_mask, _unpack, root_of_unity
 from qrank.errors import NonGenericParameter
 from qrank.series import Monomial, QSeries, computed_to, eta_quotient, linear_sum, root_sum
@@ -23,7 +23,6 @@ from qrank.theta import (
     is_theta_zero_pattern,
     theta_j,
     theta_quotient,
-    theta_shift_check,
     theta_triple_product,
 )
 
