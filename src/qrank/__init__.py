@@ -14,6 +14,7 @@ from .appell import (
     o_d_original,
     psi,
     s_bar_d,
+    s_d_direct,
 )
 from .catalog import CATALOG, run_suite, theta_shift_check, verify
 from .cyclotomic import Cyclotomic, cyclo_polynomial, get_field, root_of_unity, totient
@@ -47,7 +48,7 @@ __all__ = [
     "Monomial", "QSeries", "computed_to", "eta_J", "eta_quotient",
     "theta_j", "theta_shift_check", "theta_triple_product",
     "appell_m", "delta", "psi", "lam",
-    "o_d_direct", "o_d_original", "o_d_at_minus_one", "s_bar_d",
+    "o_d_direct", "o_d_original", "o_d_at_minus_one", "s_bar_d", "s_d_direct",
     "Overpartition", "RankTables", "enumerate_overpartitions",
     "p_bar", "p_bar_series", "rank_tables",
     "deviation_by_definition", "deviation_by_root_average",

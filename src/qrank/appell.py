@@ -11,10 +11,12 @@ Psi node and the group of its d Deltas, and S_d(z;q) the block 1 - z over
 the nodes 1, m and Lambda (a shifted Psi for even d).
 
 The oracle side, O_d(z;q) and the Lerch-sum fold, divides by j(q;q^2) as
-the eta quotient J_2/J_1^2 and never reaches `theta_quotient`.  There
-`_geometric` turns w zeta_L^k q^e / (1 - u) into (weight, zeta-index,
-exponent) terms, which `qrank.series.root_sum` adds up over the integers,
-in three cases:
+the eta quotient J_2/J_1^2 and never reaches `theta_quotient`.  The folded
+series (1+z) O_d(z;q) is the single sum times 1 - z (`s_d_direct`), and
+O_d multiplies it by a closed form of 1/(1+z), so the oracle takes no
+series or field inverse.  On this side `_geometric` turns
+w zeta_L^k q^e / (1 - u) into (weight, zeta-index, exponent) terms, which
+`qrank.series.root_sum` adds up over the integers, in three cases:
 - exp(u) > 0: the geometric series sum_{j>=0} u^j, each step adding exp(u)
   to the exponent and the zeta-index of u to the index;
 - exp(u) < 0: the flip 1/(1 - u) = -u^{-1}/(1 - u^{-1}), the same steps
@@ -35,7 +37,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 
+from .cyclotomic import inverse_one_plus
 from .errors import NonGenericParameter
 from .series import (Monomial, QSeries, eta_quotient, exact_below, linear_sum, root_sum,
                      shift_loss)
@@ -223,26 +227,61 @@ def _lerch_sum(k: int, x: Monomial, order: Fraction) -> QSeries:
                     x.zeta_den, order)
 
 
-@exact_below
-def o_d_direct(d: int, z: Monomial, order) -> QSeries:
-    """O_d(z;q) from its single-sum form:
-    (1-z)/(1+z) * (1 + 2z/j(q;q^2) * sum_n (-1)^n q^{n^2+dn} / (1 - z q^{dn})).
-
-    This is the independent expansion used as the oracle for every deviation
-    identity; it never touches the m/Psi/Lambda machinery.
-    """
+def _check_rank_args(d: int, z: Monomial) -> None:
+    """Reject d < 1 and the poles z q^(dn) = 1 of the Lerch sum's divisors."""
     if d < 1:
         raise ValueError("d must be a positive integer")
     if z.coeff_is_one and (z.q_exp / d).denominator == 1:
         raise NonGenericParameter("z = %s hits a divisor pole" % z)
-    if z == Monomial.minus_one():
-        raise NonGenericParameter("z = -1 is a pole of the (1+z) prefactor")
-    inner = order + shift_loss(z)  # the shift by z loses -exp(z)
+
+
+def _inverse_one_plus(z: Monomial, order) -> QSeries:
+    """1/(1+z) below `order`, in z's own field Q(zeta_n), n = ord(z), with
+    no series or field inverse.  For a root of unity z it is the constant
+    `qrank.cyclotomic.inverse_one_plus`; with a q-part it is the geometric
+    series sum_j (-z)^j, or sum_{j>=1} (-1)^(j-1) z^-j when exp(z) < 0,
+    written (1 - z) / (1 - z^2) so that `_geometric` walks it in Q(zeta_n)."""
+    if not z.q_exp:
+        return QSeries.scalar(inverse_one_plus(z.zeta_num, z.zeta_den), order)
+    order, u = F(order), z * z
+    return root_sum(chain(_geometric(1, 0, 0, u, z.zeta_den, order),
+                          _geometric(-1, z.zeta_num, z.q_exp, u, z.zeta_den, order)),
+                    z.zeta_den, order)
+
+
+@exact_below
+def s_d_direct(d: int, z: Monomial, order) -> QSeries:
+    """(1+z) O_d(z;q) from its single-sum form:
+    (1-z) * (1 + 2z/j(q;q^2) * sum_n (-1)^n q^{n^2+dn} / (1 - z q^{dn})).
+
+    The oracle side of `rank-fold` and `rank-residue-average`, and the
+    numerator of `o_d_direct`; it never touches the m/Psi/Lambda machinery.
+    Unlike O_d it has no pole at z = -1.
+    """
+    _check_rank_args(d, z)
+    # 1 - z and the shift by z each lose -exp(z)
+    inner = order + 2 * shift_loss(z)
     s = _lerch_sum(d, z, inner)
     core = 1 + (s * eta_quotient({2: 1, 1: -2}, inner)).shift(z).scale(2)
-    one_minus = QSeries.one() - QSeries.from_monomial(z)
-    one_plus = QSeries.one() + QSeries.from_monomial(z)
-    return core * one_minus * one_plus.invert(inner)
+    return core * (QSeries.one() - QSeries.from_monomial(z))
+
+
+@exact_below
+def o_d_direct(d: int, z: Monomial, order) -> QSeries:
+    """O_d(z;q) from its single-sum form:
+    (1-z)/(1+z) * (1 + 2z/j(q;q^2) * sum_n (-1)^n q^{n^2+dn} / (1 - z q^{dn})),
+    that is `s_d_direct` times the closed form `_inverse_one_plus` of 1/(1+z).
+
+    This is the independent expansion used as the oracle for every deviation
+    identity; it never touches the m/Psi/Lambda machinery.  1/(1+z) starts
+    at q^loss, loss = max(0, -exp(z)), and S_d at q^-loss or later, so S_d
+    is needed below order - loss and 1/(1+z) below order + loss.
+    """
+    _check_rank_args(d, z)
+    if z == Monomial.minus_one():
+        raise NonGenericParameter("z = -1 is a pole of the (1+z) prefactor")
+    loss = shift_loss(z)
+    return s_d_direct(d, z, order - loss) * _inverse_one_plus(z, order + loss)
 
 
 @exact_below

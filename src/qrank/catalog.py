@@ -29,6 +29,7 @@ from .appell import (
     psi,
     psi_node,
     s_bar_d,
+    s_d_direct,
 )
 from .cyclotomic import Cyclotomic, root_of_unity
 from .errors import NonGenericParameter, UnknownName
@@ -455,15 +456,13 @@ def _rank_series_entries() -> list[CatalogEntry]:
         "generic parameters",
         F(40),
         [Instance({"d": d, "z": z, "z0": z0, "zp": zp},
-                  lambda o, d=d, z=z: computed_to(
-                      lambda t: (QSeries.one() + QSeries.from_monomial(z))
-                      * o_d_direct(d, z, t), o),
+                  lambda o, d=d, z=z: s_d_direct(d, z, o),
                   lambda o, d=d, z=z, z0=z0, zp=zp: s_bar_d(d, z, z0, zp, o))
          for d, z, z0, zp in fold_cases]))
 
     def residue_avg_lhs(d, a, M, o):
-        return linear_sum(((root_of_unity(-a * j, M) * (1 + root_of_unity(j, M)) * F(1, M),
-                            o_d_direct(d, Z(j, M), o)) for j in range(1, M)), o)
+        return linear_sum(((root_of_unity(-a * j, M) * F(1, M), s_d_direct(d, Z(j, M), o))
+                           for j in range(1, M)), o)
 
     entries.append(CatalogEntry(
         "rank-residue-average",

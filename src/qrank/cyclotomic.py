@@ -29,14 +29,22 @@ slots' top bits moves between two's complement and the value-plus-half form
 that carries cleanly.  The same packing batches the reduction of many
 vectors mod Phi_L (``reduce_all``): column j packs entry j of every vector,
 so a reduction row costs one big multiply-add per non-zero for all of them.
+
+Elements of two fields are compared in one of them, never in the compositum
+(`equality`): equal elements lie in the common subfield Q(zeta_g),
+g = gcd(L1, L2), so the side whose field has the smaller phi descends to
+Q(zeta_g) and moves into the other side's field (`descent`).  1/(1 + c) for
+a root of unity c has a closed form (`inverse_one_plus`), so no
+certification path calls the norm-route inverse.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from array import array
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -99,11 +107,14 @@ def cyclo_polynomial(L: int) -> tuple[int, ...]:
 # integer vector convolution by Kronecker substitution
 # ---------------------------------------------------------------------------
 
-# array typecodes by item size; slots of these widths pack in C, and every
-# width unpacks in C (`_unpack`)
+# array typecodes by item size; slots of these widths pack and unpack in C,
+# and `_unpack` reads slots of up to 16 bytes as two 8-byte limbs
 _ARRAY_CODES = {array(code).itemsize: code for code in "qihb"}
 _BIG_ENDIAN = sys.byteorder == "big"
 _SIGN_BYTE = bytes(255 if c > 127 else 0 for c in range(256))  # a byte's sign, extended
+# _ROUNDED_WIDTH[w]: the least array item size >= w, for w up to the widest item
+_ROUNDED_WIDTH = tuple(min(s for s in _ARRAY_CODES if s >= w)
+                       for w in range(max(_ARRAY_CODES) + 1))
 
 
 def _slot_mask(width: int, n: int) -> int:
@@ -115,14 +126,17 @@ def _slot_width(bound: int) -> int:
     # bytes per slot for values in [-bound, bound], rounded up to an array
     # item size when one is wide enough
     width = bound.bit_length() // 8 + 1
-    return min((w for w in _ARRAY_CODES if w >= width), default=width)
+    return _ROUNDED_WIDTH[width] if width < len(_ROUNDED_WIDTH) else width
 
 
-def _pack(v: Sequence[int], width: int) -> int:
+def _pack(v: Sequence[int], width: int, mask: int | None = None) -> int:
     # sum_i v[i] 2^(8 width i): the slots hold v[i] in two's complement,
     # little-endian on every machine, and flipping every top bit turns that
-    # into v[i] + half, so subtracting the mask leaves the signed sum
-    mask = _slot_mask(width, len(v))
+    # into v[i] + half, so subtracting the mask leaves the signed sum.  Any
+    # mask of len(v) slots or more does: the top bits above the slots of v
+    # are added by the flip and taken away again
+    if mask is None:
+        mask = _slot_mask(width, len(v))
     code = _ARRAY_CODES.get(width)
     if code is None:
         data = b"".join([x.to_bytes(width, "little", signed=True) for x in v])
@@ -133,41 +147,43 @@ def _pack(v: Sequence[int], width: int) -> int:
     return (int.from_bytes(data, "little") ^ mask) - mask
 
 
-def _slot_bytes(xs: Iterable[int], n: int, width: int) -> bytes:
-    # the n slots of each of xs, two's complement and little-endian, as bytes
-    mask, size = _slot_mask(width, n), n * width
+def _slot_bytes(xs: Iterable[int], n: int, width: int, mask: int | None = None) -> bytes:
+    # the n slots of each of xs, two's complement and little-endian, as bytes;
+    # mask is _slot_mask(width, n)
+    if mask is None:
+        mask = _slot_mask(width, n)
+    size = n * width
     return b"".join([((x + mask) ^ mask).to_bytes(size, "little") for x in xs])
 
 
-def _unpack(xs: Iterable[int], n: int, width: int) -> list[int]:
+def _unpack(xs: Iterable[int], n: int, width: int, mask: int | None = None) -> list[int]:
     # inverse of _pack: the n slots of each of xs, whose values lie in
-    # [-half, half), as one list.  A width with no array item is widened to
-    # whole 8-byte limbs, its bytes above `width` copying the sign; the top
-    # limb is read signed, the others unsigned, one shift-or a limb
-    data = _slot_bytes(xs, n, width)
+    # [-half, half), as one list; mask is _slot_mask(width, n).  A width of
+    # 9 to 16 bytes is widened to two 8-byte limbs, its bytes above `width`
+    # copying the sign, the high limb read signed and the low one unsigned;
+    # a wider slot is one int.from_bytes, cheaper than a shift-or a limb
+    data = _slot_bytes(xs, n, width, mask)
     code = _ARRAY_CODES.get(width)
-    if code is None:
-        limbs = -(-width // 8)
-        size = 8 * limbs
-        cells = bytearray(len(data) // width * size)
-        for b in range(width):
-            cells[b::size] = data[b::width]
-        sign = data[width - 1::width].translate(_SIGN_BYTE)
-        for b in range(width, size):
-            cells[b::size] = sign
-        signed, unsigned = array("q", cells), array("Q", cells)
+    if code is not None:
+        out = array(code)
+        out.frombytes(data)
         if _BIG_ENDIAN:
-            signed.byteswap()
-            unsigned.byteswap()
-        out = signed[limbs - 1::limbs].tolist()
-        for j in range(limbs - 2, -1, -1):
-            out = [hi << 64 | lo for hi, lo in zip(out, unsigned[j::limbs])]
-        return out
-    out = array(code)
-    out.frombytes(data)
+            out.byteswap()
+        return out.tolist()
+    if width > 16:
+        return [int.from_bytes(data[k:k + width], "little", signed=True)
+                for k in range(0, len(data), width)]
+    cells = bytearray(len(data) // width * 16)
+    for b in range(width):
+        cells[b::16] = data[b::width]
+    sign = data[width - 1::width].translate(_SIGN_BYTE)
+    for b in range(width, 16):
+        cells[b::16] = sign
+    signed, unsigned = array("q", cells), array("Q", cells)
     if _BIG_ENDIAN:
-        out.byteswap()
-    return out.tolist()
+        signed.byteswap()
+        unsigned.byteswap()
+    return [hi << 64 | lo for hi, lo in zip(signed[1::2], unsigned[::2])]
 
 
 def convolve_int(a: list[int] | tuple[int, ...], b: list[int] | tuple[int, ...]) -> list[int]:
@@ -182,8 +198,9 @@ def convolve_int(a: list[int] | tuple[int, ...], b: list[int] | tuple[int, ...])
     if not any(a) or not any(b):
         return []
     bound = min(max(map(abs, a)) * sum(map(abs, b)), max(map(abs, b)) * sum(map(abs, a)))
-    width = _slot_width(bound)
-    return _unpack([_pack(a, width) * _pack(b, width)], len(a) + len(b) - 1, width)
+    width, n = _slot_width(bound), len(a) + len(b) - 1
+    mask = _slot_mask(width, n)  # one mask packs both factors and unpacks the product
+    return _unpack([_pack(a, width, mask) * _pack(b, width, mask)], n, width, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +519,126 @@ def get_field(L: int) -> CyclotomicField:
 
 
 # ---------------------------------------------------------------------------
+# comparison across fields
+# ---------------------------------------------------------------------------
+
+
+def equality(fa: CyclotomicField, fb: CyclotomicField) -> Callable[[Raw, Raw], bool]:
+    """The test a == b for a of Q(zeta_fa.L) and b of Q(zeta_fb.L).
+
+    Equal elements lie in Q(zeta_fa.L) ∩ Q(zeta_fb.L) = Q(zeta_g),
+    g = gcd(fa.L, fb.L), so the side whose field has the smaller phi is
+    moved into the other side's field by `descent` (None, and so unequal,
+    when it is not in Q(zeta_g)) and compared there: the compositum
+    Q(zeta_lcm) is never built.
+    """
+    if fa is fb:
+        return operator.eq
+    if (fb.phi, fb.L) < (fa.phi, fa.L):
+        move = descent(fb, fa)
+        return lambda a, b: move(b) == a
+    move = descent(fa, fb)
+    return lambda a, b: move(a) == b
+
+
+@lru_cache(maxsize=None)
+def descent(src: CyclotomicField, dst: CyclotomicField) -> Callable[[Raw], Raw | None]:
+    """a -> a as an element of Q(zeta_dst.L), for a of Q(zeta_src.L), or None
+    when a lies outside Q(zeta_dst.L), that is outside the common subfield
+    Q(zeta_g), g = gcd(src.L, dst.L).
+
+    When Q(zeta_src.L) is Q(zeta_g) itself the descent is a plain reindex,
+    one reduction in dst: zeta_g -> zeta_dst^(dst.L/g) when src.L = g, and
+    zeta_2g = -zeta_g^((g+1)/2) when src.L = 2g with g odd.  Otherwise a's
+    coordinates at the pivots of `_projector` give the only candidate b in
+    Q(zeta_g); a is in Q(zeta_g) exactly when moving b back into
+    Q(zeta_src.L) gives a, and then b is moved into dst.  A wrong projector
+    can thus only make a member look like a non-member, never the reverse.
+    """
+    g = math.gcd(src.L, dst.L)
+    if src.phi == totient(g):
+        k = dst.L // g
+        doubled = src.L != g  # src.L = 2g: zeta_src -> -zeta_dst^(k (g+1)/2)
+        if doubled:
+            k *= (g + 1) // 2
+
+        def reindex(a: Raw) -> Raw | None:
+            d, vec = a
+            if not any(vec):
+                return dst.zero
+            if doubled:
+                vec = [-c if i % 2 else c for i, c in enumerate(vec)]
+            return dst.normalize(d, dst.reindex(vec, k))
+        return reindex
+    sub = get_field(g)
+    pivots, den, rows = _projector(src.L, g)
+    back, into = src.mover(sub), dst.mover(sub)
+
+    def project(a: Raw) -> Raw | None:
+        d, vec = a
+        if not any(vec):
+            return dst.zero
+        coords = [vec[i] for i in pivots]
+        b = sub.normalize(d * den, [sum(map(operator.mul, row, coords)) for row in rows])
+        return into(b) if back(b) == a else None
+    return project
+
+
+_PIVOT_PRIME = (1 << 61) - 1
+
+
+@lru_cache(maxsize=None)
+def _projector(L: int, g: int) -> tuple[tuple[int, ...], int, tuple[tuple[int, ...], ...]]:
+    """(P, D, R) for the embedding Q(zeta_g) -> Q(zeta_L), g | L: phi(g)
+    coordinates P of Q(zeta_L) on which the embedding is invertible, and
+    that block's inverse R / D, R integral, so that an element a of the image
+    is sum_j (R a[P])_j zeta_g^j / D.
+
+    P are the pivots of an echelon form of the images of the basis
+    zeta_g^j modulo a word-size prime; a block invertible there is
+    invertible over Q.  The block is inverted exactly by fraction-free
+    Gauss-Jordan elimination (Bareiss), every entry an integer minor.
+    """
+    m, p = L // g, _PIVOT_PRIME
+    images = [get_field(L).zeta_pow(j * m)[1] for j in range(totient(g))]
+    pivots: list[int] = []
+    echelon: list[list[int]] = []
+    for image in images:
+        row = [c % p for c in image]
+        for k, r in zip(pivots, echelon):
+            if row[k]:
+                c = row[k]
+                row = [(x - c * y) % p for x, y in zip(row, r)]
+        k = next((i for i, c in enumerate(row) if c), None)
+        if k is None:
+            raise ArithmeticError("no pivot modulo %d for Q(zeta_%d) in Q(zeta_%d)" % (p, g, L))
+        inv = pow(row[k], -1, p)
+        pivots.append(k)
+        echelon.append([x * inv % p for x in row])
+    n = len(pivots)
+    # [A | I] with A[i][j] the coordinate pivots[i] of image j, eliminated
+    # to [D I | D A^-1]
+    rows = [[image[k] for image in images] + [int(i == j) for j in range(n)]
+            for i, k in enumerate(pivots)]
+    prev = 1
+    for k in range(n):
+        r = next(i for i in range(k, n) if rows[i][k])
+        rows[k], rows[r] = rows[r], rows[k]
+        top = rows[k]
+        pk = top[k]
+        for i in range(n):
+            c = rows[i][k]
+            if i != k and (c or pk != prev):
+                rows[i] = [(x * pk - c * y) // prev for x, y in zip(rows[i], top)]
+        prev = pk
+    if prev < 0:
+        prev, rows = -prev, [[-x for x in row] for row in rows]
+    inverse = [row[n:] for row in rows]
+    h = math.gcd(prev, *(x for row in inverse for x in row))
+    return (tuple(pivots), prev // h, tuple(tuple(x // h for x in row) for row in inverse))
+
+
+# ---------------------------------------------------------------------------
 # public wrapper
 # ---------------------------------------------------------------------------
 
@@ -617,8 +754,7 @@ class Cyclotomic:
             return self.is_rational() and self.as_fraction() == other
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        _, a, b = self._pair(other)
-        return a == b
+        return equality(self.field, other.field)(self.raw, other.raw)
 
     def __hash__(self):
         # Tr(a)/phi(L): the same in every field holding a, and a if rational
@@ -650,3 +786,19 @@ def root_of_unity(num: int, den: int) -> Cyclotomic:
         raise ValueError("den must be positive")
     f = get_field(den)
     return Cyclotomic(f, f.zeta_pow(num))
+
+
+def inverse_one_plus(num: int, den: int) -> Cyclotomic:
+    """1/(1 + c) for c = zeta_den^num, as an element of Q(zeta_den), with no
+    field inverse.  With n the order of c: (1/2) sum_{j<n} (-c)^j for odd n,
+    since (1 + c) sum_{j<n} (-c)^j = 1 + c^n = 2; for even n, -c has
+    (-c)^n = 1, and 1/(1 - eta) = -(1/n) sum_{j<n} j eta^j for eta = -c.
+    c = -1 raises InverseOfZero."""
+    f = get_field(den)
+    n = den // math.gcd(num, den)
+    if n == 2:
+        raise InverseOfZero("1 + zeta_%d^%d is zero" % (den, num))
+    vec = [0] * den
+    for j in range(n):
+        vec[j * num % den] += (1 if n % 2 else -j) * (-1) ** j
+    return Cyclotomic(f, f.normalize(2 if n % 2 else n, f.reduce_vec(vec)))

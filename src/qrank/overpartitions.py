@@ -47,7 +47,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .appell import appell_m, bracket_tail, o_d_at_minus_one, o_d_direct, psi, s_bar_bracket
-from .cyclotomic import get_field, root_of_unity
+from .cyclotomic import get_field, inverse_one_plus, root_of_unity
 from .errors import NonGenericParameter, UnsupportedCase
 from .series import Monomial, QSeries, eta_quotient, linear_sum, shifted
 
@@ -439,7 +439,7 @@ def single_deviation(d: int, a: int, M: int, order,
         # takes its field from the weights
         terms.append((F(1 if a % 2 == 0 else -1, M), o_d_at_minus_one(d, built)))
     for k in range(1, (M + 1) // 2):
-        zk = root_of_unity(k, M)
-        weight = (1 - zk) / (1 + zk) * (root_of_unity(-k * a, M) + root_of_unity(k * a, M))
+        weight = ((1 - root_of_unity(k, M)) * inverse_one_plus(k, M)
+                  * (root_of_unity(-k * a, M) + root_of_unity(k * a, M)))
         terms.append((weight * F(1, M), s_bar_bracket(d, Monomial.zeta(k, M), z0, zp, built)))
     return linear_sum(terms, order)

@@ -16,8 +16,10 @@ A product is one call of ``CyclotomicField.product``, the one multiply
 path of `qrank.cyclotomic`: one integer convolution and one reduction mod
 Phi_L per output coefficient.  Inverses use Newton iteration,
 g <- g + g (1 - u g), which doubles the number of correct terms per step and
-runs every product through the same call.  Products, quotients and sums of
-theta blocks and eta quotients are not built here but by
+runs every product through the same call.  Two series are compared with
+each in its own field (`first_difference`, ``==``), coefficient by
+coefficient through `qrank.cyclotomic.equality`.  Products, quotients and
+sums of theta blocks and eta quotients are not built here but by
 `qrank.theta.theta_quotient`, in the half ring of `qrank.cyclotomic`.
 ``root_sum`` builds a sum of signed roots of unity times powers of q (the
 Lerch sums and double-divisor factors of the O_d oracle, the enumeration
@@ -45,7 +47,7 @@ from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import lru_cache, wraps
 
-from .cyclotomic import Cyclotomic, CyclotomicField, Raw, get_field, root_of_unity
+from .cyclotomic import Cyclotomic, CyclotomicField, Raw, equality, get_field, root_of_unity
 from .errors import FractionalExponents, NonGenericParameter
 
 
@@ -524,24 +526,34 @@ class QSeries:
 
     # -- comparison -------------------------------------------------------
 
+    def _aligned(self, other: "QSeries") -> tuple["QSeries", "QSeries"]:
+        """Both series over their common denominator, each in its own field."""
+        den = math.lcm(self.den, other.den)
+        return self._with(self.field, den), other._with(other.field, den)
+
     def first_difference(self, other: "QSeries", order: Fraction | int):
         """First exponent below `order` where the two series differ, with both
-        coefficients, or None if they agree on every exponent below `order`."""
+        coefficients, or None if they agree on every exponent below `order`.
+
+        Coefficients of two fields are compared in the one with the larger
+        phi, the other side's coefficients moved there through the common
+        subfield (`qrank.cyclotomic.equality`), so the compositum is never
+        built; a difference then gives each coefficient in its own field."""
         order = Fraction(order)
-        field, den = _plan((self, other))
-        a, b = self._with(field, den), other._with(field, den)
+        a, b = self._aligned(other)
         bound = math.ceil(order * a.den)  # the first scaled exponent at or past `order`
         for p in (a.prec, b.prec):
             if p is not None and p < bound:
                 raise ValueError(
                     "series only known to order %s, cannot compare to order %s"
                     % (Fraction(p, a.den), order))
+        eq, za, zb = equality(a.field, b.field), a.field.zero, b.field.zero
         lo = min(a.val if a.coeffs else bound, b.val if b.coeffs else bound)
         for k in range(lo, bound):
-            ca = a.coeffs[k - a.val] if a.coeffs and 0 <= k - a.val < len(a.coeffs) else field.zero
-            cb = b.coeffs[k - b.val] if b.coeffs and 0 <= k - b.val < len(b.coeffs) else field.zero
-            if ca != cb:
-                return (Fraction(k, a.den), Cyclotomic(field, ca), Cyclotomic(field, cb))
+            ca = a.coeffs[k - a.val] if a.coeffs and 0 <= k - a.val < len(a.coeffs) else za
+            cb = b.coeffs[k - b.val] if b.coeffs and 0 <= k - b.val < len(b.coeffs) else zb
+            if not eq(ca, cb):
+                return (Fraction(k, a.den), Cyclotomic(a.field, ca), Cyclotomic(b.field, cb))
         return None
 
     def agrees_with(self, other: "QSeries", order: Fraction | int) -> bool:
@@ -553,9 +565,9 @@ class QSeries:
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        field, den = _plan((self, other))
-        a, b = self._with(field, den), other._with(field, den)
-        return (a.val == b.val and a.coeffs == b.coeffs and a.prec == b.prec)
+        a, b = self._aligned(other)
+        return (a.val == b.val and a.prec == b.prec and len(a.coeffs) == len(b.coeffs)
+                and all(map(equality(a.field, b.field), a.coeffs, b.coeffs)))
 
     def __hash__(self):
         # equal series agree in these in every field and over every denominator

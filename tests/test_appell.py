@@ -19,13 +19,14 @@ from qrank.appell import (
     psi,
     s_bar_bracket,
     s_bar_d,
+    s_d_direct,
     _geometric,
 )
 from qrank.catalog import avg_lhs, avg_rhs
 from qrank.cyclotomic import Cyclotomic, get_field, root_of_unity
 from qrank.errors import NonGenericParameter
-from qrank.series import (Monomial, QSeries, computed_to, linear_sum, root_sum, shift_loss,
-                          shifted)
+from qrank.series import (Monomial, QSeries, computed_to, eta_quotient, linear_sum, root_sum,
+                          shift_loss, shifted)
 from qrank.theta import bilateral, binom2, is_theta_zero_pattern
 from test_theta import _product_route, _theta_sum
 
@@ -228,6 +229,66 @@ def test_o_d_forms_agree():
                 b = o_d_original(d, z, order)
                 assert a.order == b.order == order, (d, z, order)
                 assert a.agrees_with(b, order), (d, z, order)
+
+
+def _inverting_o_d(d, z, order):
+    # O_d through a Newton series inverse of 1 + z, whose first coefficient
+    # takes a field inverse, as `o_d_direct` was built before its closed form
+    def build(order):
+        if d < 1:
+            raise ValueError("d must be a positive integer")
+        if z.coeff_is_one and (z.q_exp / d).denominator == 1:
+            raise NonGenericParameter("z = %s hits a divisor pole" % z)
+        if z == Monomial.minus_one():
+            raise NonGenericParameter("z = -1 is a pole of the (1+z) prefactor")
+        inner = order + shift_loss(z)
+        s = appell._lerch_sum(d, z, inner)
+        core = 1 + (s * eta_quotient({2: 1, 1: -2}, inner)).shift(z).scale(2)
+        one_minus = QSeries.one() - QSeries.from_monomial(z)
+        one_plus = QSeries.one() + QSeries.from_monomial(z)
+        return core * one_minus * one_plus.invert(inner)
+    return computed_to(build, order)
+
+
+def _inverting_s_d(d, z, order):
+    # (1 + z) O_d, multiplied back as `rank-fold` built it, with O_d built
+    # past the order that 1 + z loses when exp(z) < 0
+    return computed_to(lambda o: (QSeries.one() + QSeries.from_monomial(z))
+                       * _inverting_o_d(d, z, o + shift_loss(z)), order)
+
+
+def _outcome(build):
+    try:
+        return json.dumps(build().to_json_dict())
+    except NonGenericParameter as exc:
+        return repr(exc)
+
+
+# roots of odd and even order, and q-parts below, at and above zero; the
+# last four are poles of the Lerch sum's divisors for some d
+ORACLE_ZS = [Z(1, 5), Z(2, 7), Z(1, 4), Z(3, 8), Z(1, 6), Z(5, 12), Z(4, 9),
+             Z(1, 5, F(1, 3)), Z(3, 7, 2), Q(F(1, 2)), Z(1, 2, 1), Z(5, 6, 3),
+             Z(1, 6, F(-1, 2)), Z(1, 4, -1), Z(2, 5, -3), Z(1, 2, F(-1, 3)), Q(F(-5, 2)),
+             Monomial.one(), Q(2), Q(-3), Q(4)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_oracle_without_inverses_matches_the_inverting_route(d):
+    # the same serialized series, or the same pole, at every order
+    outcomes = []
+    for z in ORACLE_ZS:
+        for order in (F(40), F(13, 2), F(0), F(-2)):
+            for new, old in ((o_d_direct, _inverting_o_d), (s_d_direct, _inverting_s_d)):
+                got = _outcome(lambda: new(d, z, order))
+                assert got == _outcome(lambda: old(d, z, order)), (new.__name__, z, order)
+                outcomes.append(got)
+    assert sum(o.startswith("NonGeneric") for o in outcomes) >= 8  # z = 1 at least
+    # z = -1 is a pole of O_d only: there S_d = (1 + z) O_d vanishes
+    for order in (F(40), F(13, 2), F(0), F(-2)):
+        assert _outcome(lambda: o_d_direct(d, Monomial.minus_one(), order)) == \
+            _outcome(lambda: _inverting_o_d(d, Monomial.minus_one(), order))
+        s = s_d_direct(d, Monomial.minus_one(), order)
+        assert s.order == order and s.is_zero_to(order)
 
 
 def test_o_d_at_minus_one_even_part():
@@ -662,7 +723,7 @@ def test_the_oracle_series_match_the_fraction_walk(monkeypatch):
     orders = [12, F(13, 2), F(1, 2), F(20, 3), 0, -2]
 
     def build():
-        for fn in (o_d_direct, o_d_original, lerch_fold_lhs):
+        for fn in (o_d_direct, s_d_direct, o_d_original, lerch_fold_lhs):
             fn.cache_clear()
         out = []
         for z in zs:

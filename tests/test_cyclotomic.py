@@ -10,7 +10,9 @@ from qrank.cyclotomic import (
     Cyclotomic,
     convolve_int,
     cyclo_polynomial,
+    descent,
     get_field,
+    inverse_one_plus,
     root_of_unity,
     totient,
 )
@@ -298,7 +300,7 @@ def test_unpack_inverts_pack_at_every_width():
     # packed integer or several: array items at 1, 2, 4 and 8 bytes, whole
     # 8-byte limbs, sign-extended, at every other width
     rng = random.Random(17)
-    for width in range(1, 21):
+    for width in range(1, 41):
         half = 1 << (8 * width - 1)
         for n in (1, 2, 5):
             vecs = [[rng.choice([-half, half - 1, 0, rng.randrange(-half, half)])
@@ -307,6 +309,10 @@ def test_unpack_inverts_pack_at_every_width():
             xs = [cyclotomic._pack(v, width) for v in vecs]
             assert cyclotomic._unpack(xs, n, width) == [c for v in vecs for c in v]
             assert cyclotomic._unpack(xs[:1], n, width) == vecs[0]
+            # a mask of more slots packs the same integer, as convolve_int's
+            # one mask for both factors and their product does
+            mask = cyclotomic._slot_mask(width, n + 3)
+            assert [cyclotomic._pack(v, width, mask) for v in vecs] == xs
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 8, 9])
@@ -464,3 +470,100 @@ def test_equal_values_of_different_fields_hash_alike():
     assert hash(zeta(3, 6)) == hash(-1) and -1 in {zeta(6, 12)}
     assert hash(rat(Fraction(3, 4)).embed(12)) == hash(Fraction(3, 4))
     assert len({zeta(1, 3), zeta(2, 3), zeta(1, 4)}) == 3
+
+
+# field pairs for the comparison route: odd and even parts, L = 2 mod 4,
+# nested and coprime fields, and the suite's (105, 70), (110, 770) and
+# (165, 770), whose common subfields are Q(zeta_35), Q(zeta_110) and Q(zeta_55)
+_FIELD_SIZES = list(range(1, 31)) + [36, 42, 45, 60, 63, 66, 70, 84, 90, 105, 110, 165, 770]
+_SUITE_PAIRS = [(105, 70), (110, 770), (165, 770), (770, 165), (5, 10), (6, 3), (3, 2)]
+
+
+def _field_pairs(rng, count):
+    return _SUITE_PAIRS + [(rng.choice(_FIELD_SIZES), rng.choice(_FIELD_SIZES))
+                           for _ in range(count)]
+
+
+def _element(rng, L, den=True):
+    f = get_field(L)
+    return Cyclotomic(f, f.normalize(rng.randint(1, 4) if den else 1,
+                                     [rng.randint(-3, 3) for _ in range(f.phi)]))
+
+
+def _in_subfield(a, g):
+    # a is in Q(zeta_g) exactly when every sigma_k with k = 1 mod g fixes it
+    f = a.field
+    return all(f._conjugate(a.raw, k) == a.raw for k in range(1, f.L + 1, g)
+               if math.gcd(k, f.L) == 1)
+
+
+def _compositum_eq(a, b):
+    # the route before the common subfield: both sides in Q(zeta_lcm)
+    L = math.lcm(a.field.L, b.field.L)
+    return a.embed(L).raw == b.embed(L).raw
+
+
+def test_cross_field_equality_matches_the_compositum():
+    rng = random.Random(29)
+    verdicts = set()
+    for L1, L2 in _field_pairs(rng, 120):
+        g = math.gcd(L1, L2)
+        x = _element(rng, g)
+        for a, b in [(x.embed(L1), x.embed(L2)),
+                     (x.embed(L1), (x + _element(rng, g)).embed(L2)),
+                     (_element(rng, L1), x.embed(L2)),
+                     (x.embed(L1), _element(rng, L2)),
+                     (x.embed(L1) + _element(rng, L1, den=False), x.embed(L2))]:
+            want = _compositum_eq(a, b)
+            assert (a == b) == want == (b == a), (L1, L2, a, b)
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_descent_keeps_members_and_rejects_the_rest():
+    rng = random.Random(31)
+    kinds = set()
+    for L1, L2 in _field_pairs(rng, 120):
+        g = math.gcd(L1, L2)
+        src, dst = get_field(L1), get_field(L2)
+        move = descent(src, dst)
+        x = _element(rng, g)
+        assert move(x.embed(L1).raw) == x.embed(L2).raw, (L1, L2, x)
+        assert move(src.zero) == dst.zero
+        a = _element(rng, L1)
+        member = _in_subfield(a, g)
+        got = move(a.raw)
+        assert (got is not None) == member, (L1, L2, a)
+        if member:
+            assert Cyclotomic(dst, got).embed(math.lcm(L1, L2)) == a.embed(math.lcm(L1, L2))
+        kinds.add((member, src.phi == totient(g)))
+    # both routes, the reindex and the projector, and both outcomes
+    assert {(True, True), (False, False), (True, False)} <= kinds
+
+
+@pytest.mark.parametrize("L, g", [(165, 55), (12, 4), (30, 6), (63, 9), (770, 110),
+                                  (105, 15), (7, 1), (84, 6), (45, 1)])
+def test_projector_inverts_the_embedding_on_its_pivots(L, g):
+    # A R = D I, A the rows of the embedding Q(zeta_g) -> Q(zeta_L) at the pivots
+    pivots, den, rows = cyclotomic._projector(L, g)
+    n = totient(g)
+    assert len(set(pivots)) == len(pivots) == len(rows) == n and den > 0
+    f = get_field(L)
+    images = [f.zeta_pow(j * (L // g))[1] for j in range(n)]
+    A = [[image[k] for image in images] for k in pivots]
+    for i in range(n):
+        for j in range(n):
+            assert sum(A[i][t] * rows[t][j] for t in range(n)) == (den if i == j else 0)
+
+
+def test_inverse_one_plus_is_the_field_inverse():
+    for den in range(1, 41):
+        for num in range(den):
+            c = root_of_unity(num, den)
+            if den // math.gcd(num, den) == 2:
+                with pytest.raises(InverseOfZero):
+                    inverse_one_plus(num, den)
+                continue
+            got = inverse_one_plus(num, den)
+            assert got.field.L == den
+            assert got.raw == (1 + c).inv().raw, (num, den)

@@ -519,6 +519,69 @@ def test_first_difference_reports_mismatch():
     assert diff[2].as_fraction() == 4
 
 
+def _compositum_first_difference(a, b, order):
+    # the route before the common subfield: both series in Q(zeta_lcm)
+    field, den = get_field(math.lcm(a.field.L, b.field.L)), math.lcm(a.den, b.den)
+    a, b = a._with(field, den), b._with(field, den)
+    bound = math.ceil(order * den)
+    lo = min(a.val if a.coeffs else bound, b.val if b.coeffs else bound)
+    for k in range(lo, bound):
+        ca, cb = a.coeff(F(k, den)), b.coeff(F(k, den))
+        if ca.raw != cb.raw:
+            return F(k, den), ca, cb
+    return None
+
+
+def _random_cyclotomic(rng, L):
+    f = get_field(L)
+    if rng.random() < 0.2:
+        return Cyclotomic(f, f.zero)
+    return Cyclotomic(f, f.normalize(rng.randint(1, 3), [rng.randint(-3, 3) for _ in range(f.phi)]))
+
+
+def test_first_difference_matches_the_compositum_route():
+    # random field pairs with odd and even parts and L = 2 mod 4; both sides
+    # hold members of the common subfield Q(zeta_g), equal or not, and one
+    # coefficient may be replaced by an element of its own field, a
+    # non-member unless that field is Q(zeta_g)
+    rng = random.Random(41)
+    sizes = list(range(1, 31)) + [42, 63, 70, 84, 90, 105, 110, 165, 770]
+    pairs = [(105, 70), (110, 770), (165, 770), (770, 165), (6, 3)]
+    pairs += [(rng.choice(sizes), rng.choice(sizes)) for _ in range(60)]
+    seen = set()
+    for L1, L2 in pairs:
+        g = math.gcd(L1, L2)
+        for _ in range(4):
+            vals = [_random_cyclotomic(rng, g) for _ in range(rng.randint(0, 6))]
+            left, right = [v.embed(L1) for v in vals], [v.embed(L2) for v in vals]
+            kind = rng.choice(["equal", "member", "own field", "tail"])
+            if vals and kind != "equal":
+                i = rng.randrange(len(vals))
+                if kind == "member":
+                    right[i] = (vals[i] + _random_cyclotomic(rng, g)).embed(L2)
+                elif kind == "own field":
+                    left[i] = _random_cyclotomic(rng, L1)
+                else:
+                    right.append(_random_cyclotomic(rng, g).embed(L2))
+            den1, den2 = rng.choice([(1, 1), (1, 2), (2, 1), (3, 2)])
+            val = rng.randint(-2, 2)
+            a = QSeries(get_field(L1), den1, val * den1,
+                        tuple(c.raw for c in left), (val + 9) * den1)
+            b = QSeries(get_field(L2), den2, val * den2,
+                        tuple(c.raw for c in right), (val + 9) * den2)
+            for order in (F(val + 9), F(val + 3), F(2 * val + 7, 2)):
+                got, want = a.first_difference(b, order), _compositum_first_difference(a, b, order)
+                assert (got is None) == (want is None), (L1, L2, order)
+                if got is not None:
+                    L = math.lcm(L1, L2)
+                    assert got[0] == want[0]
+                    assert got[1].field.L == L1 and got[2].field.L == L2
+                    assert got[1].embed(L).raw == want[1].raw and got[2].embed(L).raw == want[2].raw
+                seen.add(got is None)
+            assert (a == b) == (a.first_difference(b, F(val + 9)) is None) == (b == a)
+    assert seen == {True, False}
+
+
 def test_compare_beyond_order_raises():
     a = poly([1], order=3)
     with pytest.raises(ValueError):
