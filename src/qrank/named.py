@@ -12,12 +12,13 @@ is exact below that order.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .appell import appell_m, psi
 from .cyclotomic import root_of_unity
 from .errors import UnknownName
 from .series import (Monomial, QSeries, computed_to, eta_J, eta_quotient, exact_below,
-                     linear_sum, shift_loss, shifted)
+                     linear_sum, shift_loss)
 from .theta import theta_quotient
 
 F = Fraction
@@ -176,11 +177,11 @@ def _class_sum(block, partner, n_class: int, order) -> QSeries:
 
 
 def script_G(n_class: int, order) -> QSeries:
-    return _class_sum(_g, _WF, n_class, order)
+    return _class_sum(_g, _WF, n_class % 3, order)
 
 
 def script_H(n_class: int, order) -> QSeries:
-    return _class_sum(_h, _WF, n_class, order)
+    return _class_sum(_h, _WF, n_class % 3, order)
 
 
 def psi_difference_lhs(order) -> QSeries:
@@ -236,29 +237,40 @@ def bracket_reduction_rhs(order) -> QSeries:
 # -- the assembled three-part decomposition ----------------------------------
 
 
+# the letter brackets of `_B_part`, the same for every class: 2AD - AE, BD + BE,
+# 2CE - CD against script_G and 2AG + AF, 2BF + BG, CG - CF against script_H
+_BRACKETS = (((2, "AD"), (-1, "AE")), ((1, "BD"), (1, "BE")), ((2, "CE"), (-1, "CD")),
+             ((2, "AG"), (1, "AF")), ((2, "BF"), (1, "BG")), ((1, "CG"), (-1, "CF")))
+
+
+@lru_cache(maxsize=None)
+def _letter_brackets(order) -> tuple[QSeries, ...]:
+    letter = {x: _letter(x, order) for x in "ABCDEFG"}
+    return tuple(linear_sum((w, letter[x] * letter[y]) for w, (x, y) in t) for t in _BRACKETS)
+
+
 @exact_below
 def _B_part(n_class: int, order) -> QSeries:
+    """q^n_class b_block(n_class) without the head and theta term of class
+    0; the classes share the letter brackets and the class sums (keyed by
+    the class mod 3) of their one order."""
     first = eta_quotient({6: 3, 9: 1, 108: 1, 3: -1, 18: -1, 36: -1}, order)
     first = (first * _I(n_class, order).substitute_q_power(3)).shift(Q(3 + n_class))
     outer = eta_quotient({3: 2, 6: 2, 36: 1, 12: -1, 18: -2}, order)
     gw_coeff = eta_quotient({3: 3, 12: 2, 18: 2, 72: 1, 108: 2,
                              6: -4, 9: -1, 24: -1, 36: -1, 54: -1, 216: -1}, order)
     term_gw = gw_coeff * _class_sum(_g, _W, n_class, order)
-    A, B, C, D, E, Fq, G = (_letter(x, order) for x in "ABCDEFG")
+    AD_AE, BD_BE, CE_CD, AG_AF, BF_BG, CG_CF = _letter_brackets(order)
     G0, G1, G2 = (script_G(n_class + i, order) for i in range(3))
     g_coeff = eta_quotient({12: 2, 108: 1, 6: -1, 24: -1}, order)
-    term_G = linear_sum(((1, linear_sum(((2, A * D), (-1, A * E))) * G1),
-                         (-1, linear_sum(((1, B * D), (1, B * E))) * G0),
-                         (1, linear_sum(((2, C * E), (-1, C * D))) * G2)))
+    term_G = linear_sum(((1, AD_AE * G1), (-1, BD_BE * G0), (1, CE_CD * G2)))
     term_G = (g_coeff * term_G).shift(Q(2))
     hw_coeff = eta_quotient({3: 3, 18: 1, 24: 1, 36: 2, 216: 1,
                              6: -3, 9: -1, 12: -1, 72: -1, 108: -1}, order)
-    term_hw = (hw_coeff * _class_sum(_h, _W, n_class + 1, order)).shift(Q(5))
+    term_hw = (hw_coeff * _class_sum(_h, _W, (n_class + 1) % 3, order)).shift(Q(5))
     H0, H1, H2 = (script_H(n_class + i, order) for i in range(3))
     h_coeff = eta_quotient({24: 1, 108: 1, 12: -1}, order)
-    term_H = linear_sum(((1, linear_sum(((2, A * G), (1, A * Fq))) * H2),
-                         (-1, linear_sum(((2, B * Fq), (1, B * G))) * H1),
-                         (-1, linear_sum(((1, C * G), (-1, C * Fq))) * H0)))
+    term_H = linear_sum(((1, AG_AF * H2), (-1, BF_BG * H1), (-1, CG_CF * H0)))
     term_H = (h_coeff * term_H).shift(Q(1))
     inner = linear_sum(((1, term_gw), (-2, term_G), (1, term_hw), (-2, term_H)))
     return linear_sum(((3, first), (1, outer * inner)))
@@ -268,14 +280,19 @@ def b_block(n_class: int, order) -> QSeries:
     """Component n_class of the three-part decomposition, normalized so the
     full series is b_block(0) + q b_block(1) + q^2 b_block(2), each block a
     series in q^3.  Class 0 carries the Appell-Lerch head and the
-    Psi-difference theta term."""
-    if n_class in (1, 2):
-        return shifted(lambda o: _B_part(n_class, o), Q(-n_class), order)
+    Psi-difference theta term.  Every class reads `_B_part` at order + 2,
+    which class 2 needs after its shift by q^-2, so the three blocks of one
+    order share one build.  A class outside 0, 1, 2 raises ValueError."""
+    if n_class not in (0, 1, 2):
+        raise ValueError("the decomposition has classes 0, 1 and 2, not %r" % (n_class,))
 
     def build(o):
+        part = _B_part(n_class, o + 2).shift(Q(-n_class))
+        if n_class:
+            return part
         minus = Monomial.minus_one()
         head = appell_m(Q(-27), 162, minus, o + shift_loss(Q(-36))).shift(Q(-36))
-        return linear_sum(((6, head), (1, psi_difference_rhs(o)), (1, _B_part(0, o))))
+        return linear_sum(((6, head), (1, psi_difference_rhs(o)), (1, part)))
     return computed_to(build, order)
 
 

@@ -723,7 +723,8 @@ def computed_to(builder, order) -> QSeries:
 def exact_below(build):
     """Decorate `build(*params, order)` into a cached builder that is exact
     below its order: `build` is lru-cached and runs once through
-    `computed_to`, and the cache's `cache_clear` is the builder's own."""
+    `computed_to`, and the cache's `cache_clear` and `cache_info` are the
+    builder's own."""
     cached = lru_cache(maxsize=None)(build)
 
     @wraps(build)
@@ -731,7 +732,7 @@ def exact_below(build):
         *params, order = args
         return computed_to(lambda o: cached(*params, o), order)
 
-    builder.cache_clear = cached.cache_clear
+    builder.cache_clear, builder.cache_info = cached.cache_clear, cached.cache_info
     return builder
 
 

@@ -18,8 +18,9 @@ The terms of each block are listed by `bilateral`, the routine that also
 walks the other two-sided sums of the package (the terms of m(x,q,z), the
 Lerch sums behind O_d(z;q)); it stops each direction by a convexity rule
 that holds for any monomial z, including ones with negative or fractional
-q-exponent.  The triple product is kept as an independent oracle for tests
-and for the catalog's two-route entry.
+q-exponent.  The triple product is an independent oracle for tests and for
+the catalog's two-route entry, built in Z[C_L] with no code of the packed
+engine or of `QSeries.__mul__`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from operator import add, sub
 
 from .cyclotomic import _slot_mask, _slot_width, get_field
 from .errors import NonGenericParameter
@@ -430,7 +431,11 @@ def theta_j(z: Monomial, base, order) -> QSeries:
 
 def theta_triple_product(z: Monomial, base, order) -> QSeries:
     """(z;q^p)_oo (q^p/z;q^p)_oo (q^p;q^p)_oo by direct product of its
-    binomials below `order`, multiplied as a balanced product tree.
+    binomials below `order` in Z[C_L], a coefficient a list of L integers:
+    each factor 1 - zeta_L^a q^e is applied in place from the top index
+    down, acc_i -= zeta_L^a acc_(i-e) by a list slice, and each coefficient
+    is reduced mod Phi_L once.  Field and denominator are the lcm over the
+    factors below `order`.
 
     Requires 0 <= exp(z) < p so every factor is 1 + O(q^positive) beyond
     finitely many; this covers the oracle's sampling domain.
@@ -439,13 +444,24 @@ def theta_triple_product(z: Monomial, base, order) -> QSeries:
     order = Fraction(order)
     if not (0 <= z.q_exp < p):
         raise ValueError("product oracle needs 0 <= exp(z) < base exponent")
-    factors = [QSeries.one(order)]
     # the factors 1 - z q^(kp) (k >= 0), 1 - q^(kp)/z and 1 - q^(kp) (k >= 1)
+    factors = []
     for x, k in ((z, 0), (z.inverse(), 1), (Monomial.one(), 1)):
         while x.q_exp + k * p < order:
-            factors.append(QSeries.one(order) - QSeries.from_monomial(x * Monomial.q(k * p), order))
+            factors.append((x, x.q_exp + k * p))
             k += 1
-    while len(factors) > 1:
-        pairs = [a * b for a, b in zip(factors[::2], factors[1::2])]
-        factors = pairs + factors[len(pairs) * 2:]
-    return factors[0]
+    L = math.lcm(1, *(x.zeta_den for x, _ in factors))
+    den = math.lcm(order.denominator, *(e.denominator for _, e in factors))
+    field, n = get_field(L), order.numerator * (den // order.denominator)
+    # no coefficient below an order n <= 0; the slots not yet written share
+    # one zero list, which `reduce_vec` (in place) must not be given
+    zero = [0] * L
+    acc, hi = [[1] + zero[1:]][:n] + [zero] * (n - 1), 1  # acc_i = 0 for i >= hi
+    for x, e in factors:
+        a, e = x.zeta_num * (L // x.zeta_den), e.numerator * (den // e.denominator)
+        for i in range(min(n, hi + e) - 1, e - 1, -1):
+            v = acc[i - e]
+            acc[i] = list(map(sub, acc[i], v[-a:] + v[:-a]))
+        hi = min(n, hi + e)
+    coeffs = [field.normalize(1, field.reduce_vec(v)) if any(v) else field.zero for v in acc]
+    return QSeries(field, den, 0, coeffs, n)

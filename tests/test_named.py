@@ -2,22 +2,31 @@ from fractions import Fraction
 
 import pytest
 
+from qrank import named
+from qrank.appell import appell_m
+from qrank.catalog import CATALOG
 from qrank.errors import UnknownName
 from qrank.named import (
     NAMED_BUILDERS,
     _f,
     _g,
     _h,
+    _I,
     _W,
     _WF,
     _class_sum,
+    _letter,
     b_block,
     build_named_series,
     dissection_lhs,
     dissection_rhs,
     named_series_names,
+    psi_difference_rhs,
+    script_G,
+    script_H,
 )
-from qrank.series import Monomial, QSeries, eta_J
+from qrank.series import (Monomial, QSeries, computed_to, eta_J, eta_quotient, linear_sum,
+                          shift_loss, shifted)
 
 F = Fraction
 
@@ -134,3 +143,78 @@ def test_dissection_sums_match_substitute_first_route(block):
             new = _class_sum(block, _W, n_class, order).to_json_dict()
             old = _pair_sum_substituted_first(block, n_class, order).to_json_dict()
             assert new == old, ("pair", n_class, order)
+
+
+def _per_class_part(n_class, order):
+    """The class's part built alone, its letters multiplied for it and its
+    class sums keyed by n_class + i."""
+    def build(order):
+        Q = Monomial.q
+        first = eta_quotient({6: 3, 9: 1, 108: 1, 3: -1, 18: -1, 36: -1}, order)
+        first = (first * _I(n_class, order).substitute_q_power(3)).shift(Q(3 + n_class))
+        outer = eta_quotient({3: 2, 6: 2, 36: 1, 12: -1, 18: -2}, order)
+        gw_coeff = eta_quotient({3: 3, 12: 2, 18: 2, 72: 1, 108: 2,
+                                 6: -4, 9: -1, 24: -1, 36: -1, 54: -1, 216: -1}, order)
+        term_gw = gw_coeff * _class_sum(_g, _W, n_class, order)
+        A, B, C, D, E, Fq, G = (_letter(x, order) for x in "ABCDEFG")
+        G0, G1, G2 = (script_G(n_class + i, order) for i in range(3))
+        g_coeff = eta_quotient({12: 2, 108: 1, 6: -1, 24: -1}, order)
+        term_G = linear_sum(((1, linear_sum(((2, A * D), (-1, A * E))) * G1),
+                             (-1, linear_sum(((1, B * D), (1, B * E))) * G0),
+                             (1, linear_sum(((2, C * E), (-1, C * D))) * G2)))
+        term_G = (g_coeff * term_G).shift(Q(2))
+        hw_coeff = eta_quotient({3: 3, 18: 1, 24: 1, 36: 2, 216: 1,
+                                 6: -3, 9: -1, 12: -1, 72: -1, 108: -1}, order)
+        term_hw = (hw_coeff * _class_sum(_h, _W, n_class + 1, order)).shift(Q(5))
+        H0, H1, H2 = (script_H(n_class + i, order) for i in range(3))
+        h_coeff = eta_quotient({24: 1, 108: 1, 12: -1}, order)
+        term_H = linear_sum(((1, linear_sum(((2, A * G), (1, A * Fq))) * H2),
+                             (-1, linear_sum(((2, B * Fq), (1, B * G))) * H1),
+                             (-1, linear_sum(((1, C * G), (-1, C * Fq))) * H0)))
+        term_H = (h_coeff * term_H).shift(Q(1))
+        inner = linear_sum(((1, term_gw), (-2, term_G), (1, term_hw), (-2, term_H)))
+        return linear_sum(((3, first), (1, outer * inner)))
+    return computed_to(build, order)
+
+
+def _per_class_block(n_class, order):
+    """b_block with class n built at order + n, apart from the others."""
+    Q = Monomial.q
+    if n_class:
+        return shifted(lambda o: _per_class_part(n_class, o), Q(-n_class), order)
+
+    def build(o):
+        minus = Monomial.minus_one()
+        head = appell_m(Q(-27), 162, minus, o + shift_loss(Q(-36))).shift(Q(-36))
+        return linear_sum(((6, head), (1, psi_difference_rhs(o)), (1, _per_class_part(0, o))))
+    return computed_to(build, order)
+
+
+@pytest.mark.parametrize("order", [F(15), F(30), F(13, 2), F(1, 2), F(0), F(-2)], ids=str)
+def test_b_blocks_match_the_per_class_route(order):
+    for n in range(3):
+        assert b_block(n, order).to_json_dict() == _per_class_block(n, order).to_json_dict(), n
+
+
+@pytest.mark.parametrize("n_class", [3, -1, 5])
+def test_b_block_rejects_a_class_outside_0_1_2(n_class):
+    with pytest.raises(ValueError):
+        b_block(n_class, 10)
+
+
+def test_script_blocks_key_the_class_mod_3():
+    for n in range(3):
+        for m in (n + 3, n - 3):
+            assert script_G(m, 12).to_json_dict() == script_G(n, 12).to_json_dict()
+            assert script_H(m, 12).to_json_dict() == script_H(n, 12).to_json_dict()
+
+
+def test_decomposition_shares_its_pieces_between_classes():
+    # one build of the three blocks makes each letter once and each of the
+    # 12 class sums (g or h against W or W f, classes 0, 1, 2) once
+    for value in vars(named).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    CATALOG["third-root-decomposition"].instances[0].rhs(30)
+    assert named._letter.cache_info().misses == 7
+    assert named._class_sum.cache_info().misses == 12

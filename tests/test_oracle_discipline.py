@@ -5,7 +5,8 @@ engine they are built on: with the library caches cleared and `appell_m`,
 `psi`, `lam` and `theta_quotient` rebound to raisers in every qrank module
 that holds them, both sides of the enumeration and two-forms entries and
 the definition route of the deviations must still build, and the formula
-side must raise, which shows the rebinding took hold.
+side must raise, which shows the rebinding took hold.  So must the
+triple-product oracle for theta blocks, while `theta_j` raises.
 
 The formula side never touches the oracle's geometric root sums: with
 `root_sum` and `_geometric` rebound to raisers instead, m, Delta, Psi,
@@ -23,6 +24,7 @@ from qrank.catalog import CATALOG
 from qrank.overpartitions import (deviation_by_definition, deviation_pair_by_formula,
                                   single_deviation)
 from qrank.series import Monomial
+from qrank.theta import theta_j, theta_triple_product
 
 ORDER = 8
 
@@ -73,6 +75,14 @@ def test_deviation_definition_avoids_appell_lerch(no_appell_lerch, d):
         deviation_by_definition(d, 1, M, ORDER)
     with pytest.raises(Forbidden):
         deviation_pair_by_formula(d, 1, 3, ORDER)
+
+
+def test_triple_product_avoids_the_theta_engine(no_appell_lerch):
+    Z = Monomial.zeta
+    for z, p in [(Z(1, 2), 1), (Z(1, 5), 1), (Z(2, 7, 1), 3), (Z(1, 3, 1), 2)]:
+        assert theta_triple_product(z, p, ORDER).coeffs
+        with pytest.raises(Forbidden):
+            theta_j(z, p, ORDER)
 
 
 def test_formula_side_avoids_the_oracle_sums(no_root_sums):

@@ -53,6 +53,39 @@ def test_theta_sum_matches_triple_product():
         assert a.agrees_with(b, 25), (z, p)
 
 
+def _tree_triple_product(z, p, order):
+    """The same binomials as `theta_triple_product`, multiplied as a balanced
+    tree of series products."""
+    p, order = F(p), F(order)
+    factors = [QSeries.one(order)]
+    for x, k in ((z, 0), (z.inverse(), 1), (Monomial.one(), 1)):
+        while x.q_exp + k * p < order:
+            factors.append(QSeries.one(order) - QSeries.from_monomial(x * Q(k * p), order))
+            k += 1
+    while len(factors) > 1:
+        pairs = [a * b for a, b in zip(factors[::2], factors[1::2])]
+        factors = pairs + factors[len(pairs) * 2:]
+    return factors[0]
+
+
+@pytest.mark.parametrize("order", [F(30), F(13, 2), F(1, 2), F(0), F(-2)], ids=str)
+def test_triple_product_matches_the_product_tree(order):
+    # z = zeta_L^k q^e with 0 <= e < p, e and p integral or fractional; z = 1
+    # vanishes, and at order 1/2 with e, p - e >= 1/2 no factor is below it
+    rng = random.Random(3031)
+    cases = [(Z(0, 1), 1), (Z(1, 6, 1), 2), (Z(5, 12, F(1, 2)), 1), (Q(F(2, 3)), F(3, 2))]
+    for _ in range(24):
+        L, s = rng.choice((1, 2, 3, 5, 6, 12)), rng.choice((1, 2, 3))
+        p = rng.choice((F(rng.randint(1, 4)), F(rng.randint(1, 9), rng.choice((2, 3)))))
+        cases.append((Z(rng.randrange(L), L, F(rng.randrange(math.ceil(p * s)), s)), p))
+    empty = 0
+    for z, p in cases:
+        new = theta_triple_product(z, p, order)
+        assert new.to_json_dict() == _tree_triple_product(z, p, order).to_json_dict(), (z, p)
+        empty += z.q_exp >= order and p - z.q_exp >= order
+    assert empty > 0 or order > 1
+
+
 def test_theta_vanishing_pattern():
     # j(q^n; q) = 0
     for n in (0, 1, 2, -1):
