@@ -41,8 +41,8 @@ from itertools import chain
 
 from .cyclotomic import inverse_one_plus
 from .errors import NonGenericParameter
-from .series import (Monomial, QSeries, eta_quotient, exact_below, linear_sum, root_sum,
-                     shift_loss)
+from .series import (PBAR_ETA, Monomial, QSeries, eta_quotient, exact_below, linear_sum,
+                     root_sum, shift_loss)
 from .theta import _base_exp, bilateral, binom2, is_theta_zero_pattern, theta_quotient
 
 F = Fraction
@@ -262,7 +262,7 @@ def s_d_direct(d: int, z: Monomial, order) -> QSeries:
     # 1 - z and the shift by z each lose -exp(z)
     inner = order + 2 * shift_loss(z)
     s = _lerch_sum(d, z, inner)
-    core = 1 + (s * eta_quotient({2: 1, 1: -2}, inner)).shift(z).scale(2)
+    core = 1 + (s * eta_quotient(PBAR_ETA, inner)).shift(z).scale(2)
     return core * (QSeries.one() - QSeries.from_monomial(z))
 
 
@@ -308,7 +308,7 @@ def o_d_original(d: int, z: Monomial, order) -> QSeries:
         b = _geometric(1, 0, 0, z.inverse() * Monomial.q(d * n), L, inner)
         terms.append((2, root_sum(a, L, inner) * root_sum(b, L, inner) * poly))
         n += 1
-    return linear_sum(terms, inner) * eta_quotient({2: 1, 1: -2}, order)
+    return linear_sum(terms, inner) * eta_quotient(PBAR_ETA, order)
 
 
 def o_d_at_minus_one(d: int, order) -> QSeries:
@@ -389,4 +389,4 @@ def lerch_fold_lhs(x: Monomial, order) -> QSeries:
     """(1/j(q;q^2)) sum_n (-1)^n q^{n^2+n} / (1 - x q^n)."""
     if x.coeff_is_one and x.q_exp.denominator == 1:
         raise NonGenericParameter("divisor 1 - x q^n vanishes at n = %d" % (-x.q_exp))
-    return _lerch_sum(1, x, order) * eta_quotient({2: 1, 1: -2}, order)
+    return _lerch_sum(1, x, order) * eta_quotient(PBAR_ETA, order)

@@ -450,10 +450,6 @@ class CyclotomicField:
                 m += 1
         return out
 
-    def embed_from(self, src: "CyclotomicField", a: Raw) -> Raw:
-        """Image of an element of Q(zeta_src) under zeta_src -> zeta_L^(L/src)."""
-        return a if src.L == self.L else self.mover(src)(a)
-
     def mover(self, src: "CyclotomicField", weight=1):
         """a -> weight a from Q(zeta_src) into Q(zeta_L) on raw elements,
         weight an int, a Fraction or a `Cyclotomic` of a field inside: the
@@ -670,11 +666,11 @@ class Cyclotomic:
         if fa.L == fb.L:
             return fa, self.raw, other.raw
         f = get_field(math.lcm(fa.L, fb.L))
-        return f, f.embed_from(fa, self.raw), f.embed_from(fb, other.raw)
+        return f, f.mover(fa)(self.raw), f.mover(fb)(other.raw)
 
     def embed(self, L: int) -> "Cyclotomic":
         f = get_field(L)
-        return Cyclotomic(f, f.embed_from(self.field, self.raw))
+        return Cyclotomic(f, f.mover(self.field)(self.raw))
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -1,8 +1,21 @@
-"""Named series builders: eta-quotient blocks, dissection components, and the
+"""Named series builders: the blocks of the paper's 3-dissection, and the
 assembled three-part decomposition of the rank series at a cube root of unity.
 
-Every class sum of the dissection, q^r S(q^3) over the products of a block
-with W or with the W f products, is one `_class_sum`.
+`BLOCKS` is the one table of the dissection's blocks: W, w, f, g, h, I and
+the letters A-G, each a tuple of classes, and each class a tuple of rows.
+A row (c, e, eta, num, den) is the term
+
+    c q^e prod_m J_m^eta[m] prod_num j(z;q^p) / prod_den j(z;q^p),
+
+c an int, so every class is a sum of eta quotients times theta blocks, and
+`_block` expands class i of a name as one `theta_quotient` whose start
+nodes are its rows.  The right side of a 3-dissection is the same table
+read in q^3: `dissection_rhs` is one `theta_quotient` whose nodes are the
+three classes, class k under q^k, every block base, argument exponent, eta
+key and row shift times 3.  The left side stays a plain `eta_quotient`, so
+each `dissect3-*` entry keeps one side off the theta engine.  Every class
+sum of the decomposition, q^r S(q^3) over the products of a block with W
+or with the W f products, is one `_class_sum`.
 
 Builder names are short stable identifiers shared by the catalog and the CLI
 (`expand --series`).  Every builder takes an order and returns a QSeries that
@@ -17,8 +30,8 @@ from functools import lru_cache
 from .appell import appell_m, psi
 from .cyclotomic import root_of_unity
 from .errors import UnknownName
-from .series import (Monomial, QSeries, computed_to, eta_J, eta_quotient, exact_below,
-                     linear_sum, shift_loss)
+from .series import (PBAR_ETA, Monomial, QSeries, computed_to, eta_J, eta_quotient,
+                     exact_below, linear_sum, shift_loss)
 from .theta import theta_quotient
 
 F = Fraction
@@ -26,79 +39,66 @@ Z = Monomial.zeta
 Q = Monomial.q
 
 
-# -- three-dissection blocks -------------------------------------------------
+# -- the blocks of the three-dissection ---------------------------------------
 
 
-_W_HEAD = {3: 9, 1: -12}  # H = J_3^9 / J_1^12
-_W_SMALL = {1: 1, 6: 3, 2: -1, 3: -3}  # w = J_1 J_6^3 / (J_2 J_3^3)
+_J12 = {1: -1, 2: -1}  # 1/(J_1 J_2), the eta part of every f_i
+
+# name: one tuple of rows (c, e, eta, num, den) per class.  W_0 = H (w^-2 +
+# 8 q w + 16 q^2 w^4), W_1 = H (3 w^-1 + 12 q w^2) and W_2 = 9 H, with
+# H = J_3^9/J_1^12 and w = J_1 J_6^3/(J_2 J_3^3), H w^k one eta quotient.
+BLOCKS = {
+    "W": (((1, 0, {1: -14, 2: 2, 3: 15, 6: -6}, (), ()),
+           (8, 1, {1: -11, 2: -1, 3: 6, 6: 3}, (), ()),
+           (16, 2, {1: -8, 2: -4, 3: -3, 6: 12}, (), ())),
+          ((3, 0, {1: -13, 2: 1, 3: 12, 6: -3}, (), ()),
+           (12, 1, {1: -10, 2: -2, 3: 3, 6: 6}, (), ())),
+          ((9, 0, {1: -12, 3: 9}, (), ()),)),
+    "w": (((1, 0, {1: 1, 6: 3, 2: -1, 3: -3}, (), ()),),),
+    "f": (((1, 0, _J12, ((Q(7), 18),), ()),),
+          ((-1, 0, _J12, ((Q(5), 18),), ()),),
+          ((-1, 1, _J12, ((Q(1), 18),), ()),)),
+    "g": (((1, 0, {1: 1, 2: 2, 8: 2, 12: 2, 4: -5, 24: -1}, (), ()),),
+          ((1, 0, {2: 7, 3: 1, 8: 2, 12: 4, 1: -2, 4: -7, 6: -3, 24: -1}, (), ()),),
+          ((-2, 0, {2: 2, 6: 2, 8: 3, 3: -1, 4: -5}, (), ()),)),
+    "h": (((1, 0, {4: 4, 6: 2, 2: -1, 3: -1, 8: -3}, (), ()),),
+          ((1, 0, {1: 1, 4: 1, 6: 1, 24: 1, 8: -2, 12: -1}, (), ()),),
+          ((-1, 0, {2: 5, 3: 1, 12: 1, 24: 1, 1: -2, 4: -1, 6: -2, 8: -2}, (), ()),)),
+    "I": (((1, 0, {2: 2, 6: 3, 4: -6}, (), ()),),
+          ((1, 1, {2: 4, 12: 6, 4: -8, 6: -3}, (), ()),),
+          ((-1, 0, {2: 3, 12: 3, 4: -7}, (), ()),)),
+    # the theta blocks and ratios of the assembled decomposition's letter brackets
+    "A": (((1, 0, {}, ((-Q(12), 27),), ()),),),
+    "B": (((1, 1, {}, ((-Q(21), 27),), ()),),),
+    "C": (((1, 2, {}, ((-Q(3), 27),), ()),),),
+    "D": (((1, 0, {}, ((Q(60), 108),), ((-Q(30), 108),)),),),
+    "E": (((1, 6, {}, ((Q(84), 108),), ((-Q(42), 108),)),),),
+    "F": (((1, 0, {}, ((Q(24), 108),), ((-Q(12), 108),)),),),
+    "G": (((1, 12, {}, ((Q(96), 108),), ((-Q(48), 108),)),),),
+}
 
 
-@exact_below
-def _w_small(order) -> QSeries:
-    return eta_quotient(_W_SMALL, order)
-
-
-def _head_times_w(k: int) -> dict[int, int]:
-    """The eta-quotient spec of H w^k."""
-    spec = dict(_W_HEAD)
-    for m, e in _W_SMALL.items():
-        spec[m] = spec.get(m, 0) + k * e
-    return spec
-
-
-@exact_below
-def _W(i: int, order) -> QSeries:
-    """W_0 = H (w^-2 + 8 q w + 16 q^2 w^4), W_1 = H (3 w^-1 + 12 q w^2) and
-    W_2 = 9 H; every term is one eta quotient."""
-    if i == 2:
-        return eta_quotient(_W_HEAD, order).scale(9)
-    terms = ((-2, 0, 1), (1, 1, 8), (4, 2, 16)) if i == 0 else ((-1, 0, 3), (2, 1, 12))
-    return linear_sum(((c, eta_quotient(_head_times_w(k), order).shift(Q(e)))
-                       for k, e, c in terms), order)
-
-
-@exact_below
-def _f(i: int, order) -> QSeries:
-    """f_0 = j(q^7;q^18)/(J_1 J_2), f_1 = -j(q^5;q^18)/(J_1 J_2) and
-    f_2 = -q j(q;q^18)/(J_1 J_2)."""
-    z, e = ((Q(7), 0), (Q(5), 0), (Q(1), 1))[i]
-    s = theta_quotient(((z, 18),), (), order, eta={1: -1, 2: -1}, shift=Q(e))
-    return -s if i else s
-
-
-@exact_below
-def _g(i: int, order) -> QSeries:
-    if i == 0:
-        return eta_quotient({1: 1, 2: 2, 8: 2, 12: 2, 4: -5, 24: -1}, order)
-    if i == 1:
-        return eta_quotient({2: 7, 3: 1, 8: 2, 12: 4, 1: -2, 4: -7, 6: -3, 24: -1}, order)
-    return eta_quotient({2: 2, 6: 2, 8: 3, 3: -1, 4: -5}, order).scale(-2)
-
-
-@exact_below
-def _h(i: int, order) -> QSeries:
-    if i == 0:
-        return eta_quotient({4: 4, 6: 2, 2: -1, 3: -1, 8: -3}, order)
-    if i == 1:
-        return eta_quotient({1: 1, 4: 1, 6: 1, 24: 1, 8: -2, 12: -1}, order)
-    return -eta_quotient({2: 5, 3: 1, 12: 1, 24: 1, 1: -2, 4: -1, 6: -2, 8: -2}, order)
+def _nodes(rows, r: int = 1) -> list:
+    """The `theta_quotient` start nodes of `rows` with q -> q^r: every block
+    base, argument exponent, eta key and row shift times r."""
+    def blocks(bs):
+        return tuple((Monomial(z.zeta_num, z.zeta_den, r * z.q_exp), r * p) for z, p in bs)
+    return [(blocks(num), blocks(den), Q(r * e), c, {r * m: x for m, x in eta.items()})
+            for c, e, eta, num, den in rows]
 
 
 @exact_below
-def _I(i: int, order) -> QSeries:
-    if i == 0:
-        return eta_quotient({2: 2, 6: 3, 4: -6}, order)
-    if i == 1:
-        return eta_quotient({2: 4, 12: 6, 4: -8, 6: -3}, order) * Q(1)
-    return -eta_quotient({2: 3, 12: 3, 4: -7}, order)
+def _block(name: str, i: int, order) -> QSeries:
+    """Class i of the `BLOCKS` entry `name`."""
+    return theta_quotient((), (), order, start=_nodes(BLOCKS[name][i]))
 
 
 DISSECTION_TARGETS = {
-    "dis1": ({1: -3}, _W),
-    "dis2": ({1: 1, 6: 1, 2: -1, 3: -2}, _f),
-    "dis3": ({2: 4, 8: 1, 1: -1, 4: -3}, _g),
-    "dis4": ({2: 3, 1: -1, 8: -1}, _h),
-    "dis5": ({2: 1, 4: -2}, _I),
+    "dis1": ({1: -3}, "W"),
+    "dis2": ({1: 1, 6: 1, 2: -1, 3: -2}, "f"),
+    "dis3": ({2: 4, 8: 1, 1: -1, 4: -3}, "g"),
+    "dis4": ({2: 3, 1: -1, 8: -1}, "h"),
+    "dis5": ({2: 1, 4: -2}, "I"),
 }
 
 
@@ -108,34 +108,13 @@ def dissection_lhs(key: str, order) -> QSeries:
 
 
 def dissection_rhs(key: str, order) -> QSeries:
-    _, block = DISSECTION_TARGETS[key]
-    inner = _inner_order(order)
-    return linear_sum(((1, block(k, inner).substitute_q_power(3).shift(Q(k))) for k in range(3)),
-                      order)
+    """sum_k q^k block_k(q^3) over the three classes of the key's block."""
+    classes = BLOCKS[DISSECTION_TARGETS[key][1]]
+    return theta_quotient((), (), order, start=[((), (), Q(k), 1, None, _nodes(rows, 3))
+                                                for k, rows in enumerate(classes)])
 
 
-# -- theta-ratio constants for the assembled decomposition --------------------
-
-
-# name: (numerator blocks, denominator blocks, power of q)
-_LETTERS = {
-    "A": (((-Q(12), 27),), (), 0),
-    "B": (((-Q(21), 27),), (), 1),
-    "C": (((-Q(3), 27),), (), 2),
-    "D": (((Q(60), 108),), ((-Q(30), 108),), 0),
-    "E": (((Q(84), 108),), ((-Q(42), 108),), 6),
-    "F": (((Q(24), 108),), ((-Q(12), 108),), 0),
-    "G": (((Q(96), 108),), ((-Q(48), 108),), 12),
-}
-
-
-@exact_below
-def _letter(name: str, order) -> QSeries:
-    try:
-        num, den, e = _LETTERS[name]
-    except KeyError:
-        raise UnknownName(name) from None
-    return theta_quotient(num, den, order, shift=Q(e))
+# -- class sums and theta identities of the assembled decomposition ----------
 
 
 def _inner_order(order) -> int:
@@ -154,34 +133,36 @@ def _class_pairs(r: int):
 def _WF(j: int, order) -> QSeries:
     """sum over l, m in {0,1,2} with l+m = j (mod 3) of x^{(l+m-j)/3} W_l f_m:
     the partner of a block in the class sums of `script_G` and `script_H`."""
-    return linear_sum(((1, (_W(l, order) * _f(m, order)).shift(x))
+    return linear_sum(((1, (_block("W", l, order) * _block("f", m, order)).shift(x))
                        for l, m, x in _class_pairs(j)), order)
 
 
 @exact_below
-def _class_sum(block, partner, n_class: int, order) -> QSeries:
+def _class_sum(block: str, partner: str, n_class: int, order) -> QSeries:
     """sum over k, j in {0,1,2} with k+j = n_class (mod 3) of
     q^{k+j} block_k(q^3) partner_j(q^3).
 
     With r = n_class mod 3 the sum is q^r S(q^3), where S sums
     x^{(k+j-r)/3} block_k partner_j.  S is built at the inner order, one
     product per block, and substituted once; q -> q^3 is a ring map, so
-    this is the same series as substituting every factor first.  The
-    partner is `_W`, or `_WF` for the triple sums over block_k W_l f_m.
+    this is the same series as substituting every factor first.  block_k
+    is class k of the `BLOCKS` entry `block`, and partner_j class j of "W",
+    or `_WF(j)` for "WF", the triple sums over block_k W_l f_m.
     """
     r = n_class % 3
     inner = _inner_order(order)
-    total = linear_sum(((1, block(k, inner) * partner(j, inner).shift(x))
+    part = _WF if partner == "WF" else (lambda j, o: _block(partner, j, o))
+    total = linear_sum(((1, _block(block, k, inner) * part(j, inner).shift(x))
                         for k, j, x in _class_pairs(r)), inner)
     return total.substitute_q_power(3).shift(Q(r)).truncate(order)
 
 
 def script_G(n_class: int, order) -> QSeries:
-    return _class_sum(_g, _WF, n_class % 3, order)
+    return _class_sum("g", "WF", n_class % 3, order)
 
 
 def script_H(n_class: int, order) -> QSeries:
-    return _class_sum(_h, _WF, n_class % 3, order)
+    return _class_sum("h", "WF", n_class % 3, order)
 
 
 def psi_difference_lhs(order) -> QSeries:
@@ -245,7 +226,7 @@ _BRACKETS = (((2, "AD"), (-1, "AE")), ((1, "BD"), (1, "BE")), ((2, "CE"), (-1, "
 
 @lru_cache(maxsize=None)
 def _letter_brackets(order) -> tuple[QSeries, ...]:
-    letter = {x: _letter(x, order) for x in "ABCDEFG"}
+    letter = {x: _block(x, 0, order) for x in "ABCDEFG"}
     return tuple(linear_sum((w, letter[x] * letter[y]) for w, (x, y) in t) for t in _BRACKETS)
 
 
@@ -255,11 +236,11 @@ def _B_part(n_class: int, order) -> QSeries:
     0; the classes share the letter brackets and the class sums (keyed by
     the class mod 3) of their one order."""
     first = eta_quotient({6: 3, 9: 1, 108: 1, 3: -1, 18: -1, 36: -1}, order)
-    first = (first * _I(n_class, order).substitute_q_power(3)).shift(Q(3 + n_class))
+    first = (first * _block("I", n_class, order).substitute_q_power(3)).shift(Q(3 + n_class))
     outer = eta_quotient({3: 2, 6: 2, 36: 1, 12: -1, 18: -2}, order)
     gw_coeff = eta_quotient({3: 3, 12: 2, 18: 2, 72: 1, 108: 2,
                              6: -4, 9: -1, 24: -1, 36: -1, 54: -1, 216: -1}, order)
-    term_gw = gw_coeff * _class_sum(_g, _W, n_class, order)
+    term_gw = gw_coeff * _class_sum("g", "W", n_class, order)
     AD_AE, BD_BE, CE_CD, AG_AF, BF_BG, CG_CF = _letter_brackets(order)
     G0, G1, G2 = (script_G(n_class + i, order) for i in range(3))
     g_coeff = eta_quotient({12: 2, 108: 1, 6: -1, 24: -1}, order)
@@ -267,7 +248,7 @@ def _B_part(n_class: int, order) -> QSeries:
     term_G = (g_coeff * term_G).shift(Q(2))
     hw_coeff = eta_quotient({3: 3, 18: 1, 24: 1, 36: 2, 216: 1,
                              6: -3, 9: -1, 12: -1, 72: -1, 108: -1}, order)
-    term_hw = (hw_coeff * _class_sum(_h, _W, (n_class + 1) % 3, order)).shift(Q(5))
+    term_hw = (hw_coeff * _class_sum("h", "W", (n_class + 1) % 3, order)).shift(Q(5))
     H0, H1, H2 = (script_H(n_class + i, order) for i in range(3))
     h_coeff = eta_quotient({24: 1, 108: 1, 12: -1}, order)
     term_H = linear_sum(((1, AG_AF * H2), (-1, BF_BG * H1), (-1, CG_CF * H0)))
@@ -301,24 +282,21 @@ def b_block(n_class: int, order) -> QSeries:
 
 def _named_builders():
     builders = {}
+    for name, classes in BLOCKS.items():
+        for i in range(len(classes)):
+            # a block of one class is named alone: w and the letters A-G
+            label = name if len(classes) == 1 else "%s%d" % (name, i)
+            builders[label] = (lambda o, x=name, i=i: _block(x, i, o))
     for i in range(3):
-        builders["W%d" % i] = (lambda o, i=i: _W(i, o))
-        builders["f%d" % i] = (lambda o, i=i: _f(i, o))
-        builders["g%d" % i] = (lambda o, i=i: _g(i, o))
-        builders["h%d" % i] = (lambda o, i=i: _h(i, o))
-        builders["I%d" % i] = (lambda o, i=i: _I(i, o))
         builders["G%d" % i] = (lambda o, i=i: script_G(i, o))
         builders["H%d" % i] = (lambda o, i=i: script_H(i, o))
-    builders["w"] = _w_small
-    for x in "ABCDEFG":
-        builders[x] = (lambda o, x=x: _letter(x, o))
     for key in DISSECTION_TARGETS:
         builders["%s-lhs" % key] = (lambda o, k=key: dissection_lhs(k, o))
         builders["%s-rhs" % key] = (lambda o, k=key: dissection_rhs(k, o))
     builders["Bbar0"] = (lambda o: b_block(0, o))
     builders["B1"] = (lambda o: b_block(1, o))
     builders["B2"] = (lambda o: b_block(2, o))
-    builders["pbar"] = (lambda o: eta_quotient({2: 1, 1: -2}, o))
+    builders["pbar"] = (lambda o: eta_quotient(PBAR_ETA, o))
     return builders
 
 

@@ -49,7 +49,7 @@ from functools import lru_cache
 from .appell import appell_m, bracket_tail, o_d_at_minus_one, o_d_direct, psi, s_bar_bracket
 from .cyclotomic import get_field, inverse_one_plus, root_of_unity
 from .errors import NonGenericParameter, UnsupportedCase
-from .series import Monomial, QSeries, eta_quotient, linear_sum, shifted
+from .series import PBAR_ETA, Monomial, QSeries, eta_quotient, linear_sum, shifted
 
 F = Fraction
 
@@ -122,7 +122,7 @@ def enumerate_overpartitions(n: int) -> list[Overpartition]:
 
 def p_bar_series(order) -> QSeries:
     """Generating function of overpartition counts, J_2 / J_1^2."""
-    return eta_quotient({2: 1, 1: -2}, order)
+    return eta_quotient(PBAR_ETA, order)
 
 
 @lru_cache(maxsize=None)

@@ -819,6 +819,10 @@ def eta_J(m, order) -> QSeries:
     return QSeries(field, den, 0, vec, prec)
 
 
+# J_2/J_1^2 = 1/j(q;q^2), the generating function of the overpartitions
+PBAR_ETA = {2: 1, 1: -2}
+
+
 def eta_quotient(spec: dict[int, int], order) -> QSeries:
     """Product of J_m^e over the (m, e) pairs of `spec`, truncated at order.
 

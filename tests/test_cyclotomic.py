@@ -418,9 +418,9 @@ def _draw_weight(rng, L):
 
 def test_fused_move_is_embed_then_mul():
     # a -> weight a from Q(zeta_L') into Q(zeta_L), L' | L of both parities,
-    # equals embed_from then field.mul byte for byte, for m = L/L' with and
-    # without primes that divide L'; a part of the draws is also checked
-    # against the product of the spread vectors by long division
+    # equals the unweighted move then field.mul byte for byte, for m = L/L'
+    # with and without primes that divide L'; a part of the draws is also
+    # checked against the product of the spread vectors by long division
     rng = random.Random(2310)
     kinds = set()
     for trial in range(120):
@@ -432,14 +432,14 @@ def test_fused_move_is_embed_then_mul():
         w = _draw_weight(rng, L)
         if isinstance(w, Cyclotomic) and w.is_rational():
             w = w.as_fraction()
-        wraw = (f.embed_from(w.field, w.raw) if isinstance(w, Cyclotomic)
+        wraw = (f.mover(w.field)(w.raw) if isinstance(w, Cyclotomic)
                 else f.from_fraction(w))
         move = f.mover(src, w)
         for _ in range(3):
             vec = [rng.randint(-40, 40) if rng.random() < 0.6 else 0 for _ in range(src.phi)]
             a = src.normalize(rng.choice([1, 1, 2, 6, 35]), vec)
             got = move(a)
-            assert got == f.mul(f.embed_from(src, a), wraw)
+            assert got == f.mul(f.mover(src)(a), wraw)
             if trial % 4 == 0 and any(vec):
                 wden, wvec = w.raw if isinstance(w, Cyclotomic) else (w.denominator, (w.numerator,))
                 k = L // (w.field.L if isinstance(w, Cyclotomic) else 1)

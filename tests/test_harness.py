@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -69,6 +70,26 @@ def test_catalog_serialization_is_pinned():
 @pytest.mark.parametrize("order", sorted(CATALOG_SERIALIZATION_SHA256_AT))
 def test_catalog_serialization_is_pinned_at_other_orders(order):
     assert _serialization_digest(Fraction(order)) == CATALOG_SERIALIZATION_SHA256_AT[order]
+
+
+def test_every_comparison_reaches_its_order():
+    # a two-sided comparison fails at exactly q^(order - 1/D), the last
+    # exponent below its order, when the right side gains that term, and
+    # passes when it gains q^order: no comparison stops short of its order
+    count = 0
+    for eid in sorted(CATALOG):
+        entry = CATALOG[eid]
+        order = entry.default_order
+        for inst in entry.instances:
+            if inst.check is not None:
+                continue
+            lhs, rhs = inst.lhs(order), inst.rhs(order)
+            last = order - Fraction(1, math.lcm(lhs.den, rhs.den, order.denominator))
+            diff = lhs.first_difference(rhs + Monomial.q(last), order)
+            assert diff is not None and diff[0] == last, (eid, inst.params)
+            assert lhs.agrees_with(rhs + Monomial.q(order), order), (eid, inst.params)
+            count += 1
+    assert count == 223
 
 
 def test_verify_produces_reports():

@@ -6,7 +6,8 @@ engine they are built on: with the library caches cleared and `appell_m`,
 that holds them, both sides of the enumeration and two-forms entries and
 the definition route of the deviations must still build, and the formula
 side must raise, which shows the rebinding took hold.  So must the
-triple-product oracle for theta blocks, while `theta_j` raises.
+triple-product oracle for theta blocks, while `theta_j` raises, and the
+eta-quotient side of every 3-dissection, while its block side raises.
 
 The formula side never touches the oracle's geometric root sums: with
 `root_sum` and `_geometric` rebound to raisers instead, m, Delta, Psi,
@@ -83,6 +84,14 @@ def test_triple_product_avoids_the_theta_engine(no_appell_lerch):
         assert theta_triple_product(z, p, ORDER).coeffs
         with pytest.raises(Forbidden):
             theta_j(z, p, ORDER)
+
+
+@pytest.mark.parametrize("entry_id", ["dissect3-%d" % k for k in range(1, 6)])
+def test_dissection_lhs_avoids_the_theta_engine(no_appell_lerch, entry_id):
+    (inst,) = CATALOG[entry_id].instances
+    assert inst.lhs(ORDER).coeffs
+    with pytest.raises(Forbidden):
+        inst.rhs(ORDER)
 
 
 def test_formula_side_avoids_the_oracle_sums(no_root_sums):

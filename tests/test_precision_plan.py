@@ -53,7 +53,7 @@ BUILDERS = {
     "s_bar_d": lambda o: s_bar_d(2, Z(2, 7), Z(3, 11), Z(1, 11), o),
     "lerch_fold_lhs": lambda o: lerch_fold_lhs(Z(1, 5), o),
     "b_block": lambda o: named.b_block(0, o),
-    "_f": lambda o: named._f(0, o),
+    "_f": lambda o: named._block("f", 0, o),
 }
 
 
