@@ -9,13 +9,12 @@ A row (c, e, eta, num, den) is the term
 
 c an int, so every class is a sum of eta quotients times theta blocks, and
 `_block` expands class i of a name as one `theta_quotient` whose start
-nodes are its rows.  The right side of a 3-dissection is the same table
-read in q^3: `dissection_rhs` is one `theta_quotient` whose nodes are the
-three classes, class k under q^k, every block base, argument exponent, eta
-key and row shift times 3.  The left side stays a plain `eta_quotient`, so
-each `dissect3-*` entry keeps one side off the theta engine.  Every class
-sum of the decomposition, q^r S(q^3) over the products of a block with W
-or with the W f products, is one `_class_sum`.
+nodes are its rows.  The right side of a 3-dissection sums the three
+classes of its block, each built by `_block` at the inner order and
+substituted q -> q^3, class k under q^k; the left side stays a plain
+`eta_quotient`, so each `dissect3-*` entry keeps one side off the theta
+engine.  Every class sum of the decomposition, q^r S(q^3) over the
+products of a block with W or with the W f products, is one `_class_sum`.
 
 Builder names are short stable identifiers shared by the catalog and the CLI
 (`expand --series`).  Every builder takes an order and returns a QSeries that
@@ -78,19 +77,17 @@ BLOCKS = {
 }
 
 
-def _nodes(rows, r: int = 1) -> list:
-    """The `theta_quotient` start nodes of `rows` with q -> q^r: every block
-    base, argument exponent, eta key and row shift times r."""
-    def blocks(bs):
-        return tuple((Monomial(z.zeta_num, z.zeta_den, r * z.q_exp), r * p) for z, p in bs)
-    return [(blocks(num), blocks(den), Q(r * e), c, {r * m: x for m, x in eta.items()})
-            for c, e, eta, num, den in rows]
-
-
 @exact_below
 def _block(name: str, i: int, order) -> QSeries:
     """Class i of the `BLOCKS` entry `name`."""
-    return theta_quotient((), (), order, start=_nodes(BLOCKS[name][i]))
+    return theta_quotient((), (), order, start=[(num, den, Q(e), c, eta)
+                                                for c, e, eta, num, den in BLOCKS[name][i]])
+
+
+def _inner_order(order) -> int:
+    """The order in q^3 that a component must reach to be valid below
+    `order` after q -> q^3 and a shift by at most q^2."""
+    return -(-F(order) // 3) + 1
 
 
 DISSECTION_TARGETS = {
@@ -109,18 +106,12 @@ def dissection_lhs(key: str, order) -> QSeries:
 
 def dissection_rhs(key: str, order) -> QSeries:
     """sum_k q^k block_k(q^3) over the three classes of the key's block."""
-    classes = BLOCKS[DISSECTION_TARGETS[key][1]]
-    return theta_quotient((), (), order, start=[((), (), Q(k), 1, None, _nodes(rows, 3))
-                                                for k, rows in enumerate(classes)])
+    name, inner = DISSECTION_TARGETS[key][1], _inner_order(order)
+    return linear_sum(((1, _block(name, k, inner).substitute_q_power(3).shift(Q(k)))
+                       for k in range(3)), order)
 
 
 # -- class sums and theta identities of the assembled decomposition ----------
-
-
-def _inner_order(order) -> int:
-    """The order in q^3 that a component must reach to be valid below
-    `order` after q -> q^3 and a shift by at most q^2."""
-    return -(-F(order) // 3) + 1
 
 
 def _class_pairs(r: int):

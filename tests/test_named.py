@@ -330,7 +330,7 @@ def test_decomposition_shares_its_pieces_between_classes(monkeypatch):
     keys, block = set(), named._block
 
     def recorded(name, i, order):
-        keys.add((name, i, order if order > 0 else 1))  # the order it is built at
+        keys.add((name, i, order))
         return block(name, i, order)
 
     monkeypatch.setattr(named, "_block", recorded)
