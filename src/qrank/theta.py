@@ -11,8 +11,12 @@ integers, in steps of one q^(1/G), and runs in the half ring of
 `qrank.cyclotomic`, one packed integer per coefficient, with a sparse pass
 per block and one batched reduction mod Phi_L at the end; a term of m whose
 one divisor is 1 - u is the geometric series it is, added straight in at
-every multiple of the step of u.  A single block
-j(z;q^p) is `theta_j`, the quotient with one numerator block.
+every multiple of the step of u.  Its slots are as wide as a first pass on
+l1 norms proves enough, where each divisor is its product majorant
+prod 1/(1 - q^|e|) over its binomial exponents e, sound for a tie
+j(c q^(mp);q^p) because the N/(1 - c) taken out of it is centred, with
+sum_{j<N} c^j kappa = 0 (`_Quotient.prepare`).  A single block j(z;q^p) is
+`theta_j`, the quotient with one numerator block.
 
 The terms of each block are listed by `bilateral`, the routine that also
 walks the other two-sided sums of the package (the terms of m(x,q,z), the
@@ -132,12 +136,13 @@ def theta_quotient(num, den, order, eta: dict | None = None,
     expansions, each added in at its offset, all packed in the half ring of
     the call's one field (`_expand`): a numerator block or an eta quotient
     is a sparse shift-and-add pass, a divisor a sparse recurrence once its
-    lowest term is taken out (`_Quotient.prepare`).  All coefficients are
-    reduced mod Phi_L once, together (`CyclotomicField.reduce_all`).  The
-    plan is made on integers, in steps of one q^(1/G), from each block's
-    valuation (`_block`), so the result is exact below `order` the first
-    time.  A divisor that vanishes identically, in any node, raises
-    NonGenericParameter.
+    lowest term is taken out (`_Quotient.prepare`); a first pass on l1
+    norms, each divisor its product majorant, sizes the slots.  All
+    coefficients are reduced mod Phi_L once, together
+    (`CyclotomicField.reduce_all`).  The plan is made on integers, in
+    steps of one q^(1/G), from each block's valuation (`_block`), so the
+    result is exact below `order` the first time.  A divisor that vanishes
+    identically, in any node, raises NonGenericParameter.
     """
     order = _frac(order)
     root = _Quotient(num, den, Monomial.one() if shift is None else shift, 1, eta, start)
@@ -236,16 +241,36 @@ class _Quotient:
     def prepare(self, n: int, D: int, G: int, L: int, mult: dict):
         """The node below n steps of q^(1/D), times mult, as (seed, steps)
         for `_expand`: the passes of its eta quotient and blocks, and its
-        constant or its used parts, on the divisor `total`.  Each divisor's
-        lowest term is taken out, into sign zeta_L^rot q^val; a tie
-        j(c q^(m p);q^p) = (-1)^m q^(-p C(m,2)) c^(-m) (1 - c) P(q^p) divides
-        by P (`_tie_rows`; 1 - c has m = 0, P = 1), and N/(1 - c) =
-        -sum_{j<N} j c^j goes into kappa, N into div: true after the
-        reduction mod Phi_L, a ring map that comes last."""
+        constant or its used parts, on the divisor `total`.  A step is
+        (major, rows), major None for a product and a divisor's majorant rows
+        for a divisor.  Each divisor's lowest term is taken out, into sign
+        zeta_L^rot q^val; a tie j(c q^(m p);q^p) = (-1)^m q^(-p C(m,2))
+        c^(-m) (1 - c) P(q^p) divides by P (`_tie_rows`; 1 - c has m = 0,
+        P = 1), and N/(1 - c) goes into kappa, N into div: true after the
+        reduction mod Phi_L, a ring map that comes last.
+
+        Without its lowest term, j(z;q^p) is the product of the 1 - root q^e
+        over its binomial exponents E + kP (k >= 0), kP - E and kP (k >= 1),
+        each taken as an absolute value, every root a power of zeta_L (a tie
+        takes kP three times).  1/(1 - root q^e) has coefficients of l1 norm
+        1 and the l1 norm is submultiplicative, so the norms of f/divisor
+        are at most the norms of f times prod 1/(1 - q^e).  By the triple
+        product, prod (1 - q^e) is the divisor's own rows with every root
+        set to 1, or (q^p;q^p)^3 for a tie: those rows are `major`.
+
+        A tie's rows drop whole cycles of c, so they are P only modulo
+        S = sum_{j<N} c^j.  So kappa is centred, S kappa = 0: it is
+        sum_j ((N-1)/2 - j) c^j for odd N, and for even N that sum folded by
+        c^(N/2) = -1 in the half ring, (N/2) sum_{j<N/2} c^j, where S = 0
+        already.  Both times (1 - c) kappa = N - S, so kappa = N/(1 - c) mod
+        Phi_L.  Every value of the node is a multiple of kappa, through its
+        seed or its parts' mult, so S kills it; and S v = 0 gives S g = 0 for
+        g = v/rows, as S g rows = S v, so g P = g rows = v: each pass is v/P,
+        and the majorant bounds it."""
         sign, rot, kappa, steps = 1, self.shift.zeta_num * (L // self.shift.zeta_den), None, []
         if self.eta:
             e = eta_quotient(self.eta, Fraction(n, D))
-            steps.append((False, [((e.val + i) * (D // e.den), c[1][0], 0)
+            steps.append((None, [((e.val + i) * (D // e.den), c[1][0], 0)
                                   for i, c in enumerate(e.coeffs) if c[1][0]]))
         for (z, s, P, E, _, divisor), block in zip(self.blocks, self.terms):
             k, i0 = z.zeta_num * (L // z.zeta_den), 0
@@ -254,9 +279,9 @@ class _Quotient:
                 N = z.zeta_den
                 sign *= -1 if m % 2 else 1
                 rot += m * k
-                inv = {j * k % L: -j for j in range(1, N)}  # N / (1 - c)
+                inv = _centred_inverse(k, N, L)
                 kappa = inv if kappa is None else _ring_mul(kappa, inv, L)
-                rows = _tie_rows(k, N, P, s, n, D, L) if P else []  # 1 - c has no P(q^p)
+                rows, major = _tie_rows(k, N, P, s, n, D, L) if P else ([], [])  # 1 - c: no P
             else:
                 if divisor:
                     i0 = min(block)[1]
@@ -264,8 +289,9 @@ class _Quotient:
                     rot -= i0 * k
                 rows = sorted((off * D // s, -1 if (i - i0) % 2 else 1, (i - i0) * k % L)
                               for off, i in block if not divisor or i != i0)
+                major = [(d, w) for d, w, _ in rows] if divisor else None  # every root 1
             if rows or not divisor:  # a divisor with no rows below n is 1
-                steps.append((divisor, rows))
+                steps.append((major, rows))
         k = {(r + rot) % L: w * sign * self.weight.numerator for r, w in mult.items()}
         if kappa is not None:
             k = _ring_mul(k, kappa, L)
@@ -277,6 +303,16 @@ class _Quotient:
             terms.append((off, *t.prepare(n - off, D, G, L,
                                           {r: w * (below // t.total) for r, w in k.items()})))
         return terms, steps
+
+
+def _centred_inverse(k_c: int, N: int, L: int) -> dict:
+    """N/(1 - c) mod Phi_L for c = zeta_L^k_c of order N > 1, as {rotation:
+    weight}, centred: sum_j ((N-1)/2 - j) c^j for odd N, and for even N
+    that sum folded by c^(N/2) = -1, (N/2) sum_{j<N/2} c^j.  In the half
+    ring sum_{j<N} c^j times it is 0 (`_Quotient.prepare`)."""
+    if N % 2:
+        return {j * k_c % L: N // 2 - j for j in range(N)}
+    return {j * k_c % L: N // 2 for j in range(N // 2)}
 
 
 def _ring_mul(a: dict, b: dict, L: int) -> dict:
@@ -294,23 +330,27 @@ def _tie_rows(k_c: int, N: int, ps: int, s: int, n: int, D: int, L: int):
     of order N > 1 and p = ps/s, as (offset, sign, rotation), where
     P = sum_{r>=1} (-1)^(r+1) q^(p C(r,2)) sum_{|j|<r} c^j has lowest
     coefficient 1.  Whole cycles of N powers sum to 0 and drop, and a
-    remainder of more than N/2 powers becomes minus the rest of its cycle."""
-    rows, r, end = [], 2, n * s
+    remainder of more than N/2 powers becomes minus the rest of its cycle.
+    Also, as (offset, weight), the majorant rows, P - 1 at c = 1: by
+    Jacobi, (q^p;q^p)^3 = sum_{r>=1} (-1)^(r+1) (2r - 1) q^(p C(r,2))."""
+    rows, major, r, end = [], [], 2, n * s
     while ps * binom2(r) * D < end:
         off, sign = ps * binom2(r) * D // s, 1 if r % 2 else -1
+        major.append((off, sign * (2 * r - 1)))
         lo, cnt = 1 - r, (2 * r - 1) % N
         if 2 * cnt > N:
             lo, cnt, sign = lo + cnt, N - cnt, -sign
         rows += [(off, sign, (lo + j) * k_c % L) for j in range(cnt)]
         r += 1
-    return rows
+    return rows, major
 
 
 def _expand(terms, n: int, L: int, width: int):
     """The coefficients below n of the sum of the (offset, seed, steps)
     `terms`, and the largest value of any stage.  A term is its seed, a
     constant {rotation: weight} or a list of terms summed, times its
-    (is a divisor, rows) steps.  A constant seed whose only step is a
+    (major, rows) steps, major None for a product and a divisor's majorant
+    rows (d, w) for a divisor.  A constant seed whose only step is a
     divisor of one row (d, w, k) is the geometric series seed (-w zeta_L^k)^t
     at t d, each term the rotation of the one before, added in where it
     falls: no list of its own and no `_divide`.
@@ -321,10 +361,12 @@ def _expand(terms, n: int, L: int, width: int):
     k < N x zeta_L^k is (((lo | y << WL) >> s) & M) - B, y = x + B,
     WL = 8 width N, s = WL - 8 width k, lo = y, or 2B - y in the half ring
     to negate the slots that wrap; zeta_L^k = -zeta_L^(k - N) for k >= N.
-    Width 0 is the majorant: an element is its l1 norm and a row (d, w, k)
-    is (d, |w|, 0), or (d, -|w|, 0) in a divisor, so every value bounds
-    every slot of the packed one at its place; a geometric seed adds its
-    norm at every t d and raises the largest value to it."""
+    Width 0 is the majorant: an element is its l1 norm, a product's row
+    (d, w, k) is (d, |w|, 0), and a divisor divides by its majorant rows
+    (`_Quotient.prepare`), so every value bounds every slot of the packed
+    one at its place; a geometric node's values are rotations of its seed,
+    so it adds the seed's norm at every t d and raises the largest value to
+    it."""
     bits, N = 8 * width, L // 2 if L % 2 == 0 else L
     B, M, WL = (_slot_mask(width, N), (1 << bits * N) - 1, bits * N) if width else (0, -1, 0)
     T = 2 * B if N < L else 0  # lo = T - y in the half ring
@@ -338,14 +380,15 @@ def _expand(terms, n: int, L: int, width: int):
 
     def passes(f, steps):
         nonlocal top
-        for divisor, rows in steps:
+        for major, rows in steps:
             if width:
                 rows = [(d, -w, WL - bits * (k - N)) if k >= N else (d, w, WL - bits * k)
                         for d, w, k in rows]
+                f = (_times if major is None else _divide)(f, rows, B, T, M, WL)
             else:
                 top = max(top, *f)
-                rows = [(d, -abs(w) if divisor else abs(w), 0) for d, w, _ in rows]
-            f = (_divide if divisor else _times)(f, rows, B, T, M, WL)
+                f = (_times(f, [(d, abs(w), 0) for d, w, _ in rows], 0, 0, -1, 0)
+                     if major is None else _divide_norms(f, major))
         if not width:
             top = max(top, *f)
         return f
@@ -354,13 +397,14 @@ def _expand(terms, n: int, L: int, width: int):
         nonlocal top
         f = None
         for off, seed, part in terms:
-            if isinstance(seed, dict) and len(part) == 1 and part[0][0] and len(part[0][1]) == 1:
+            if (isinstance(seed, dict) and len(part) == 1 and part[0][0] is not None
+                    and len(part[0][1]) == 1):
                 # seed / (1 + w zeta_L^k q^d) is seed (-w zeta_L^k)^t at t d
                 (d, w, k), = part[0][1]
                 x, f = elem(seed), f or [0] * n
                 if k >= N:
                     w, k = -w, k - N
-                if not width:  # the majorant row (d, -|w|, 0) keeps x as it is
+                if not width:  # every value is a rotation of x: its norm stays x
                     top, w = max(top, x), -1
                 s = WL - bits * k
                 for i in range(off, n, d):
@@ -397,6 +441,19 @@ def _times(f, terms, B: int, T: int, M: int, WL: int):
                 out[i + d] += w * ((y >> s) & M)
                 cor[i + d] += w
     return [x - c * B for x, c in zip(out, cor)] if B else out
+
+
+def _divide_norms(f, rows):
+    """f / (1 + sum w q^d) over the (d, w) of `rows`, sorted by d >= 1, on
+    plain integers: g_i = f_i - sum w g_(i-d)."""
+    g = []
+    for i, acc in enumerate(f):
+        for d, w in rows:
+            if d > i:
+                break
+            acc -= w * g[i - d]
+        g.append(acc)
+    return g
 
 
 def _divide(f, rows, B: int, T: int, M: int, WL: int):

@@ -336,7 +336,7 @@ def test_packed_rotation_is_the_list_rotation(L, width):
             for i, c in enumerate(v):
                 j, r = divmod(i + k, N)
                 expected[r] = -c if N < L and j % 2 else c
-            rotated, _ = _expand([(0, dict(enumerate(v)), [(False, [(0, 1, k)])])], 1, L, width)
+            rotated, _ = _expand([(0, dict(enumerate(v)), [(None, [(0, 1, k)])])], 1, L, width)
             assert cyclotomic._unpack(rotated, N, width) == expected
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qrank import theta
 from qrank.appell import appell_m, m_terms, psi_node
 from qrank.catalog import run_suite, theta_shift_check
-from qrank.cyclotomic import _pack, _slot_mask, _unpack, root_of_unity
+from qrank.cyclotomic import _pack, _slot_mask, _slot_width, _unpack, get_field, root_of_unity
 from qrank.errors import NonGenericParameter
 from qrank.series import Monomial, QSeries, computed_to, eta_quotient, linear_sum, root_sum
 from qrank.theta import (
@@ -704,6 +704,12 @@ def test_theta_quotient_wider_than_a_machine_word():
     assert max(abs(c) for _, vec in got.coeffs for c in vec).bit_length() > 64
 
 
+def _recurrence_rows(rows):
+    # the majorant rows of a divisor of any rows (d, w, k), w = +-1: the
+    # recurrence 1/(1 - sum |w| q^d)
+    return [(d, -abs(w)) for d, w, _ in rows]
+
+
 def test_majorant_bounds_every_packed_coefficient():
     # the width-0 pass of `_expand` bounds the l1 norm of every coefficient
     # that the packed passes make at any stage, start terms, nested terms
@@ -722,7 +728,8 @@ def test_majorant_bounds_every_packed_coefficient():
                 rows = [(rng.randint(1 if divisor else 0, n), rng.choice([-1, 1]) if divisor
                          else rng.randint(-9, 9), rng.randrange(L))
                         for _ in range(rng.randint(1, 4))]
-                out.append((divisor, sorted(rows)))
+                rows.sort()
+                out.append((_recurrence_rows(rows) if divisor else None, rows))
             return out
 
         start = {i: elem() for i in rng.sample(range(n), rng.randint(0, n))}
@@ -756,14 +763,15 @@ def _dense_expand(terms, n, L, width):
 
     def passes(f, steps):
         nonlocal top
-        for divisor, rows in steps:
+        for major, rows in steps:
             if width:
                 rows = [(d, -w, WL - bits * (k - N)) if k >= N else (d, w, WL - bits * k)
                         for d, w, k in rows]
+                f = (theta._times if major is None else theta._divide)(f, rows, B, T, M, WL)
             else:
                 top = max(top, *f)
-                rows = [(d, -abs(w) if divisor else abs(w), 0) for d, w, _ in rows]
-            f = (theta._divide if divisor else theta._times)(f, rows, B, T, M, WL)
+                f = (theta._times(f, [(d, abs(w), 0) for d, w, _ in rows], 0, 0, -1, 0)
+                     if major is None else theta._divide_norms(f, major))
         if not width:
             top = max(top, *f)
         return f
@@ -793,7 +801,8 @@ def _random_tree(rng, n, L, depth):
             rows = [(rng.randint(1 if divisor else 0, n), rng.choice([-1, 1]) if divisor
                      else rng.randint(-9, 9), rng.randrange(L))
                     for _ in range(rng.randint(1, 3))]
-            out.append((divisor, sorted(rows)))
+            rows.sort()
+            out.append((_recurrence_rows(rows) if divisor else None, rows))
         return out
 
     terms = []
@@ -801,7 +810,7 @@ def _random_tree(rng, n, L, depth):
         off, kind = rng.randrange(n), rng.random()
         if kind < 0.5:
             row = (rng.randint(1, n + 2), rng.choice([-1, 1]), rng.randrange(L))
-            terms.append((off, elem(), [(True, [row])]))
+            terms.append((off, elem(), [(_recurrence_rows([row]), [row])]))
         elif kind < 0.8 or not depth:
             terms.append((off, elem(), steps()))
         else:
@@ -857,3 +866,124 @@ def test_a_divisor_with_no_rows_is_no_pass(monkeypatch):
     monkeypatch.setattr(theta, "_divide", checked)
     result = run_suite("deviation-*", order=12)
     assert result.all_pass and result.counts["total"] > 0
+
+
+def _recurrence_tree(terms):
+    # `_expand` terms with every divisor's majorant the recurrence of its rows
+    return [(off, seed if isinstance(seed, dict) else _recurrence_tree(seed),
+             [(None if major is None else _recurrence_rows(rows), rows) for major, rows in steps])
+            for off, seed, steps in terms]
+
+
+def _theta_node(rng, L, depth):
+    # (num, den, shift, weight, eta, start) of real blocks: ties c q^(m p)
+    # with c of order N | L, N > 1; z with exp(z) inside and outside (0, p);
+    # two-term blocks 1 - u; and nested nodes below
+    def block(tie):
+        p = rng.choice([F(1), F(2), F(1, 2), F(3, 2)])
+        if tie:
+            N = rng.choice([d for d in range(2, L + 1) if L % d == 0])
+            a = rng.choice([a for a in range(1, N) if math.gcd(a, N) == 1])
+            return Z(a, N, rng.randint(-2, 2) * p), p
+        if rng.random() < 0.25:
+            return Z(rng.randrange(L), L, F(rng.choice([-3, -2, -1, 1, 2, 3]), 2)), None
+        return Z(rng.randrange(L), L, p * (rng.randint(-1, 1) + F(rng.randint(1, 5), 6))), p
+
+    num = [block(rng.random() < 0.3) for _ in range(rng.randint(0, 2))]
+    den = [block(rng.random() < 0.6) for _ in range(rng.randint(0, 3))]
+    shift = Z(rng.randrange(L), L, F(rng.randint(-2, 2), 2))
+    eta = rng.choice([None, {1: -1}, {2: 1, 1: -2}])
+    start = None
+    if depth and rng.random() < 0.5:
+        start = [_theta_node(rng, L, depth - 1) for _ in range(rng.randint(1, 3))]
+    return num, den, shift, F(rng.choice([1, -2, 3]), rng.choice([1, 2])), eta, start
+
+
+@pytest.mark.parametrize("L", [3, 5, 6, 9, 10, 12, 15])
+def test_product_majorant_bounds_real_theta_trees(monkeypatch, L):
+    # every packed stage of a theta quotient is within the product majorant,
+    # and slots sized by it give the series that slots sized by the
+    # recurrence 1/(1 - sum |w| q^d) give
+    expand, seen = theta._expand, []
+
+    def recorded(fn):
+        def run(f, rows, *args):
+            g = fn(f, rows, *args)
+            seen.extend(f)
+            seen.extend(g)
+            return g
+        return run
+
+    def checked(tree, n, L, width):
+        if width:
+            return expand(tree, n, L, width)
+        f, bound = expand(tree, n, L, 0)
+        # wide enough for any kappa, centred or not
+        wide = _slot_width(expand(_recurrence_tree(tree), n, L, 0)[1])
+        N = L // 2 if L % 2 == 0 else L
+        seen.clear()
+        seen.extend(expand(tree, n, L, wide)[0])
+        slots = _unpack(seen, N, wide)
+        assert max(sum(map(abs, slots[k:k + N])) for k in range(0, len(slots), N)) <= bound
+        return f, bound
+
+    def recurrence(tree, n, L, width):
+        return expand(tree if width else _recurrence_tree(tree), n, L, width)
+
+    monkeypatch.setattr(theta, "_divide", recorded(theta._divide))
+    monkeypatch.setattr(theta, "_times", recorded(theta._times))
+    rng = random.Random(3200 + L)
+    for case in range(12):
+        num, den, shift, _, eta, start = node = _theta_node(rng, L, 2)
+        order = F(rng.randint(8, 36), rng.choice([1, 1, 2]))
+        monkeypatch.setattr(theta, "_expand", checked)
+        got = theta_quotient(num, den, order, eta, shift, start)
+        monkeypatch.setattr(theta, "_expand", recurrence)
+        expected = theta_quotient(num, den, order, eta, shift, start)
+        assert got.to_json_dict() == expected.to_json_dict(), (case, node, order)
+
+
+def _cyclic(a: dict, b: dict, L: int) -> list:
+    # the product of {rotation: weight} elements of Z[C_L], as L integers
+    out = [0] * L
+    for i, x in a.items():
+        for j, y in b.items():
+            out[(i + j) % L] += x * y
+    return out
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 12])
+def test_centred_inverse_is_killed_by_the_cycle_sum(N):
+    # kappa = N/(1 - c) for c of order N: S kappa = 0 for S = sum_{j<N} c^j,
+    # in Z[C_L] for odd N and in the half ring Z[x]/(x^(L/2) + 1) for even
+    # N, and (1 - c) kappa = N mod Phi_L
+    for L in (N, 2 * N, 3 * N):
+        half = L // 2 if L % 2 == 0 else L
+        for a in (a for a in range(1, N) if math.gcd(a, N) == 1):
+            k = a * (L // N)
+            kappa = theta._centred_inverse(k, N, L)
+            cycled = _cyclic({j * k % L: 1 for j in range(N)}, kappa, L)
+            if N % 2:
+                assert cycled == [0] * L, (N, L, a)
+            folded = [x - y for x, y in zip(cycled, cycled[half:])] if half < L else cycled
+            assert folded == [0] * half, (N, L, a)
+            unit = _cyclic({0: 1, k: -1}, kappa, L)
+            unit[0] -= N
+            assert not any(get_field(L).reduce_vec(unit)), (N, L, a)
+
+
+def test_the_widest_entries_pack_in_one_word(monkeypatch):
+    # every theta quotient of rank-fold and the root averages, at their
+    # default orders, packs its slots at 8 bytes or fewer
+    expand, widths = theta._expand, []
+
+    def recorded(tree, n, L, width):
+        widths.append(width)
+        return expand(tree, n, L, width)
+
+    _clear_caches()
+    monkeypatch.setattr(theta, "_expand", recorded)
+    for pattern in ("rank-fold", "appell-root-average-*"):
+        assert run_suite(pattern).all_pass
+    packed = [w for w in widths if w]
+    assert packed and max(packed) <= 8, sorted(set(packed))
