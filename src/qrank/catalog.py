@@ -11,12 +11,10 @@ primitives (eta products, theta blocks) are allowed on both sides.
 from __future__ import annotations
 
 import fnmatch
-import json
 import math
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable, Optional
 
 from . import named
 from .appell import (
@@ -41,7 +39,7 @@ from .overpartitions import (
     pair_by_definition,
     single_deviation,
 )
-from .reports import NON_GENERIC, PASS, IdentityReport, compare_series
+from .reports import NON_GENERIC, PASS, IdentityReport, Record, compare_series
 from .series import (Monomial, QSeries, computed_to, eta_quotient, linear_sum, root_sum,
                      shift_loss, shifted)
 from .theta import _base_exp, binom2, theta_j, theta_quotient, theta_triple_product
@@ -52,22 +50,25 @@ Q = Monomial.q
 MINUS = Monomial.minus_one()
 
 
-@dataclass
-class Instance:
-    params: dict
-    lhs: Optional[Callable[[Fraction], QSeries]] = None
-    rhs: Optional[Callable[[Fraction], QSeries]] = None
-    note: Optional[str] = None
-    # entries wrapping a multi-part check supply a report builder instead
-    check: Optional[Callable[[Fraction], IdentityReport]] = None
+class Instance(Record):
+    def __init__(self, params: dict, lhs: Callable[[Fraction], QSeries] | None = None,
+                 rhs: Callable[[Fraction], QSeries] | None = None, note: str | None = None,
+                 check: Callable[[Fraction], IdentityReport] | None = None):
+        self.params = params
+        self.lhs = lhs
+        self.rhs = rhs
+        self.note = note
+        # entries wrapping a multi-part check supply a report builder instead
+        self.check = check
 
 
-@dataclass
-class CatalogEntry:
-    id: str
-    description: str
-    default_order: Fraction
-    instances: list[Instance]
+class CatalogEntry(Record):
+    def __init__(self, id: str, description: str, default_order: Fraction,
+                 instances: list[Instance]):
+        self.id = id
+        self.description = description
+        self.default_order = default_order
+        self.instances = instances
 
 
 def _scaled_eta(spec: dict[int, int], s: int, order) -> QSeries:
@@ -690,16 +691,16 @@ def verify(entry: CatalogEntry, order=None) -> list[IdentityReport]:
     return reports
 
 
-def _run_entry_task(args: tuple[str, Optional[str]]) -> list[dict]:
+def _run_entry_task(args: tuple[str, str | None]) -> list[dict]:
     entry_id, order = args
     entry = CATALOG[entry_id]
     return [r.to_dict() for r in verify(entry, F(order) if order else None)]
 
 
-@dataclass
-class SuiteResult:
-    reports: list[dict]
-    counts: dict = field(default_factory=dict)
+class SuiteResult(Record):
+    def __init__(self, reports: list[dict], counts: dict | None = None):
+        self.reports = reports
+        self.counts = {} if counts is None else counts
 
     @property
     def all_pass(self) -> bool:
@@ -718,8 +719,8 @@ class SuiteResult:
 
 
 def run_suite(pattern: str = "*", order=None, jobs: int = 1,
-              json_path: Optional[str] = None,
-              csv_path: Optional[str] = None) -> SuiteResult:
+              json_path: str | None = None,
+              csv_path: str | None = None) -> SuiteResult:
     """Run all catalog entries whose id matches the glob pattern."""
     if jobs < 1:
         raise ValueError("jobs must be at least 1, got %d" % jobs)
@@ -743,6 +744,9 @@ def run_suite(pattern: str = "*", order=None, jobs: int = 1,
         counts[key] = counts.get(key, 0) + 1
     result = SuiteResult(reports, counts)
     if json_path:
+        # imported here: a run that writes no document need not load json
+        import json
+
         with open(json_path, "w") as fh:
             json.dump(result.to_document(pattern, order), fh, indent=2)
             fh.write("\n")

@@ -42,14 +42,14 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .appell import appell_m, bracket_tail, o_d_at_minus_one, o_d_direct, psi, s_bar_bracket
 from .cyclotomic import get_field, inverse_one_plus, root_of_unity
 from .errors import NonGenericParameter, UnsupportedCase
-from .series import PBAR_ETA, Monomial, QSeries, eta_quotient, linear_sum, shifted
+from .reports import Record
+from .series import PBAR_ETA, Monomial, QSeries, _frozen, eta_quotient, linear_sum, shifted
 
 F = Fraction
 
@@ -59,12 +59,25 @@ F = Fraction
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Overpartition:
+class Overpartition(Record):
     """Parts in weakly decreasing order; within equal values the overlined
-    copy (at most one per distinct value) comes first."""
+    copy (at most one per distinct value) comes first.  An immutable value
+    like `Monomial`: hashable, and assignment raises FrozenInstanceError."""
 
-    parts: tuple[tuple[int, bool], ...]
+    def __init__(self, parts: tuple[tuple[int, bool], ...]):
+        object.__setattr__(self, "parts", parts)
+
+    def __setattr__(self, name, value):
+        raise _frozen("assign to", name)
+
+    def __delattr__(self, name):
+        raise _frozen("delete", name)
+
+    def __reduce__(self):
+        return Overpartition, (self.parts,)
+
+    def __hash__(self):
+        return hash((self.parts,))
 
     @property
     def weight(self) -> int:
@@ -192,15 +205,15 @@ def _walk_rank_counts(d: int, max_n: int) -> tuple[tuple[tuple[int, int], int], 
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RankTables:
+class RankTables(Record):
     """N_d(m, n) for 0 <= n <= max_n and all m: rows[n][m + n] for
     -n <= m <= n, and 0 for every other m.  Those with m = a mod M are the
     slice rows[n][(a + n) % M::M]."""
 
-    d: int
-    max_n: int
-    rows: list[list[int]]
+    def __init__(self, d: int, max_n: int, rows: list[list[int]]):
+        self.d = d
+        self.max_n = max_n
+        self.rows = rows
 
     def _row(self, n: int) -> list[int]:
         if n > self.max_n:

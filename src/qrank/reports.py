@@ -1,18 +1,36 @@
-"""Report records produced by identity checks."""
+"""Report records produced by identity checks, and the plain record base
+the library's record classes share."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 PASS = "pass"
 FAIL = "fail"
 NON_GENERIC = "non-generic"
 
 
-@dataclass
-class IdentityReport:
+class Record:
+    """Value equality and a dataclass-style ``repr`` over the instance
+    ``__dict__``, field by field in the order ``__init__`` sets them.
+
+    The library's records are plain classes on this base rather than
+    dataclasses: importing ``dataclasses`` loads ``inspect``, ``ast`` and
+    ``tokenize``, and each decoration execs generated code, which a cold
+    ``qrank`` process would pay for on every start.  Records keep their
+    ``__dict__``, so their attributes can be rebound through ``vars()``."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__,
+                           ", ".join("%s=%r" % kv for kv in vars(self).items()))
+
+
+class IdentityReport(Record):
     """Outcome of one coefficient-exact comparison.
 
     A `pass` verdict means both sides agree on every exponent below `order`.
@@ -20,13 +38,16 @@ class IdentityReport:
     expansion can only establish vanishing up to the computed order.
     """
 
-    entry_id: str
-    instantiation: dict = field(default_factory=dict)
-    order: str = ""
-    verdict: str = PASS
-    first_mismatch: Optional[dict] = None
-    note: Optional[str] = None
-    wall_ms: float = 0.0
+    def __init__(self, entry_id: str, instantiation: dict | None = None, order: str = "",
+                 verdict: str = PASS, first_mismatch: dict | None = None,
+                 note: str | None = None, wall_ms: float = 0.0):
+        self.entry_id = entry_id
+        self.instantiation = {} if instantiation is None else instantiation
+        self.order = order
+        self.verdict = verdict
+        self.first_mismatch = first_mismatch
+        self.note = note
+        self.wall_ms = wall_ms
 
     def to_dict(self) -> dict:
         return {

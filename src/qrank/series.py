@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import lru_cache, wraps
 
@@ -57,6 +56,14 @@ from .errors import FractionalExponents, NonGenericParameter
 
 
 _set = object.__setattr__  # Monomial's one way to fill its slots
+
+
+def _frozen(verb: str, name: str) -> Exception:
+    """The error a frozen dataclass raises when asked to `verb` field `name`."""
+    # imported here: dataclasses loads inspect and ast, which start-up need not pay for
+    from dataclasses import FrozenInstanceError
+
+    return FrozenInstanceError("cannot %s field %r" % (verb, name))
 
 
 class Monomial:
@@ -90,10 +97,10 @@ class Monomial:
         _set(self, "q_exp", q_exp)
 
     def __setattr__(self, name, value):
-        raise FrozenInstanceError("cannot assign to field %r" % name)
+        raise _frozen("assign to", name)
 
     def __delattr__(self, name):
-        raise FrozenInstanceError("cannot delete field %r" % name)
+        raise _frozen("delete", name)
 
     def __reduce__(self):
         return Monomial, (self.zeta_num, self.zeta_den, self.q_exp)

@@ -1,6 +1,10 @@
-"""Every import of a library module is used."""
+"""Every import of a library module is used, and start-up loads no heavy
+standard-library module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import qrank
@@ -31,3 +35,13 @@ def test_no_unused_imports():
               for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
               for line, name in _unused_imports(path.read_text())]
     assert not unused, unused
+
+
+def test_cli_start_up_loads_no_heavy_module():
+    # -S: a site .pth hook may import typing itself and hide a regression here
+    heavy = ("dataclasses", "inspect", "typing", "json")
+    code = "import sys, qrank.cli; print(' '.join(m for m in %r if m in sys.modules))" % (heavy,)
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []
