@@ -5,10 +5,11 @@ Every free parameter is a Monomial (root of unity times a rational power of
 q), which makes each divisor 1/(1 - u) decidable.  The formula side
 divides only through `qrank.theta.theta_quotient`, each sum of theta
 quotients one quotient with its shared divisors in the node above the
-terms that share them: m(x,q,z) is j(z;q^p) over the terms of `m_terms`,
-Psi three blocks over its t-sum (`psi_node`), Lambda j(z0;q^2) over the
-Psi node and the group of its d Deltas, and S_d(z;q) the block 1 - z over
-the nodes 1, m and Lambda (a shifted Psi for even d).
+terms that share them: m(x,q,z) is j(z;q^p) over one `MFamily` node
+(`m_terms`), its bilateral start planned and expanded on integers with no
+node per term, Psi three blocks over its t-sum (`psi_node`), Lambda
+j(z0;q^2) over the Psi node and the group of its d Deltas, and S_d(z;q)
+the block 1 - z over the nodes 1, m and Lambda (a shifted Psi for even d).
 
 The oracle side, O_d(z;q) and the Lerch-sum fold, divides by j(q;q^2) as
 the eta quotient J_2/J_1^2 and never reaches `theta_quotient`.  The folded
@@ -43,7 +44,7 @@ from .cyclotomic import inverse_one_plus
 from .errors import NonGenericParameter
 from .series import (PBAR_ETA, Monomial, QSeries, eta_quotient, exact_below, linear_sum,
                      root_sum, shift_loss)
-from .theta import _base_exp, bilateral, binom2, is_theta_zero_pattern, theta_quotient
+from .theta import MFamily, _base_exp, bilateral, binom2, is_theta_zero_pattern, theta_quotient
 
 F = Fraction
 
@@ -79,12 +80,12 @@ def _geometric(w, k: int, exp: Fraction, u: Monomial, L: int, order: Fraction):
 # ---------------------------------------------------------------------------
 
 
-def m_terms(x: Monomial, base, z: Monomial, order) -> list:
-    """The start terms of m(x, q^p, z) over its divisor j(z;q^p): term r of
-    sum_r (-1)^r q^{p C(r,2)} z^r / (1 - q^{p(r-1)} x z) as that divisor
-    1 - u, its shift and its weight, for every r whose shift lies below the
-    order, a superset of the terms the quotient uses.  Raises
-    NonGenericParameter when z or xz is an integral power of q^p."""
+def m_terms(x: Monomial, base, z: Monomial, order, shift=Monomial.one(), weight=1) -> MFamily:
+    """The start of m(x, q^p, z) over its divisor j(z;q^p), times shift and
+    the int weight: sum_r (-1)^r q^{p C(r,2)} z^r / (1 - q^{p(r-1)} x z) as
+    one `MFamily`, over every r whose shift lies below the order, a superset
+    of the terms the quotient uses.  Raises NonGenericParameter when z or xz
+    is an integral power of q^p."""
     p = _base_exp(base)
     # genericity: neither z nor xz may be an integral power of the base
     if is_theta_zero_pattern(z, p):
@@ -95,20 +96,17 @@ def m_terms(x: Monomial, base, z: Monomial, order) -> list:
     # the walk in steps of q^(1/g), on ints
     g = math.lcm(p.denominator, z.q_exp.denominator, order.denominator)
     P, E, top = (v.numerator * (g // v.denominator) for v in (p, z.q_exp, order))
-    if p.denominator == 1:
-        p = p.numerator
-    return [((), ((Monomial.q(p * (r - 1)) * xz, None),), Monomial.q(p * binom2(r)) * z ** r,
-             -1 if r % 2 else 1)
-            for r, _ in bilateral(lambda r: P * binom2(r) + r * E, top)]
+    return MFamily(xz, p, z, [r for r, _ in bilateral(lambda r: P * binom2(r) + r * E, top)],
+                   shift, weight)
 
 
 @exact_below
 def appell_m(x: Monomial, base, z: Monomial, order) -> QSeries:
     """m(x, q^p, z) = (1/j(z;q^p)) sum_r (-1)^r q^{p C(r,2)} z^r / (1 - q^{p(r-1)} x z).
 
-    One theta quotient, its start the terms of `m_terms`, so m lives in
+    One theta quotient, its start the one family of `m_terms`, so m lives in
     Q(zeta_lcm(ord x, ord z))."""
-    return theta_quotient((), ((z, _base_exp(base)),), order, start=m_terms(x, base, z, order))
+    return theta_quotient((), ((z, _base_exp(base)),), order, start=[m_terms(x, base, z, order)])
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +338,7 @@ def _bracket(d: int, z: Monomial, z0: Monomial, zp: Monomial, order) -> list:
     else:
         x_m, base, sign = Monomial.zeta(d // 2 + 1, 2, F(d * d, 4)) * z, F(d * d, 2), -1
     return [((), (), Monomial.one(), sign),
-            ((), ((zp, base),), Monomial.one(), -2 * sign, None, m_terms(x_m, base, zp, order)),
+            ((), ((zp, base),), Monomial.one(), -2 * sign, None, [m_terms(x_m, base, zp, order)]),
             _tail_node(d, z, z0, zp, 2)]
 
 

@@ -77,11 +77,10 @@ def _scaled_eta(spec: dict[int, int], s: int, order) -> QSeries:
 
 def avg_lhs(n: int, k: int, x: Monomial, z: Monomial, order) -> QSeries:
     """sum_t zeta_n^{-kt} m(zeta_n^t x, q, z) over t < n, valid below `order`:
-    one quotient by the common divisor j(z;q), the terms of every twist
-    (`m_terms`) in its start, with zeta_n^{-kt} in their shifts."""
+    one quotient by the common divisor j(z;q), one family per twist
+    (`m_terms`) in its start, with zeta_n^{-kt} its shift."""
     return computed_to(lambda o: theta_quotient((), ((z, 1),), o, start=[
-        (num, den, Z(-k * t, n) * shift, w)
-        for t in range(n) for num, den, shift, w in m_terms(Z(t, n) * x, 1, z, o)]), order)
+        m_terms(Z(t, n) * x, 1, z, o, Z(-k * t, n)) for t in range(n)]), order)
 
 
 def avg_rhs(n: int, k: int, x: Monomial, z: Monomial, zp: Monomial, order) -> QSeries:
@@ -90,7 +89,7 @@ def avg_rhs(n: int, k: int, x: Monomial, z: Monomial, zp: Monomial, order) -> QS
     head = Q(F(-binom2(k + 1))) * (-x) ** k
     inner = -(Q(binom2(n) - n * k) * (-x) ** n)
     return computed_to(lambda o: theta_quotient((), ((zp, n * n),), o, start=[
-        ((), (), head, n, None, m_terms(inner, n * n, zp, o + shift_loss(head))),
+        ((), (), head, n, None, [m_terms(inner, n * n, zp, o + shift_loss(head))]),
         psi_node(k, n, x, z, zp, 1, n, over=(zp, n * n))]), order)
 
 
@@ -399,10 +398,8 @@ def _root_sum_entries() -> list[CatalogEntry]:
     cases = [(5, 0), (5, 10), (5, 7), (6, 3), (7, 14), (9, 4)]
 
     def lhs(n, s, _):
-        total = Cyclotomic.from_fraction(0)
-        for j in range(n):
-            total = total + root_of_unity(s * j, n)
-        return QSeries.scalar(total)
+        return QSeries.scalar(sum((root_of_unity(s * j, n) for j in range(n)),
+                                  Cyclotomic.from_fraction(0)))
 
     return [CatalogEntry(
         "root-power-sums",
@@ -615,17 +612,10 @@ def _decomposition_entries() -> list[CatalogEntry]:
 
 
 def build_catalog() -> dict[str, CatalogEntry]:
-    entries: list[CatalogEntry] = []
-    entries += _appell_entries()
-    entries += _theta_entries()
-    entries += _cube_root_entries()
-    entries += _root_sum_entries()
-    entries += _rank_series_entries()
-    entries += _deviation_entries()
-    entries += _dissection_entries()
-    entries += _decomposition_entries()
     catalog = {}
-    for e in entries:
+    for e in (_appell_entries() + _theta_entries() + _cube_root_entries() + _root_sum_entries()
+              + _rank_series_entries() + _deviation_entries() + _dissection_entries()
+              + _decomposition_entries()):
         if e.id in catalog:
             raise ValueError("duplicate catalog id %r" % e.id)
         catalog[e.id] = e

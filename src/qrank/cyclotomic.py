@@ -47,7 +47,7 @@ from array import array
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 
 from .errors import InverseOfZero
 
@@ -231,22 +231,31 @@ class CyclotomicField:
     # -- reduction rows ------------------------------------------------
 
     def _ensure_red(self, k: int) -> None:
-        phi = self.phi
-        while len(self._red) <= k - phi:
-            if not self._red:
-                row = [-c for c in self.modulus[:phi]]
-            else:
-                prev = [0] * phi
-                for i, c in zip(*self._red[-1]):
-                    prev[i] = c
-                row = [0] + prev[:phi - 1]
-                top = prev[phi - 1]
-                if top:
-                    for i, c in enumerate(self.modulus[:phi]):
-                        row[i] -= top * c
-            nz = [i for i, c in enumerate(row) if c]
-            self._red.append((tuple(nz), tuple(row[i] for i in nz)))
-            self._red_max.append(max(self._red_max[-1:] + [abs(c) for c in row] + [1]))
+        # row j, x^(phi + j), is row j - 1 packed, shifted a slot, less c
+        # Phi_L for c its top slot: while M, a bound on the rows that grows by
+        # |c| max|Phi_L| a row, stays below half a slot; then on wider slots
+        phi, red = self.phi, self._red
+        while len(red) <= k - phi:
+            idx, row = red[-1] if red else ((phi - 1,), (1,))  # x^(phi-1) is reduced
+            M, most = self._red_max[-1] if red else 1, max(map(abs, self.modulus))
+            width = _slot_width(M * (most + 1) << 4)
+            bits, rows = 8 * width, []
+            mod, low, half = _pack(self.modulus, width), _slot_mask(width, phi), 1 << bits - 1
+            x = sum(c << bits * i for i, c in zip(idx, row))
+            while len(red) + len(rows) <= k - phi:
+                x <<= bits
+                c = (x + low) >> bits * phi
+                M += abs(c) * most
+                if M >= half:
+                    break
+                x -= c * mod
+                rows.append(x)
+            flat = _unpack(rows, phi, width)
+            for j in range(0, len(flat), phi):
+                row = flat[j:j + phi]
+                cs = tuple(compress(row, row))
+                red.append((tuple(compress(range(phi), row)), cs))
+                self._red_max.append(max(self._red_max[-1:] + [max(cs), -min(cs), 1]))
 
     def reduce_vec(self, vec: list[int]) -> list[int]:
         """Reduce a coefficient list of any length mod Phi_L, in place: slot j
@@ -311,13 +320,10 @@ class CyclotomicField:
         if den < 0:
             den = -den
             vec = [-v for v in vec]
-        g = den
-        for v in vec:
-            if v:
-                g = math.gcd(g, v)
-                if g == 1:
-                    return (den, tuple(vec))
-        if g == den and all(v == 0 for v in vec):
+        g = math.gcd(den, *vec)
+        if g == 1:
+            return (den, tuple(vec))
+        if g == den and not any(vec):
             return self.zero
         return (den // g, tuple(v // g for v in vec))
 
@@ -674,21 +680,21 @@ class Cyclotomic:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other):
+    def _apply(self, other, op):
+        # op(field, a, b) on both sides coerced into one field
         p = self._pair(other)
         if p is NotImplemented:
             return NotImplemented
         f, a, b = p
-        return Cyclotomic(f, f.add(a, b))
+        return Cyclotomic(f, op(f, a, b))
+
+    def __add__(self, other):
+        return self._apply(other, CyclotomicField.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        p = self._pair(other)
-        if p is NotImplemented:
-            return NotImplemented
-        f, a, b = p
-        return Cyclotomic(f, f.sub(a, b))
+        return self._apply(other, CyclotomicField.sub)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -697,27 +703,15 @@ class Cyclotomic:
         return Cyclotomic(self.field, self.field.neg(self.raw))
 
     def __mul__(self, other):
-        p = self._pair(other)
-        if p is NotImplemented:
-            return NotImplemented
-        f, a, b = p
-        return Cyclotomic(f, f.mul(a, b))
+        return self._apply(other, CyclotomicField.mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        p = self._pair(other)
-        if p is NotImplemented:
-            return NotImplemented
-        f, a, b = p
-        return Cyclotomic(f, f.mul(a, f.inv(b)))
+        return self._apply(other, lambda f, a, b: f.mul(a, f.inv(b)))
 
     def __rtruediv__(self, other):
-        p = self._pair(other)
-        if p is NotImplemented:
-            return NotImplemented
-        f, a, b = p
-        return Cyclotomic(f, f.mul(b, f.inv(a)))
+        return self._apply(other, lambda f, a, b: f.mul(b, f.inv(a)))
 
     def __pow__(self, n: int):
         if n < 0:

@@ -9,14 +9,15 @@ sum of weighted nodes of the same form, so a weighted sum of quotients is
 one call (m(x,q,z), Lambda and S_d(z;q) in `qrank.appell`).  It plans on
 integers, in steps of one q^(1/G), and runs in the half ring of
 `qrank.cyclotomic`, one packed integer per coefficient, with a sparse pass
-per block and one batched reduction mod Phi_L at the end; a term of m whose
-one divisor is 1 - u is the geometric series it is, added straight in at
-every multiple of the step of u.  Its slots are as wide as a first pass on
-l1 norms proves enough, where each divisor is its product majorant
-prod 1/(1 - q^|e|) over its binomial exponents e, sound for a tie
-j(c q^(mp);q^p) because the N/(1 - c) taken out of it is centred, with
-sum_{j<N} c^j kappa = 0 (`_Quotient.prepare`).  A single block j(z;q^p) is
-`theta_j`, the quotient with one numerator block.
+per block and one batched reduction mod Phi_L at the end.  The start of
+m(x,q,z) is one node (`MFamily`), not a node per term: its term (r, t),
+at an offset quadratic and a step linear in r, is one rotation of the
+family's packed seed, added straight in.  Its slots are as wide as a
+first pass on l1 norms proves enough, where each divisor is its product
+majorant prod 1/(1 - q^|e|) over its binomial exponents e, sound for a
+tie j(c q^(mp);q^p) because the N/(1 - c) taken out of it is centred,
+with sum_{j<N} c^j kappa = 0 (`_Quotient.prepare`).  A single block
+j(z;q^p) is `theta_j`, the quotient with one numerator block.
 
 The terms of each block are listed by `bilateral`, the routine that also
 walks the other two-sided sums of the package (the terms of m(x,q,z), the
@@ -178,7 +179,8 @@ class _Quotient:
     def __init__(self, num, den, shift: Monomial, weight=1, eta: dict | None = None,
                  start=None):
         self.shift, self.weight, self.eta = shift, weight, eta
-        self.parts = None if start is None else [_Quotient(*t) for t in start]
+        self.parts = None if start is None else [
+            t if type(t) is MFamily else _Quotient(*t) for t in start]
         self.L, self.grid, self.div, self.blocks = shift.zeta_den, shift.q_exp.denominator, 1, []
         for divisor, blocks in ((False, num), (True, den)):
             for z, p in blocks:
@@ -305,6 +307,66 @@ class _Quotient:
         return terms, steps
 
 
+class MFamily:
+    """shift * weight * sum_r (-1)^r q^(p C(r,2)) z^r / (1 - q^(p(r-1)) y)
+    over r in rs, weight an int: the start of m(y/z, q^p, z) over j(z;q^p)
+    as one node of `theta_quotient`, each term r only the exponents s/g of
+    its shift and e/g of u = q^(p(r-1)) y, on the grid q^(1/g).  L covers
+    shift, z and y (z for a lone r too, as j(z;q^p) above does); L and
+    grid are 1 for an empty rs."""
+
+    def __init__(self, y: Monomial, p: Fraction, z: Monomial, rs, shift: Monomial, weight=1):
+        self.y, self.z, self.shift, self.weight, exps = y, z, shift, weight, (
+            p, z.q_exp, y.q_exp, shift.q_exp)
+        g = self.g = math.lcm(*(e.denominator for e in exps))
+        P, Ez, Ey, ES = (int(e * g) for e in exps)
+        self.raw = [(r, ES + P * binom2(r) + r * Ez, P * (r - 1) + Ey) for r in rs]
+        self.L, self.grid = (math.lcm(shift.zeta_den, z.zeta_den, y.zeta_den), g) if rs else (1, 1)
+
+    def bound(self, G: int, order: int, reach: list) -> None:
+        """`_Quotient.bound` of each term r as (r, val, s, e) on the grid
+        q^(1/G), val = s + max(0, -e) past the flip of a negative step: the
+        family's val is the least, its total N if it uses the tie e = 0."""
+        c, self.G = G // self.g, G
+        self.terms = [(r, c * (s - min(0, e)), c * s, c * e) for r, s, e in self.raw]
+        reach += [order - val + min(0, e) for _, val, _, e in self.terms]
+        self.used = [t for t in self.terms if t[1] < order]
+        self.val, self.s0 = min([t[1] for t in self.terms], default=order), 0
+        self.total = self.y.zeta_den if any(not t[3] for t in self.used) else 1
+
+    def plan(self, top: int, ahead: int) -> int:
+        """`_Quotient.plan` of each term: the denominators of its shift and,
+        where 1 - u lists it below the term's own ahead, of its step."""
+        G, den = self.G, 1
+        for r, val, s, e in self.terms:
+            a = ahead + self.val - val
+            den = math.lcm(den, G // math.gcd(G, s),
+                           G // math.gcd(G, e) if 0 < e < a or e < 0 < a else 1)
+        return den
+
+    def prepare(self, n: int, D: int, G: int, L: int, mult: dict):
+        """The family times mult for `_expand`, a tuple of (seed, walks), a
+        walk (o, d, k, dk, sign) the terms sign zeta_L^(k + t dk) seed at
+        o + t d, t >= 0.  Term (r, t) is (-1)^r zeta_L^(kS + r kz + t ky) at
+        val + t e, or past the flip 1/(1 - u) = -u^(-1)/(1 - u^(-1)) of an
+        e < 0, -(-1)^r zeta_L^(kS + r kz - (t + 1) ky) at val + t |e|; a
+        step d past the end leaves the first alone.  The tie is one term,
+        its seed times kappa (`_Quotient.prepare`)."""
+        kS, kz, ky = (m.zeta_num * (L // m.zeta_den) for m in (self.shift, self.z, self.y))
+        walks, seeds = [], []
+        for r, val, s, e in self.used:
+            o, k, sign = (val - self.val) * D // G, kS + r * kz, -1 if r % 2 else 1
+            if not e:
+                c = {(i + k) % L: w * sign * self.weight for i, w in mult.items()}
+                seeds.append((_ring_mul(c, _centred_inverse(ky, self.y.zeta_den, L), L),
+                              [(o, n, 0, 0, 1)]))
+            else:
+                walks.append((o, abs(e) * D // G or n, (k - (e < 0) * ky) % L,
+                              (ky if e > 0 else -ky) % L, sign if e > 0 else -sign))
+        c = {i: w * self.total * self.weight for i, w in mult.items()}
+        return tuple(([(c, walks)] if walks else []) + seeds), []
+
+
 def _centred_inverse(k_c: int, N: int, L: int) -> dict:
     """N/(1 - c) mod Phi_L for c = zeta_L^k_c of order N > 1, as {rotation:
     weight}, centred: sum_j ((N-1)/2 - j) c^j for odd N, and for even N
@@ -350,10 +412,9 @@ def _expand(terms, n: int, L: int, width: int):
     `terms`, and the largest value of any stage.  A term is its seed, a
     constant {rotation: weight} or a list of terms summed, times its
     (major, rows) steps, major None for a product and a divisor's majorant
-    rows (d, w) for a divisor.  A constant seed whose only step is a
-    divisor of one row (d, w, k) is the geometric series seed (-w zeta_L^k)^t
-    at t d, each term the rotation of the one before, added in where it
-    falls: no list of its own and no `_divide`.
+    rows (d, w) for a divisor, or an m family's (seeds, walks)
+    (`MFamily.prepare`), added straight in: each of its terms one rotation
+    of its seed, packed and doubled once, with no list or pass of its own.
 
     A coefficient is one integer whose slot i < N, `width` bytes wide, holds
     its integer at zeta_L^i (`_pack`), N = L for odd L and N = L/2 in the
@@ -364,8 +425,8 @@ def _expand(terms, n: int, L: int, width: int):
     Width 0 is the majorant: an element is its l1 norm, a product's row
     (d, w, k) is (d, |w|, 0), and a divisor divides by its majorant rows
     (`_Quotient.prepare`), so every value bounds every slot of the packed
-    one at its place; a geometric node's values are rotations of its seed,
-    so it adds the seed's norm at every t d and raises the largest value to
+    one at its place; a family's values are rotations of its seeds, so it
+    adds a seed's norm at each of its terms and raises the largest value to
     it."""
     bits, N = 8 * width, L // 2 if L % 2 == 0 else L
     B, M, WL = (_slot_mask(width, N), (1 << bits * N) - 1, bits * N) if width else (0, -1, 0)
@@ -397,21 +458,19 @@ def _expand(terms, n: int, L: int, width: int):
         nonlocal top
         f = None
         for off, seed, part in terms:
-            if (isinstance(seed, dict) and len(part) == 1 and part[0][0] is not None
-                    and len(part[0][1]) == 1):
-                # seed / (1 + w zeta_L^k q^d) is seed (-w zeta_L^k)^t at t d
-                (d, w, k), = part[0][1]
-                x, f = elem(seed), f or [0] * n
-                if k >= N:
-                    w, k = -w, k - N
-                if not width:  # every value is a rotation of x: its norm stays x
-                    top, w = max(top, x), -1
-                s = WL - bits * k
-                for i in range(off, n, d):
-                    f[i] += x
-                    y = x + B
-                    x = (((T - y if T else y) | y << WL) >> s) & M
-                    x = B - x if w > 0 else x - B
+            if type(seed) is tuple:  # an m family (`MFamily.prepare`)
+                f = f or [0] * n
+                for c, walks in seed:
+                    x = elem(c)
+                    if width:  # doubled once, each term one shift and mask
+                        y = x + B
+                        x = (T - y if T else y) | y << WL
+                    top = top if width else max(top, x)
+                    for o, d, k, dk, sign in walks:
+                        for i in range(off + o, n, d):  # zeta_L^k = -zeta_L^(k - N), k >= N
+                            v = (x >> WL - bits * (k % N)) & M
+                            f[i] += v - B if not width or (sign > 0) == (k < N) else B - v
+                            k = (k + dk) % L
                 continue
             g = passes([elem(seed)] + [0] * (n - off - 1) if isinstance(seed, dict)
                        else add_terms(n - off, seed), part)
@@ -460,8 +519,7 @@ def _divide(f, rows, B: int, T: int, M: int, WL: int):
     """f / (1 + sum w zeta_L^k q^d) over the (d, w, s) of `rows`, at least
     one, sorted by d >= 1 and with w = +-1, below len(f):
     g_i = f_i - sum w zeta_L^k g_(i-d), with each g_i doubled once, when it
-    is made.  A constant seed over one row alone is a geometric node of
-    `_expand` instead."""
+    is made."""
     g, doubled = [], []
     for i, acc in enumerate(f):
         c = 0

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qrank import appell
+from qrank import appell, catalog
 from qrank.appell import (
     appell_m,
     bracket_tail,
@@ -27,7 +27,7 @@ from qrank.cyclotomic import Cyclotomic, get_field, root_of_unity
 from qrank.errors import NonGenericParameter
 from qrank.series import (Monomial, QSeries, computed_to, eta_quotient, linear_sum, root_sum,
                           shift_loss, shifted)
-from qrank.theta import bilateral, binom2, is_theta_zero_pattern
+from qrank.theta import bilateral, binom2, is_theta_zero_pattern, theta_quotient
 from test_theta import _product_route, _theta_sum
 
 F = Fraction
@@ -489,6 +489,72 @@ def test_m_terms_poles():
         m_terms(Z(1, 5), 2, Q(4), 5)
     with pytest.raises(NonGenericParameter, match="xz = .* is an integral power of the base"):
         m_terms(Q(3) / Z(1, 7), 1, Z(1, 7), 5)
+
+
+def _m_term_nodes(x, base, z, order, shift=Monomial.one(), weight=1):
+    """`m_terms` as a start node per term r, the reference for its family:
+    shift q^(p C(r,2)) z^r over the two-term block 1 - q^(p(r-1)) x z with
+    weight (-1)^r weight, the terms under one node of shift 1 and weight 1,
+    which moves no exponent, root or divisor."""
+    m_terms(x, base, z, order, shift, weight)  # the same genericity checks
+    p, xz = appell._base_exp(base), x * z
+    g = math.lcm(p.denominator, z.q_exp.denominator, order.denominator)
+    P, E, top = (v.numerator * (g // v.denominator) for v in (p, z.q_exp, order))
+    nodes = [((), ((Q(p * (r - 1)) * xz, None),), shift * Q(p * binom2(r)) * z ** r,
+              -weight if r % 2 else weight)
+             for r, _ in bilateral(lambda r: P * binom2(r) + r * E, top)]
+    return (), (), Monomial.one(), 1, None, nodes
+
+
+def test_m_family_matches_a_node_per_term(monkeypatch):
+    # appell_m, both sides of the root average, s_bar_d and m's quotient at
+    # orders <= 0, byte-identical with the family and with a node per term,
+    # or non-generic on both: fractional exponents, negative steps (flips),
+    # ties x z = c q^(p j) with c of order > 1, and empty ranges
+    rng = random.Random(3400)
+
+    def mono():
+        N = rng.choice((1, 2, 3, 4, 5, 6, 7))
+        return Z(rng.randrange(N), N, F(rng.randint(-6, 6), rng.choice((1, 2, 3))))
+
+    def same(build, case):
+        out = []
+        for terms in (m_terms, _m_term_nodes):
+            monkeypatch.setattr(appell, "m_terms", terms)
+            monkeypatch.setattr(catalog, "m_terms", terms)
+            appell_m.cache_clear()
+            s_bar_d.cache_clear()
+            try:
+                out.append(build().to_json_dict())
+            except NonGenericParameter:
+                out.append(None)
+        assert out[0] == out[1], case
+        return out[0] is not None
+
+    seen = {"tie": 0, "flip": 0, "empty": 0, "pole": 0, "generic": 0}
+    for case in range(160):
+        x, z, zp, z0 = mono(), mono(), mono(), mono()
+        p = rng.choice((1, 2, F(1, 2), F(3, 2), F(2, 3)))
+        if case % 3 == 0:  # a tie: x z = c q^(p j), c = zeta_N^a != 1
+            N = rng.choice((2, 3, 4, 6))
+            x = Z(rng.randrange(1, N), N, p * rng.randint(-2, 2)) / z
+        order = rng.choice(ORDERS + (F(rng.randint(-3, 24), rng.choice((1, 2, 3))),))
+        try:
+            terms = m_terms(x, p, z, order).raw
+            seen["tie"] += any(not e for _, _, e in terms)
+            seen["flip"] += any(e < 0 for _, _, e in terms)
+            seen["empty"] += not terms
+        except NonGenericParameter:
+            seen["pole"] += 1
+        n, k, d = rng.choice((2, 3)), rng.randrange(3), rng.randint(1, 4)
+        for build in (lambda: appell_m(x, p, z, order),
+                      lambda: theta_quotient((), ((z, appell._base_exp(p)),), order,
+                                             start=[appell.m_terms(x, p, z, order)]),
+                      lambda: avg_lhs(n, k % n, x, z, order),
+                      lambda: avg_rhs(n, k % n, x, z, zp, order),
+                      lambda: s_bar_d(d, z, z0, zp, order)):
+            seen["generic"] += same(build, (case, x, p, z, zp, z0, order, n, k, d))
+    assert min(seen.values()) >= 5, seen
 
 
 def test_root_average_pole_in_a_twist():

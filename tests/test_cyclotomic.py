@@ -262,6 +262,42 @@ def test_unit_tower_generates_units():
         assert units == {k % L for k in range(1, L + 1) if math.gcd(k, L) == 1}
 
 
+def _check_rows_by_long_division(f, top):
+    # row k - phi is x^k mod f.modulus, by long division carried one degree
+    # at a time in plain lists, for phi <= k < top, grown in two calls;
+    # _red_max[j] is max(1, the largest |coefficient| of rows 0 .. j)
+    phi, mod = f.phi, f.modulus
+    f._ensure_red(phi + (top - phi) // 3)
+    f._ensure_red(top - 1)
+    assert len(f._red) == len(f._red_max) == top - phi
+    rem, most = [0] * (phi - 1) + [1], 1  # x^(phi - 1)
+    for k in range(phi, top):
+        rem = [0] + rem  # x^k, of degree phi
+        rem = [a - rem[phi] * b for a, b in zip(rem, mod)][:phi]
+        most = max([most] + [abs(c) for c in rem])
+        nz = tuple(i for i, c in enumerate(rem) if c)
+        assert f._red[k - phi] == (nz, tuple(rem[i] for i in nz)), (mod, k)
+        assert f._red_max[k - phi] == most, (mod, k)
+
+
+@pytest.mark.parametrize("Ls", [range(1, 151), range(151, 301), (385, 770, 1155)])
+def test_reduction_rows_are_the_remainders_of_long_division(Ls):
+    # rows up to max(N, 2 phi); those of 385, 770 and 1155 outgrow the
+    # bound of their first slots and go on from the last row on new ones
+    for L in Ls:
+        f = cyclotomic.CyclotomicField(L)  # a field of its own: no rows yet
+        _check_rows_by_long_division(f, max(f.N, 2 * f.phi))
+
+
+def test_reduction_rows_go_on_wider_slots_as_they_grow():
+    # x^6 - 2x^5 + x - 5 in place of Phi_7: its remainders grow about as 2^k,
+    # out of slots of 1, 2, 4, 8 and 16 bytes into wider ones
+    f = cyclotomic.CyclotomicField(7)
+    f.modulus = (-5, 1, 0, 0, 0, -2, 1)
+    _check_rows_by_long_division(f, 400)
+    assert f._red_max[-1].bit_length() > 300
+
+
 @pytest.mark.parametrize("L", [1, 2, 3, 4, 6, 7, 35, 70, 105, 210, 1155, 2310])
 def test_reduce_all_matches_reduce_vec(L):
     # vectors of length L and 2 phi - 1, entries up to the extremes of 1-,

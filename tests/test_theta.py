@@ -747,7 +747,9 @@ def test_majorant_bounds_every_packed_coefficient():
 
 def _dense_expand(terms, n, L, width):
     # `_expand` with every constant seed a list of its own, put through its
-    # steps one pass at a time: the reference for the geometric nodes
+    # steps one pass at a time, and each walk of an m family's seed a
+    # constant over the one-row divisor 1/(1 - zeta_L^dk q^d): the
+    # reference for the geometric series of the families
     bits, N = 8 * width, L // 2 if L % 2 == 0 else L
     B, M, WL = (_slot_mask(width, N), (1 << bits * N) - 1, bits * N) if width else (0, -1, 0)
     T = 2 * B if N < L else 0
@@ -779,6 +781,10 @@ def _dense_expand(terms, n, L, width):
     def add_terms(n, terms):
         f = [0] * n
         for off, seed, part in terms:
+            if type(seed) is tuple:
+                seed = [(o, {(i + k) % L: sign * w for i, w in c.items()},
+                         [([(d, -1)], [(d, -1, dk)])])
+                        for c, walks in seed for o, d, k, dk, sign in walks]
             g = passes([elem(seed)] + [0] * (n - off - 1) if isinstance(seed, dict)
                        else add_terms(n - off, seed), part)
             f[off:] = map(add, f[off:], g)
@@ -788,9 +794,9 @@ def _dense_expand(terms, n, L, width):
 
 
 def _random_tree(rng, n, L, depth):
-    # terms of `_expand` below n: one-row divisor nodes, with steps d up to
-    # past n, w = +-1 and every rotation k (k >= N in the half ring), beside
-    # constants under mixed steps and nested sums
+    # terms of `_expand` below n: m families, walks with steps d up to past
+    # n, signs +-1 and every rotation k and step dk (k >= N in the half
+    # ring), beside constants under mixed steps and nested sums
     def elem():
         return {rng.randrange(L): rng.randint(-9, 9) for _ in range(rng.randint(1, 3))}
 
@@ -809,8 +815,10 @@ def _random_tree(rng, n, L, depth):
     for _ in range(rng.randint(1, 5)):
         off, kind = rng.randrange(n), rng.random()
         if kind < 0.5:
-            row = (rng.randint(1, n + 2), rng.choice([-1, 1]), rng.randrange(L))
-            terms.append((off, elem(), [(_recurrence_rows([row]), [row])]))
+            terms.append((off, tuple((elem(), [
+                (rng.randrange(n), rng.randint(1, n + 2), rng.randrange(L), rng.randrange(L),
+                 rng.choice([-1, 1])) for _ in range(rng.randint(1, 3))])
+                for _ in range(rng.randint(1, 2))), []))
         elif kind < 0.8 or not depth:
             terms.append((off, elem(), steps()))
         else:
@@ -820,8 +828,9 @@ def _random_tree(rng, n, L, depth):
 
 @pytest.mark.parametrize("L", [1, 2, 5, 12, 35])
 def test_geometric_nodes_match_the_dense_passes(L):
-    # the same packed list and the same majorant, slot for slot, with slots
-    # narrow enough to wrap as well as wide ones
+    # an m family's walks against one-row divisors: the same packed list and
+    # the same majorant, slot for slot, with slots narrow enough to wrap as
+    # well as wide ones
     rng = random.Random(4100 + L)
     for case in range(30):
         n = rng.randint(1, 16)
@@ -839,7 +848,7 @@ def _clear_caches():
 
 
 def test_a_term_of_m_is_no_one_row_division(monkeypatch):
-    # each term w q^C(r,2) z^r / (1 - x z q^(r-1)) is a geometric node
+    # each term w q^C(r,2) z^r / (1 - x z q^(r-1)) is a walk of m's family
     rows = []
     divide = theta._divide
 
@@ -870,7 +879,7 @@ def test_a_divisor_with_no_rows_is_no_pass(monkeypatch):
 
 def _recurrence_tree(terms):
     # `_expand` terms with every divisor's majorant the recurrence of its rows
-    return [(off, seed if isinstance(seed, dict) else _recurrence_tree(seed),
+    return [(off, _recurrence_tree(seed) if isinstance(seed, list) else seed,
              [(None if major is None else _recurrence_rows(rows), rows) for major, rows in steps])
             for off, seed, steps in terms]
 
@@ -896,6 +905,16 @@ def _theta_node(rng, L, depth):
     start = None
     if depth and rng.random() < 0.5:
         start = [_theta_node(rng, L, depth - 1) for _ in range(rng.randint(1, 3))]
+        # an m family: steps of either sign, and a tie where x z = c q^(p j)
+        p, z = rng.choice([1, 2, F(1, 2)]), Z(rng.randrange(L), L, F(rng.randint(-3, 3), 2))
+        x = Z(rng.randrange(L), L, F(rng.randint(-4, 4), 2)) / z if rng.random() < 0.5 else \
+            Z(rng.randrange(1, L), L, rng.randint(-2, 2) * p) / z
+        try:
+            start.append(m_terms(x, p, z, F(rng.randint(-2, 16), rng.choice([1, 2])),
+                                 Z(rng.randrange(L), L, F(rng.randint(-2, 2), 2)),
+                                 rng.choice([1, -2, 3])))
+        except NonGenericParameter:
+            pass
     return num, den, shift, F(rng.choice([1, -2, 3]), rng.choice([1, 2])), eta, start
 
 
