@@ -83,9 +83,10 @@ def _geometric(w, k: int, exp: Fraction, u: Monomial, L: int, order: Fraction):
 def m_terms(x: Monomial, base, z: Monomial, order, shift=Monomial.one(), weight=1) -> MFamily:
     """The start of m(x, q^p, z) over its divisor j(z;q^p), times shift and
     the int weight: sum_r (-1)^r q^{p C(r,2)} z^r / (1 - q^{p(r-1)} x z) as
-    one `MFamily`, over every r whose shift lies below the order, a superset
-    of the terms the quotient uses.  Raises NonGenericParameter when z or xz
-    is an integral power of q^p."""
+    one `MFamily`, over every r whose q^{p C(r,2)} z^r lies below the order,
+    a superset of the terms the quotient uses.  The family must sit below
+    j(z;q^p), whose field it takes for every z^r.  Raises
+    NonGenericParameter when z or xz is an integral power of q^p."""
     p = _base_exp(base)
     # genericity: neither z nor xz may be an integral power of the base
     if is_theta_zero_pattern(z, p):

@@ -85,11 +85,11 @@ def avg_lhs(n: int, k: int, x: Monomial, z: Monomial, order) -> QSeries:
 
 def avg_rhs(n: int, k: int, x: Monomial, z: Monomial, zp: Monomial, order) -> QSeries:
     """n q^{-C(k+1,2)} (-x)^k m(-q^{C(n,2)-nk} (-x)^n, q^{n^2}, z') + n Psi_k^n(x, z, z'; q)
-    below `order`: one quotient by j(z';q^{n^2}) over the m node and the Psi node."""
+    below `order`: one quotient by j(z';q^{n^2}) over the m family and the Psi node."""
     head = Q(F(-binom2(k + 1))) * (-x) ** k
     inner = -(Q(binom2(n) - n * k) * (-x) ** n)
     return computed_to(lambda o: theta_quotient((), ((zp, n * n),), o, start=[
-        ((), (), head, n, None, [m_terms(inner, n * n, zp, o + shift_loss(head))]),
+        m_terms(inner, n * n, zp, o + shift_loss(head), head, n),
         psi_node(k, n, x, z, zp, 1, n, over=(zp, n * n))]), order)
 
 
@@ -398,8 +398,10 @@ def _root_sum_entries() -> list[CatalogEntry]:
     cases = [(5, 0), (5, 10), (5, 7), (6, 3), (7, 14), (9, 4)]
 
     def lhs(n, s, _):
-        return QSeries.scalar(sum((root_of_unity(s * j, n) for j in range(n)),
-                                  Cyclotomic.from_fraction(0)))
+        total = Cyclotomic.from_fraction(0)
+        for j in range(n):
+            total = total + root_of_unity(s * j, n)
+        return QSeries.scalar(total)
 
     return [CatalogEntry(
         "root-power-sums",
@@ -612,10 +614,17 @@ def _decomposition_entries() -> list[CatalogEntry]:
 
 
 def build_catalog() -> dict[str, CatalogEntry]:
+    entries: list[CatalogEntry] = []
+    entries += _appell_entries()
+    entries += _theta_entries()
+    entries += _cube_root_entries()
+    entries += _root_sum_entries()
+    entries += _rank_series_entries()
+    entries += _deviation_entries()
+    entries += _dissection_entries()
+    entries += _decomposition_entries()
     catalog = {}
-    for e in (_appell_entries() + _theta_entries() + _cube_root_entries() + _root_sum_entries()
-              + _rank_series_entries() + _deviation_entries() + _dissection_entries()
-              + _decomposition_entries()):
+    for e in entries:
         if e.id in catalog:
             raise ValueError("duplicate catalog id %r" % e.id)
         catalog[e.id] = e

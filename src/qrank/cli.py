@@ -89,14 +89,17 @@ def cmd_expand(args) -> int:
 
 def cmd_deviation(args) -> int:
     order = _order(args.order, "20")
-    by_def = by_formula = None
     if args.method in ("definition", "both"):
         by_def = deviation_by_definition(args.d, args.a, args.M, order)
     if args.method in ("formula", "both"):
         by_formula = single_deviation(args.d, args.a, args.M, order)
-    _print_series(by_formula if by_def is None else by_def)
-    if args.method != "both":
+    if args.method == "definition":
+        _print_series(by_def)
         return 0
+    if args.method == "formula":
+        _print_series(by_formula)
+        return 0
+    _print_series(by_def)
     diff = by_def.first_difference(by_formula, order)
     if diff is None:
         print("# formula route agrees with the definition route below q^%s" % order)

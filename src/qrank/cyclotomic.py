@@ -680,21 +680,21 @@ class Cyclotomic:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _apply(self, other, op):
-        # op(field, a, b) on both sides coerced into one field
+    def __add__(self, other):
         p = self._pair(other)
         if p is NotImplemented:
             return NotImplemented
         f, a, b = p
-        return Cyclotomic(f, op(f, a, b))
-
-    def __add__(self, other):
-        return self._apply(other, CyclotomicField.add)
+        return Cyclotomic(f, f.add(a, b))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._apply(other, CyclotomicField.sub)
+        p = self._pair(other)
+        if p is NotImplemented:
+            return NotImplemented
+        f, a, b = p
+        return Cyclotomic(f, f.sub(a, b))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -703,15 +703,27 @@ class Cyclotomic:
         return Cyclotomic(self.field, self.field.neg(self.raw))
 
     def __mul__(self, other):
-        return self._apply(other, CyclotomicField.mul)
+        p = self._pair(other)
+        if p is NotImplemented:
+            return NotImplemented
+        f, a, b = p
+        return Cyclotomic(f, f.mul(a, b))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._apply(other, lambda f, a, b: f.mul(a, f.inv(b)))
+        p = self._pair(other)
+        if p is NotImplemented:
+            return NotImplemented
+        f, a, b = p
+        return Cyclotomic(f, f.mul(a, f.inv(b)))
 
     def __rtruediv__(self, other):
-        return self._apply(other, lambda f, a, b: f.mul(b, f.inv(a)))
+        p = self._pair(other)
+        if p is NotImplemented:
+            return NotImplemented
+        f, a, b = p
+        return Cyclotomic(f, f.mul(b, f.inv(a)))
 
     def __pow__(self, n: int):
         if n < 0:

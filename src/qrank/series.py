@@ -329,6 +329,14 @@ class QSeries:
         return QSeries(field, den, self.val * f, coeffs,
                        None if self.prec is None else self.prec * f, _normalized=True)
 
+    @staticmethod
+    def _min_prec(p1: int | None, p2: int | None) -> int | None:
+        if p1 is None:
+            return p2
+        if p2 is None:
+            return p1
+        return min(p1, p2)
+
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other, sign=1):
@@ -363,7 +371,7 @@ class QSeries:
         vb = b.val if b.coeffs else b.prec
         pa = None if a.prec is None else a.prec + (vb if vb is not None else 0)
         pb = None if b.prec is None else b.prec + (va if va is not None else 0)
-        prec = min([p for p in (pa, pb) if p is not None], default=None)
+        prec = QSeries._min_prec(pa, pb)
         if not a.coeffs or not b.coeffs:
             return QSeries(field, a.den, 0, (), prec, _normalized=True)
         base = a.val + b.val
@@ -418,7 +426,7 @@ class QSeries:
         target = None if order is None else _scale_exp(order, self.den)
         # self = q^val * u with u a unit; 1/self known to prec - 2*val
         out_prec = self.prec - 2 * self.val if self.prec is not None else None
-        out_prec = min([p for p in (out_prec, target) if p is not None], default=None)
+        out_prec = QSeries._min_prec(out_prec, target)
         out_val = -self.val
         rel_len = out_prec - out_val
         if rel_len <= 0:
@@ -459,16 +467,32 @@ class QSeries:
         r = Fraction(r)
         if r <= 0:
             raise ValueError("substitution power must be positive")
-        s = self._with(self.field, self.den * r.numerator)  # every exponent times r's numerator
-        return QSeries(s.field, self.den * r.denominator, s.val, s.coeffs, s.prec,
-                       _normalized=True).normalize_denominator()
+        den = self.den * r.denominator
+        num = r.numerator
+        coeffs = self.coeffs
+        if coeffs and num != 1:
+            spread: list[Raw] = [self.field.zero] * ((len(coeffs) - 1) * num + 1)
+            spread[::num] = coeffs
+            coeffs = tuple(spread)
+        out = QSeries(self.field, den, self.val * num, coeffs,
+                      None if self.prec is None else self.prec * num,
+                      _normalized=True)
+        return out.normalize_denominator()
 
     def normalize_denominator(self) -> "QSeries":
         """Reduce the Puiseux denominator to the smallest consistent value."""
         if self.den == 1:
             return self
-        g = math.gcd(self.den, self.val if self.coeffs else 0, self.prec or 0,
-                     *(self.val + i for i, (_, vec) in enumerate(self.coeffs) if any(vec)))
+        g = self.den
+        g = math.gcd(g, self.val if self.coeffs else 0)
+        if self.prec is not None:
+            g = math.gcd(g, self.prec)
+        if self.coeffs:
+            for i, c in enumerate(self.coeffs):
+                if not self.field.is_zero(c):
+                    g = math.gcd(g, self.val + i)
+                if g == 1:
+                    break
         if g == 1:
             return self
         coeffs = tuple(self.coeffs[i] for i in range(0, len(self.coeffs), g))
@@ -489,10 +513,23 @@ class QSeries:
         if s.den != 1:
             raise FractionalExponents("dissection requires integral exponents")
         top = None if self.prec is None else -(-self.prec // self.den)  # ceil(order)
-        # F_k holds every parts-th coefficient from the first exponent = k
-        # mod parts on, from ceil((val - k) / parts), below ceil((top - k) / parts)
-        return [QSeries(s.field, 1, -((k - s.val) // parts), s.coeffs[(k - s.val) % parts::parts],
-                        None if top is None else -((k - top) // parts)) for k in range(parts)]
+        out = []
+        for k in range(parts):
+            terms: list[tuple[int, Raw]] = []
+            for i, c in enumerate(s.coeffs):
+                e = s.val + i
+                if e % parts == k % parts and not s.field.is_zero(c):
+                    terms.append(((e - k) // parts, c))
+            prec = None if top is None else -((k - top) // parts)  # ceil((top - k) / parts)
+            if terms:
+                val = terms[0][0]
+                vec: list[Raw] = [s.field.zero] * (terms[-1][0] - val + 1)
+                for t, c in terms:
+                    vec[t - val] = c
+                out.append(QSeries(s.field, 1, val, tuple(vec), prec))
+            else:
+                out.append(QSeries(s.field, 1, 0, (), prec, _normalized=True))
+        return out
 
     # -- comparison -------------------------------------------------------
 

@@ -311,8 +311,8 @@ class MFamily:
     """shift * weight * sum_r (-1)^r q^(p C(r,2)) z^r / (1 - q^(p(r-1)) y)
     over r in rs, weight an int: the start of m(y/z, q^p, z) over j(z;q^p)
     as one node of `theta_quotient`, each term r only the exponents s/g of
-    its shift and e/g of u = q^(p(r-1)) y, on the grid q^(1/g).  L covers
-    shift, z and y (z for a lone r too, as j(z;q^p) above does); L and
+    its shift and e/g of u = q^(p(r-1)) y, on the grid q^(1/g).  It sits
+    below j(z;q^p), so L covers shift, y and z, whatever the z^r; L and
     grid are 1 for an empty rs."""
 
     def __init__(self, y: Monomial, p: Fraction, z: Monomial, rs, shift: Monomial, weight=1):
