@@ -8,14 +8,14 @@ and single deviations.  The catalog entries `rank-series-two-forms` and
 `rank-enumeration-d1/d2` tie the double-divisor form to the single-sum form
 and the single-sum form to enumeration.
 
-Enumeration is one iterative depth-first walk over the plain partitions of
-every n <= max_n at once.  It keeps each partition's statistics as it
-appends parts, groups the partitions by them and counts the overlinings of
-each group in closed form (see `enumeration_rank_counts`), so it never
-builds the overpartitions themselves.  The counts are cached per
-(d, max_n).  `Overpartition` with `rank()` and `m2_rank()`, fed by
-`enumerate_overpartitions` and its recursive `_partitions`, is the object
-route the tests hold those counts to.
+Enumeration counts the overpartitions of every n <= max_n by rank or
+M2-rank with one dynamic program over the part values 1..max_n, each
+polynomial in the statistic packed into one int (see
+`enumeration_rank_counts`), so it builds no overpartition and visits no
+partition.  It is plain integer arithmetic with no q-series code, and the
+counts are cached per (d, max_n).  `Overpartition` with `rank()` and
+`m2_rank()`, fed by `enumerate_overpartitions` and its recursive
+`_partitions`, is the object route the tests hold those counts to.
 
 The formula route builds each pair as one `linear_sum` of its terms:
 
@@ -46,7 +46,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .appell import appell_m, bracket_tail, o_d_at_minus_one, o_d_direct, psi, s_bar_bracket
-from .cyclotomic import get_field, inverse_one_plus, root_of_unity
+from .cyclotomic import _unpack, get_field, inverse_one_plus, root_of_unity
 from .errors import NonGenericParameter, UnsupportedCase
 from .reports import Record
 from .series import PBAR_ETA, Monomial, QSeries, _frozen, eta_quotient, linear_sum, shifted
@@ -147,57 +147,54 @@ def enumeration_rank_counts(d: int, max_n: int) -> dict[tuple[int, int], int]:
     """Counts of overpartitions of n by rank (d=1) or M2-rank (d=2), as a
     fresh dict {(statistic, n): count} for 0 <= n <= max_n ({} if max_n < 0).
 
-    One depth-first walk visits every nonempty partition of every n <= max_n
-    and groups them by the statistics below; the 2^k overlinings of a
-    partition with k distinct values are then counted in closed form.
-    Overlining never moves the rank, so a partition adds 2^k at
-    largest - #parts.  For a set S of overlined values the M2-rank is
-
-        ceil(l/2) - #parts + #odd parts - [l odd] - |S & odd values other than l|
-
-    with l the largest part, so S lowers it by j in 2^(#even values)
-    (2 if l is odd else 1) C(#odd values other than l, j) ways.  The walk
-    is built once per (d, max_n) and kept in a module-level cache.  The test
-    suite checks the counts against `enumerate_overpartitions` with `rank()`
-    and `m2_rank()`.
+    A dynamic program adds the parts equal to v for v = 1, ..., max_n.
+    A[n] counts the overpartitions of n with parts below v by y^s, s their
+    statistic less its largest-part term (a part adds -1, a plain odd part
+    0 to the M2-rank), and R[n] those with largest part below v by their
+    statistic.  With B = A / (1 - y^e q^v), so B[n] = A[n] + y^e B[n - v]:
+    for the rank, and the M2-rank at even v, e = -1 and the copies of v
+    (the first one may be overlined) add C = 2 y^-1 q^v B to A and y^v C or
+    y^(v/2) C to R; for the M2-rank at odd v, e = 0 (a plain copy weighs
+    q^v, an overlined one y^-1 q^v), A gains (1 + y^-1) q^v B and R gains
+    2 y^(ceil(v/2) - 1) q^v B, the -1 for an overlined v or else for a plain
+    largest odd part.  A polynomial of n is one int whose b-bit slot s + n
+    holds the coefficient of y^s, so y^-1 q^v B[n - v] is B[n - v] shifted
+    left by (v - 1) b.  b is sized from the totals p_bar(n), the same
+    recurrence at y = 1; a slot is a sub-count of its total, so none
+    carries.  The counts are cached per (d, max_n).
     """
     if d not in (1, 2):
         raise ValueError("enumeration covers the rank (d=1) and M2-rank (d=2)")
-    return dict(_walk_rank_counts(d, max_n))
+    return dict(_packed_rank_counts(d, max_n))
 
 
 @lru_cache(maxsize=None)
-def _walk_rank_counts(d: int, max_n: int) -> tuple[tuple[tuple[int, int], int], ...]:
+def _packed_rank_counts(d: int, max_n: int) -> tuple[tuple[tuple[int, int], int], ...]:
     """The items of `enumeration_rank_counts(d, max_n)`, as an immutable tuple."""
     if max_n < 0:
         return ()
-    groups: dict[tuple[int, int, int, int], int] = {}
-    # a node is a partition with parts in weakly decreasing order:
-    # (n, last part, largest, #parts, #distinct values, #odd parts, #odd distinct values)
-    stack = [(v, v, v, 1, 1, v & 1, v & 1) for v in range(1, max_n + 1)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        n, last, largest, parts, values, odd_parts, odd_values = pop()
-        if d == 1:
-            key = (largest - parts, n, values, 0)
-        else:  # an odd largest part adds -[l odd] and overlines freely
-            odd_largest = largest & 1
-            key = (-(-largest // 2) - parts + odd_parts - odd_largest, n,
-                   values - odd_values + odd_largest, odd_values - odd_largest)
-        groups[key] = groups.get(key, 0) + 1
-        room = max_n - n  # the largest part a child may append
-        if last <= room:  # repeat the last value
-            push((n + last, last, largest, parts + 1, values, odd_parts + (last & 1), odd_values))
-        for v in range(min(last - 1, room), 0, -1):  # a new, smaller value
-            odd = v & 1
-            push((n + v, v, largest, parts + 1, values + 1, odd_parts + odd, odd_values + odd))
-    # (m, n, free, others): the statistic is m - j in C(others, j) 2^free ways
-    counts = {(0, 0): 1}
-    for (m, n, free, others), c in groups.items():
-        for j in range(others + 1):
-            key = (m - j, n)
-            counts[key] = counts.get(key, 0) + (c * math.comb(others, j) << free)
-    return tuple(counts.items())
+    total = [1] + [0] * max_n  # the recurrence at y = 1 leaves p_bar(n)
+    for v in range(1, max_n + 1):
+        below = total[:]
+        for n in range(v, max_n + 1):
+            below[n] += below[n - v]
+            total[n] += below[n - v] << 1
+    width = total[max_n].bit_length() // 8 + 1  # bytes a slot, its top bit clear
+    b = 8 * width
+    A, R = [1] + [0] * max_n, [1] + [0] * max_n
+    for v in range(1, max_n + 1):
+        B, shift = A[:], (v - 1) * b
+        # t << up is y^e q^v B; R[n] gains t << lift, 2 y^ceil(v/2) t at an odd v
+        # of the M2-rank (e = 0) and else 2 y^(v/d) t (e = -1)
+        up, lift = (b, (v + 1) // 2 * b + 1) if d == 2 and v % 2 else (0, v // d * b + 1)
+        for n in range(v, max_n + 1):
+            t = B[n - v] << shift  # y^-1 q^v B
+            B[n] += t << up
+            A[n] = B[n] + t
+            R[n] += t << lift
+    span = 2 * max_n + 1  # statistics -max_n..max_n, one row of slots a n
+    flat = _unpack([r << (max_n - n) * b for n, r in enumerate(R)], span, width)
+    return tuple(((k % span - max_n, k // span), c) for k, c in enumerate(flat) if c)
 
 
 # ---------------------------------------------------------------------------

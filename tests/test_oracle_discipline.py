@@ -13,6 +13,10 @@ The formula side never touches the oracle's geometric root sums: with
 `root_sum` and `_geometric` rebound to raisers instead, m, Delta, Psi,
 Lambda, the folded series and the formula deviations must still build, and
 the direct expansion of O_d must raise.
+
+Enumeration counts by rank and M2-rank with integer arithmetic alone: with
+`eta_quotient`, `p_bar_series`, `root_sum` and `theta_quotient` rebound to
+raisers, the counts must still build, and unchanged, while `p_bar` raises.
 """
 
 import sys
@@ -68,6 +72,16 @@ def no_root_sums(monkeypatch):
 def test_oracle_entries_avoid_appell_lerch(no_appell_lerch, entry_id):
     for inst in CATALOG[entry_id].instances:
         assert inst.lhs(ORDER) == inst.rhs(ORDER)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_enumeration_avoids_every_series_builder(monkeypatch, d):
+    expected = overpartitions.enumeration_rank_counts(d, 30)
+    _forbid(monkeypatch, ("eta_quotient", "p_bar_series", "root_sum", "theta_quotient"))
+    assert overpartitions._packed_rank_counts.cache_info().currsize == 0
+    assert overpartitions.enumeration_rank_counts(d, 30) == expected
+    with pytest.raises(Forbidden):
+        overpartitions.p_bar(30)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])

@@ -101,18 +101,39 @@ def test_enumeration_rank_counts_match_the_recursive_walk(d, max_n):
     assert enumeration_rank_counts(d, max_n) == _recursive_rank_counts(d, max_n)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_enumeration_rank_counts_match_the_rank_tables_deep(d):
+    # the packed program against the double-divisor form for every m and
+    # n <= 60, on 4-byte slots
+    t = rank_tables(d, 60)
+    assert enumeration_rank_counts(d, 60) == {
+        (m, n): t.count(m, n) for n in range(61) for m in range(-n, n + 1) if t.count(m, n)}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_enumeration_rank_counts_are_symmetric_and_sum_to_p_bar(d):
+    # n <= 120 on 6-byte slots, read back as two 8-byte limbs
+    counts = enumeration_rank_counts(d, 120)
+    totals = [0] * 121
+    for (m, n), c in counts.items():
+        assert c > 0 and counts.get((-m, n)) == c, (d, m, n)
+        totals[n] += c
+    s = p_bar_series(121)
+    assert totals == [int(s.coeff(n).as_fraction()) for n in range(121)]
+
+
 def test_enumeration_walk_is_a_module_level_lru_cache():
-    walk = overpartitions._walk_rank_counts
-    assert isinstance(walk, functools._lru_cache_wrapper)
-    assert vars(overpartitions)["_walk_rank_counts"] is walk
-    walk.cache_clear()
-    assert walk.cache_info().currsize == 0
+    packed = overpartitions._packed_rank_counts
+    assert isinstance(packed, functools._lru_cache_wrapper)
+    assert vars(overpartitions)["_packed_rank_counts"] is packed
+    packed.cache_clear()
+    assert packed.cache_info().currsize == 0
     first = enumeration_rank_counts(2, 9)
-    assert walk.cache_info()[:2] == (0, 1)  # (hits, misses)
+    assert packed.cache_info()[:2] == (0, 1)  # (hits, misses)
     assert enumeration_rank_counts(2, 9) == first
-    assert walk.cache_info()[:2] == (1, 1)
-    walk.cache_clear()
-    assert walk.cache_info() == (0, 0, None, 0)
+    assert packed.cache_info()[:2] == (1, 1)
+    packed.cache_clear()
+    assert packed.cache_info() == (0, 0, None, 0)
 
 
 def test_enumeration_rank_counts_are_a_fresh_dict():
@@ -128,11 +149,11 @@ def test_enumeration_rank_counts_are_a_fresh_dict():
 
 @pytest.mark.parametrize("d", [0, 3, -1])
 def test_enumeration_rejects_a_bad_statistic_before_the_cache(d):
-    walk = overpartitions._walk_rank_counts
-    before = walk.cache_info()
+    packed = overpartitions._packed_rank_counts
+    before = packed.cache_info()
     with pytest.raises(ValueError):
         enumeration_rank_counts(d, 5)
-    assert walk.cache_info() == before
+    assert packed.cache_info() == before
 
 
 def _sequential_triple_product(z, p, order):
