@@ -675,6 +675,7 @@ class Cyclotomic:
         return f, f.mover(fa)(self.raw), f.mover(fb)(other.raw)
 
     def embed(self, L: int) -> "Cyclotomic":
+        """This element in Q(zeta_L), L a multiple of its field's."""
         f = get_field(L)
         return Cyclotomic(f, f.mover(self.field)(self.raw))
 

@@ -212,21 +212,11 @@ class RankTables(Record):
         self.max_n = max_n
         self.rows = rows
 
-    def _row(self, n: int) -> list[int]:
+    def count(self, m: int, n: int) -> int:
+        """N_d(m, n), 0 outside -n <= m <= n; ValueError past max_n."""
         if n > self.max_n:
             raise ValueError("table only covers n <= %d" % self.max_n)
-        return self.rows[n] if n >= 0 else []
-
-    def count(self, m: int, n: int) -> int:
-        row = self._row(n)
-        return row[m + n] if -n <= m <= n else 0
-
-    def residue_count(self, a: int, M: int, n: int) -> int:
-        """Number of overpartitions of n with statistic congruent to a mod M."""
-        return sum(self._row(n)[(a + n) % M::M])
-
-    def column_sum(self, n: int) -> int:
-        return sum(self._row(n))
+        return self.rows[n][m + n] if -n <= m <= n else 0
 
     def write_csv(self, fh) -> None:
         fh.write("d,m,n,count\n")

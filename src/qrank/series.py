@@ -182,9 +182,6 @@ class Monomial:
     def coeff_is_one(self) -> bool:
         return self.zeta_num == 0
 
-    def is_one(self) -> bool:
-        return self.coeff_is_one and self.q_exp == 0
-
     def coeff(self) -> Cyclotomic:
         return root_of_unity(self.zeta_num, self.zeta_den)
 
@@ -564,10 +561,8 @@ class QSeries:
         return None
 
     def agrees_with(self, other: "QSeries", order: Fraction | int) -> bool:
+        """Whether the two series agree below `order` (`first_difference`)."""
         return self.first_difference(other, order) is None
-
-    def is_zero_to(self, order: Fraction | int) -> bool:
-        return self.agrees_with(QSeries.zero(), order)
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):

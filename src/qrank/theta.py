@@ -3,21 +3,21 @@
 j(z;q) = (z;q)_oo (q/z;q)_oo (q;q)_oo = sum_{n in Z} (-1)^n q^C(n,2) z^n.
 
 `theta_quotient` builds every theta expression of the package: shift *
-start * eta quotient * prod blocks / prod blocks, where a block is j(z;q^p)
-or the two-term factor 1 - u (its terms n = 0 and 1), and the start is a
-sum of weighted nodes of the same form, so a weighted sum of quotients is
-one call (m(x,q,z), Lambda and S_d(z;q) in `qrank.appell`).  It plans on
-integers, in steps of one q^(1/G), and runs in the half ring of
-`qrank.cyclotomic`, one packed integer per coefficient, with a sparse pass
-per block and one batched reduction mod Phi_L at the end.  The start of
-m(x,q,z) is one node (`MFamily`), not a node per term: its term (r, t),
-at an offset quadratic and a step linear in r, is one rotation of the
-family's packed seed, added straight in.  Its slots are as wide as a
-first pass on l1 norms proves enough, where each divisor is its product
-majorant prod 1/(1 - q^|e|) over its binomial exponents e, sound for a
-tie j(c q^(mp);q^p) because the N/(1 - c) taken out of it is centred,
-with sum_{j<N} c^j kappa = 0 (`_Quotient.prepare`).  A single block
-j(z;q^p) is `theta_j`, the quotient with one numerator block.
+start * eta quotient * prod blocks / prod theta blocks, where a block is
+j(z;q^p) or, in a numerator only, the two-term factor 1 - u (its terms
+n = 0 and 1), and the start is a sum of weighted nodes of the same form, so
+a weighted sum of quotients is one call (m(x,q,z), Lambda and S_d(z;q) in
+`qrank.appell`).  It plans on integers, in steps of one q^(1/G), and runs
+in the half ring of `qrank.cyclotomic`, one packed integer per coefficient,
+with a sparse pass per block and one batched reduction mod Phi_L at the
+end.  The start of m(x,q,z) is one node (`MFamily`), not a node per term:
+its term (r, t), at an offset quadratic and a step linear in r, is one
+rotation of the family's packed seed, added straight in.  Its slots are as
+wide as a first pass on l1 norms proves enough, where each divisor is its
+product majorant prod 1/(1 - q^|e|) over its binomial exponents e, sound
+for a tie j(c q^(mp);q^p) because the N/(1 - c) taken out of it is
+centred, with sum_{j<N} c^j kappa = 0 (`_Quotient.prepare`).  A single
+block j(z;q^p) is `theta_j`, the quotient with one numerator block.
 
 The terms of each block are listed by `bilateral`, the routine that also
 walks the other two-sided sums of the package (the terms of m(x,q,z), the
@@ -97,8 +97,8 @@ def _block(z: Monomial, base) -> tuple[int, int, int, int, bool]:
     cancel only when the block vanishes, so v is the valuation of every block
     that can be inverted: 0 for 0 <= E <= P and negative outside.
 
-    Base None is the two-term block 1 - z, the terms n = 0 and 1 with P = 0:
-    its valuation is min(0, E), and it vanishes when z = 1."""
+    Base None is the two-term numerator 1 - z, the terms n = 0 and 1 with
+    P = 0: its valuation is min(0, E), and it vanishes when z = 1."""
     e = z.q_exp
     if base is None:
         return e.denominator, 0, e.numerator, min(0, e.numerator), z.coeff_is_one and not e
@@ -126,12 +126,13 @@ def theta_quotient(num, den, order, eta: dict | None = None,
     """shift * start * eta_quotient(eta) * prod_num blocks / prod_den blocks,
     exact below `order`.
 
-    `num` and `den` hold blocks: (z, p) for j(z;q^p), and (u, None) for the
-    two-term factor 1 - u, the terms n = 0 and 1 of a theta block with
-    p = 0.  `start` is None (the constant 1) or a sequence of nodes, whose
-    sum it is (0 when empty); a node (num, den, shift[, weight[, eta[,
-    start]]]) is weight, an int or a Fraction, times a quotient of this
-    same form, so blocks that terms share sit in the node above them.
+    `num` and `den` hold blocks (z, p) for j(z;q^p); `num` may also hold
+    blocks of base None, the two-term factor 1 - z (the terms n = 0 and 1
+    of a theta block with p = 0), which in any `den` raise ValueError.
+    `start` is None (the constant 1) or a sequence of nodes, whose sum it
+    is (0 when empty); a node (num, den, shift[, weight[, eta[, start]]])
+    is weight, an int or a Fraction, times a quotient of this same form, so
+    blocks that terms share sit in the node above them.
 
     Each node's expansion is its passes applied to the sum of its start's
     expansions, each added in at its offset, all packed in the half ring of
@@ -184,12 +185,13 @@ class _Quotient:
         self.L, self.grid, self.div, self.blocks = shift.zeta_den, shift.q_exp.denominator, 1, []
         for divisor, blocks in ((False, num), (True, den)):
             for z, p in blocks:
+                if divisor and p is None:
+                    raise ValueError("divisor 1 - %s is not a theta block j(z;q^p)" % z)
                 s, P, E, v, vanishes = _block(z, p)
                 if divisor and vanishes:
-                    raise NonGenericParameter("divisor 1 - %s vanishes" % z if p is None else
-                                              "theta divisor j(%s; q^%s) vanishes"
+                    raise NonGenericParameter("theta divisor j(%s; q^%s) vanishes"
                                               % (z, Fraction(P, s)))
-                if divisor and not (E % P if P else E):
+                if divisor and not E % P:
                     self.div *= z.zeta_den
                 self.L, self.grid = math.lcm(self.L, z.zeta_den), math.lcm(self.grid, s)
                 self.blocks.append((z, s, P, E, v, divisor))
@@ -222,8 +224,8 @@ class _Quotient:
     def plan(self, top: int, ahead: int) -> int:
         """List each block's terms (offset, n), the term (-1)^n z^n q^(p C(n,2))
         at q^(offset/G) above its valuation: a theta block's below q^(top/G),
-        and those of 1 - z below q^(ahead/G), ahead at least the length of
-        the expansion (a part's: max(top, need) above its lowest exponent).
+        and a numerator 1 - z's below q^(ahead/G), ahead at least the length
+        of the expansion (a part's: max(top, need) above its lowest exponent).
         Return the lcm of the denominators of their exponents, the shifts
         and the eta quotients' steps."""
         den, self.terms = self.shift.q_exp.denominator, []
@@ -245,11 +247,11 @@ class _Quotient:
         for `_expand`: the passes of its eta quotient and blocks, and its
         constant or its used parts, on the divisor `total`.  A step is
         (major, rows), major None for a product and a divisor's majorant rows
-        for a divisor.  Each divisor's lowest term is taken out, into sign
-        zeta_L^rot q^val; a tie j(c q^(m p);q^p) = (-1)^m q^(-p C(m,2))
-        c^(-m) (1 - c) P(q^p) divides by P (`_tie_rows`; 1 - c has m = 0,
-        P = 1), and N/(1 - c) goes into kappa, N into div: true after the
-        reduction mod Phi_L, a ring map that comes last.
+        for a divisor.  Every divisor is a theta block, and its lowest term
+        is taken out, into sign zeta_L^rot q^val; a tie j(c q^(m p);q^p) =
+        (-1)^m q^(-p C(m,2)) c^(-m) (1 - c) P(q^p) divides by P
+        (`_tie_rows`), and N/(1 - c) goes into kappa, N into div: true after
+        the reduction mod Phi_L, a ring map that comes last.
 
         Without its lowest term, j(z;q^p) is the product of the 1 - root q^e
         over its binomial exponents E + kP (k >= 0), kP - E and kP (k >= 1),
@@ -276,14 +278,13 @@ class _Quotient:
                                   for i, c in enumerate(e.coeffs) if c[1][0]]))
         for (z, s, P, E, _, divisor), block in zip(self.blocks, self.terms):
             k, i0 = z.zeta_num * (L // z.zeta_den), 0
-            m, tie = divmod(E, P) if P else (0, E)
-            if divisor and not tie:
-                N = z.zeta_den
+            if divisor and not E % P:
+                m, N = E // P, z.zeta_den
                 sign *= -1 if m % 2 else 1
                 rot += m * k
                 inv = _centred_inverse(k, N, L)
                 kappa = inv if kappa is None else _ring_mul(kappa, inv, L)
-                rows, major = _tie_rows(k, N, P, s, n, D, L) if P else ([], [])  # 1 - c: no P
+                rows, major = _tie_rows(k, N, P, s, n, D, L)
             else:
                 if divisor:
                     i0 = min(block)[1]

@@ -97,7 +97,8 @@ def test_criterion_08_third_root_decomposition():
     tables = rank_tables(3, 30)
     series = o_d_direct(3, Z(1, 3), 31)
     for n in range(31):
-        expected = tables.residue_count(0, 3, n) - tables.residue_count(2, 3, n)
+        row = tables.rows[n]
+        expected = sum(row[n % 3::3]) - sum(row[(2 + n) % 3::3])
         assert series.coeff(n) == expected, n
     _announce(8, "three-part decomposition at the cube root, "
                  "with table cross-check to n = 30")

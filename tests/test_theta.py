@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from operator import add
@@ -90,7 +91,7 @@ def test_theta_vanishing_pattern():
     # j(q^n; q) = 0
     for n in (0, 1, 2, -1):
         s = theta_j(Q(n), 1, 30)
-        assert s.is_zero_to(30), n
+        assert s.agrees_with(QSeries.zero(), 30), n
         assert is_theta_zero_pattern(Q(n), 1)
     assert not is_theta_zero_pattern(Z(1, 2), 1)
     assert not is_theta_zero_pattern(Q(F(1, 2)), 1)
@@ -181,8 +182,9 @@ def test_theta_quotient_of_two_blocks_is_their_product():
 
 
 def test_theta_quotient_with_a_vanishing_numerator_block():
-    assert theta_quotient(((Q(1), 1), (Z(1, 5), 1)), (), 20).is_zero_to(20)
-    assert theta_quotient(((Q(0), None), (Z(1, 5), 1)), (), 20).is_zero_to(20)  # 1 - 1
+    zero = QSeries.zero()
+    assert zero.agrees_with(theta_quotient(((Q(1), 1), (Z(1, 5), 1)), (), 20), 20)
+    assert zero.agrees_with(theta_quotient(((Q(0), None), (Z(1, 5), 1)), (), 20), 20)  # 1 - 1
 
 
 def test_shift_check_passes():
@@ -360,14 +362,13 @@ def _valuation(num, den, shift):
 
 
 def test_theta_quotient_with_two_term_blocks():
-    # 1 - u among the numerator and divisor blocks, byte-identical to the
-    # product route, which expands 1 - u as two terms and divides by Newton
+    # 1 - u among the numerator blocks, byte-identical to the product route,
+    # which expands 1 - u as two terms and divides by Newton
     rng = random.Random(19)
     roots = (1, 2, 3, 4, 6)
     for case in range(60):
         num, den, eta, shift = _random_quotient(rng, roots)
-        num += [_random_two_term(rng, roots) for _ in range(rng.randint(0, 1))]
-        den += [_random_two_term(rng, roots) for _ in range(rng.randint(0, 2))]
+        num += [_random_two_term(rng, roots) for _ in range(rng.randint(1, 3))]
         order = F(13, 2) if case % 10 == 0 else F(rng.randint(1, 30))
         new = theta_quotient(num, den, order, eta, shift)
         assert new.order == order
@@ -383,15 +384,15 @@ def test_theta_quotient_of_two_term_blocks_alone():
     # grid than the terms below the order need: its D is a multiple of
     # theta_quotient's, and the two agree once both grids are reduced.
     one = QSeries.one()
-    assert theta_quotient((), ((Q(-1), None),), 1, shift=Q(-2)).to_json_dict() == \
-        (-one.shift(Q(-1)) - one).truncate(1).to_json_dict()
-    assert theta_quotient((), ((Q(-1), None),), 0, shift=Q(-3)).to_json_dict() == \
-        (-one.shift(Q(-2)) - one.shift(Q(-1))).truncate(0).to_json_dict()
+    assert theta_quotient(((Q(-1), None),), (), 1, shift=Q(-2)).to_json_dict() == \
+        (one.shift(Q(-2)) - one.shift(Q(-3))).truncate(1).to_json_dict()
+    assert theta_quotient(((Q(-1), None), (Q(2), None)), (), 0, shift=Q(-3)).to_json_dict() == \
+        (one.shift(Q(-3)) - one.shift(Q(-4)) + one.shift(Q(-2)) - one.shift(Q(-1))).truncate(
+            0).to_json_dict()
     rng = random.Random(23)
     roots = (1, 2, 3, 4, 6)
     for case in range(120):
-        num = [_random_two_term(rng, roots) for _ in range(rng.randint(0, 2))]
-        den = [_random_two_term(rng, roots) for _ in range(rng.randint(1, 3))]
+        num, den = [_random_two_term(rng, roots) for _ in range(rng.randint(1, 4))], []
         shift = rng.choice([None, Q(rng.randint(-6, -1)), Q(F(rng.randint(-9, -1), 2)),
                             Z(1, 3, F(-5, 3))])
         order = rng.choice([F(0), F(-2), F(-1, 2), F(13, 2), F(rng.randint(1, 12))])
@@ -404,22 +405,22 @@ def test_theta_quotient_of_two_term_blocks_alone():
 
 def test_theta_quotient_with_a_start():
     # start terms (num, den, shift, weight) of two-term blocks in numerators
-    # and divisors, weights +-1 and +-2: byte-identical to the product route
-    # with their sum as a series start, known below what the start is needed
+    # over theta divisors, weights +-1 and +-2: byte-identical to the
+    # product route with their sum as a series start, known below what the
+    # start is needed
     rng = random.Random(11)
     roots, seen = (1, 2, 3, 4, 6), set()
     for case in range(40):
         num, den, eta, shift = _random_quotient(rng, roots)
         order = F(13, 2) if case % 10 == 0 else F(rng.randint(1, 30))
-        terms = [([_random_two_term(rng, roots) for _ in range(rng.randint(0, 1))],
-                  [_random_two_term(rng, roots) for _ in range(rng.randint(1, 2))],
+        terms = [([_random_two_term(rng, roots) for _ in range(rng.randint(1, 2))],
+                  [_random_block(rng, roots) for _ in range(rng.randint(0, 2))],
                   rng.choice([Q(rng.randint(-3, 3)), Z(1, 3, F(1, 2)), Z(2, 5, -2),
                               Q(F(rng.randint(-9, 9), 5))]),
                   rng.choice([1, -1, 2, -2])) for _ in range(rng.randint(1, 3))]
-        for n, d, _, w in terms:
-            seen |= {(divisor, (u.q_exp > 0) - (u.q_exp < 0))
-                     for divisor, blocks in ((False, n), (True, d)) for u, _ in blocks}
-            seen.add(w)
+        for n, _, _, w in terms:
+            seen |= {(u.q_exp > 0) - (u.q_exp < 0) for u, _ in n}
+            seen.add(("weight", w))
         need = order - _valuation(num, den, shift)
         start = linear_sum((w, _product_route(n, d, need + 30, shift=s)) for n, d, s, w in terms)
         new = theta_quotient(num, den, order, eta, shift, terms)
@@ -429,7 +430,7 @@ def test_theta_quotient_with_a_start():
             continue
         old = _product_route(num, den, order, eta, shift, start)
         assert new.to_json_dict() == old.to_json_dict(), (num, den, order, eta, shift, terms)
-    assert seen == {1, -1, 2, -2} | {(d, e) for d in (False, True) for e in (-1, 0, 1)}
+    assert seen == {("weight", w) for w in (1, -1, 2, -2)} | {-1, 0, 1}
 
 
 def test_theta_quotient_sums_its_start_terms():
@@ -453,11 +454,22 @@ def test_theta_quotient_vanishing_divisor_raises():
             theta_quotient([(Z(1, 5), 1)], [(z, p)], 10)
         with pytest.raises(NonGenericParameter):
             theta_quotient([], [], 10, start=[((), ((z, p),), Q(0))])
-    # the two-term divisor 1 - q^0, as a block and in a start term
-    with pytest.raises(NonGenericParameter):
-        theta_quotient([(Z(1, 5), 1)], [(Q(0), None)], 10)
-    with pytest.raises(NonGenericParameter):
-        theta_quotient([], [], 10, start=[((), ((Q(0), None),), Q(0), -1)])
+
+
+def test_a_two_term_divisor_raises():
+    # 1 - u is a numerator block only: as a divisor it raises ValueError,
+    # naming the block, at the top, in a start node, and in a node nested
+    # deeper that the expansion never reaches; 1 - 1 too, which as a
+    # numerator gives zero
+    for u in (Q(0), Z(1, 3), Q(2), Z(1, 4, -1), Q(F(1, 2))):
+        match = re.escape("divisor 1 - %s is not a theta block" % u)
+        with pytest.raises(ValueError, match=match):
+            theta_quotient([(Z(1, 5), 1)], [(Z(1, 7), 1), (u, None)], 10)
+        bad = ((), ((u, None),), Q(0), -1)
+        for start in ([bad], [((), ((Z(1, 3), 1),), Q(40), F(1, 2), {1: 1}, [bad])],
+                      [(((Z(1, 5), 1),), (), Q(0), 1, None, [((), (), Q(1), 2, None, [bad])])]):
+            with pytest.raises(ValueError, match=match):
+                theta_quotient([], [], 10, start=start)
 
 
 # -- nested start terms --------------------------------------------------------
@@ -488,11 +500,11 @@ _ETAS = [None, None, {1: -1}, {2: 2, 1: -1}, {F(1, 2): 1}]
 
 def _random_node(rng, roots, depth):
     """A random node: up to one numerator and two divisor blocks, theta
-    blocks of bases 1, 2, 3 and 1/2 or 1 - u, a shift, a weight and an eta
-    quotient, with a start of up to three nodes (empty now and then) while
-    depth lasts."""
-    def block():
-        if rng.random() < 0.5:
+    blocks of bases 1, 2, 3 and 1/2, or 1 - u in the numerator, a shift, a
+    weight and an eta quotient, with a start of up to three nodes (empty
+    now and then) while depth lasts."""
+    def block(numerator=False):
+        if rng.random() < 0.5 and numerator:
             return _random_two_term(rng, roots)
         N, p = rng.choice(roots), rng.choice([1, 2, 3, F(1, 2)])
         e = rng.choice([rng.randint(-1, 1) * p, F(rng.randint(-2, 6), rng.choice([1, 2, 3]))])
@@ -501,7 +513,7 @@ def _random_node(rng, roots, depth):
             a, e = (1, e) if N > 1 else (0, e + F(1, 3))
         return Z(a, N, e), p
 
-    num = [block() for _ in range(rng.randint(0, 1))]
+    num = [block(numerator=True) for _ in range(rng.randint(0, 1))]
     den = [block() for _ in range(rng.randint(0, 2))]
     start = None
     if depth and rng.random() < 0.7:
@@ -590,7 +602,7 @@ def test_nested_start_under_a_one_minus_c_numerator():
 def test_nested_vanishing_divisor_raises():
     # a divisor that vanishes identically raises wherever it sits in the
     # tree, also in a node the expansion never reaches
-    for z, p in ((Q(0), 1), (Q(2), 1), (Q(F(3, 2)), F(1, 2)), (Q(0), None)):
+    for z, p in ((Q(0), 1), (Q(2), 1), (Q(F(3, 2)), F(1, 2))):
         bad = ((), ((z, p),), Q(0))
         for start in ([((), (), Q(0), 1, None, [bad])],
                       [((), ((Z(1, 3), 1),), Q(40), F(1, 2), {1: 1}, [bad])],
@@ -887,19 +899,19 @@ def _recurrence_tree(terms):
 def _theta_node(rng, L, depth):
     # (num, den, shift, weight, eta, start) of real blocks: ties c q^(m p)
     # with c of order N | L, N > 1; z with exp(z) inside and outside (0, p);
-    # two-term blocks 1 - u; and nested nodes below
-    def block(tie):
+    # two-term blocks 1 - u in numerators; and nested nodes below
+    def block(tie, numerator):
         p = rng.choice([F(1), F(2), F(1, 2), F(3, 2)])
         if tie:
             N = rng.choice([d for d in range(2, L + 1) if L % d == 0])
             a = rng.choice([a for a in range(1, N) if math.gcd(a, N) == 1])
             return Z(a, N, rng.randint(-2, 2) * p), p
-        if rng.random() < 0.25:
+        if rng.random() < 0.25 and numerator:
             return Z(rng.randrange(L), L, F(rng.choice([-3, -2, -1, 1, 2, 3]), 2)), None
         return Z(rng.randrange(L), L, p * (rng.randint(-1, 1) + F(rng.randint(1, 5), 6))), p
 
-    num = [block(rng.random() < 0.3) for _ in range(rng.randint(0, 2))]
-    den = [block(rng.random() < 0.6) for _ in range(rng.randint(0, 3))]
+    num = [block(rng.random() < 0.3, True) for _ in range(rng.randint(0, 2))]
+    den = [block(rng.random() < 0.6, False) for _ in range(rng.randint(0, 3))]
     shift = Z(rng.randrange(L), L, F(rng.randint(-2, 2), 2))
     eta = rng.choice([None, {1: -1}, {2: 1, 1: -2}])
     start = None
